@@ -378,19 +378,17 @@ def run_integrate(cfg: RunConfig) -> dict:
         dim = 1
     else:
         raise ConfigError(f"[integrate] unknown generator {source!r}")
-    traj = dynsys.integrate_system(rfun, t0, t1, np.eye(dim)[0], tol, breaks)
     grid_t = np.linspace(t0, t1, 513)
     track = dynsys.fundamental_matrix(rfun, grid_t, tol, breaks)
-    _, K_run = dynsys._pairwise_K(track.Phi)
+    rep = dynsys.stability_constant(track)
+    if rep.K_running is None:
+        raise np.linalg.LinAlgError(rep.diagnostics)
     norms = np.linalg.norm(track.Phi.reshape(len(grid_t), -1), axis=1)
-    K_at = np.interp(grid_t, grid_t[np.unique(np.linspace(0, len(grid_t) - 1,
-                                                          len(K_run)).astype(int))],
-                     K_run)
-    ys = traj.eval(grid_t)
+    K_at = np.interp(grid_t, rep.K_running_t, rep.K_running)
+    ys = track.Phi[:, :, 0]     # the trajectory through e_1
     rows = [[t, *y, nrm, k] for t, y, nrm, k in zip(grid_t, ys, norms, K_at)]
     header = ["t"] + [f"phi_{i+1}" for i in range(dim)] + ["Phi_norm", "K_running"]
     path = write_csv(cfg, "trajectory.csv", header, rows)
-    rep = dynsys.stability_constant(track)
     return {"csv": os.path.basename(path), "K_hat": rep.K_hat,
             "verdict": rep.verdict_uniform_stability}
 
@@ -506,7 +504,7 @@ def run_verify(cfg: RunConfig) -> dict:
                                      tol=float(opts.get("tol", 1e-12)))
     dec = pde_verify.spectral_decompose(sol, radii)
     quo = pde_verify.lipschitz_quotient(sol, radii)
-    gra = pde_verify.gradient_at_origin(sol, radii)
+    gra = pde_verify.gradient_at_origin(dec)
     write_csv(cfg, "circle_tables.csv",
               ["r", "u0", "v1", "v2", "Q", "w_mean", "w_moment"],
               [[r, u0, v[0], v[1], q, wm, wmo]

@@ -150,18 +150,6 @@ def piecewise_log_modulus(values: Sequence[float]) -> Modulus:
     return Modulus(om, analytic_tag="piecewise-log", omega_log=om_log)
 
 
-def sum_modulus(*mods: Modulus) -> Modulus:
-    def om(r, mods=mods):
-        return sum(m(r) for m in mods)
-
-    def om_log(s, mods=mods):
-        return sum(m.log_form(s) for m in mods)
-
-    kappa = min(m.kappa for m in mods)
-    tag = "+".join(m.analytic_tag or "?" for m in mods)
-    return Modulus(om, kappa=kappa, analytic_tag=tag, omega_log=om_log)
-
-
 # ---------------------------------------------------------------------------
 # whitelisted closed-form radial profiles
 # ---------------------------------------------------------------------------
@@ -277,13 +265,6 @@ class CoefficientField:
 
     def __call__(self, x) -> np.ndarray:
         return self.eval(x)
-
-
-def _as_batch(fn_single):
-    def batch(pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        return np.stack([fn_single(p) for p in pts])
-    return batch
 
 
 def _check_spd(A0: np.ndarray, what: str = "matrix") -> tuple:

@@ -34,7 +34,8 @@ from .coeff import CoefficientField, FieldError, Modulus
 from .dyadic import (IntegralEvidence, VERDICT_CONVERGES, VERDICT_DIVERGES,
                      VERDICT_INCONCLUSIVE, RATE_TO_MINUS_INF,
                      evidence_from_partials)
-from .sphmean import SphericalGrid, default_grid, mean_matrix_R, sphere_grid
+from .sphmean import (SphericalGrid, default_grid, mean_matrix_R,
+                      mean_matrix_R_many, mean_R_kernel, sphere_grid)
 
 LN2 = math.log(2.0)
 
@@ -168,14 +169,11 @@ def build_radial_profile(field: CoefficientField, eps: float = 0.5,
 
     pts = (radii[:, None, None] * grid.nodes[None, :, :]).reshape(-1, n)
     A = field.eval_batch(pts).reshape(M, len(grid.weights), n, n)
-    th = grid.nodes
-    w = grid.weights
-    Ath = np.einsum("rmij,mj->rmi", A, th)
-    R = np.einsum("m,rmij->rij", w, A - n * Ath[:, :, :, None] * th[None, :, None, :])
+    R = mean_R_kernel(A, grid)
     S = -0.5 * (R + np.swapaxes(R, 1, 2))
     mu = np.linalg.eigvalsh(S)[:, -1]
     dev_eigs = np.linalg.eigvalsh(A - np.eye(n))
-    absdev = np.einsum("m,rm->r", w, np.max(np.abs(dev_eigs), axis=2))
+    absdev = np.einsum("m,rm->r", grid.weights, np.max(np.abs(dev_eigs), axis=2))
 
     cum_R = _cumulative(R, s)
     cum_mu = _cumulative(mu, s)
@@ -186,12 +184,7 @@ def build_radial_profile(field: CoefficientField, eps: float = 0.5,
 
 
 def _cumulative(vals: np.ndarray, s: np.ndarray) -> np.ndarray:
-    flat = vals.reshape(len(s), -1)
-    out = np.empty_like(flat)
-    for j in range(flat.shape[1]):
-        out[1:, j] = sci_integrate.cumulative_simpson(flat[:, j], x=s)
-        out[0, j] = 0.0
-    return out.reshape(vals.shape)
+    return sci_integrate.cumulative_simpson(vals, x=s, axis=0, initial=0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +280,9 @@ def l1_condition_12b(profile: RadialProfile, tol: float = 1e-6,
                                 detail={"reason": f"inner integral {pv.verdict}"})
     inner = np.asarray(pv.limit, float)[None, :, :] - profile.cum_R
     prod = np.einsum("sij,sjk->sik", profile.R_nodes, inner)
-    vals = np.linalg.norm(prod, ord=2, axis=(1, 2)) if prod.shape[-1] > 2 \
-        else _spec_norm_batch(prod)
-    cum = _cumulative(vals, profile.s_nodes)
+    cum = _cumulative(dynsys.spectral_norms(prod), profile.s_nodes)
     ks, partials = profile.octave_partials(cum)
     return evidence_from_partials(ks, partials, tol)
-
-
-def _spec_norm_batch(mats: np.ndarray) -> np.ndarray:
-    fro2 = np.sum(mats ** 2, axis=(-2, -1))
-    det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-    disc = np.sqrt(np.maximum(fro2 ** 2 - 4.0 * det ** 2, 0.0))
-    return np.sqrt(np.maximum((fro2 + disc) / 2.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -334,9 +318,7 @@ def iterated_condition_13(profile: RadialProfile, tol: float = 1e-6) -> Iterated
         return IteratedReport(pv, l12b, lvl2, None)
     inner2 = np.asarray(lvl2.limit, float)[None, :, :] - cum_G
     prod2 = np.einsum("sij,sjk->sik", profile.R_nodes, inner2)
-    vals2 = _spec_norm_batch(prod2) if prod2.shape[-1] == 2 \
-        else np.linalg.norm(prod2, ord=2, axis=(1, 2))
-    cum2 = _cumulative(vals2, profile.s_nodes)
+    cum2 = _cumulative(dynsys.spectral_norms(prod2), profile.s_nodes)
     ks2, partials2 = profile.octave_partials(cum2)
     lvl2_l1 = evidence_from_partials(ks2, partials2, tol)
     return IteratedReport(pv, l12b, lvl2, lvl2_l1)
@@ -367,14 +349,13 @@ def volume_integral_form(field: CoefficientField, r: float = 0.5,
     grid = sphere_grid(n, angular_resolution)
     x, wq = np.polynomial.legendre.leggauss(gl_order)
     s0 = -math.log(r)
-    shells = np.empty((k_max, n, n))
-    for k in range(k_max):
-        a, b = s0 + k * LN2, s0 + (k + 1) * LN2
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        snodes = mid + half * x
-        vals = np.stack([mean_matrix_R(field, math.exp(-sv), grid)
-                         for sv in snodes])
-        shells[k] = sphere_area(n) * half * np.einsum("q,qij->ij", wq, vals)
+    k = np.arange(k_max)
+    a, b = s0 + k * LN2, s0 + (k + 1) * LN2
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    snodes = mid[:, None] + half[:, None] * x[None, :]        # (k_max, gl_order)
+    vals = mean_matrix_R_many(field, np.exp(-snodes.ravel()), grid)
+    shells = (sphere_area(n) * half[:, None, None]
+              * np.einsum("q,kqij->kij", wq, vals.reshape(k_max, gl_order, n, n)))
     partials = np.cumsum(shells, axis=0)
     return evidence_from_partials(np.arange(1, k_max + 1), partials, tol * sphere_area(n))
 
@@ -457,13 +438,9 @@ def classify(field: CoefficientField, budget: Budget = Budget()) -> RegularityVe
     evidence["l1_12b"] = l12b
     evidence["to_minus_inf_15"] = sink
 
-    dyn_stab, dyn_asym = _dynamics_evidence(field, grid, budget)
+    dyn_stab, stab2, dyn_asym = _dynamics_evidence(field, grid, budget)
     evidence["dynsys_stability"] = dyn_stab
     evidence["dynsys_asymptotic"] = dyn_asym
-    # start-time sensitivity: the window opening is a free parameter, so the
-    # stability constant is re-measured from twice the default start
-    stab2, _ = _dynamics_evidence(field, grid, budget, t0_factor=2.0,
-                                  with_asymptotics=False)
     evidence["dynsys_stability_2t0"] = stab2
 
     if not sq.converges:
@@ -496,20 +473,23 @@ def classify(field: CoefficientField, budget: Budget = Budget()) -> RegularityVe
 
 
 def _dynamics_evidence(field: CoefficientField, grid: SphericalGrid,
-                       budget: Budget, t0_factor: float = 1.0,
-                       with_asymptotics: bool = True):
-    t0 = budget.dyn_t0 * t0_factor
+                       budget: Budget):
+    """Stability from t0 and from 2 t0, and asymptotics, off one flow.
+
+    The window opening is a free parameter, so the stability constant is
+    re-measured from twice the default start on the rebased flow.
+    """
+    t0 = budget.dyn_t0
     t1 = budget.dyn_horizon or (-math.log(budget.eps) + budget.k_max * LN2)
     rfun = lambda t: mean_matrix_R(field, math.exp(-t), grid)
-    t_grid = np.linspace(t0, t1, 257)
-    track = dynsys.fundamental_matrix(rfun, t_grid, budget.dyn_tol)
+    track = dynsys.fundamental_matrix(rfun, np.linspace(t0, t1, 257),
+                                      budget.dyn_tol)
     stab = dynsys.stability_constant(track)
+    stab2 = dynsys.stability_constant(track.resample(np.linspace(2 * t0, t1, 257)))
     asym = dynsys.AsymptoticReport(dynsys.INCONCLUSIVE)
-    if with_asymptotics and t1 - t0 >= 10:
-        traj = dynsys.integrate_system(rfun, t0, t1, np.eye(field.dim)[0],
-                                       budget.dyn_tol)
-        asym = dynsys.asymptotic_limit(traj, tol=budget.asi_tol)
-    return stab, asym
+    if t1 - t0 >= 10:
+        asym = dynsys.asymptotic_limit(track.flow.column(0), tol=budget.asi_tol)
+    return stab, stab2, asym
 
 
 def soundness_check(verdict: RegularityVerdict) -> bool:

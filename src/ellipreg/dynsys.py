@@ -1,11 +1,16 @@
 """Log-time linear dynamical systems and their stability evidence.
 
 Integrates d(phi)/dt + R(t) phi = 0 with an embedded adaptive Runge-Kutta
-pair, builds fundamental matrices, and measures the stability notions the
-regularity diagnosis needs: the uniform-stability constant
-K = sup ||Phi(t) Phi(s)^-1||, asymptotic constancy of trajectories, the
-growth-bound ratio against exp(int mu), and invariance of the stability
-class under integrable perturbations of the generator.
+pair and measures the stability notions the regularity diagnosis needs: the
+uniform-stability constant K = sup ||Phi(t) Phi(s)^-1||, asymptotic
+constancy of trajectories, the growth-bound ratio against exp(int mu), and
+invariance of the stability class under integrable perturbations of the
+generator.
+
+The fundamental matrix Phi is two dense solves of the whole (d, d) state, at
+tol and at tol/5; every dynamics question reads from them: K from any start
+time (Phi(t) Phi(s)^-1 does not depend on it) and the trajectory through
+e_1, the first column of Phi.
 
 All verdicts are finite-window evidence with the window reported; nothing
 here claims an asymptotic proof.
@@ -13,7 +18,7 @@ here claims an asymptotic proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,7 +46,7 @@ class Trajectory:
     """Solution samples plus dense interpolants per smooth segment."""
 
     t: np.ndarray          # (m,)
-    y: np.ndarray          # (m, d)
+    y: np.ndarray          # (m, d) or (m, d, d)
     segments: tuple        # OdeSolution per smooth piece
     seg_bounds: np.ndarray  # (len(segments)+1,) segment boundary times
 
@@ -51,17 +56,24 @@ class Trajectory:
 
     def eval(self, tq) -> np.ndarray:
         tq = np.atleast_1d(np.asarray(tq, float))
-        out = np.empty((len(tq), self.dim))
+        shape = self.y.shape[1:]
+        out = np.empty((len(tq),) + shape)
         idx = np.clip(np.searchsorted(self.seg_bounds, tq, side="right") - 1,
                       0, len(self.segments) - 1)
         for i in range(len(self.segments)):
             m = idx == i
             if np.any(m):
-                out[m] = self.segments[i](tq[m]).T
+                out[m] = self.segments[i](tq[m]).T.reshape((-1,) + shape)
         return out
 
+    def column(self, j: int) -> "Trajectory":
+        """Column j of a matrix-state trajectory, as a vector trajectory."""
+        d = self.dim   # the stepper holds a matrix state flattened row by row
+        segs = tuple(lambda tq, s=s: s(tq)[j::d] for s in self.segments)
+        return Trajectory(self.t, self.y[:, :, j], segs, self.seg_bounds)
 
-def _as_matrix_fun(Rfun: Callable, dim_hint: Optional[int] = None):
+
+def _as_matrix_fun(Rfun: Callable):
     """Normalize a generator to t -> (d, d) ndarray; scalars become 1x1."""
     probe = np.asarray(Rfun(0.0), float)
     if probe.ndim == 0:
@@ -70,8 +82,6 @@ def _as_matrix_fun(Rfun: Callable, dim_hint: Optional[int] = None):
     else:
         d = probe.shape[0]
         fun = lambda t: np.asarray(Rfun(t), float)
-    if dim_hint is not None and d != dim_hint:
-        raise ValueError(f"generator dimension {d} != expected {dim_hint}")
     return fun, d
 
 
@@ -80,24 +90,26 @@ def integrate_system(Rfun: Callable, t0: float, t1: float, phi0,
                      breakpoints: Sequence[float] = ()) -> Trajectory:
     """Solve d(phi)/dt = -R(t) phi on [t0, t1] adaptively.
 
-    The stepper never straddles a declared breakpoint: integration restarts
-    at each one so discontinuous plateau generators are handled one-sidedly.
-    The tolerance maps to the embedded pair as rtol = tol/10 (per-step
-    control leaves headroom for accumulation: measured global drift on the
-    built-in profiles stays within 10*tol over 100 time units).
+    ``phi0`` is a vector or a (d, d) matrix, solved flattened with one step
+    sequence.  The stepper never straddles a declared breakpoint: integration
+    restarts at each one so discontinuous plateau generators are handled
+    one-sidedly.  The tolerance maps to the embedded pair as rtol = tol/10
+    (per-step control leaves headroom for accumulation: measured global
+    drift on the built-in profiles stays within 10*tol over 100 time units).
     """
     if not t1 > t0:
         raise ValueError("need t1 > t0")
     fun, d = _as_matrix_fun(Rfun)
     phi0 = np.atleast_1d(np.asarray(phi0, float))
-    if phi0.shape != (d,):
-        raise ValueError(f"phi0 has shape {phi0.shape}, generator dimension {d}")
+    shape = phi0.shape
+    if shape not in ((d,), (d, d)):
+        raise ValueError(f"phi0 has shape {shape}, generator dimension {d}")
 
     cuts = [t0] + sorted(t for t in set(float(b) for b in breakpoints)
                          if t0 < t < t1) + [t1]
-    rhs = lambda t, y: -fun(t) @ y
+    rhs = lambda t, y: -(fun(t) @ y.reshape(shape)).ravel()
     ts, ys, segs = [], [], []
-    y = phi0.copy()
+    y = phi0.flatten()
     scale = max(1.0, float(np.max(np.abs(phi0))))
     for a, b in zip(cuts[:-1], cuts[1:]):
         sol = solve_ivp(rhs, (a, b), y, method="RK45", rtol=0.1 * tol,
@@ -111,7 +123,7 @@ def integrate_system(Rfun: Callable, t0: float, t1: float, phi0,
         segs.append(sol.sol)
         y = sol.y[:, -1]
     t = np.concatenate(ts)
-    yy = np.vstack(ys)
+    yy = np.vstack(ys).reshape((-1,) + shape)
     return Trajectory(t, yy, tuple(segs), np.asarray(cuts))
 
 
@@ -123,8 +135,10 @@ def integrate_system(Rfun: Callable, t0: float, t1: float, phi0,
 class FundamentalMatrixTrack:
     """Phi(t) samples on a grid, Phi(t_grid[0]) = I, with error estimates.
 
-    ``step_error[k]`` compares the run against a re-integration at tol/5 at
-    node k; it bounds the realized local-error accumulation.
+    ``step_error[k]`` compares the run against the reference solve at tol/5
+    at node k; it bounds the realized local-error accumulation.  ``flow``
+    and ``flow_ref`` are those two dense matrix-state solves (None on a
+    track built from samples alone).
     """
 
     t_grid: np.ndarray
@@ -132,35 +146,52 @@ class FundamentalMatrixTrack:
     step_error: np.ndarray   # (m,)
     tol: float
     breakpoints: tuple = ()
+    flow: Optional[Trajectory] = None
+    flow_ref: Optional[Trajectory] = None
 
     @property
     def dim(self) -> int:
         return self.Phi.shape[1]
 
+    def resample(self, t_grid) -> "FundamentalMatrixTrack":
+        """The flow on another grid inside the solved window, no new solve.
+
+        Samples are rebased to Phi(t) Phi(t_grid[0])^-1, the fundamental
+        matrix started at t_grid[0].
+        """
+        t_grid = np.asarray(t_grid, float)
+        lo, hi = self.flow.t[0], self.flow.t[-1]
+        if not lo <= t_grid[0] < t_grid[-1] <= hi:
+            raise ValueError(f"grid [{t_grid[0]:g}, {t_grid[-1]:g}] is not an "
+                             f"increasing window inside [{lo:g}, {hi:g}]")
+        Phi, Phi_ref = (P @ np.linalg.inv(P[0])
+                        for P in (self.flow.eval(t_grid), self.flow_ref.eval(t_grid)))
+        err = np.linalg.norm((Phi - Phi_ref).reshape(len(t_grid), -1), axis=1)
+        Phi[0] = np.eye(self.dim)
+        return replace(self, t_grid=t_grid, Phi=Phi, step_error=err)
+
 
 def fundamental_matrix(Rfun: Callable, t_grid, tol: float = 1e-9,
                        breakpoints: Sequence[float] = ()) -> FundamentalMatrixTrack:
-    """Column-by-column fundamental matrix on the given grid."""
+    """Fundamental matrix on the given grid from two matrix-state solves.
+
+    The whole (d, d) state is solved from Phi(t_grid[0]) = I at ``tol`` and
+    at tol/5, the reference for ``step_error``, both with dense output:
+    ``resample`` reads any grid inside [t_grid[0], t_grid[-1]] off them, and
+    ``flow.column(0)`` is the trajectory through e_1.
+    """
     t_grid = np.asarray(t_grid, float)
     fun, d = _as_matrix_fun(Rfun)
     t0, t1 = float(t_grid[0]), float(t_grid[-1])
-
-    def columns(eff_tol):
-        cols = []
-        for j in range(d):
-            traj = integrate_system(fun, t0, t1, np.eye(d)[j], eff_tol, breakpoints)
-            cols.append(traj.eval(t_grid))
-        return np.stack(cols, axis=2)   # (m, d, d): cols[:, :, j] = j-th column
-
-    Phi = columns(tol)
-    Phi_ref = columns(tol / 5.0)
-    err = np.linalg.norm((Phi - Phi_ref).reshape(len(t_grid), -1), axis=1)
-    Phi[0] = np.eye(d)
-    return FundamentalMatrixTrack(t_grid, Phi, err, tol, tuple(breakpoints))
+    flow, flow_ref = (integrate_system(fun, t0, t1, np.eye(d), eff_tol, breakpoints)
+                      for eff_tol in (tol, tol / 5.0))
+    start = FundamentalMatrixTrack(t_grid[:1], np.eye(d)[None], np.zeros(1), tol,
+                                   tuple(breakpoints), flow, flow_ref)
+    return start.resample(t_grid)
 
 
-def _spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Batched spectral norms; closed form for 2x2, SVD otherwise."""
+def spectral_norms(mats: np.ndarray) -> np.ndarray:
+    """Batched spectral norms; closed form up to 2x2, SVD otherwise."""
     if mats.shape[-1] == 1:
         return np.abs(mats[..., 0, 0])
     if mats.shape[-1] == 2:
@@ -183,6 +214,8 @@ class StabilityReport:
     verdict_uniform_stability: str
     growth_rate: Optional[float] = None
     diagnostics: str = ""
+    K_running: Optional[np.ndarray] = None    # running K at the nodes used
+    K_running_t: Optional[np.ndarray] = None  # times of those nodes
 
 
 @dataclass(frozen=True)
@@ -219,7 +252,7 @@ def _pairwise_K(Phi: np.ndarray, max_nodes: int = 320):
     best = 1.0
     for i in range(k):
         prods = P[i] @ Pinv[: i + 1]           # (i+1, d, d)
-        best = max(best, float(np.max(_spectral_norms(prods))))
+        best = max(best, float(np.max(spectral_norms(prods))))
         K_run[i] = best
     return sel, K_run
 
@@ -235,7 +268,8 @@ def stability_constant(track: FundamentalMatrixTrack,
     three windows within saturation_rtol is stability evidence; log K
     growing at least linearly across the last four windows is instability
     evidence; anything else is inconclusive.  A fundamental matrix with
-    conditioning beyond 1e12 yields inconclusive with a diagnostic.
+    conditioning beyond 1e12 yields inconclusive with a diagnostic.  The
+    report carries the running K at the nodes used, with their times.
     """
     t = track.t_grid
     span = t[-1] - t[0]
@@ -266,7 +300,8 @@ def stability_constant(track: FundamentalMatrixTrack,
         if consec >= 4 and tail_slope > 0.02:
             verdict = EVIDENCE_UNSTABLE
             growth = float(tail_slope)
-    return StabilityReport(K_hat, K_trend, ends, verdict, growth)
+    return StabilityReport(K_hat, K_trend, ends, verdict, growth,
+                           K_running=K_run, K_running_t=t_used)
 
 
 def _longest_positive_run(values: np.ndarray, eps: float) -> int:
@@ -367,7 +402,7 @@ def perturbation_equivalence(Rfun: Callable, Rtil: Callable, t_grid,
 
     t0, t1 = t_grid[0], t_grid[-1]
     fine = np.unique(np.concatenate([np.linspace(t0, t1, 2049), t_grid]))
-    diff = np.array([_spectral_norms(np.asarray([fb(t) - fa(t)]))[0] for t in fine])
+    diff = spectral_norms(np.array([fb(t) - fa(t) for t in fine]))
     seg = np.concatenate([[0.0], np.cumsum(0.5 * (diff[1:] + diff[:-1]) * np.diff(fine))])
     l1 = float(seg[-1])
 

@@ -270,14 +270,12 @@ def verify_independence(gen: ScalarGenerator, n: int = 2,
 
     if horizon is None:
         horizon = getattr(gen, "horizon", 0.0) or 100.0
-    rfun = scalar_rfun(gen, n)
-    traj = dynsys.integrate_system(rfun, 0.0, horizon, [1.0], tol=1e-9,
-                                   breakpoints=gen.breakpoints)
     grid = _window_grid(0.0, horizon, gen.breakpoints)
-    track = dynsys.fundamental_matrix(rfun, grid, tol=1e-9,
+    track = dynsys.fundamental_matrix(scalar_rfun(gen, n), grid, tol=1e-9,
                                       breakpoints=gen.breakpoints)
     stab = dynsys.stability_constant(track)
-    asym = dynsys.asymptotic_limit(traj, window_fraction=0.1, tol=tol)
+    asym = dynsys.asymptotic_limit(track.flow.column(0), window_fraction=0.1,
+                                   tol=tol)
 
     blocks = getattr(gen, "blocks", None)
     if blocks is not None:

@@ -412,14 +412,13 @@ class GradientReport:
     converged_evidence: bool
 
 
-def gradient_at_origin(sol: GridSolution, radii: Sequence[float],
-                       circle_resolution: int = 256) -> GradientReport:
+def gradient_at_origin(dec: SpectralDecomposition) -> GradientReport:
     """Gradient from the first circle moments: limit of v(r) as r -> 0.
 
-    Extrapolation accelerates the dyadic sequence v(2^-k) componentwise;
-    converged evidence requires the successive differences to decrease.
+    Reads the moments v(r) off a circle decomposition.  Extrapolation
+    accelerates the dyadic sequence v(2^-k) componentwise; converged
+    evidence requires the successive differences to decrease.
     """
-    dec = spectral_decompose(sol, radii, circle_resolution)
     v = dec.v[np.argsort(dec.radii)[::-1]]   # large r first
     diffs = np.linalg.norm(np.diff(v, axis=0), axis=1)
     converged = bool(len(diffs) >= 2 and np.all(np.diff(diffs) <= 1e-12 +

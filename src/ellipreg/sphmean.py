@@ -7,7 +7,9 @@ central object is the mean matrix
 
 whose log-time evolution drives the whole regularity diagnosis, together
 with its symmetrization S = -(R + R^T)/2, the top eigenvalue mu(S), and the
-degree-<=4 moment matrices used by the first-order reduction.
+degree-<=4 moment matrices used by the first-order reduction.  Every R in
+the package, at one radius or many, comes from the one kernel
+:func:`mean_R_kernel` applied to field samples on a grid.
 """
 
 from __future__ import annotations
@@ -92,9 +94,18 @@ def default_grid(n: int) -> SphericalGrid:
 # moment quadratures
 # ---------------------------------------------------------------------------
 
-def _eval_on_sphere(field: CoefficientField, r: float, grid: SphericalGrid):
-    pts = r * grid.nodes
-    return field.eval_batch(pts)
+def mean_R_kernel(A: np.ndarray, grid: SphericalGrid) -> np.ndarray:
+    """Mean of A - n (A theta) x theta from field samples on the grid.
+
+    ``A`` holds the field at the grid nodes, shape (..., m, n, n), for one
+    radius or a batch of radii; the result has shape (..., n, n).  The outer
+    product convention is (A theta x theta)_{lk} = (A theta)_l theta_k.
+    """
+    th = grid.nodes
+    Ath = np.einsum("...mij,mj->...mi", A, th)
+    # one expression, so no (..., m, n, n) temporary outlives its use
+    return np.einsum("m,...mij->...ij", grid.weights,
+                     A - grid.dim * (Ath[..., :, :, None] * th[:, None, :]))
 
 
 def mean_matrix_R(field: CoefficientField, r: float,
@@ -102,17 +113,11 @@ def mean_matrix_R(field: CoefficientField, r: float,
     """Mean of A - n (A theta) x theta at radius r.
 
     Vanishes identically for constant and radial fields; entrywise bounded
-    by a multiple of omega(r) in general.  The outer product convention is
-    (A theta x theta)_{lk} = (A theta)_l theta_k.
+    by a multiple of omega(r) in general.
     """
     if grid is None:
         grid = default_grid(field.dim)
-    n = field.dim
-    A = _eval_on_sphere(field, r, grid)                       # (m, n, n)
-    Ath = np.einsum("mij,mj->mi", A, grid.nodes)              # (m, n)
-    outer = Ath[:, :, None] * grid.nodes[:, None, :]          # (m, n, n)
-    integrand = A - n * outer
-    return np.einsum("m,mij->ij", grid.weights, integrand)
+    return mean_R_kernel(field.eval_batch(r * grid.nodes), grid)
 
 
 def mean_matrix_R_many(field: CoefficientField, radii: np.ndarray,
@@ -124,9 +129,7 @@ def mean_matrix_R_many(field: CoefficientField, radii: np.ndarray,
     radii = np.asarray(radii, float)
     pts = (radii[:, None, None] * grid.nodes[None, :, :]).reshape(-1, n)
     A = field.eval_batch(pts).reshape(len(radii), len(grid.weights), n, n)
-    Ath = np.einsum("rmij,mj->rmi", A, grid.nodes)
-    outer = Ath[:, :, :, None] * grid.nodes[None, :, None, :]
-    return np.einsum("m,rmij->rij", grid.weights, A - n * outer)
+    return mean_R_kernel(A, grid)
 
 
 def symmetrized_S(R: np.ndarray) -> np.ndarray:
@@ -145,7 +148,7 @@ def appendix_moments(field: CoefficientField, r: float,
     """All radial moments of the field at radius r.
 
     For n = 3 the integrands reach total degree 6 in theta; the default grid
-    is exact for them.  The returned R comes from its own integrand and is
+    is exact for them.  The returned R comes from the R kernel and is
     checked against Cmat - n*Bmat to 1e-12 (two independent accumulations of
     the same mean value).
     """
@@ -154,7 +157,7 @@ def appendix_moments(field: CoefficientField, r: float,
     n = field.dim
     w = grid.weights
     th = grid.nodes
-    A = _eval_on_sphere(field, r, grid)
+    A = field.eval_batch(r * th)
     Ath = np.einsum("mij,mj->mi", A, th)
     quad = np.einsum("mi,mi->m", th, Ath)          # theta^T A theta
 
@@ -164,7 +167,7 @@ def appendix_moments(field: CoefficientField, r: float,
     Amat = np.einsum("m,m,ml,mk->lk", w, quad, th, th)
     Bmat = np.einsum("m,ml,mk->lk", w, Ath, th)
     Cmat = np.einsum("m,mij->ij", w, A)
-    R = np.einsum("m,mij->ij", w, A - n * Ath[:, :, None] * th[:, None, :])
+    R = mean_R_kernel(A, grid)
 
     consistency = np.max(np.abs(R - (Cmat - n * Bmat)))
     if consistency > 1e-12 * max(1.0, float(np.max(np.abs(Cmat)))):

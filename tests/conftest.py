@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ellipreg import coeff, sphmean
+from ellipreg import coeff, dynsys, sphmean
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +37,16 @@ def gs_power_field(a, c=1.0, n=2):
 def random_spd(rng, n, lo=0.5, hi=3.0):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return q @ np.diag(rng.uniform(lo, hi, n)) @ q.T
+
+
+def count_solves(monkeypatch):
+    """Record the arguments of every dynsys.integrate_system call."""
+    calls = []
+    inner = dynsys.integrate_system
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(dynsys, "integrate_system", counted)
+    return calls

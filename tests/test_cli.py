@@ -6,6 +6,8 @@ import pytest
 
 from ellipreg import cli
 
+from conftest import count_solves
+
 
 def write_cfg(tmp_path, text, name="run.ini"):
     p = tmp_path / name
@@ -142,7 +144,7 @@ t1 = 30
         assert report["payload"]["verdict"] == "evidence-stable"
         assert (out / "trajectory.csv").exists()
 
-    def test_integrate_field_generator(self, tmp_path):
+    def test_integrate_field_generator(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, BASE.format(out=out) + """
 [integrate]
@@ -150,11 +152,18 @@ generator = field
 t0 = 0.7
 t1 = 20
 """)
+        calls = count_solves(monkeypatch)
         assert cli.main(["integrate", cfg]) == cli.EXIT_OK
+        assert len(calls) == 2
         report = json.load(open(out / "report.json"))
         # contracting profile: the flow never grows
         assert report["payload"]["K_hat"] == pytest.approx(1.0, abs=1e-6)
         assert report["payload"]["verdict"] == "evidence-stable"
+        with open(out / "trajectory.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "phi_1", "phi_2", "Phi_norm", "K_running"]
+        assert [float(v) for v in rows[1][1:3]] == [1.0, 0.0]
+        assert float(rows[-1][4]) == report["payload"]["K_hat"]
 
     def test_appendix_dump(self, tmp_path):
         out = tmp_path / "out"

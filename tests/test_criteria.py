@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
 
-from ellipreg import coeff, criteria, dynsys
+from ellipreg import coeff, criteria, dynsys, sphmean
+from ellipreg import gilbarg_serrin as gs
 from ellipreg.coeff import inv_log_modulus, power_modulus, zero_modulus
 from ellipreg.dyadic import (RATE_LOG, RATE_TO_MINUS_INF, VERDICT_CONVERGES,
                              VERDICT_DIVERGES, VERDICT_INCONCLUSIVE,
                              VERDICT_OSCILLATES)
 
-from conftest import gs_log_field, gs_power_field
+from conftest import count_solves, gs_log_field, gs_power_field
 
 
 def scalar_tail_oracle(gfun_log, s0, tol=1e-12):
@@ -340,3 +341,49 @@ class TestClassify:
         assert "dynsys_stability_2t0" in v.evidence
         assert (v.evidence["dynsys_stability_2t0"].verdict_uniform_stability
                 == dynsys.EVIDENCE_STABLE)
+
+
+def rotated_rank_one_field(c=0.6, turn=0.6):
+    """A = I + g e e^T, g = c/(2 - log r), e the radial direction turned by `turn`.
+
+    Its mean matrix R is -g cos(turn) times the rotation by `turn`, so the
+    log-time flow is a genuine 2x2 system, not a scalar one.
+    """
+    def batch(pts):
+        pts = np.atleast_2d(np.asarray(pts, float))
+        r = np.linalg.norm(pts, axis=1)
+        ang = np.arctan2(pts[:, 1], pts[:, 0]) + turn
+        e = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        g = c / (2.0 - np.log(np.maximum(r, 1e-300)))
+        out = np.eye(2) + g[:, None, None] * e[:, :, None] * e[:, None, :]
+        out[r == 0] = np.eye(2)
+        return out
+    return coeff.make_custom(2, batch, inv_log_modulus(c=c, shift=2.0))
+
+
+class TestDynamicsSolves:
+    @pytest.mark.parametrize("n, k_max", [(2, 30), (3, 15)])
+    def test_classify_makes_two_solves(self, monkeypatch, n, k_max):
+        calls = count_solves(monkeypatch)
+        v = criteria.classify(gs_log_field(-1.0, shift=2.0, n=n),
+                              criteria.Budget(k_max=k_max))
+        assert len(calls) == 2
+        assert v.evidence["dynsys_asymptotic"].residual is not None
+
+    def test_verify_independence_makes_two_solves(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        gs.verify_independence(gs.WHITELIST["exp-decay"], 2, horizon=60.0)
+        assert len(calls) == 2
+
+    def test_rebased_2t0_matches_fresh_start(self):
+        field = rotated_rank_one_field()
+        budget = criteria.Budget(k_max=20)
+        stab2 = criteria.classify(field, budget).evidence["dynsys_stability_2t0"]
+        grid = sphmean.default_grid(2)
+        t1 = -math.log(budget.eps) + budget.k_max * math.log(2.0)
+        rfun = lambda t: sphmean.mean_matrix_R(field, math.exp(-t), grid)
+        fresh = dynsys.stability_constant(dynsys.fundamental_matrix(
+            rfun, np.linspace(2 * budget.dyn_t0, t1, 257), budget.dyn_tol))
+        assert fresh.K_hat > 1.1
+        assert stab2.verdict_uniform_stability == fresh.verdict_uniform_stability
+        assert stab2.K_hat == pytest.approx(fresh.K_hat, rel=1e-7)

@@ -4,6 +4,9 @@ import pytest
 from ellipreg import dynsys
 from ellipreg import gilbarg_serrin as gs
 
+from conftest import count_solves
+from fundamental_reference import fundamental_matrix_by_columns
+
 
 def rot(t):
     return np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -120,6 +123,64 @@ class TestFundamentalMatrix:
             np.testing.assert_allclose(direct, restart.Phi[-1], atol=100 * 1e-10)
 
 
+def diag_gen(t):
+    return np.diag([np.exp(-t), 2 * np.exp(-t)])
+
+
+def mixed_gen(t):
+    return np.array([[0.3 * np.exp(-t), 0.7], [-0.7, -0.1 / (1 + t)]])
+
+
+class TestMatrixState:
+    def test_matrix_state_shapes(self):
+        traj = dynsys.integrate_system(rot, 0, 5, np.eye(2), 1e-9)
+        assert traj.y.shape == (len(traj.t), 2, 2)
+        assert traj.eval([1.0, 2.0]).shape == (2, 2, 2)
+        with pytest.raises(ValueError, match="shape"):
+            dynsys.integrate_system(rot, 0, 5, np.eye(3), 1e-9)
+
+    @pytest.mark.parametrize("gen", [rot, diag_gen, mixed_gen],
+                             ids=["rotation", "diagonal", "mixed"])
+    def test_matches_column_reference(self, gen):
+        tol = 1e-9
+        tg = np.linspace(0, 20, 41)
+        track = dynsys.fundamental_matrix(gen, tg, tol)
+        ref = fundamental_matrix_by_columns(gen, tg, tol)
+        assert np.max(np.abs(track.Phi - ref.Phi)) <= 10 * tol
+        assert np.max(track.step_error) <= 10 * tol
+
+    def test_two_solves_of_the_matrix_state(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        dynsys.fundamental_matrix(mixed_gen, np.linspace(0, 10, 21), 1e-9)
+        assert len(calls) == 2
+        assert all(np.shape(args[3]) == (2, 2) for args in calls)
+
+    def test_column_is_the_trajectory(self):
+        tol = 1e-9
+        tg = np.linspace(0, 20, 41)
+        track = dynsys.fundamental_matrix(mixed_gen, tg, tol)
+        col = track.flow.column(0)
+        np.testing.assert_array_equal(col.eval(tg[1:]), track.Phi[1:, :, 0])
+        direct = dynsys.integrate_system(mixed_gen, 0, 20, [1.0, 0.0], tol)
+        np.testing.assert_allclose(col.eval(tg), direct.eval(tg), atol=10 * tol)
+
+    def test_resample_is_the_restarted_flow(self):
+        tol = 1e-10
+        track = dynsys.fundamental_matrix(mixed_gen, np.linspace(0, 12, 25), tol)
+        tg = np.linspace(3.0, 12.0, 19)
+        moved = track.resample(tg)
+        fresh = dynsys.fundamental_matrix(mixed_gen, tg, tol)
+        np.testing.assert_array_equal(moved.Phi[0], np.eye(2))
+        np.testing.assert_allclose(moved.Phi, fresh.Phi, atol=100 * tol)
+        assert np.max(moved.step_error) <= 100 * tol
+
+    @pytest.mark.parametrize("window", [(-1.0, 5.0), (2.0, 13.0), (5.0, 5.0)])
+    def test_resample_outside_window_rejected(self, window):
+        track = dynsys.fundamental_matrix(rot, np.linspace(0, 12, 25), 1e-9)
+        with pytest.raises(ValueError, match="window"):
+            track.resample(np.linspace(*window, 5))
+
+
 class TestStabilityConstant:
     def test_identity_track(self):
         tg = np.linspace(0, 20, 41)
@@ -169,6 +230,15 @@ class TestStabilityConstant:
         rep2 = dynsys.stability_constant(rebased)
         # exact invariance up to inversion roundoff on the rebased track
         assert rep2.K_hat == pytest.approx(rep1.K_hat, rel=1e-7, abs=1e-7)
+
+    def test_running_K_curve_reported(self):
+        tg = np.linspace(0, 15, 61)
+        track = dynsys.fundamental_matrix(mixed_gen, tg, 1e-9)
+        rep = dynsys.stability_constant(track)
+        assert len(rep.K_running) == len(rep.K_running_t) == len(tg)
+        np.testing.assert_array_equal(rep.K_running_t, tg)
+        assert np.all(np.diff(rep.K_running) >= 0)
+        assert rep.K_running[-1] == rep.K_hat
 
     def test_ill_conditioned_inconclusive(self):
         tg = np.linspace(0, 10, 11)

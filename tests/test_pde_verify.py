@@ -170,8 +170,8 @@ class TestLipschitzQuotient:
 
 class TestGradientAtOrigin:
     def test_linear_exact(self, identity_x1_sol):
-        rep = pde_verify.gradient_at_origin(identity_x1_sol,
-                                            [0.5, 0.25, 0.125, 0.0625])
+        rep = pde_verify.gradient_at_origin(pde_verify.spectral_decompose(
+            identity_x1_sol, [0.5, 0.25, 0.125, 0.0625]))
         np.testing.assert_allclose(rep.v, [[1, 0]] * 4, atol=1e-9)
         np.testing.assert_allclose(rep.limit, [1, 0], atol=1e-9)
 
@@ -182,7 +182,8 @@ class TestGradientAtOrigin:
         sol = pde_verify.solve_dirichlet(identity_field,
                                          lambda p: np.sin(p[:, 0]), 256,
                                          tol=1e-12)
-        rep = pde_verify.gradient_at_origin(sol, [0.4, 0.2, 0.1, 0.05])
+        rep = pde_verify.gradient_at_origin(
+            pde_verify.spectral_decompose(sol, [0.4, 0.2, 0.1, 0.05]))
         assert rep.limit[0] == pytest.approx(oracle, abs=5e-6)
         assert abs(rep.limit[1]) < 1e-8
         assert rep.converged_evidence
@@ -190,8 +191,8 @@ class TestGradientAtOrigin:
     def test_zero_gradient_case_decreasing(self):
         field = gs_log_field(-1.0, shift=2.0)
         sol = pde_verify.solve_dirichlet(field, X1, 256, tol=1e-12)
-        rep = pde_verify.gradient_at_origin(sol,
-                                            [0.5, 0.25, 0.125, 0.0625, 0.03125])
+        rep = pde_verify.gradient_at_origin(pde_verify.spectral_decompose(
+            sol, [0.5, 0.25, 0.125, 0.0625, 0.03125]))
         mags = np.linalg.norm(rep.v, axis=1)
         assert np.all(np.diff(mags) < 0)
 
