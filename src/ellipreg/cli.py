@@ -70,18 +70,20 @@ class RunConfig:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
 
 
-def _getfloat(sec, key, default):
-    try:
-        return sec.getfloat(key, default)
-    except ValueError as e:
-        raise ConfigError(f"[{sec.name}] {key}: {e}") from None
+def _floats(text: str) -> list:
+    return [float(v) for v in text.split(",")]
 
 
-def _getint(sec, key, default):
+def _option(values, section: str, key: str, default, cast=float):
+    """``values[key]`` cast by ``cast``, ``default`` when absent; every option
+    cast goes through here, so a malformed value names its section and key."""
+    text = values.get(key)
+    if text is None:
+        return default
     try:
-        return sec.getint(key, default)
+        return cast(text)
     except ValueError as e:
-        raise ConfigError(f"[{sec.name}] {key}: {e}") from None
+        raise ConfigError(f"[{section}] {key}: {e}") from None
 
 
 def load_config(path: str, subcommand: str) -> RunConfig:
@@ -99,21 +101,19 @@ def load_config(path: str, subcommand: str) -> RunConfig:
 
     cfg = RunConfig(subcommand=subcommand, raw_text=text)
     if parser.has_section("run"):
-        cfg.dim = _getint(parser["run"], "dim", 2)
+        cfg.dim = _option(parser["run"], "run", "dim", 2, int)
         if cfg.dim not in (2, 3):
             raise ConfigError("[run] dim: must be 2 or 3")
     if parser.has_section("field"):
         cfg.field_spec = dict(parser["field"])
     if parser.has_section("budget"):
         sec = parser["budget"]
-        kwargs = {}
-        for key, cast in (("eps", float), ("k_max", int), ("tol", float),
-                          ("grid_resolution", int), ("nodes_per_octave", int),
-                          ("dyn_tol", float), ("dyn_t0", float),
-                          ("asi_tol", float)):
-            if sec.get(key) is not None:
-                kwargs[key] = (_getint(sec, key, 0) if cast is int
-                               else _getfloat(sec, key, 0.0))
+        kwargs = {key: _option(sec, "budget", key, None, cast)
+                  for key, cast in (("eps", float), ("k_max", int), ("tol", float),
+                                    ("grid_resolution", int),
+                                    ("nodes_per_octave", int), ("dyn_tol", float),
+                                    ("dyn_t0", float), ("asi_tol", float))
+                  if sec.get(key) is not None}
         cfg.budget = criteria.Budget(**kwargs)
         try:
             cfg.budget.validate()
@@ -126,7 +126,7 @@ def load_config(path: str, subcommand: str) -> RunConfig:
         cfg.output_dir = parser["output"].get("dir", ".")
     cfg.output_dir = os.environ.get("ELLIPREG_OUTDIR", cfg.output_dir)
 
-    horizon = float(cfg.options.get("gs", {}).get("horizon", 1e4))
+    horizon = _option(cfg.options.get("gs", {}), "gs", "horizon", 1e4)
     if horizon > 1e6:
         raise ConfigError("[gs] horizon: must not exceed 1e6")
     return cfg
@@ -142,7 +142,7 @@ def build_field(cfg: RunConfig) -> coeff.CoefficientField:
         diag = spec.get("diag")
         if diag is None:
             raise ConfigError("[field] constant family needs diag = a, b[, c]")
-        vals = [float(v) for v in diag.split(",")]
+        vals = _option(spec, "field", "diag", None, _floats)
         if len(vals) != n:
             raise ConfigError(f"[field] diag: expected {n} entries")
         return coeff.make_constant(n, np.diag(vals))
@@ -155,7 +155,7 @@ def build_field(cfg: RunConfig) -> coeff.CoefficientField:
             omega_expr = spec.get("omega")
             omega_piecewise = spec.get("omega_piecewise")
             if omega_piecewise:
-                vals = [float(v) for v in omega_piecewise.split(",")]
+                vals = _option(spec, "field", "omega_piecewise", None, _floats)
                 omega = coeff.piecewise_log_modulus(vals)
             elif omega_expr:
                 omega = coeff.parse_modulus_expr(omega_expr)
@@ -340,7 +340,7 @@ def _verdict_payload(verdict: criteria.RegularityVerdict) -> dict:
 def run_moments(cfg: RunConfig) -> dict:
     field = build_field(cfg)
     opts = cfg.options.get("moments", {})
-    k_max = int(opts.get("k_max", cfg.budget.k_max))
+    k_max = _option(opts, "moments", "k_max", cfg.budget.k_max, int)
     radii = cfg.budget.eps * 2.0 ** -np.arange(0, k_max)
     grid = sphmean.default_grid(field.dim)
     rows = []
@@ -360,9 +360,11 @@ def run_moments(cfg: RunConfig) -> dict:
 
 def run_integrate(cfg: RunConfig) -> dict:
     opts = cfg.options.get("integrate", {})
-    t0 = float(opts.get("t0", 0.0))
-    t1 = float(opts.get("t1", 30.0))
-    tol = float(opts.get("tol", 1e-9))
+    t0 = _option(opts, "integrate", "t0", 0.0)
+    t1 = _option(opts, "integrate", "t1", 30.0)
+    tol = _option(opts, "integrate", "tol", 1e-9)
+    if not t1 > t0:
+        raise ConfigError("[integrate] t1: must exceed t0")
     source = opts.get("generator", "field")
     n = cfg.dim
     if source == "field":
@@ -435,26 +437,21 @@ def run_appendix(cfg: RunConfig) -> dict:
 def run_gs(cfg: RunConfig) -> dict:
     opts = cfg.options.get("gs", {})
     example = opts.get("example", "exp-decay")
-    horizon = float(opts.get("horizon", 1e4))
+    cesari = {"cesari-convergent": gs.KIND_CONVERGENT_IMPROPER,
+              "cesari-minus-infinity": gs.KIND_MINUS_INFINITY}
+    horizon = _option(opts, "gs", "horizon", 1e4 if example in cesari else 100.0)
+    decay = _option(opts, "gs", "decay_exponent", 2.0 / 3.0)
+    tol = _option(opts, "gs", "tol", 1e-4)
     n = cfg.dim
-    if example == "cesari-convergent":
-        gen = gs.build_cesari_counterexample(
-            gs.KIND_CONVERGENT_IMPROPER,
-            decay_exponent=float(opts.get("decay_exponent", 2.0 / 3.0)),
-            horizon=horizon)
-    elif example == "cesari-minus-infinity":
-        gen = gs.build_cesari_counterexample(
-            gs.KIND_MINUS_INFINITY,
-            decay_exponent=float(opts.get("decay_exponent", 2.0 / 3.0)),
-            horizon=horizon)
+    if example in cesari:
+        gen = gs.build_cesari_counterexample(cesari[example], decay_exponent=decay,
+                                             horizon=horizon)
     elif example in gs.WHITELIST:
         gen = gs.WHITELIST[example]
-        horizon = min(horizon, float(opts.get("horizon", 100.0)))
     else:
         raise ConfigError(f"[gs] unknown example {example!r}")
 
-    rep = gs.verify_independence(gen, n, tol=float(opts.get("tol", 1e-4)),
-                                 horizon=horizon)
+    rep = gs.verify_independence(gen, n, tol=tol, horizon=horizon)
     ts = np.linspace(0, horizon, 2049)
     gv = gen.gtil(ts)
     cum = gen.cumulative(ts) if gen.cumulative is not None else np.full_like(ts, np.nan)
@@ -490,18 +487,18 @@ def run_verify(cfg: RunConfig) -> dict:
     if cfg.dim != 2:
         raise ConfigError("[run] dim: the grid verifier is two-dimensional")
     opts = cfg.options.get("pde", {})
-    N = int(opts.get("n", 256))
+    N = _option(opts, "pde", "n", 256, int)
     if not (64 <= N <= 1024):
         raise ConfigError("[pde] n: must lie in [64, 1024]")
     bname = opts.get("boundary", "x1")
     if bname not in _BOUNDARY_FUNS:
         raise ConfigError(f"[pde] boundary: unknown name {bname!r}; "
                           f"choose from {sorted(_BOUNDARY_FUNS)}")
-    radii_txt = opts.get("radii", "0.5, 0.25, 0.125, 0.0625, 0.03125")
-    radii = [float(v) for v in radii_txt.split(",")]
+    radii = _option(opts, "pde", "radii", [0.5, 0.25, 0.125, 0.0625, 0.03125],
+                    _floats)
+    tol = _option(opts, "pde", "tol", 1e-12)
     field = build_field(cfg)
-    sol = pde_verify.solve_dirichlet(field, _BOUNDARY_FUNS[bname], N,
-                                     tol=float(opts.get("tol", 1e-12)))
+    sol = pde_verify.solve_dirichlet(field, _BOUNDARY_FUNS[bname], N, tol=tol)
     dec = pde_verify.spectral_decompose(sol, radii)
     quo = pde_verify.lipschitz_quotient(sol, radii)
     gra = pde_verify.gradient_at_origin(dec)

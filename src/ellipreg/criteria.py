@@ -35,7 +35,8 @@ from .dyadic import (IntegralEvidence, VERDICT_CONVERGES, VERDICT_DIVERGES,
                      VERDICT_INCONCLUSIVE, RATE_TO_MINUS_INF,
                      evidence_from_partials)
 from .sphmean import (SphericalGrid, default_grid, mean_matrix_R,
-                      mean_matrix_R_many, mean_R_kernel, sphere_grid)
+                      mean_matrix_R_many, mu_max, sample_on_spheres,
+                      sphere_grid, symmetrized_S)
 
 LN2 = math.log(2.0)
 
@@ -127,24 +128,23 @@ def square_dini_integral(omega: Modulus, tol: float = 1e-8,
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Log-radius samples of R, mu, and the mean deviation, with cumulatives.
+    """Log-radius samples of R and mu, with their cumulatives.
 
     Built once per (field, eps, k_max) at ``nodes_per_octave`` samples per
-    dyadic shell; every criterion below consumes this cache, so the
-    spherical quadrature runs exactly once.  Cumulative integrals are in the
-    log variable s = -ln r, where d(rho)/rho = ds.
+    dyadic shell; the classifier's criteria read R and mu from this cache,
+    so their spherical quadrature runs once.  Cumulative integrals are in
+    the log variable s = -ln r, where d(rho)/rho = ds.
     """
 
     field: CoefficientField
+    grid: SphericalGrid          # the sphere quadrature the profile used
     eps: float
     k_max: int
     s_nodes: np.ndarray          # (M,)
     R_nodes: np.ndarray          # (M, n, n)
     mu_nodes: np.ndarray         # (M,)
-    absdev_nodes: np.ndarray     # (M,) spherical mean of ||A - I||_2
     cum_R: np.ndarray            # (M, n, n) int_{s0}^{s} R ds
     cum_mu: np.ndarray           # (M,)
-    cum_absdev: np.ndarray       # (M,)
     octave_idx: np.ndarray       # (k_max + 1,) node index of each octave edge
 
     @property
@@ -161,26 +161,14 @@ def build_radial_profile(field: CoefficientField, eps: float = 0.5,
                          grid: Optional[SphericalGrid] = None) -> RadialProfile:
     if grid is None:
         grid = default_grid(field.dim)
-    n = field.dim
     s0 = -math.log(eps)
     M = k_max * nodes_per_octave + 1
     s = s0 + np.arange(M) * (LN2 / nodes_per_octave)
-    radii = np.exp(-s)
-
-    pts = (radii[:, None, None] * grid.nodes[None, :, :]).reshape(-1, n)
-    A = field.eval_batch(pts).reshape(M, len(grid.weights), n, n)
-    R = mean_R_kernel(A, grid)
-    S = -0.5 * (R + np.swapaxes(R, 1, 2))
-    mu = np.linalg.eigvalsh(S)[:, -1]
-    dev_eigs = np.linalg.eigvalsh(A - np.eye(n))
-    absdev = np.einsum("m,rm->r", grid.weights, np.max(np.abs(dev_eigs), axis=2))
-
-    cum_R = _cumulative(R, s)
-    cum_mu = _cumulative(mu, s)
-    cum_absdev = _cumulative(absdev, s)
+    R = mean_matrix_R_many(field, np.exp(-s), grid)
+    mu = np.linalg.eigvalsh(symmetrized_S(R))[:, -1]
     octs = np.arange(0, k_max + 1) * nodes_per_octave
-    return RadialProfile(field, eps, k_max, s, R, mu, absdev,
-                         cum_R, cum_mu, cum_absdev, octs)
+    return RadialProfile(field, grid, eps, k_max, s, R, mu,
+                         _cumulative(R, s), _cumulative(mu, s), octs)
 
 
 def _cumulative(vals: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -201,8 +189,7 @@ def mu_window_integrals(field: CoefficientField, r1: float, r2: float,
         grid = default_grid(field.dim)
 
     def F(s):
-        R = mean_matrix_R(field, math.exp(-s), grid)
-        return float(np.linalg.eigvalsh(-0.5 * (R + R.T))[-1])
+        return mu_max(symmetrized_S(mean_matrix_R(field, math.exp(-s), grid)))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sci_integrate.IntegrationWarning)
@@ -367,8 +354,14 @@ def condition_A_minus_I(profile: RadialProfile,
     Finiteness is the blunt sufficient condition: it forces the ordered
     integral of R to converge absolutely, hence implies both refined
     conditions, and its failure is typical for slow (log-type) envelopes.
+    The classifier does not read it, so the field is sampled here, on the
+    profile's nodes and grid.
     """
-    ks, partials = profile.octave_partials(profile.cum_absdev)
+    s, grid = profile.s_nodes, profile.grid
+    dev = np.linalg.eigvalsh(sample_on_spheres(profile.field, np.exp(-s), grid)
+                             - np.eye(profile.dim))
+    absdev = np.einsum("m,rm->r", grid.weights, np.max(np.abs(dev), axis=2))
+    ks, partials = profile.octave_partials(_cumulative(absdev, s))
     return evidence_from_partials(ks, partials, tol)
 
 
@@ -387,7 +380,6 @@ class Budget:
     nodes_per_octave: int = 32
     dyn_tol: float = 1e-8
     dyn_t0: float = LN2
-    dyn_horizon: Optional[float] = None   # defaults to the profile depth
     asi_tol: float = 1e-5
 
     def validate(self):
@@ -480,7 +472,7 @@ def _dynamics_evidence(field: CoefficientField, grid: SphericalGrid,
     re-measured from twice the default start on the rebased flow.
     """
     t0 = budget.dyn_t0
-    t1 = budget.dyn_horizon or (-math.log(budget.eps) + budget.k_max * LN2)
+    t1 = -math.log(budget.eps) + budget.k_max * LN2   # the profile depth
     rfun = lambda t: mean_matrix_R(field, math.exp(-t), grid)
     track = dynsys.fundamental_matrix(rfun, np.linspace(t0, t1, 257),
                                       budget.dyn_tol)

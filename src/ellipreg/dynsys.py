@@ -195,10 +195,10 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
     if mats.shape[-1] == 1:
         return np.abs(mats[..., 0, 0])
     if mats.shape[-1] == 2:
-        fro2 = np.sum(mats ** 2, axis=(-2, -1))
-        det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
-        disc = np.sqrt(np.maximum(fro2 ** 2 - 4.0 * det ** 2, 0.0))
-        return np.sqrt(np.maximum((fro2 + disc) / 2.0, 0.0))
+        # (|(a+d, b-c)| + |(a-d, b+c)|)/2 does not cancel when sigma_1 ~ sigma_2
+        a, b = mats[..., 0, 0], mats[..., 0, 1]
+        c, d = mats[..., 1, 0], mats[..., 1, 1]
+        return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 

@@ -23,6 +23,7 @@ is reported as evidence at the stated radii, never extrapolated silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -178,11 +179,13 @@ class GridSolution:
     field: CoefficientField
     boundary_data: Callable
 
+    @cached_property
     def interpolator(self):
         """Bicubic spline evaluator over cell centers: pts (m, 2) -> (m,).
 
         The interpolating spline reproduces cubic polynomial data exactly,
-        which the origin-gradient exactness contract needs.
+        which the origin-gradient exactness contract needs.  It is built on
+        first use and shared by every reader of this solution.
         """
         spl = RectBivariateSpline(self.cell_coords, self.cell_coords, self.u,
                                   kx=3, ky=3, s=0)
@@ -334,7 +337,7 @@ def spectral_decompose(sol: GridSolution, radii: Sequence[float],
     error, not bookkeeping.
     """
     radii = _trusted_radii(sol, radii)
-    interp = sol.interpolator()
+    interp = sol.interpolator
     m = circle_resolution
     th = 2 * np.pi * np.arange(m) / m
     mfine = int(1.5 * m)
@@ -382,7 +385,7 @@ def lipschitz_quotient(sol: GridSolution, radii: Sequence[float],
     must lie in [2h, 1 - 2h], as for ``spectral_decompose``.
     """
     radii = _trusted_radii(sol, radii)
-    interp = sol.interpolator()
+    interp = sol.interpolator
     u0 = float(interp(np.zeros((1, 2)))[0])
     th = 2 * np.pi * np.arange(circle_resolution) / circle_resolution
     X, Y = np.meshgrid(sol.cell_coords, sol.cell_coords, indexing="ij")

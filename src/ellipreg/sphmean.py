@@ -120,22 +120,26 @@ def mean_matrix_R(field: CoefficientField, r: float,
     return mean_R_kernel(field.eval_batch(r * grid.nodes), grid)
 
 
+def sample_on_spheres(field: CoefficientField, radii: np.ndarray,
+                      grid: SphericalGrid) -> np.ndarray:
+    """The field at radii x grid.nodes in one sweep, shape (M, m, n, n)."""
+    radii = np.asarray(radii, float)
+    pts = (radii[:, None, None] * grid.nodes[None, :, :]).reshape(-1, field.dim)
+    return field.eval_batch(pts).reshape(len(radii), *grid.nodes.shape, field.dim)
+
+
 def mean_matrix_R_many(field: CoefficientField, radii: np.ndarray,
                        grid: Optional[SphericalGrid] = None) -> np.ndarray:
     """Vectorized R(r) over an array of radii; one field evaluation sweep."""
     if grid is None:
         grid = default_grid(field.dim)
-    n = field.dim
-    radii = np.asarray(radii, float)
-    pts = (radii[:, None, None] * grid.nodes[None, :, :]).reshape(-1, n)
-    A = field.eval_batch(pts).reshape(len(radii), len(grid.weights), n, n)
-    return mean_R_kernel(A, grid)
+    return mean_R_kernel(sample_on_spheres(field, radii, grid), grid)
 
 
 def symmetrized_S(R: np.ndarray) -> np.ndarray:
-    """S = -(R + R^T)/2; the antisymmetric part of R drops out."""
+    """S = -(R + R^T)/2 over the last two axes; the antisymmetric part drops out."""
     R = np.asarray(R, float)
-    return -0.5 * (R + R.T)
+    return -0.5 * (R + np.swapaxes(R, -1, -2))
 
 
 def mu_max(S: np.ndarray) -> float:

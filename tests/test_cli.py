@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from ellipreg import cli
+from ellipreg import cli, pde_verify
 
 from conftest import count_solves
 
@@ -74,6 +74,28 @@ tol = -1e-6
     def test_horizon_cap(self, tmp_path):
         cfg = write_cfg(tmp_path, "[gs]\nhorizon = 1e7\n")
         assert cli.main(["gs", cfg]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("subcommand, text, name", [
+        ("gs", "[gs]\nhorizon = abc\n", "[gs] horizon"),
+        ("gs", "[gs]\nexample = cesari-convergent\ndecay_exponent = abc\n",
+         "[gs] decay_exponent"),
+        ("gs", "[gs]\ntol = abc\n", "[gs] tol"),
+        ("verify", "[pde]\nn = abc\n", "[pde] n"),
+        ("verify", "[pde]\nn = 64\nradii = 0.5, x\n", "[pde] radii"),
+        ("verify", "[pde]\nn = 64\ntol = abc\n", "[pde] tol"),
+        ("integrate", "[integrate]\nt0 = abc\n", "[integrate] t0"),
+        ("integrate", "[integrate]\nt1 = abc\n", "[integrate] t1"),
+        ("integrate", "[integrate]\ntol = abc\n", "[integrate] tol"),
+        ("integrate", "[integrate]\nt0 = 5\nt1 = 1\n", "[integrate] t1"),
+        ("moments", "[moments]\nk_max = abc\n", "[moments] k_max"),
+        ("classify", "[field]\nfamily = constant\ndiag = 1, x\n", "[field] diag"),
+    ])
+    def test_malformed_option_exits_2(self, tmp_path, capsys, subcommand,
+                                      text, name):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, text + f"\n[output]\ndir = {out}\n")
+        assert cli.main([subcommand, cfg]) == cli.EXIT_CONFIG
+        assert name in capsys.readouterr().err
 
     def test_expression_whitelist_enforced(self, tmp_path):
         cfg = write_cfg(tmp_path, """
@@ -200,6 +222,25 @@ radii = 0.5, 0.25, 0.125
         report = json.load(open(out / "report.json"))
         assert report["payload"]["gradient_limit"][0] == pytest.approx(1.0, abs=1e-9)
         assert (out / "circle_tables.csv").exists()
+
+    def test_verify_builds_one_spline(self, tmp_path, monkeypatch):
+        # the circle decomposition and the quotients share one interpolant
+        built = []
+        inner = pde_verify.RectBivariateSpline
+
+        def counted(*args, **kwargs):
+            built.append(args[2].shape)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(pde_verify, "RectBivariateSpline", counted)
+        cfg = write_cfg(tmp_path, IDENTITY.format(out=tmp_path / "out") + """
+[pde]
+n = 64
+boundary = harmonic-quadratic
+radii = 0.5, 0.25, 0.125
+""")
+        assert cli.main(["verify", cfg]) == cli.EXIT_OK
+        assert built == [(64, 64)]
 
     def test_verify_finest_grid(self, tmp_path, monkeypatch):
         out = tmp_path / "out"

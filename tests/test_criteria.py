@@ -12,6 +12,7 @@ from ellipreg.dyadic import (RATE_LOG, RATE_TO_MINUS_INF, VERDICT_CONVERGES,
                              VERDICT_OSCILLATES)
 
 from conftest import count_solves, gs_log_field, gs_power_field
+from profile_reference import reference_profile
 
 
 def scalar_tail_oracle(gfun_log, s0, tol=1e-12):
@@ -246,6 +247,66 @@ class TestAMinusI:
         prof = criteria.build_radial_profile(identity_field)
         ev = criteria.condition_A_minus_I(prof)
         assert ev.converges and abs(ev.limit_as_float()) < 1e-13
+
+
+PROFILE_FIELDS = [
+    lambda: gs_log_field(-1.0, shift=2.0),
+    lambda: gs_power_field(0.5),
+    lambda: coeff.make_perturbed_radial(
+        2, lambda r: (1.0 + r) * np.eye(2), modulus=power_modulus(1.0)),
+    lambda: gs_log_field(-1.0, shift=2.0, n=3),
+]
+
+
+class TestProfileMatchesReference:
+    """The profile and the deviation condition equal the one-sweep reference."""
+
+    @pytest.mark.parametrize("field_fn", PROFILE_FIELDS)
+    def test_profile_arrays_bit_equal(self, field_fn):
+        field = field_fn()
+        k_max = 8 if field.dim == 3 else 20
+        prof = criteria.build_radial_profile(field, k_max=k_max)
+        ref = reference_profile(field, k_max=k_max)
+        for name in ("s_nodes", "R_nodes", "mu_nodes", "cum_R", "cum_mu",
+                     "octave_idx"):
+            assert np.array_equal(getattr(prof, name), getattr(ref, name)), name
+        assert prof.grid.dim == field.dim
+
+    @pytest.mark.parametrize("field_fn", PROFILE_FIELDS)
+    def test_deviation_partials_bit_equal(self, field_fn):
+        field = field_fn()
+        k_max = 8 if field.dim == 3 else 20
+        ev = criteria.condition_A_minus_I(
+            criteria.build_radial_profile(field, k_max=k_max))
+        ref = reference_profile(field, k_max=k_max)
+        assert np.array_equal(ev.partial_values,
+                              ref.cum_absdev[ref.octave_idx[1:]])
+
+    def test_profile_keeps_its_grid(self):
+        grid = sphmean.sphere_grid(2, 48)
+        prof = criteria.build_radial_profile(gs_power_field(0.5), k_max=10,
+                                             grid=grid)
+        assert prof.grid is grid
+        ref = reference_profile(gs_power_field(0.5), k_max=10, grid=grid)
+        ev = criteria.condition_A_minus_I(prof)
+        assert np.array_equal(ev.partial_values,
+                              ref.cum_absdev[ref.octave_idx[1:]])
+
+    def test_classify_3d_eigendecomposes_only_the_profile(self, monkeypatch):
+        # the classifier never reads the deviation of A from I, so it must
+        # not decompose the field samples: one S per profile node at most
+        budget = criteria.Budget(k_max=10)
+        M = budget.k_max * budget.nodes_per_octave + 1
+        decomposed = []
+        inner = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            decomposed.append(int(np.prod(np.shape(a)[:-2])))
+            return inner(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        criteria.classify(gs_log_field(-1.0, shift=2.0, n=3), budget)
+        assert 0 < sum(decomposed) <= 2 * M
 
 
 class TestHierarchy:

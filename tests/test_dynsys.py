@@ -12,6 +12,26 @@ def rot(t):
     return np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+class TestSpectralNorms:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_scalar_2x2_matches_svd(self, seed):
+        # Phi ~ phi I for every rank-one field: the singular values nearly
+        # coincide, where a discriminant form cancels down to sqrt(eps)
+        rng = np.random.default_rng(seed)
+        phi = np.exp(rng.uniform(-5, 5, size=500))
+        mats = phi[:, None, None] * (np.eye(2)
+                                     + 1e-9 * rng.normal(size=(500, 2, 2)))
+        want = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        got = dynsys.spectral_norms(mats)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+    def test_general_2x2_matches_svd(self):
+        rng = np.random.default_rng(7)
+        mats = rng.normal(size=(1000, 2, 2))
+        want = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        np.testing.assert_allclose(dynsys.spectral_norms(mats), want, rtol=1e-13)
+
+
 class TestIntegrate:
     def test_zero_generator_constant(self):
         traj = dynsys.integrate_system(lambda t: np.zeros((2, 2)), 0, 20,
