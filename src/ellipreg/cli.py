@@ -126,9 +126,15 @@ def load_config(path: str, subcommand: str) -> RunConfig:
         cfg.output_dir = parser["output"].get("dir", ".")
     cfg.output_dir = os.environ.get("ELLIPREG_OUTDIR", cfg.output_dir)
 
-    horizon = _option(cfg.options.get("gs", {}), "gs", "horizon", 1e4)
-    if horizon > 1e6:
+    for section, key in (("pde", "tol"), ("integrate", "tol"), ("gs", "tol"),
+                         ("gs", "horizon")):
+        value = _option(cfg.options.get(section, {}), section, key, 1.0)
+        if not 0 < value < math.inf:
+            raise ConfigError(f"[{section}] {key}: must be finite and positive")
+    if _option(cfg.options.get("gs", {}), "gs", "horizon", 1.0) > 1e6:
         raise ConfigError("[gs] horizon: must not exceed 1e6")
+    if _option(cfg.options.get("moments", {}), "moments", "k_max", 1, int) < 1:
+        raise ConfigError("[moments] k_max: must be at least 1")
     return cfg
 
 
@@ -372,12 +378,10 @@ def run_integrate(cfg: RunConfig) -> dict:
         grid = sphmean.default_grid(n)
         rfun = lambda t: sphmean.mean_matrix_R(field, math.exp(-t), grid)
         breaks = ()
-        dim = n
     elif source in gs.WHITELIST:
         gen = gs.WHITELIST[source]
         rfun = gs.scalar_rfun(gen, n)
         breaks = gen.breakpoints
-        dim = 1
     else:
         raise ConfigError(f"[integrate] unknown generator {source!r}")
     grid_t = np.linspace(t0, t1, 513)
@@ -389,7 +393,7 @@ def run_integrate(cfg: RunConfig) -> dict:
     K_at = np.interp(grid_t, rep.K_running_t, rep.K_running)
     ys = track.Phi[:, :, 0]     # the trajectory through e_1
     rows = [[t, *y, nrm, k] for t, y, nrm, k in zip(grid_t, ys, norms, K_at)]
-    header = ["t"] + [f"phi_{i+1}" for i in range(dim)] + ["Phi_norm", "K_running"]
+    header = ["t"] + [f"phi_{i+1}" for i in range(ys.shape[1])] + ["Phi_norm", "K_running"]
     path = write_csv(cfg, "trajectory.csv", header, rows)
     return {"csv": os.path.basename(path), "K_hat": rep.K_hat,
             "verdict": rep.verdict_uniform_stability}

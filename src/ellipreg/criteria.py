@@ -383,10 +383,22 @@ class Budget:
     asi_tol: float = 1e-5
 
     def validate(self):
-        if self.tol <= 0 or self.dyn_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.k_max > 40:
-            raise ValueError("k_max must not exceed 40")
+        """Raise ValueError naming the first field outside its range."""
+        for key in ("tol", "dyn_tol", "asi_tol"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"{key}: must be finite and positive")
+        if not 0 < self.eps <= 1:
+            raise ValueError("eps: must lie in (0, 1]")
+        if not 1 <= self.k_max <= 40:
+            raise ValueError("k_max: must lie in [1, 40]")
+        if self.nodes_per_octave < 1:
+            raise ValueError("nodes_per_octave: must be at least 1")
+        if self.grid_resolution is not None and self.grid_resolution < 8:
+            raise ValueError("grid_resolution: must be at least 8")
+        depth = -math.log(self.eps) + self.k_max * LN2
+        if not 0 <= 2 * self.dyn_t0 < depth:
+            raise ValueError(f"dyn_t0: 2*dyn_t0 must lie in [0, {depth:.6g}), "
+                             "the profile depth -ln(eps) + k_max ln 2")
 
 
 @dataclass(frozen=True)

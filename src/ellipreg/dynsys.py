@@ -7,10 +7,10 @@ constancy of trajectories, the growth-bound ratio against exp(int mu), and
 invariance of the stability class under integrable perturbations of the
 generator.
 
-The fundamental matrix Phi is two dense solves of the whole (d, d) state, at
-tol and at tol/5; every dynamics question reads from them: K from any start
-time (Phi(t) Phi(s)^-1 does not depend on it) and the trajectory through
-e_1, the first column of Phi.
+The fundamental matrix Phi is one dense solve of the whole (d, d) state at
+tol; every dynamics question reads from it: K from any start time
+(Phi(t) Phi(s)^-1 does not depend on it) and the trajectory through e_1, the
+first column of Phi.
 
 All verdicts are finite-window evidence with the window reported; nothing
 here claims an asymptotic proof.
@@ -31,6 +31,11 @@ EVIDENCE_NO = "evidence-no"
 INCONCLUSIVE = "inconclusive"
 
 _COND_LIMIT = 1e12
+_K_MAX_NODES = 320           # nodes of a matrix track paired for K
+_K_WINDOWS = 10              # dyadic windows of the K trend
+_K_SATURATION_RTOL = 0.01    # last three windows this close: saturated
+_ASYM_WINDOW_FRACTION = 0.1  # tail window of asymptotic_limit
+_GRONWALL_QUAD_ORDER = 8     # Gauss-Legendre nodes per step for int mu
 
 
 class IntegrationError(RuntimeError):
@@ -133,25 +138,15 @@ def integrate_system(Rfun: Callable, t0: float, t1: float, phi0,
 
 @dataclass(frozen=True)
 class FundamentalMatrixTrack:
-    """Phi(t) samples on a grid, Phi(t_grid[0]) = I, with error estimates.
+    """Phi(t) samples on a grid, Phi(t_grid[0]) = I.
 
-    ``step_error[k]`` compares the run against the reference solve at tol/5
-    at node k; it bounds the realized local-error accumulation.  ``flow``
-    and ``flow_ref`` are those two dense matrix-state solves (None on a
-    track built from samples alone).
+    ``flow`` is the dense matrix-state solve the samples are read from (None
+    on a track built from samples alone).
     """
 
     t_grid: np.ndarray
     Phi: np.ndarray          # (m, d, d)
-    step_error: np.ndarray   # (m,)
-    tol: float
-    breakpoints: tuple = ()
     flow: Optional[Trajectory] = None
-    flow_ref: Optional[Trajectory] = None
-
-    @property
-    def dim(self) -> int:
-        return self.Phi.shape[1]
 
     def resample(self, t_grid) -> "FundamentalMatrixTrack":
         """The flow on another grid inside the solved window, no new solve.
@@ -164,30 +159,24 @@ class FundamentalMatrixTrack:
         if not lo <= t_grid[0] < t_grid[-1] <= hi:
             raise ValueError(f"grid [{t_grid[0]:g}, {t_grid[-1]:g}] is not an "
                              f"increasing window inside [{lo:g}, {hi:g}]")
-        Phi, Phi_ref = (P @ np.linalg.inv(P[0])
-                        for P in (self.flow.eval(t_grid), self.flow_ref.eval(t_grid)))
-        err = np.linalg.norm((Phi - Phi_ref).reshape(len(t_grid), -1), axis=1)
-        Phi[0] = np.eye(self.dim)
-        return replace(self, t_grid=t_grid, Phi=Phi, step_error=err)
+        P = self.flow.eval(t_grid)
+        Phi = P @ np.linalg.inv(P[0])
+        Phi[0] = np.eye(len(P[0]))
+        return replace(self, t_grid=t_grid, Phi=Phi)
 
 
 def fundamental_matrix(Rfun: Callable, t_grid, tol: float = 1e-9,
                        breakpoints: Sequence[float] = ()) -> FundamentalMatrixTrack:
-    """Fundamental matrix on the given grid from two matrix-state solves.
+    """Fundamental matrix on the given grid from one matrix-state solve.
 
-    The whole (d, d) state is solved from Phi(t_grid[0]) = I at ``tol`` and
-    at tol/5, the reference for ``step_error``, both with dense output:
-    ``resample`` reads any grid inside [t_grid[0], t_grid[-1]] off them, and
-    ``flow.column(0)`` is the trajectory through e_1.
+    The whole (d, d) state is solved from Phi(t_grid[0]) = I at ``tol`` with
+    dense output: ``resample`` reads any grid inside [t_grid[0], t_grid[-1]]
+    off it, and ``flow.column(0)`` is the trajectory through e_1.
     """
-    t_grid = np.asarray(t_grid, float)
     fun, d = _as_matrix_fun(Rfun)
-    t0, t1 = float(t_grid[0]), float(t_grid[-1])
-    flow, flow_ref = (integrate_system(fun, t0, t1, np.eye(d), eff_tol, breakpoints)
-                      for eff_tol in (tol, tol / 5.0))
-    start = FundamentalMatrixTrack(t_grid[:1], np.eye(d)[None], np.zeros(1), tol,
-                                   tuple(breakpoints), flow, flow_ref)
-    return start.resample(t_grid)
+    flow = integrate_system(fun, float(t_grid[0]), float(t_grid[-1]), np.eye(d),
+                            tol, breakpoints)
+    return FundamentalMatrixTrack(t_grid[:1], np.eye(d)[None], flow).resample(t_grid)
 
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
@@ -223,14 +212,13 @@ class AsymptoticReport:
     verdict: str
     limit: Optional[np.ndarray] = None
     residual: Optional[float] = None
-    previous_residual: Optional[float] = None
 
 
-def _pairwise_K(Phi: np.ndarray, max_nodes: int = 320):
+def _pairwise_K(Phi: np.ndarray):
     """K(e) = max over s <= t <= t_e of ||Phi(t) Phi(s)^-1||, per end index.
 
     Scalar tracks use the exact running-min formulation over every node;
-    matrix tracks subsample to max_nodes and take all pairs, batched.
+    matrix tracks subsample to _K_MAX_NODES and take all pairs, batched.
     Returns (node_index_used, K_running) with K_running nondecreasing.
     """
     m, d, _ = Phi.shape
@@ -240,7 +228,7 @@ def _pairwise_K(Phi: np.ndarray, max_nodes: int = 320):
         K_run = np.maximum.accumulate(v / running_min)
         return np.arange(m), K_run
 
-    sel = np.unique(np.linspace(0, m - 1, min(m, max_nodes)).astype(int))
+    sel = np.unique(np.linspace(0, m - 1, min(m, _K_MAX_NODES)).astype(int))
     P = Phi[sel]
     conds = np.linalg.cond(P)
     if np.any(conds > _COND_LIMIT):
@@ -257,15 +245,13 @@ def _pairwise_K(Phi: np.ndarray, max_nodes: int = 320):
     return sel, K_run
 
 
-def stability_constant(track: FundamentalMatrixTrack,
-                       n_windows: int = 10,
-                       saturation_rtol: float = 0.01) -> StabilityReport:
+def stability_constant(track: FundamentalMatrixTrack) -> StabilityReport:
     """Uniform-stability constant estimate with dyadic-window trend.
 
     K_hat is the max of ||Phi(t) Phi(s)^-1|| over grid pairs; K_trend[m] is
     the same max over the window [t0, t0 + span * 2^(m+1-M)], so the windows
     expand dyadically to the full track.  Verdicts: saturation of the last
-    three windows within saturation_rtol is stability evidence; log K
+    three windows within _K_SATURATION_RTOL is stability evidence; log K
     growing at least linearly across the last four windows is instability
     evidence; anything else is inconclusive.  A fundamental matrix with
     conditioning beyond 1e12 yields inconclusive with a diagnostic.  The
@@ -279,7 +265,7 @@ def stability_constant(track: FundamentalMatrixTrack,
         return StabilityReport(float("nan"), np.array([]), np.array([]),
                                INCONCLUSIVE, diagnostics=str(e))
     t_used = t[idx_used]
-    ends = t[0] + span * 2.0 ** np.arange(-(n_windows - 1), 1, 1.0)
+    ends = t[0] + span * 2.0 ** np.arange(-(_K_WINDOWS - 1), 1, 1.0)
     K_trend = np.empty(len(ends))
     for i, e in enumerate(ends):
         j = np.searchsorted(t_used, e + 1e-12)
@@ -289,7 +275,7 @@ def stability_constant(track: FundamentalMatrixTrack,
     verdict = INCONCLUSIVE
     growth = None
     lastK = K_trend[-3:]
-    if np.max(lastK) <= np.min(lastK) * (1 + saturation_rtol):
+    if np.max(lastK) <= np.min(lastK) * (1 + _K_SATURATION_RTOL):
         verdict = EVIDENCE_STABLE
     else:
         logs = np.log(np.maximum(K_trend, 1.0))
@@ -312,18 +298,17 @@ def _longest_positive_run(values: np.ndarray, eps: float) -> int:
     return best
 
 
-def asymptotic_limit(traj: Trajectory, window_fraction: float = 0.1,
-                     tol: float = 1e-6) -> AsymptoticReport:
+def asymptotic_limit(traj: Trajectory, tol: float = 1e-6) -> AsymptoticReport:
     """Tail-window limit of a trajectory.
 
-    The limit estimate is the mean over the final window; the evidence is
-    positive when the max deviation there is below tol and at most half the
-    deviation over the preceding window (an exactly quiet tail counts).
+    The limit is the mean over the final _ASYM_WINDOW_FRACTION of the span;
+    the evidence is positive when the max deviation there is below tol and at
+    most half that over the preceding window (an exactly quiet tail counts).
     """
     t0, t1 = float(traj.t[0]), float(traj.t[-1])
     if t1 - t0 < 10:
         raise ValueError("trajectory window must span at least 10 time units")
-    w = window_fraction * (t1 - t0)
+    w = _ASYM_WINDOW_FRACTION * (t1 - t0)
     tq_last = np.linspace(t1 - w, t1, 200)
     tq_prev = np.linspace(t1 - 2 * w, t1 - w, 200)
     y_last = traj.eval(tq_last)
@@ -332,10 +317,10 @@ def asymptotic_limit(traj: Trajectory, window_fraction: float = 0.1,
     dev = float(np.max(np.linalg.norm(y_last - mean, axis=1)))
     dev_prev = float(np.max(np.linalg.norm(y_prev - y_prev.mean(axis=0), axis=1)))
     if dev <= tol and (dev <= 0.5 * dev_prev or dev_prev <= tol):
-        return AsymptoticReport(EVIDENCE_YES, mean, dev, dev_prev)
+        return AsymptoticReport(EVIDENCE_YES, mean, dev)
     if dev > tol and dev >= 0.9 * dev_prev:
-        return AsymptoticReport(EVIDENCE_NO, None, dev, dev_prev)
-    return AsymptoticReport(INCONCLUSIVE, None, dev, dev_prev)
+        return AsymptoticReport(EVIDENCE_NO, None, dev)
+    return AsymptoticReport(INCONCLUSIVE, None, dev)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +328,7 @@ def asymptotic_limit(traj: Trajectory, window_fraction: float = 0.1,
 # ---------------------------------------------------------------------------
 
 def gronwall_bound_check(traj: Trajectory, mu: Callable,
-                         cumulative_mu: Optional[Callable] = None,
-                         n_quad: int = 8) -> float:
+                         cumulative_mu: Optional[Callable] = None) -> float:
     """Worst ratio of |phi(t)| against |phi(s)| exp(int_s^t mu).
 
     ``mu(t)`` must be the top eigenvalue of the symmetric part of the
@@ -361,7 +345,7 @@ def gronwall_bound_check(traj: Trajectory, mu: Callable,
     if cumulative_mu is not None:
         M = np.asarray(cumulative_mu(t), float)
     else:
-        x, w = np.polynomial.legendre.leggauss(n_quad)
+        x, w = np.polynomial.legendre.leggauss(_GRONWALL_QUAD_ORDER)
         a, b = t[:-1], t[1:]
         mid, half = (a + b) / 2, (b - a) / 2
         nodes = mid[:, None] + half[:, None] * x[None, :]

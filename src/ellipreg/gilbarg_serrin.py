@@ -274,8 +274,7 @@ def verify_independence(gen: ScalarGenerator, n: int = 2,
     track = dynsys.fundamental_matrix(scalar_rfun(gen, n), grid, tol=1e-9,
                                       breakpoints=gen.breakpoints)
     stab = dynsys.stability_constant(track)
-    asym = dynsys.asymptotic_limit(track.flow.column(0), window_fraction=0.1,
-                                   tol=tol)
+    asym = dynsys.asymptotic_limit(track.flow.column(0), tol=tol)
 
     blocks = getattr(gen, "blocks", None)
     if blocks is not None:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import pytest
 
@@ -97,6 +98,42 @@ tol = -1e-6
         assert cli.main([subcommand, cfg]) == cli.EXIT_CONFIG
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, text, name", [
+        ("classify", "[budget]\ndyn_tol = nan\n", "[budget] dyn_tol"),
+        ("classify", "[budget]\ntol = nan\n", "[budget] tol"),
+        ("classify", "[budget]\ntol = inf\n", "[budget] tol"),
+        ("classify", "[budget]\nasi_tol = -1\n", "[budget] asi_tol"),
+        ("classify", "[budget]\nk_max = 0\n", "[budget] k_max"),
+        ("classify", "[budget]\nk_max = 1\n", "[budget] dyn_t0"),
+        ("classify", "[budget]\nnodes_per_octave = 0\n",
+         "[budget] nodes_per_octave"),
+        ("classify", "[budget]\nnodes_per_octave = -4\n",
+         "[budget] nodes_per_octave"),
+        ("classify", "[budget]\neps = 0\n", "[budget] eps"),
+        ("classify", "[budget]\neps = -1\n", "[budget] eps"),
+        ("classify", "[budget]\neps = 1.5\n", "[budget] eps"),
+        ("classify", "[budget]\ngrid_resolution = 4\n",
+         "[budget] grid_resolution"),
+        ("classify", "[budget]\ndyn_t0 = -1\n", "[budget] dyn_t0"),
+        ("classify", "[budget]\ndyn_t0 = nan\n", "[budget] dyn_t0"),
+        ("verify", "[pde]\nn = 64\ntol = -1\n", "[pde] tol"),
+        ("integrate", "[integrate]\ntol = nan\n", "[integrate] tol"),
+        ("gs", "[gs]\ntol = 0\n", "[gs] tol"),
+        ("gs", "[gs]\nhorizon = nan\n", "[gs] horizon"),
+        ("gs", "[gs]\nhorizon = -5\n", "[gs] horizon"),
+        ("moments", "[moments]\nk_max = 0\n", "[moments] k_max"),
+        ("moments", "[moments]\nk_max = -3\n", "[moments] k_max"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, subcommand,
+                                        text, name):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, text + f"\n[output]\ndir = {out}\n")
+        # rejected while loading, before any solve could start on it
+        with pytest.raises(cli.ConfigError, match=re.escape(name)):
+            cli.load_config(cfg, subcommand)
+        assert cli.main([subcommand, cfg]) == cli.EXIT_CONFIG
+        assert name in capsys.readouterr().err
+
     def test_expression_whitelist_enforced(self, tmp_path):
         cfg = write_cfg(tmp_path, """
 [field]
@@ -176,7 +213,7 @@ t1 = 20
 """)
         calls = count_solves(monkeypatch)
         assert cli.main(["integrate", cfg]) == cli.EXIT_OK
-        assert len(calls) == 2
+        assert len(calls) == 1
         report = json.load(open(out / "report.json"))
         # contracting profile: the flow never grows
         assert report["payload"]["K_hat"] == pytest.approx(1.0, abs=1e-6)
