@@ -348,7 +348,7 @@ def run_moments(cfg: RunConfig) -> dict:
     opts = cfg.options.get("moments", {})
     k_max = _option(opts, "moments", "k_max", cfg.budget.k_max, int)
     radii = cfg.budget.eps * 2.0 ** -np.arange(0, k_max)
-    grid = sphmean.default_grid(field.dim)
+    grid = cfg.budget.sphere_grid(field.dim)
     rows = []
     for r in radii:
         md = sphmean.appendix_moments(field, float(r), grid)
@@ -375,7 +375,7 @@ def run_integrate(cfg: RunConfig) -> dict:
     n = cfg.dim
     if source == "field":
         field = build_field(cfg)
-        grid = sphmean.default_grid(n)
+        grid = cfg.budget.sphere_grid(n)
         rfun = lambda t: sphmean.mean_matrix_R(field, math.exp(-t), grid)
         breaks = ()
     elif source in gs.WHITELIST:
@@ -417,7 +417,8 @@ def run_classify(cfg: RunConfig, emit_csv: bool = False) -> dict:
 
 def run_appendix(cfg: RunConfig) -> dict:
     field = build_field(cfg)
-    sys_ = appendix_system.build_reduced_system(field)
+    sys_ = appendix_system.build_reduced_system(
+        field, cfg.budget.sphere_grid(field.dim))
     ts = np.linspace(cfg.budget.dyn_t0,
                      -math.log(cfg.budget.eps) + cfg.budget.k_max * math.log(2.0),
                      41)

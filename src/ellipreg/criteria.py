@@ -35,8 +35,8 @@ from .dyadic import (IntegralEvidence, VERDICT_CONVERGES, VERDICT_DIVERGES,
                      VERDICT_INCONCLUSIVE, RATE_TO_MINUS_INF,
                      evidence_from_partials)
 from .sphmean import (SphericalGrid, default_grid, mean_matrix_R,
-                      mean_matrix_R_many, mu_max, sample_on_spheres,
-                      sphere_grid, symmetrized_S)
+                      mean_matrix_R_many, mu_max, sphere_grid, sphere_sweep,
+                      symmetrized_S)
 
 LN2 = math.log(2.0)
 
@@ -132,8 +132,11 @@ class RadialProfile:
 
     Built once per (field, eps, k_max) at ``nodes_per_octave`` samples per
     dyadic shell; the classifier's criteria read R and mu from this cache,
-    so their spherical quadrature runs once.  Cumulative integrals are in
-    the log variable s = -ln r, where d(rho)/rho = ds.
+    so their spherical quadrature runs once.  Only the (M, n, n) reductions
+    are kept: the field samples behind R are swept one chunk of radii at a
+    time and dropped, so the profile's memory grows with M only through
+    these arrays.  Cumulative integrals are in the log variable s = -ln r,
+    where d(rho)/rho = ds.
     """
 
     field: CoefficientField
@@ -354,13 +357,14 @@ def condition_A_minus_I(profile: RadialProfile,
     Finiteness is the blunt sufficient condition: it forces the ordered
     integral of R to converge absolutely, hence implies both refined
     conditions, and its failure is typical for slow (log-type) envelopes.
-    The classifier does not read it, so the field is sampled here, on the
-    profile's nodes and grid.
+    The classifier does not read it, so the field is swept here, on the
+    profile's nodes and grid, one chunk of radii at a time.
     """
     s, grid = profile.s_nodes, profile.grid
-    dev = np.linalg.eigvalsh(sample_on_spheres(profile.field, np.exp(-s), grid)
-                             - np.eye(profile.dim))
-    absdev = np.einsum("m,rm->r", grid.weights, np.max(np.abs(dev), axis=2))
+    absdev = np.empty(len(s))
+    for sl, A in sphere_sweep(profile.field, np.exp(-s), grid):
+        dev = np.linalg.eigvalsh(A - np.eye(profile.dim))
+        absdev[sl] = np.einsum("m,rm->r", grid.weights, np.max(np.abs(dev), axis=2))
     ks, partials = profile.octave_partials(_cumulative(absdev, s))
     return evidence_from_partials(ks, partials, tol)
 
@@ -400,6 +404,12 @@ class Budget:
             raise ValueError(f"dyn_t0: 2*dyn_t0 must lie in [0, {depth:.6g}), "
                              "the profile depth -ln(eps) + k_max ln 2")
 
+    def sphere_grid(self, n: int) -> SphericalGrid:
+        """The sphere quadrature of this budget in dimension n."""
+        if self.grid_resolution is None:
+            return default_grid(n)
+        return sphere_grid(n, self.grid_resolution)
+
 
 @dataclass(frozen=True)
 class RegularityVerdict:
@@ -424,8 +434,7 @@ def classify(field: CoefficientField, budget: Budget = Budget()) -> RegularityVe
         raise FieldError("classification requires a normalized field "
                          "(eval(0) = I); this one is flagged non-normalized")
     n = field.dim
-    grid = (default_grid(n) if budget.grid_resolution is None
-            else sphere_grid(n, budget.grid_resolution))
+    grid = budget.sphere_grid(n)
 
     evidence: dict = {}
     sq = square_dini_integral(field.modulus, tol=budget.tol, k_max=budget.k_max)

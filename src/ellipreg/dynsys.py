@@ -218,8 +218,13 @@ def _pairwise_K(Phi: np.ndarray):
     """K(e) = max over s <= t <= t_e of ||Phi(t) Phi(s)^-1||, per end index.
 
     Scalar tracks use the exact running-min formulation over every node;
-    matrix tracks subsample to _K_MAX_NODES and take all pairs, batched.
-    Returns (node_index_used, K_running) with K_running nondecreasing.
+    matrix tracks subsample to _K_MAX_NODES and pair every node with every
+    earlier one.  K is a running maximum and ||Phi(t) Phi(s)^-1|| is at most
+    ||Phi(t)|| ||Phi(s)^-1||, both read off the one batched SVD the
+    conditioning check takes, so only pairs whose bound (with 1e-12 of
+    headroom for rounding) exceeds the current maximum get a norm; the
+    result equals the all-pairs maximum.  Returns (node_index_used,
+    K_running) with K_running nondecreasing.
     """
     m, d, _ = Phi.shape
     if d == 1:
@@ -230,17 +235,20 @@ def _pairwise_K(Phi: np.ndarray):
 
     sel = np.unique(np.linspace(0, m - 1, min(m, _K_MAX_NODES)).astype(int))
     P = Phi[sel]
-    conds = np.linalg.cond(P)
-    if np.any(conds > _COND_LIMIT):
+    sv = np.linalg.svd(P, compute_uv=False)
+    if np.any(sv[:, 0] > _COND_LIMIT * sv[:, -1]):
         raise np.linalg.LinAlgError(
             f"fundamental matrix conditioning exceeds {_COND_LIMIT:.0e}")
     Pinv = np.linalg.inv(P)
+    inv_norm = (1 + 1e-12) / sv[:, -1]     # ||P^-1||, rounded up
     k = len(sel)
     K_run = np.empty(k)
     best = 1.0
     for i in range(k):
-        prods = P[i] @ Pinv[: i + 1]           # (i+1, d, d)
-        best = max(best, float(np.max(spectral_norms(prods))))
+        cand = np.flatnonzero(sv[i, 0] * inv_norm[: i + 1] > best)
+        if len(cand):
+            prods = P[i] @ Pinv[cand]
+            best = max(best, float(np.max(spectral_norms(prods))))
         K_run[i] = best
     return sel, K_run
 

@@ -15,11 +15,15 @@ the package, at one radius or many, comes from the one kernel
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .coeff import CoefficientField
+
+# field samples held by one chunk of a sphere sweep: 2^20 doubles (8 MB),
+# 56 radii on the 3-D default grid and 4096 on the 2-D one
+_SWEEP_CHUNK_DOUBLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -120,20 +124,40 @@ def mean_matrix_R(field: CoefficientField, r: float,
     return mean_R_kernel(field.eval_batch(r * grid.nodes), grid)
 
 
-def sample_on_spheres(field: CoefficientField, radii: np.ndarray,
-                      grid: SphericalGrid) -> np.ndarray:
-    """The field at radii x grid.nodes in one sweep, shape (M, m, n, n)."""
+def sphere_sweep(field: CoefficientField, radii: np.ndarray,
+                 grid: SphericalGrid) -> Iterator[tuple]:
+    """The field at radii x grid.nodes, in chunks of consecutive radii.
+
+    Yields ``(sl, A)`` with ``A`` the samples at ``radii[sl]``, shape
+    (len, m, n, n), holding at most _SWEEP_CHUNK_DOUBLES doubles (at least one
+    radius), so memory stays fixed however many radii are swept.  The field is
+    pointwise in the radius, so a reduction over chunks is bit-identical to
+    one over the whole sweep.
+    """
     radii = np.asarray(radii, float)
-    pts = (radii[:, None, None] * grid.nodes[None, :, :]).reshape(-1, field.dim)
-    return field.eval_batch(pts).reshape(len(radii), *grid.nodes.shape, field.dim)
+    m, n = grid.nodes.shape
+    step = max(1, _SWEEP_CHUNK_DOUBLES // (m * n * n))
+    for lo in range(0, len(radii), step):
+        sl = slice(lo, min(lo + step, len(radii)))
+        pts = (radii[sl, None, None] * grid.nodes[None, :, :]).reshape(-1, n)
+        yield sl, field.eval_batch(pts).reshape(sl.stop - lo, m, n, n)
 
 
 def mean_matrix_R_many(field: CoefficientField, radii: np.ndarray,
                        grid: Optional[SphericalGrid] = None) -> np.ndarray:
-    """Vectorized R(r) over an array of radii; one field evaluation sweep."""
+    """R(r) over an array of radii, shape (M, n, n).
+
+    One :func:`sphere_sweep` of the field, each chunk reduced by
+    :func:`mean_R_kernel` into the output, so only one chunk of field samples
+    is held at a time.
+    """
     if grid is None:
         grid = default_grid(field.dim)
-    return mean_R_kernel(sample_on_spheres(field, radii, grid), grid)
+    n = field.dim
+    R = np.empty((len(radii), n, n))
+    for sl, A in sphere_sweep(field, radii, grid):
+        R[sl] = mean_R_kernel(A, grid)
+    return R
 
 
 def symmetrized_S(R: np.ndarray) -> np.ndarray:

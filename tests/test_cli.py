@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from ellipreg import cli, pde_verify
+from ellipreg import cli, pde_verify, sphmean
 
 from conftest import count_solves
 
@@ -223,6 +223,38 @@ t1 = 20
         assert rows[0] == ["t", "phi_1", "phi_2", "Phi_norm", "K_running"]
         assert [float(v) for v in rows[1][1:3]] == [1.0, 0.0]
         assert float(rows[-1][4]) == report["payload"]["K_hat"]
+
+    @pytest.mark.parametrize("subcommand, csv_name", [
+        ("integrate", "trajectory.csv"),
+        ("moments", "moments.csv"),
+        ("appendix", "reduction.csv"),
+    ])
+    def test_grid_resolution_reaches_every_sphere_mean(
+            self, tmp_path, monkeypatch, subcommand, csv_name):
+        # every R in the package goes through the kernel: record its grid
+        sizes = []
+        inner = sphmean.mean_R_kernel
+
+        def spy(A, grid):
+            sizes.append(len(grid.weights))
+            return inner(A, grid)
+
+        monkeypatch.setattr(sphmean, "mean_R_kernel", spy)
+        csvs, grids = {}, {}
+        for res in (None, 16):
+            out = tmp_path / f"out{res}"
+            text = BASE.format(out=out)
+            if res is not None:
+                text = text.replace("k_max = 20", f"k_max = 20\ngrid_resolution = {res}")
+            cfg = write_cfg(tmp_path, text, name=f"run{res}.ini")
+            for sub in (subcommand, "classify"):
+                sizes.clear()
+                assert cli.main([sub, cfg]) == cli.EXIT_OK
+                grids[sub, res] = set(sizes)
+            csvs[res] = (out / csv_name).read_text()
+        assert csvs[16] != csvs[None]
+        assert grids[subcommand, None] == grids["classify", None] == {64}
+        assert grids[subcommand, 16] == grids["classify", 16] == {16}
 
     def test_appendix_dump(self, tmp_path):
         out = tmp_path / "out"

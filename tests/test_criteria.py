@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,6 +282,38 @@ class TestProfileMatchesReference:
         ref = reference_profile(field, k_max=k_max)
         assert np.array_equal(ev.partial_values,
                               ref.cum_absdev[ref.octave_idx[1:]])
+
+    @pytest.mark.parametrize("radii_per_chunk", [1, 7])
+    @pytest.mark.parametrize("field_fn", PROFILE_FIELDS)
+    def test_chunked_sweep_bit_equal(self, field_fn, radii_per_chunk,
+                                     monkeypatch):
+        # a 2-D profile is one chunk at the default size; chunks of one radius
+        # and a size that leaves a ragged last chunk must not change a bit
+        field = field_fn()
+        k_max = 8 if field.dim == 3 else 20
+        grid = sphmean.default_grid(field.dim)
+        monkeypatch.setattr(sphmean, "_SWEEP_CHUNK_DOUBLES",
+                            radii_per_chunk * grid.nodes.size * field.dim)
+        prof = criteria.build_radial_profile(field, k_max=k_max)
+        ref = reference_profile(field, k_max=k_max)
+        for name in ("R_nodes", "mu_nodes", "cum_R", "cum_mu"):
+            assert np.array_equal(getattr(prof, name), getattr(ref, name)), name
+        ev = criteria.condition_A_minus_I(prof)
+        assert np.array_equal(ev.partial_values,
+                              ref.cum_absdev[ref.octave_idx[1:]])
+
+    def test_profile_memory_does_not_grow_with_depth(self):
+        field = gs_log_field(-1.0, shift=2.0, n=3)
+        peaks = {}
+        for k_max in (10, 40):
+            tracemalloc.start()
+            try:
+                criteria.build_radial_profile(field, k_max=k_max)
+                peaks[k_max] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40] <= 1.1 * peaks[10]
+        assert peaks[40] < 64e6
 
     def test_profile_keeps_its_grid(self):
         grid = sphmean.sphere_grid(2, 48)

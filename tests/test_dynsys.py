@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from ellipreg import dynsys
+from ellipreg import coeff, dynsys, sphmean
 from ellipreg import gilbarg_serrin as gs
 
-from conftest import count_solves
+from conftest import count_solves, gs_log_field
 from fundamental_reference import fundamental_matrix_by_columns
+from pairwise_K_reference import pairwise_K_all_pairs
 
 
 def rot(t):
@@ -268,6 +271,81 @@ class TestStabilityConstant:
         rep = dynsys.stability_constant(track)
         assert rep.verdict_uniform_stability == dynsys.INCONCLUSIVE
         assert "conditioning" in rep.diagnostics
+
+
+def turned_field(n, angle=0.7):
+    """I + g(r) (Q theta)(Q theta)^T, g = 0.6/(2 - ln r), Q a fixed rotation.
+
+    A rank-one field turned off the radial direction: R is no longer a
+    multiple of I, so neither is Phi.
+    """
+    Q = np.eye(n)
+    Q[:2, :2] = [[math.cos(angle), -math.sin(angle)],
+                 [math.sin(angle), math.cos(angle)]]
+
+    def batch(pts):
+        pts = np.atleast_2d(np.asarray(pts, float))
+        r = np.linalg.norm(pts, axis=1)
+        out = np.broadcast_to(np.eye(n), (len(pts), n, n)).copy()
+        m = r > 0
+        e = (pts[m] / r[m, None]) @ Q.T
+        g = 0.6 / (2.0 - np.log(r[m]))
+        out[m] += g[:, None, None] * e[:, :, None] * e[:, None, :]
+        return out
+
+    return coeff.make_custom(n, batch, coeff.inv_log_modulus(0.6, shift=2.0))
+
+
+def profile_tracks(field):
+    """The classifier's two stability tracks (from t0 and 2 t0) at k_max = 30."""
+    grid = sphmean.default_grid(field.dim)
+    t0, t1 = math.log(2.0), 31 * math.log(2.0)
+    rfun = lambda t: sphmean.mean_matrix_R(field, math.exp(-t), grid)
+    track = dynsys.fundamental_matrix(rfun, np.linspace(t0, t1, 257), 1e-8)
+    return track, track.resample(np.linspace(2 * t0, t1, 513))
+
+
+RANK_ONE = [lambda n: gs_log_field(-1.0, shift=2.0, n=n),
+            lambda n: gs_log_field(1.0, shift=2.0, n=n)]
+
+
+class TestPairwiseKPruning:
+    """The pruned K equals the all-pairs reference and norms few pairs."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("field_fn", RANK_ONE + [turned_field])
+    def test_matches_all_pairs(self, field_fn, n):
+        for track in profile_tracks(field_fn(n)):
+            sel, K_run = dynsys._pairwise_K(track.Phi)
+            ref_sel, ref_K = pairwise_K_all_pairs(track.Phi)
+            np.testing.assert_array_equal(sel, ref_sel)
+            np.testing.assert_array_equal(K_run, ref_K)
+
+    def test_matches_all_pairs_on_rebased_track(self):
+        # a non-normal rebase: the bound is loose and many pairs need a norm
+        tg = np.linspace(0, 15, 61)
+        track = dynsys.fundamental_matrix(mixed_gen, tg, 1e-9)
+        M = np.random.default_rng(11).normal(size=(2, 2)) + 3 * np.eye(2)
+        Phi = np.einsum("kij,jl->kil", track.Phi, M)
+        np.testing.assert_array_equal(dynsys._pairwise_K(Phi)[1],
+                                      pairwise_K_all_pairs(Phi)[1])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("field_fn", RANK_ONE)
+    def test_rank_one_norms_few_pairs(self, field_fn, n, monkeypatch):
+        normed = []
+        inner = dynsys.spectral_norms
+
+        def counted(mats):
+            normed.append(len(mats))
+            return inner(mats)
+
+        monkeypatch.setattr(dynsys, "spectral_norms", counted)
+        for track in profile_tracks(field_fn(n)):
+            normed.clear()
+            sel, _ = dynsys._pairwise_K(track.Phi)
+            k = len(sel)
+            assert sum(normed) < 0.02 * k * (k + 1) // 2
 
 
 class TestAsymptoticLimit:

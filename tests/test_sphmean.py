@@ -135,6 +135,30 @@ class TestMeanMatrixR:
                                        atol=1e-15)
 
 
+class TestSphereSweep:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_chunks_cover_radii_in_order_within_the_cap(self, n, monkeypatch):
+        f = gs_log_field(-1.0, shift=2.0, n=n)
+        grid = sphmean.sphere_grid(n, 16)
+        per_radius = grid.nodes.size * n
+        monkeypatch.setattr(sphmean, "_SWEEP_CHUNK_DOUBLES", 5 * per_radius + 3)
+        radii = 2.0 ** -np.linspace(1, 20, 23)
+        seen = []
+        for sl, A in sphmean.sphere_sweep(f, radii, grid):
+            assert A.shape == (sl.stop - sl.start, len(grid.weights), n, n)
+            pts = (radii[sl, None, None] * grid.nodes).reshape(-1, n)
+            np.testing.assert_array_equal(A.reshape(-1, n, n), f.eval_batch(pts))
+            seen.append((sl.start, sl.stop))
+        assert seen == [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
+
+    def test_chunk_holds_at_least_one_radius(self, monkeypatch):
+        monkeypatch.setattr(sphmean, "_SWEEP_CHUNK_DOUBLES", 1)
+        radii = np.array([0.5, 0.25, 0.125])
+        sizes = [sl.stop - sl.start for sl, _ in sphmean.sphere_sweep(
+            gs_power_field(0.5), radii, sphmean.sphere_grid(2, 8))]
+        assert sizes == [1, 1, 1]
+
+
 class TestSymmetrization:
     def test_zero(self):
         assert np.all(sphmean.symmetrized_S(np.zeros((2, 2))) == 0)
