@@ -37,13 +37,6 @@ def jordanizer(n: int) -> np.ndarray:
                      [I, (1.0 - n) * I]])
 
 
-def jordanizer_inverse(n: int) -> np.ndarray:
-    """Closed-form inverse of the diagonalizer (det of the scalar block -n^2)."""
-    I = np.eye(n)
-    return np.block([[(n - 1.0) / n ** 2 * I, I / n],
-                     [I / n ** 2, -I / n]])
-
-
 def s1_matrix(m: MomentData) -> np.ndarray:
     """Perturbation block assembled from the moment matrices at one radius:
 
@@ -99,48 +92,18 @@ def r1_block_residual(m: MomentData) -> R1Residual:
     return R1Residual(R1, CnB, res, qres)
 
 
-def transform_to_phi_psi(V, n: int):
-    """(phi, psi) = J^-1 V; inverse of phi_psi_to_V."""
-    V = np.asarray(V, float)
-    w = jordanizer_inverse(n) @ V
-    return w[:n], w[n:]
-
-
-def phi_psi_to_V(phi, psi, n: int) -> np.ndarray:
-    phi = np.asarray(phi, float)
-    psi = np.asarray(psi, float)
-    return jordanizer(n) @ np.concatenate([phi, psi])
-
-
 @dataclass(frozen=True)
 class ReducedSystem:
-    """The assembled reduction for one field: M_inf, J, and S1 along log-time."""
+    """The assembled reduction for one field: M_inf, J, and moments along log-time."""
 
     n: int
     M_inf: np.ndarray
     J: np.ndarray
-    J_inv: np.ndarray
     field: CoefficientField
     grid: SphericalGrid
 
     def moments_at(self, t: float) -> MomentData:
         return appendix_moments(self.field, float(np.exp(-t)), self.grid)
-
-    def S1_at(self, t: float) -> np.ndarray:
-        return s1_matrix(self.moments_at(t))
-
-    def r1_residual_at(self, t: float) -> float:
-        return r1_block_residual(self.moments_at(t)).residual
-
-    def generator_phi_psi(self, t: float) -> np.ndarray:
-        """Full 2n x 2n generator in (phi, psi) variables.
-
-        The system dV/dt + (M_inf + S1) V = 0 becomes
-        d(phi,psi)/dt + [diag(0, -n) + J^-1 S1 J] (phi, psi) = 0.
-        """
-        D = np.diag(np.concatenate([np.zeros(self.n),
-                                    -self.n * np.ones(self.n)]))
-        return D + self.J_inv @ self.S1_at(t) @ self.J
 
 
 def build_reduced_system(field: CoefficientField,
@@ -149,4 +112,4 @@ def build_reduced_system(field: CoefficientField,
     if grid is None:
         grid = default_grid(n)
     return ReducedSystem(n=n, M_inf=m_infinity(n), J=jordanizer(n),
-                         J_inv=jordanizer_inverse(n), field=field, grid=grid)
+                         field=field, grid=grid)

@@ -37,14 +37,11 @@ class FieldError(ValueError):
 class Modulus:
     """Oscillation envelope omega(r) on (0, 1], nondecreasing, omega(0+) = 0.
 
-    ``kappa`` is the exponent for which omega(r) * r**(kappa - 1) is
-    nonincreasing near 0 (0.5 unless the caller knows better); it admits
-    every built-in profile.  ``analytic_tag`` names the closed form when
-    there is one, e.g. "1/log(e/r)" or "r^0.5".
+    ``analytic_tag`` names the closed form when there is one, e.g.
+    "1/log(e/r)" or "r^0.5".
     """
 
     omega: Callable[[np.ndarray], np.ndarray]
-    kappa: float = 0.5
     analytic_tag: Optional[str] = None
     omega_log: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -60,30 +57,6 @@ class Modulus:
             return np.asarray(self.omega_log(s), dtype=float)
         return self(np.exp(-s))
 
-    def check_on_grid(self, k_max: int = 30, tol: float = 1e-10) -> None:
-        """Verify monotonicity, decay, and the r**(kappa-1) condition on dyadics."""
-        r = 2.0 ** -np.arange(0, k_max + 1)
-        w = self(r)
-        if np.any(w < -tol):
-            raise FieldError("modulus takes negative values on the dyadic grid")
-        # nondecreasing in r means nonincreasing along r = 2^-k
-        if np.any(np.diff(w) > tol * max(1.0, w[0])):
-            raise FieldError("modulus is not nondecreasing on the dyadic grid")
-        tail = self(np.array([2.0 ** -40]))[0]
-        if tail > max(tol, 1e-2 * max(w[0], tol)) and w[0] > 0:
-            # decay check is scale-aware: the tail must drop well below omega(1)
-            if tail > 0.25 * w[0]:
-                raise FieldError("modulus does not decay: omega(2^-40) = %.3e" % tail)
-        # omega(r) r^(kappa-1) nonincreasing in r is only required near 0:
-        # check the tail of the dyadic grid, where it reads nondecreasing
-        # along r_k = 2^-k
-        q = (w * r ** (self.kappa - 1.0))[8:]
-        if np.any(np.diff(q) < -tol * max(1.0, np.max(np.abs(q)))):
-            raise FieldError(
-                "omega(r) * r^(kappa-1) is not nonincreasing near 0 (kappa=%g)"
-                % self.kappa
-            )
-
 
 def zero_modulus() -> Modulus:
     return Modulus(lambda r: np.zeros_like(np.asarray(r, float)), analytic_tag="0",
@@ -94,9 +67,8 @@ def power_modulus(a: float, c: float = 1.0) -> Modulus:
     """omega(r) = c * r**a with a > 0."""
     if a <= 0 or c < 0:
         raise FieldError("power modulus requires a > 0 and c >= 0")
-    kappa = min(0.5, a)
     return Modulus(lambda r, a=a, c=c: c * np.asarray(r, float) ** a,
-                   kappa=kappa, analytic_tag=f"{c:g}*r^{a:g}",
+                   analytic_tag=f"{c:g}*r^{a:g}",
                    omega_log=lambda s, a=a, c=c: c * np.exp(-a * np.asarray(s, float)))
 
 
@@ -117,7 +89,7 @@ def inv_log_modulus(c: float = 1.0, power: float = 1.0, shift: float = 1.0) -> M
         s = np.asarray(s, float)
         return c / (sh + s) ** p
 
-    return Modulus(om, kappa=0.5, analytic_tag=tag, omega_log=om_log)
+    return Modulus(om, analytic_tag=tag, omega_log=om_log)
 
 
 def constant_modulus(c: float) -> Modulus:
@@ -215,7 +187,7 @@ def parse_radial_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
     return f
 
 
-def parse_modulus_expr(expr: str, kappa: float = 0.5) -> Modulus:
+def parse_modulus_expr(expr: str) -> Modulus:
     """Whitelisted envelope expression as a Modulus with an exact log channel."""
     terms = _parse_terms(expr)
     f = parse_radial_expr(expr)
@@ -233,8 +205,7 @@ def parse_modulus_expr(expr: str, kappa: float = 0.5) -> Modulus:
                 out = out + coef / (shift + s) ** lp
         return out
 
-    return Modulus(f, kappa=kappa, analytic_tag=expr.replace(" ", ""),
-                   omega_log=om_log)
+    return Modulus(f, analytic_tag=expr.replace(" ", ""), omega_log=om_log)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +301,13 @@ def make_gilbarg_serrin(n: int, g: Callable, omega_bound: Modulus,
 
     def batch(pts, gv=gv, n=n):
         pts = np.atleast_2d(np.asarray(pts, float))
-        m = len(pts)
-        out = np.broadcast_to(np.eye(n), (m, n, n)).copy()
+        out = np.broadcast_to(np.eye(n), (len(pts), n, n)).copy()
         r = np.linalg.norm(pts, axis=1)
-        mask = r > 0
-        if np.any(mask):
-            th = pts[mask] / r[mask, None]
-            gval = np.asarray(gv(r[mask]), float)
-            out[mask] += gval[:, None, None] * th[:, :, None] * th[:, None, :]
+        # origin rows get theta = 0, so A = I there; g is read at r = 1
+        rs = np.where(r > 0, r, 1.0)
+        th = pts / rs[:, None]
+        gval = np.asarray(gv(rs), float)
+        out += gval[:, None, None] * th[:, :, None] * th[:, None, :]
         return out
 
     lam_min = float(min(1.0, 1.0 + np.min(gr)))
@@ -451,55 +421,3 @@ def _assert_symmetric(A: np.ndarray) -> None:
     asym = float(np.max(np.abs(A - np.swapaxes(A, -1, -2))))
     if asym > 1e-14 * scale:
         raise FieldError(f"evaluator returned non-symmetric matrices (max {asym:.2e})")
-
-
-# ---------------------------------------------------------------------------
-# envelope measurement
-# ---------------------------------------------------------------------------
-
-def modulus_estimate(field: CoefficientField, r: float, grid) -> float:
-    """Max-entry norm of A(r theta) - I over the nodes of a spherical grid.
-
-    The entrywise norm matches the envelope convention; the spectral norm is
-    reserved for the stability estimates downstream.
-    """
-    if not (0 < r):
-        raise FieldError("radius must be positive")
-    pts = r * grid.nodes
-    A = field.eval_batch(pts)
-    return float(np.max(np.abs(A - np.eye(field.dim))))
-
-
-def validate_field(field: CoefficientField, k_max: int = 20,
-                   grid=None, slack: float = 1e-10) -> None:
-    """Spot-check the field invariants on dyadic spheres.
-
-    Raises FieldError on symmetry, ellipticity, normalization, or envelope
-    violations.  Quadrature slack covers the finitely-sampled sup.
-    """
-    from . import sphmean  # local import to avoid a cycle at module load
-
-    n = field.dim
-    if grid is None:
-        grid = sphmean.sphere_grid(n, 64 if n == 2 else 24)
-    if field.normalized and not np.allclose(field.eval(np.zeros(n)), np.eye(n),
-                                            atol=1e-14):
-        raise FieldError("normalized field does not satisfy eval(0) = I")
-    lam_lo, lam_hi = field.ellipticity
-    for k in range(0, k_max + 1):
-        r = 2.0 ** -k
-        A = field.eval_batch(r * grid.nodes)
-        _assert_symmetric(A)
-        w = np.linalg.eigvalsh(A)
-        if w[:, 0].min() < lam_lo - 1e-12 or w[:, -1].max() > lam_hi + 1e-12:
-            raise FieldError(
-                f"ellipticity bounds violated at r = {r:g}: "
-                f"[{w[:, 0].min():.6g}, {w[:, -1].max():.6g}] outside "
-                f"[{lam_lo:.6g}, {lam_hi:.6g}]")
-        if field.normalized:
-            est = float(np.max(np.abs(A - np.eye(n))))
-            bound = float(field.modulus(np.array([r]))[0])
-            if est > bound * (1 + slack) + 1e-15:
-                raise FieldError(
-                    f"oscillation exceeds modulus at r = {r:g} "
-                    f"({est:.6g} > {bound:.6g})")

@@ -35,7 +35,7 @@ from .dyadic import (IntegralEvidence, VERDICT_CONVERGES, VERDICT_DIVERGES,
                      VERDICT_INCONCLUSIVE, RATE_TO_MINUS_INF,
                      evidence_from_partials)
 from .sphmean import (SphericalGrid, default_grid, mean_matrix_R,
-                      mean_matrix_R_many, mu_max, sphere_grid, sphere_sweep,
+                      mean_matrix_R_many, sphere_grid, sphere_sweep,
                       symmetrized_S)
 
 LN2 = math.log(2.0)
@@ -102,16 +102,6 @@ def _envelope_evidence(F: Callable, eps: float, k_max: int, tol: float,
                                   np.float64(refined), resid,
                                   ev.rate_tag, ev.detail)
     return ev
-
-
-def dini_integral(omega: Modulus, eps: float = 1.0,
-                  tol: float = 1e-8, k_max: int = 30) -> IntegralEvidence:
-    """Ordered truncations of int_0^eps omega(r) dr / r."""
-    if not (0 < eps <= 1):
-        raise ValueError("eps must lie in (0, 1]")
-    F = lambda s: float(omega.log_form(np.array([s]))[0])
-    refine = omega.analytic_tag != "piecewise-log"
-    return _envelope_evidence(F, eps, k_max, tol, refine)
 
 
 def square_dini_integral(omega: Modulus, tol: float = 1e-8,
@@ -181,25 +171,6 @@ def _cumulative(vals: np.ndarray, s: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # window boundedness and sinking of the mu-integral
 # ---------------------------------------------------------------------------
-
-def mu_window_integrals(field: CoefficientField, r1: float, r2: float,
-                        grid: Optional[SphericalGrid] = None,
-                        tol: float = 1e-9) -> float:
-    """int_{r1}^{r2} mu(S(rho)) d(rho)/rho by adaptive quadrature."""
-    if not (0 < r1 < r2):
-        raise ValueError("need 0 < r1 < r2")
-    if grid is None:
-        grid = default_grid(field.dim)
-
-    def F(s):
-        return mu_max(symmetrized_S(mean_matrix_R(field, math.exp(-s), grid)))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sci_integrate.IntegrationWarning)
-        val, _ = sci_integrate.quad(F, -math.log(r2), -math.log(r1),
-                                    epsabs=tol, epsrel=tol, limit=200)
-    return float(val)
-
 
 @dataclass(frozen=True)
 class WindowBoundReport:
@@ -315,40 +286,8 @@ def iterated_condition_13(profile: RadialProfile, tol: float = 1e-6) -> Iterated
 
 
 # ---------------------------------------------------------------------------
-# volume form and entrywise integrability
+# entrywise integrability
 # ---------------------------------------------------------------------------
-
-def sphere_area(n: int) -> float:
-    return 2 * math.pi if n == 2 else 4 * math.pi
-
-
-def volume_integral_form(field: CoefficientField, r: float = 0.5,
-                         tol: float = 1e-6, k_max: int = 30,
-                         gl_order: int = 12,
-                         angular_resolution: Optional[int] = None) -> IntegralEvidence:
-    """Principal-value volume integral of (A - n (Ax/|x|) x (x/|x|)) / |x|^n.
-
-    Evaluated shell by shell in polar form with its own Gauss-Legendre rule
-    in log-radius and its own angular resolution, so it is an independent
-    computation of |S^{n-1}| times the ordered radial integral of R; the two
-    must agree at every dyadic level.
-    """
-    n = field.dim
-    if angular_resolution is None:
-        angular_resolution = 48 if n == 2 else 20
-    grid = sphere_grid(n, angular_resolution)
-    x, wq = np.polynomial.legendre.leggauss(gl_order)
-    s0 = -math.log(r)
-    k = np.arange(k_max)
-    a, b = s0 + k * LN2, s0 + (k + 1) * LN2
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    snodes = mid[:, None] + half[:, None] * x[None, :]        # (k_max, gl_order)
-    vals = mean_matrix_R_many(field, np.exp(-snodes.ravel()), grid)
-    shells = (sphere_area(n) * half[:, None, None]
-              * np.einsum("q,kqij->kij", wq, vals.reshape(k_max, gl_order, n, n)))
-    partials = np.cumsum(shells, axis=0)
-    return evidence_from_partials(np.arange(1, k_max + 1), partials, tol * sphere_area(n))
-
 
 def condition_A_minus_I(profile: RadialProfile,
                         tol: float = 1e-6) -> IntegralEvidence:

@@ -9,17 +9,13 @@ constructions separate uniform stability from asymptotic constancy.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from . import dynsys
-from .coeff import CoefficientField, FAMILY_GILBARG_SERRIN
-from .sphmean import SphericalGrid, default_grid, mean_matrix_R
 
 KIND_CONVERGENT_IMPROPER = "convergent-improper"
 KIND_MINUS_INFINITY = "minus-infinity"
@@ -64,36 +60,6 @@ _register("one-over-1pt", lambda t: 1.0 / (1.0 + t), lambda t: np.log1p(t), (1.0
 _register("neg-one-over-1pt", lambda t: -1.0 / (1.0 + t), lambda t: -np.log1p(t), (1.0, 1.0))
 _register("one-over-1pt-sq", lambda t: (1.0 + t) ** -2.0,
           lambda t: 1.0 - 1.0 / (1.0 + t), (1.0, 2.0))
-
-
-def scalar_reduction(field: CoefficientField,
-                     grid: Optional[SphericalGrid] = None,
-                     cross_check_radii: Sequence[float] = (0.5, 0.25, 0.1, 0.02),
-                     cross_check_tol: float = 1e-10) -> ScalarGenerator:
-    """Reduce a rank-one radial field to its scalar generator gtil(t) = g(e^-t).
-
-    Cross-checks that the quadrature mean matrix at r = e^-t equals
-    ((1-n)/n) gtil(t) I before returning.
-    """
-    if field.family_tag != FAMILY_GILBARG_SERRIN or field.gs_profile is None:
-        raise ValueError("scalar reduction requires a GilbargSerrin field")
-    n = field.dim
-    g = field.gs_profile
-    if grid is None:
-        grid = default_grid(n)
-    for r in cross_check_radii:
-        R = mean_matrix_R(field, r, grid)
-        expected = (1.0 - n) / n * float(np.asarray(g(np.array([r])))[0]) * np.eye(n)
-        if np.max(np.abs(R - expected)) > cross_check_tol:
-            raise AssertionError(
-                f"quadrature mean matrix deviates from the rank-one closed form "
-                f"at r = {r:g} by {np.max(np.abs(R - expected)):.3e}")
-
-    def gtil(t, g=g):
-        t = np.asarray(t, float)
-        return np.asarray(g(np.exp(-t)), float)
-
-    return ScalarGenerator(name=f"gs-reduction", gtil=gtil)
 
 
 def closed_form_phi(gen: ScalarGenerator, n: int, t, phi0: float = 1.0):
@@ -309,76 +275,3 @@ def _window_grid(t0: float, t1: float, breakpoints: Sequence[float],
     for a, b in zip(bounds[:-1], bounds[1:]):
         pts.append(np.linspace(a, b, per_segment))
     return np.unique(np.concatenate(pts))
-
-
-# ---------------------------------------------------------------------------
-# the radial mode ODE
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModeSolution:
-    r: np.ndarray
-    v: np.ndarray
-    rv_prime: np.ndarray
-    flux: np.ndarray          # scaled flux r^-n * F, the second reduction variable
-    truncated_at: Optional[float] = None
-
-
-def gs_mode_ode_solution(g: Callable, n: int, r_grid,
-                         tol: float = 1e-11) -> ModeSolution:
-    """Finite-energy first-moment mode profile v(r) for the rank-one field.
-
-    The mode u = v(|x|) x_k solves the divergence-form equation iff
-
-        -[ r^n a(r) (r v' + v) ]' + r^(n-1) [ a(r) r v' + c(r) v ] = 0,
-
-    a = (1+g)/n, c = 1 + g/n.  In log-time with the scaled flux
-    Ftil = r^-n * (flux) the system is regular:
-
-        dv/dt   = v - Ftil / a,
-        dFtil/dt = (n-1) (Ftil - v / n).
-
-    Solutions split into a slowly varying branch and a strongly singular
-    r^-n branch; only the former has locally finite energy, and any inward
-    shooting from data at r = 1 excites the singular branch and is swamped
-    by it.  The profile is therefore integrated outward from the deepest
-    requested radius, seeded on the frozen-coefficient regular eigenvector
-    there (the seeding error rides the branch that decays outward, so the
-    result is insensitive to it), and normalized to v(1) = 1.
-    """
-    gv = np.vectorize(g, otypes=[float]) if np.asarray(g(0.5)).shape else g
-    r_grid = np.sort(np.asarray(r_grid, float))[::-1]
-    if r_grid[0] > 1.0:
-        raise ValueError("the profile is normalized at r = 1; grid must be inside")
-    t_req = -np.log(r_grid)
-    t_top = float(t_req[-1])
-    # margin below the deepest radius purges the seeding error further
-    t_seed = t_top + max(2.0, 0.15 * t_top)
-    if t_seed > 300.0:
-        raise ValueError("requested radii underflow the log-time range")
-
-    def rhs(t, y, n=n):
-        v, F = y
-        av = (1.0 + float(gv(math.exp(-t)))) / n
-        return [v - F / av, (n - 1.0) * (F - v / n)]
-
-    # frozen-coefficient regular root of lambda^2 + n lambda + n - c/a = 0
-    g_seed = float(gv(math.exp(-t_seed)))
-    c_over_a = (n + g_seed) / (1.0 + g_seed)
-    lam_plus = 0.5 * (-n + math.sqrt(n * n - 4.0 * (n - c_over_a)))
-    a_seed = (1.0 + g_seed) / n
-    y0 = [1.0, a_seed * (1.0 + lam_plus)]   # Ftil = a (v - v_t), v_t = -lam v
-
-    sol = solve_ivp(rhs, (t_seed, 0.0), y0, method="RK45", rtol=tol,
-                    atol=tol * 1e-2, dense_output=True)
-    if not sol.success:
-        raise dynsys.IntegrationError(f"mode integration failed: {sol.message}")
-    v1 = sol.sol(0.0)[0]
-    if abs(v1) < 1e-280:
-        raise dynsys.IntegrationError("mode vanished at r = 1; cannot normalize")
-    ys = sol.sol(t_req) / v1
-    v, F = ys[0], ys[1]
-    rr = np.exp(-t_req)
-    av = (1.0 + np.asarray(gv(rr), float)) / n
-    rvp = -(v - F / av)     # r v' = -dv/dt
-    return ModeSolution(r=rr, v=v, rv_prime=rvp, flux=F, truncated_at=None)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -370,7 +370,6 @@ def spectral_decompose(sol: GridSolution, radii: Sequence[float],
 class QuotientReport:
     radii: np.ndarray
     Q: np.ndarray                # max |u - u(0)| / r per circle
-    normalizer: np.ndarray       # sqrt(mean of u^2 over |y| < r)
     u_origin: float
     bounded_evidence: bool
 
@@ -388,22 +387,15 @@ def lipschitz_quotient(sol: GridSolution, radii: Sequence[float],
     interp = sol.interpolator
     u0 = float(interp(np.zeros((1, 2)))[0])
     th = 2 * np.pi * np.arange(circle_resolution) / circle_resolution
-    X, Y = np.meshgrid(sol.cell_coords, sol.cell_coords, indexing="ij")
-    rr_cells = np.sqrt(X ** 2 + Y ** 2).ravel()
-    uflat = sol.u.ravel()
-
-    Q, norms = [], []
+    Q = []
     for r in radii:
         pts = r * np.stack([np.cos(th), np.sin(th)], axis=1)
         vals = interp(pts)
         Q.append(float(np.max(np.abs(vals - u0)) / r))
-        inside = rr_cells < r
-        norms.append(float(np.sqrt(np.mean(uflat[inside] ** 2)))
-                     if np.any(inside) else float("nan"))
     Q = np.asarray(Q)
     last = Q[-3:] if len(Q) >= 3 else Q
     bounded = bool(np.max(last) <= np.min(last) * (1 + saturation_rtol))
-    return QuotientReport(radii, Q, np.asarray(norms), u0, bounded)
+    return QuotientReport(radii, Q, u0, bounded)
 
 
 @dataclass(frozen=True)
@@ -434,34 +426,3 @@ def gradient_at_origin(dec: SpectralDecomposition) -> GradientReport:
             if abs(d2[-1]) > 1e-300:
                 limit[c] = s[-1] - (s[-1] - s[-2]) ** 2 / d2[-1]
     return GradientReport(dec.radii, dec.v, limit, diffs, converged)
-
-
-# ---------------------------------------------------------------------------
-# circle projection onto the span of {1, theta_1, theta_2}
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    projected: np.ndarray
-    idempotence_residual: float
-
-
-def projection_P(samples: np.ndarray, angles: Optional[np.ndarray] = None) -> ProjectionResult:
-    """Project uniformly sampled circle values onto span{1, cos, sin}.
-
-    P f = mean(f) + n * theta . (first moments), n = 2; idempotent and
-    self-adjoint against the circle quadrature.
-    """
-    f = np.asarray(samples, float)
-    m = len(f)
-    if angles is None:
-        angles = 2 * np.pi * np.arange(m) / m
-    c, s = np.cos(angles), np.sin(angles)
-
-    def apply(vals):
-        return (vals.mean()
-                + 2 * c * np.mean(vals * c)
-                + 2 * s * np.mean(vals * s))
-
-    Pf = apply(f)
-    return ProjectionResult(Pf, float(np.max(np.abs(apply(Pf) - Pf))))

@@ -15,7 +15,7 @@ the package, at one radius or many, comes from the one kernel
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -205,55 +205,3 @@ def appendix_moments(field: CoefficientField, r: float,
     S = symmetrized_S(R)
     return MomentData(r=float(r), alpha=alpha, beta=beta, gamma=gamma,
                       Amat=Amat, Bmat=Bmat, Cmat=Cmat, R=R, S=S, mu=mu_max(S))
-
-
-# ---------------------------------------------------------------------------
-# orthogonality identities for spherical means
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    hypothesis: str
-    hypothesis_residual: float
-    hypothesis_ok: bool
-    residuals: tuple
-    message: str = ""
-
-
-def orthogonality_check(f: Callable, grad_f: Callable, r: float,
-                        grid: SphericalGrid, hypothesis: str,
-                        tol: float = 1e-12) -> OrthogonalityReport:
-    """Quadrature check of the mean-value orthogonality identities.
-
-    hypothesis = "mean_zero":   mean f = 0 on spheres implies
-                                mean theta . grad f = 0.
-    hypothesis = "moment_zero": mean theta_i f = 0 implies both
-                                mean d_i f = 0 and mean theta_i theta_j d_j f = 0.
-
-    The caller asserts (analytically) that the hypothesis holds at every
-    radius; a violation at this radius is diagnosed but the conclusion
-    residuals are still returned.
-    """
-    pts = r * grid.nodes
-    fv = np.asarray(f(pts), float)
-    gv = np.asarray(grad_f(pts), float)           # (m, n)
-    w = grid.weights
-    th = grid.nodes
-
-    if hypothesis == "mean_zero":
-        hyp = abs(float(w @ fv))
-        radial = np.einsum("m,mi,mi->", w, th, gv)
-        residuals = (abs(float(radial)),)
-    elif hypothesis == "moment_zero":
-        hyp = float(np.max(np.abs(np.einsum("m,mi,m->i", w, th, fv))))
-        mean_grad = np.einsum("m,mi->i", w, gv)
-        moment_grad = np.einsum("m,mi,mj,mj->i", w, th, th, gv)
-        residuals = (float(np.max(np.abs(mean_grad))),
-                     float(np.max(np.abs(moment_grad))))
-    else:
-        raise ValueError("hypothesis must be 'mean_zero' or 'moment_zero'")
-
-    ok = hyp <= tol
-    msg = "" if ok else (
-        f"hypothesis '{hypothesis}' violated at r = {r:g}: residual {hyp:.3e}")
-    return OrthogonalityReport(hypothesis, hyp, ok, residuals, msg)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,18 @@ class TestGilbargSerrin:
         f = gs_power_field(0.5)
         assert np.allclose(f.eval([0.0, 0.0]), np.eye(2))
 
+    def test_mixed_batch_with_origin_rows(self, grid2):
+        # a scalar g that raises at r = 0 is never read at the origin
+        g = lambda r: 1 / (1 - math.log(r))
+        f = coeff.make_gilbarg_serrin(2, g, coeff.inv_log_modulus())
+        pts = np.concatenate([np.zeros((2, 2)), 0.3 * grid2.nodes[:5],
+                              np.zeros((1, 2)), 0.01 * grid2.nodes[5:9]])
+        origin = np.all(pts == 0, axis=1)
+        A = f.eval_batch(pts)
+        assert np.all(A[origin] == np.eye(2))
+        for x, Ax in zip(pts[~origin], A[~origin]):
+            np.testing.assert_array_equal(Ax, f.eval(x))
+
 
 class TestPerturbedRadial:
     def test_pure_radial(self):
@@ -111,20 +125,6 @@ class TestPerturbedRadial:
             coeff.make_perturbed_radial(2, lambda r: (2.0 + r) * np.eye(2))
 
 
-class TestModulusEstimate:
-    def test_identity_zero(self, identity_field, grid2):
-        assert coeff.modulus_estimate(identity_field, 0.5, grid2) == 0.0
-
-    def test_gs_linear_profile(self, grid2):
-        f = gs_power_field(1.0)
-        # sup over theta of |g(r) theta_i theta_j| = g(r) at an axis node
-        assert coeff.modulus_estimate(f, 0.5, grid2) == pytest.approx(0.5, abs=1e-14)
-
-    def test_constant_offset(self, grid2):
-        f = coeff.make_constant(2, np.diag([2.0, 1.0]))
-        assert coeff.modulus_estimate(f, 0.3, grid2) == pytest.approx(1.0)
-
-
 class TestEnvelopeInvariant:
     @pytest.mark.parametrize("field_fn", [
         lambda: gs_log_field(1.0),
@@ -137,12 +137,8 @@ class TestEnvelopeInvariant:
         grid = sphmean.default_grid(f.dim)
         for k in range(0, 20):
             r = 2.0 ** -k
-            est = coeff.modulus_estimate(f, r, grid)
+            est = np.max(np.abs(f.eval_batch(r * grid.nodes) - np.eye(f.dim)))
             assert est <= float(f.modulus(np.array([r]))[0]) * (1 + 1e-10)
-
-    def test_validate_field_passes_builtins(self):
-        coeff.validate_field(gs_log_field(1.0))
-        coeff.validate_field(gs_power_field(0.5))
 
     def test_ellipticity_sampling(self, grid2):
         rng = np.random.default_rng(5)
@@ -156,16 +152,6 @@ class TestEnvelopeInvariant:
 
 
 class TestModulus:
-    def test_power_checks(self):
-        coeff.power_modulus(0.5).check_on_grid()
-        coeff.inv_log_modulus().check_on_grid()
-
-    def test_eq20_violation(self):
-        # omega growing like r^2 with kappa = 1 fails the r^(kappa-1) condition
-        bad = coeff.Modulus(lambda r: np.asarray(r, float) ** 2, kappa=0.5)
-        with pytest.raises(FieldError, match="nonincreasing"):
-            bad.check_on_grid()
-
     def test_log_channel_matches_at_moderate_s(self):
         for m in (coeff.inv_log_modulus(0.7, 2.0, 2.0),
                   coeff.power_modulus(0.25, 1.3),

@@ -7,13 +7,14 @@ from scipy import integrate as sci_integrate
 
 from ellipreg import coeff, criteria, dynsys, sphmean
 from ellipreg import gilbarg_serrin as gs
-from ellipreg.coeff import inv_log_modulus, power_modulus, zero_modulus
+from ellipreg.coeff import inv_log_modulus, power_modulus
 from ellipreg.dyadic import (RATE_LOG, RATE_TO_MINUS_INF, VERDICT_CONVERGES,
                              VERDICT_DIVERGES, VERDICT_INCONCLUSIVE,
                              VERDICT_OSCILLATES)
 
 from conftest import count_solves, gs_log_field, gs_power_field
 from profile_reference import reference_profile
+from volume_form_reference import sphere_area, volume_integral_partials
 
 
 def scalar_tail_oracle(gfun_log, s0, tol=1e-12):
@@ -22,26 +23,6 @@ def scalar_tail_oracle(gfun_log, s0, tol=1e-12):
                                   limit=500)
     assert err < 100 * tol
     return val
-
-
-class TestDini:
-    def test_sqrt_envelope_value(self):
-        ev = criteria.dini_integral(power_modulus(0.5), eps=1.0, tol=1e-8)
-        assert ev.converges
-        assert ev.limit_as_float() == pytest.approx(2.0, abs=1e-8)
-
-    def test_log_envelope_diverges(self):
-        ev = criteria.dini_integral(inv_log_modulus(), tol=1e-8)
-        assert ev.verdict == VERDICT_DIVERGES
-        assert ev.rate_tag == RATE_LOG
-
-    def test_zero_envelope(self):
-        ev = criteria.dini_integral(zero_modulus(), tol=1e-8)
-        assert ev.converges and ev.limit_as_float() == 0.0
-
-    def test_eps_out_of_range(self):
-        with pytest.raises(ValueError):
-            criteria.dini_integral(zero_modulus(), eps=2.0)
 
 
 class TestSquareDini:
@@ -91,9 +72,13 @@ class TestCondition11:
     def test_window_integral_against_closed_form(self):
         field = gs_log_field(-1.0, shift=2.0)
         # int mu d(rho)/rho = (1/2) int g d(rho)/rho = -(1/2) log((2-ln r1)/(2-ln r2))
-        r1, r2 = 0.01, 0.25
+        r1, r2 = 2.0 ** -7, 0.25
         want = -0.5 * math.log((2 - math.log(r1)) / (2 - math.log(r2)))
-        got = criteria.mu_window_integrals(field, r1, r2)
+        prof = criteria.build_radial_profile(field)
+        i1, i2 = prof.octave_idx[[1, 6]]       # eps = 1/2: octave edges 2^-2, 2^-7
+        np.testing.assert_allclose(np.exp(-prof.s_nodes[[i1, i2]]), [r2, r1],
+                                   rtol=1e-14)
+        got = prof.cum_mu[i2] - prof.cum_mu[i1]
         assert got == pytest.approx(want, abs=1e-8)
 
 
@@ -211,26 +196,24 @@ class TestVolumeForm:
     def test_matches_scaled_ordered_integral(self, field_fn, label):
         field = field_fn()
         k_max = 18
-        vol = criteria.volume_integral_form(field, r=0.5, k_max=k_max)
+        vol = volume_integral_partials(field, r=0.5, k_max=k_max)
         prof = criteria.build_radial_profile(field, k_max=k_max)
         _, partials = prof.octave_partials(prof.cum_R)
-        scaled = criteria.sphere_area(field.dim) * partials
-        np.testing.assert_allclose(np.asarray(vol.partial_values), scaled,
+        np.testing.assert_allclose(vol, sphere_area(field.dim) * partials,
                                    atol=1e-8)
 
     def test_constant_field_zero(self):
         f = coeff.make_constant(2, np.diag([2.0, 1.0]))
-        vol = criteria.volume_integral_form(f, r=0.5, k_max=12)
-        assert np.max(np.abs(np.asarray(vol.partial_values))) < 1e-12
+        vol = volume_integral_partials(f, r=0.5, k_max=12)
+        assert np.max(np.abs(vol)) < 1e-12
 
     def test_three_dimensional_radial(self):
         f = coeff.make_gilbarg_serrin(3, lambda r: 0.3 * np.asarray(r, float),
                                       power_modulus(1.0, 0.3))
-        vol = criteria.volume_integral_form(f, r=0.5, k_max=10)
+        vol = volume_integral_partials(f, r=0.5, k_max=10)
         prof = criteria.build_radial_profile(f, k_max=10)
         _, partials = prof.octave_partials(prof.cum_R)
-        np.testing.assert_allclose(np.asarray(vol.partial_values),
-                                   4 * np.pi * partials, atol=1e-7)
+        np.testing.assert_allclose(vol, 4 * np.pi * partials, atol=1e-7)
 
 
 class TestAMinusI:

@@ -2,32 +2,11 @@ import numpy as np
 import pytest
 
 from ellipreg import appendix_system as apx
-from ellipreg import coeff, dynsys
+from ellipreg import dynsys, sphmean
 from ellipreg import gilbarg_serrin as gs
 
-from conftest import gs_log_field, gs_power_field
-
-
-class TestScalarReduction:
-    def test_zero_profile(self):
-        f = coeff.make_gilbarg_serrin(2, lambda r: 0.0 * np.asarray(r),
-                                      coeff.zero_modulus())
-        gen = gs.scalar_reduction(f)
-        assert np.all(gen.gtil(np.linspace(0, 20, 7)) == 0)
-
-    def test_log_profile_substitution(self):
-        gen = gs.scalar_reduction(gs_log_field(1.0))
-        t = np.array([0.0, 1.0, 4.0, 9.0])
-        np.testing.assert_allclose(gen.gtil(t), 1.0 / (1.0 + t), rtol=1e-13)
-
-    def test_power_profile_substitution(self):
-        gen = gs.scalar_reduction(gs_power_field(1.0))
-        t = np.array([0.5, 2.0, 5.0])
-        np.testing.assert_allclose(gen.gtil(t), np.exp(-t), rtol=1e-13)
-
-    def test_non_gs_field_rejected(self, identity_field):
-        with pytest.raises(ValueError, match="GilbargSerrin"):
-            gs.scalar_reduction(identity_field)
+from conftest import gs_log_field
+from mode_ode_reference import gs_mode_ode_solution
 
 
 class TestClosedForm:
@@ -162,14 +141,14 @@ class TestVerifyIndependence:
 
 class TestModeODE:
     def test_flat_profile_gives_constant_mode(self):
-        ms = gs.gs_mode_ode_solution(lambda r: 0.0, 2,
+        ms = gs_mode_ode_solution(lambda r: 0.0, 2,
                                      [0.5, 0.25, 0.1, 0.02, 0.005], tol=1e-11)
         np.testing.assert_allclose(ms.v, 1.0, atol=1e-9)
         np.testing.assert_allclose(ms.rv_prime, 0.0, atol=1e-9)
 
     def test_power_profile_bounded_limit(self):
         rads = np.exp(-np.arange(1.0, 12.0))
-        ms = gs.gs_mode_ode_solution(lambda r: r, 2, rads, tol=1e-12)
+        ms = gs_mode_ode_solution(lambda r: r, 2, rads, tol=1e-12)
         assert np.all(np.abs(ms.v) < 2.0)
         diffs = np.abs(np.diff(ms.v))
         assert np.all(np.diff(diffs) < 1e-12)      # settling to a finite limit
@@ -178,7 +157,7 @@ class TestModeODE:
     def test_log_profile_growth_rate(self):
         # slow envelope: v ~ (1 + log(1/r))^(1/2), r v'/v -> 0
         rads = np.exp(-np.arange(1.0, 10.0))
-        ms = gs.gs_mode_ode_solution(lambda r: 1 / (1 - np.log(r)), 2, rads,
+        ms = gs_mode_ode_solution(lambda r: 1 / (1 - np.log(r)), 2, rads,
                                      tol=1e-12)
         pred = (1 - np.log(ms.r)) ** 0.5
         ratio = ms.v / pred
@@ -188,7 +167,7 @@ class TestModeODE:
 
     def test_minus_log_profile_decays(self):
         rads = np.exp(-np.arange(1.0, 10.0))
-        ms = gs.gs_mode_ode_solution(lambda r: -1 / (2 - np.log(r)), 2, rads,
+        ms = gs_mode_ode_solution(lambda r: -1 / (2 - np.log(r)), 2, rads,
                                      tol=1e-12)
         assert np.all(np.diff(ms.v) < 0) and ms.v[-1] > 0
 
@@ -197,23 +176,26 @@ class TestModeODE:
         gfun = lambda r: 1 / (1 - np.log(np.maximum(np.asarray(r, float),
                                                     1e-300)))
         field = gs_log_field(1.0)
-        red = apx.build_reduced_system(field)
+        n, grid = 2, sphmean.default_grid(2)
+        J = apx.jordanizer(n)
+        J_inv = np.linalg.inv(J)
+        D = np.diag([0.0] * n + [-float(n)] * n)
+
+        def generator(t):
+            md = sphmean.appendix_moments(field, float(np.exp(-t)), grid)
+            return D + J_inv @ apx.s1_matrix(md) @ J
+
         tol = 1e-10
         T = 4.0
         tg = np.linspace(0.0, T, 19)
-        ms = gs.gs_mode_ode_solution(gfun, 2, np.exp(-tg), tol=1e-12)
-        V = np.stack([ms.v, ms.flux], axis=1)   # per-component scalar pair
-        phi0, psi0 = apx.transform_to_phi_psi(
-            np.array([V[0, 0], 0.0, V[0, 1], 0.0]), 2)
-        traj = dynsys.integrate_system(red.generator_phi_psi, 0.0, T,
-                                       np.concatenate([phi0, psi0]), tol)
+        ms = gs_mode_ode_solution(gfun, 2, np.exp(-tg), tol=1e-12)
+        # per-component scalar pair (v, Ftil) in the first coordinate of V
+        pp = J_inv @ np.stack([ms.v, 0 * ms.v, ms.flux, 0 * ms.v])
+        traj = dynsys.integrate_system(generator, 0.0, T, pp[:, 0], tol)
         ys = traj.eval(tg)
-        for k in range(len(tg)):
-            ph, ps = apx.transform_to_phi_psi(
-                np.array([V[k, 0], 0.0, V[k, 1], 0.0]), 2)
-            assert abs(ph[0] - ys[k][0]) < 100 * tol
-            assert abs(ps[0] - ys[k][2]) < 100 * tol
+        assert np.max(np.abs(pp[0] - ys[:, 0])) < 100 * tol
+        assert np.max(np.abs(pp[2] - ys[:, 2])) < 100 * tol
 
     def test_grid_outside_unit_rejected(self):
         with pytest.raises(ValueError, match="r = 1"):
-            gs.gs_mode_ode_solution(lambda r: 0.0, 2, [1.5, 0.5])
+            gs_mode_ode_solution(lambda r: 0.0, 2, [1.5, 0.5])

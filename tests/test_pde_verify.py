@@ -163,10 +163,6 @@ class TestLipschitzQuotient:
         with pytest.raises(ValueError, match="floor|unit disk"):
             pde_verify.lipschitz_quotient(identity_x1_sol, [0.5, radius])
 
-    def test_normalizer_positive(self, identity_x1_sol):
-        rep = pde_verify.lipschitz_quotient(identity_x1_sol, [0.5, 0.25])
-        assert np.all(rep.normalizer > 0)
-
 
 class TestGradientAtOrigin:
     def test_linear_exact(self, identity_x1_sol):
@@ -195,33 +191,3 @@ class TestGradientAtOrigin:
             sol, [0.5, 0.25, 0.125, 0.0625, 0.03125]))
         mags = np.linalg.norm(rep.v, axis=1)
         assert np.all(np.diff(mags) < 0)
-
-
-class TestProjection:
-    def test_first_moment_fixed(self):
-        th = 2 * np.pi * np.arange(128) / 128
-        f = np.cos(th)
-        rep = pde_verify.projection_P(f)
-        np.testing.assert_allclose(rep.projected, f, atol=1e-13)
-        assert rep.idempotence_residual < 1e-13
-
-    def test_second_harmonic_killed(self):
-        th = 2 * np.pi * np.arange(128) / 128
-        rep = pde_verify.projection_P(np.cos(2 * th))
-        np.testing.assert_allclose(rep.projected, 0, atol=1e-13)
-
-    def test_constant_fixed(self):
-        rep = pde_verify.projection_P(np.ones(64))
-        np.testing.assert_allclose(rep.projected, 1.0, atol=1e-14)
-
-    def test_idempotence_and_complement_on_random_trig(self):
-        rng = np.random.default_rng(4)
-        th = 2 * np.pi * np.arange(256) / 256
-        for _ in range(10):
-            f = sum(rng.normal() * np.cos(k * th) + rng.normal() * np.sin(k * th)
-                    for k in range(6))
-            rep = pde_verify.projection_P(f)
-            assert rep.idempotence_residual < 1e-13
-            # complement: P applied to (I - P) f vanishes
-            rep2 = pde_verify.projection_P(f - rep.projected)
-            assert np.max(np.abs(rep2.projected)) < 1e-13

@@ -231,28 +231,3 @@ class TestAppendixMoments:
         np.testing.assert_allclose(md.S, -(md.R + md.R.T) / 2, atol=1e-13)
         assert md.mu == pytest.approx(np.linalg.eigvalsh(md.S)[-1])
         np.testing.assert_allclose(md.R, md.Cmat - 2 * md.Bmat, atol=1e-12)
-
-
-class TestOrthogonality:
-    def test_x1x2_both_hypotheses(self, grid2):
-        f = lambda p: p[:, 0] * p[:, 1]
-        gf = lambda p: np.stack([p[:, 1], p[:, 0]], axis=1)
-        rep = sphmean.orthogonality_check(f, gf, 0.5, grid2, "mean_zero")
-        assert rep.hypothesis_ok and rep.residuals[0] < 1e-13
-        rep2 = sphmean.orthogonality_check(f, gf, 0.5, grid2, "moment_zero")
-        assert rep2.hypothesis_ok
-        assert max(rep2.residuals) < 1e-13
-
-    def test_constant_violates_mean_zero(self, grid2):
-        f = lambda p: np.ones(len(p))
-        gf = lambda p: np.zeros_like(p)
-        rep = sphmean.orthogonality_check(f, gf, 0.5, grid2, "mean_zero")
-        assert not rep.hypothesis_ok
-        assert "violated" in rep.message
-        assert rep.residuals[0] < 1e-13   # conclusion integral still returned
-
-    def test_mean_zero_quadratic(self, grid2):
-        f = lambda p: p[:, 0] ** 2 - (p[:, 0] ** 2 + p[:, 1] ** 2) / 2
-        gf = lambda p: np.stack([p[:, 0], -p[:, 1]], axis=1)
-        rep = sphmean.orthogonality_check(f, gf, 0.7, grid2, "mean_zero")
-        assert rep.hypothesis_ok and rep.residuals[0] < 1e-13
