@@ -126,13 +126,13 @@ def load_config(path: str, subcommand: str) -> RunConfig:
         cfg.output_dir = parser["output"].get("dir", ".")
     cfg.output_dir = os.environ.get("ELLIPREG_OUTDIR", cfg.output_dir)
 
-    for section, key in (("pde", "tol"), ("integrate", "tol"), ("gs", "tol"),
-                         ("gs", "horizon")):
+    for section, key in (("pde", "tol"), ("integrate", "tol"), ("gs", "tol")):
         value = _option(cfg.options.get(section, {}), section, key, 1.0)
         if not 0 < value < math.inf:
             raise ConfigError(f"[{section}] {key}: must be finite and positive")
-    if _option(cfg.options.get("gs", {}), "gs", "horizon", 1.0) > 1e6:
-        raise ConfigError("[gs] horizon: must not exceed 1e6")
+    # asymptotic_limit needs a trajectory spanning at least 10 time units
+    if not 10 <= _option(cfg.options.get("gs", {}), "gs", "horizon", 10.0) <= 1e6:
+        raise ConfigError("[gs] horizon: must lie in [10, 1e6]")
     if _option(cfg.options.get("moments", {}), "moments", "k_max", 1, int) < 1:
         raise ConfigError("[moments] k_max: must be at least 1")
     return cfg

@@ -34,11 +34,11 @@ from .coeff import CoefficientField, FieldError, Modulus
 from .dyadic import (IntegralEvidence, VERDICT_CONVERGES, VERDICT_DIVERGES,
                      VERDICT_INCONCLUSIVE, RATE_TO_MINUS_INF,
                      evidence_from_partials)
-from .sphmean import (SphericalGrid, default_grid, mean_matrix_R,
-                      mean_matrix_R_many, sphere_grid, sphere_sweep,
-                      symmetrized_S)
+from .sphmean import (SphericalGrid, default_grid, mean_matrix_R_many,
+                      sphere_grid, sphere_sweep, symmetrized_S)
 
 LN2 = math.log(2.0)
+_FLOW_MAX_NODES_PER_OCTAVE = 256   # the dynamics lattice is halved no finer
 
 CLASS_INCONCLUSIVE = "inconclusive"
 CLASS_LIPSCHITZ = "lipschitz-at-origin"
@@ -390,7 +390,7 @@ def classify(field: CoefficientField, budget: Budget = Budget()) -> RegularityVe
     evidence["l1_12b"] = l12b
     evidence["to_minus_inf_15"] = sink
 
-    dyn_stab, stab2, dyn_asym = _dynamics_evidence(field, grid, budget)
+    dyn_stab, stab2, dyn_asym = _dynamics_evidence(profile, budget)
     evidence["dynsys_stability"] = dyn_stab
     evidence["dynsys_asymptotic"] = dyn_asym
     evidence["dynsys_stability_2t0"] = stab2
@@ -424,18 +424,59 @@ def classify(field: CoefficientField, budget: Budget = Budget()) -> RegularityVe
     return RegularityVerdict(CLASS_INCONCLUSIVE, ROUTE_NONE, evidence, n, budget)
 
 
-def _dynamics_evidence(field: CoefficientField, grid: SphericalGrid,
-                       budget: Budget):
+def _flow_lattice(profile: RadialProfile, t0: float):
+    """Profile nodes and R from the last node at or below t0 on.
+
+    An odd count of intervals is made even by starting one node lower, or by
+    ending one node deeper where that node would lie outside the unit ball
+    (s < 0).  Nodes beyond the profile are swept in one batch.
+    """
+    s, R = profile.s_nodes, profile.R_nodes
+    h = s[1] - s[0]
+    j = math.floor((t0 - s[0]) / h + 1e-9)   # within 1e-9 h of a node: on it
+    end = len(s) - 1
+    if (end - j) % 2:
+        if s[0] + (j - 1) * h > -1e-9 * h:
+            j -= 1
+        else:
+            end += 1
+    if j < 0 or end >= len(s):
+        below = max(-j, 0)
+        new = s[0] + np.concatenate([np.arange(j, 0), np.arange(len(s), end + 1)]) * h
+        R_new = mean_matrix_R_many(profile.field, np.exp(-new), profile.grid)
+        s = np.concatenate([new[:below], s, new[below:]])
+        R = np.concatenate([R_new[:below], R, R_new[below:]])
+        j = max(j, 0)
+    s = s[j:].copy()
+    s[0] = min(s[0], t0)     # a start that rounds onto the lattice
+    return s, R[j:]
+
+
+def _dynamics_evidence(profile: RadialProfile, budget: Budget):
     """Stability from t0 and from 2 t0, and asymptotics, off one flow.
 
-    The window opening is a free parameter, so the stability constant is
-    re-measured from twice the default start on the rebased flow.
+    The flow is ``dynsys.lattice_flow`` on the profile's own R samples, so it
+    makes no sphere quadrature of its own unless the lattice must reach
+    beyond the profile (dyn_t0 < -ln eps, or an odd count of intervals) or
+    be refined: while the Richardson
+    estimate from every other node exceeds ``dyn_tol``, the lattice is
+    halved with one sweep of the midpoints, down to
+    _FLOW_MAX_NODES_PER_OCTAVE.  The window opening is a free parameter, so
+    the stability constant is re-measured from twice the default start on
+    the rebased flow.
     """
     t0 = budget.dyn_t0
-    t1 = -math.log(budget.eps) + budget.k_max * LN2   # the profile depth
-    rfun = lambda t: mean_matrix_R(field, math.exp(-t), grid)
-    track = dynsys.fundamental_matrix(rfun, np.linspace(t0, t1, 257),
-                                      budget.dyn_tol)
+    s, R = _flow_lattice(profile, t0)
+    flow = dynsys.lattice_flow(s, R)
+    while (dynsys.lattice_flow_error(s, R, flow) > budget.dyn_tol
+           and (s[2] - s[1]) * _FLOW_MAX_NODES_PER_OCTAVE > LN2 * (1 + 1e-9)):
+        mid = 0.5 * (s[1:] + s[:-1])
+        R_mid = mean_matrix_R_many(profile.field, np.exp(-mid), profile.grid)
+        s = np.insert(s, np.arange(1, len(s)), mid)
+        R = np.insert(R, np.arange(1, len(R)), R_mid, axis=0)
+        flow = dynsys.lattice_flow(s, R)
+    t1 = float(profile.s_nodes[-1])   # the profile depth
+    track = dynsys.flow_track(flow, np.linspace(t0, t1, 257))
     stab = dynsys.stability_constant(track)
     stab2 = dynsys.stability_constant(track.resample(np.linspace(2 * t0, t1, 257)))
     asym = dynsys.AsymptoticReport(dynsys.INCONCLUSIVE)

@@ -121,6 +121,7 @@ tol = -1e-6
         ("gs", "[gs]\ntol = 0\n", "[gs] tol"),
         ("gs", "[gs]\nhorizon = nan\n", "[gs] horizon"),
         ("gs", "[gs]\nhorizon = -5\n", "[gs] horizon"),
+        ("gs", "[gs]\nhorizon = 9.5\n", "[gs] horizon"),
         ("moments", "[moments]\nk_max = 0\n", "[moments] k_max"),
         ("moments", "[moments]\nk_max = -3\n", "[moments] k_max"),
     ])

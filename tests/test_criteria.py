@@ -438,14 +438,70 @@ def rotated_rank_one_field(c=0.6, turn=0.6):
     return coeff.make_custom(2, batch, inv_log_modulus(c=c, shift=2.0))
 
 
+def adaptive_dynamics(field, budget):
+    """The classifier's three dynamics items from an adaptive solve on R(t)."""
+    grid = budget.sphere_grid(field.dim)
+    t0 = budget.dyn_t0
+    t1 = -math.log(budget.eps) + budget.k_max * math.log(2.0)
+    rfun = lambda t: sphmean.mean_matrix_R(field, math.exp(-t), grid)
+    track = dynsys.fundamental_matrix(rfun, np.linspace(t0, t1, 257),
+                                      budget.dyn_tol)
+    return (dynsys.stability_constant(track),
+            dynsys.stability_constant(track.resample(np.linspace(2 * t0, t1, 257))),
+            dynsys.asymptotic_limit(track.flow.column(0), tol=budget.asi_tol))
+
+
 class TestDynamicsSolves:
     @pytest.mark.parametrize("n, k_max", [(2, 30), (3, 15)])
-    def test_classify_makes_one_solve(self, monkeypatch, n, k_max):
+    def test_classify_makes_no_solve(self, monkeypatch, n, k_max):
+        # the flow steps the profile's own R samples: no adaptive solve and
+        # no single-radius sphere quadrature
         calls = count_solves(monkeypatch)
+        means = []
+        inner = sphmean.mean_matrix_R
+
+        def counted(*args, **kwargs):
+            means.append(args)
+            return inner(*args, **kwargs)
+
+        for module in (sphmean, criteria):
+            monkeypatch.setattr(module, "mean_matrix_R", counted, raising=False)
         v = criteria.classify(gs_log_field(-1.0, shift=2.0, n=n),
                               criteria.Budget(k_max=k_max))
-        assert len(calls) == 1
+        assert calls == [] and means == []
         assert v.evidence["dynsys_asymptotic"].residual is not None
+
+    @pytest.mark.parametrize("change, sweeps", [
+        ({"eps": 0.25}, 2),              # the lattice reaches below the profile
+        ({"dyn_t0": 1.0}, 1),            # a start off the lattice
+        ({"nodes_per_octave": 4}, 3),    # the lattice is halved twice
+        # 95 intervals: the flow starts one node below the profile
+        ({"nodes_per_octave": 5, "k_max": 19}, 3),
+        # 95 intervals from r = 1: the node below lies outside the unit
+        # ball, so the flow ends one node deeper instead
+        ({"nodes_per_octave": 5, "k_max": 18, "dyn_t0": 0.0}, 4),
+    ])
+    def test_lattice_flow_matches_adaptive_solve(self, monkeypatch, change, sweeps):
+        field = rotated_rank_one_field()
+        budget = criteria.Budget(**{"k_max": 20, **change})
+        radii = []
+        inner = criteria.mean_matrix_R_many
+
+        def counted(*args, **kwargs):
+            radii.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(criteria, "mean_matrix_R_many", counted)
+        ev = criteria.classify(field, budget).evidence
+        assert len(radii) == sweeps
+        assert max(np.max(r) for r in radii) <= 1 + 1e-12
+        stab, stab2, asym = adaptive_dynamics(field, budget)
+        assert stab.K_hat > 1.1
+        for key, want in (("dynsys_stability", stab), ("dynsys_stability_2t0", stab2)):
+            got = ev[key]
+            assert got.verdict_uniform_stability == want.verdict_uniform_stability
+            assert got.K_hat == pytest.approx(want.K_hat, rel=1e-7)
+        assert ev["dynsys_asymptotic"].verdict == asym.verdict
 
     def test_verify_independence_makes_one_solve(self, monkeypatch):
         calls = count_solves(monkeypatch)

@@ -9,6 +9,7 @@ from ellipreg import gilbarg_serrin as gs
 from conftest import count_solves, gs_log_field
 from fundamental_reference import fundamental_matrix_by_columns
 from pairwise_K_reference import pairwise_K_all_pairs
+from rk45_reference import rk45_fundamental_matrix
 
 
 def rot(t):
@@ -203,6 +204,102 @@ class TestMatrixState:
         track = dynsys.fundamental_matrix(rot, np.linspace(0, 12, 25), 1e-9)
         with pytest.raises(ValueError, match="window"):
             track.resample(np.linspace(*window, 5))
+
+
+def counting(Rfun):
+    """Rfun plus the list its calls are appended to."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return Rfun(t)
+
+    return counted, calls
+
+
+CESARI_KINDS = [gs.KIND_CONVERGENT_IMPROPER, gs.KIND_MINUS_INFINITY]
+
+
+class TestMagnusFlow:
+    def test_expm_matches_scipy(self):
+        from scipy.linalg import expm as scipy_expm
+        rng = np.random.default_rng(5)
+        for d in (2, 3):
+            mats = rng.normal(size=(200, d, d)) * rng.uniform(1e-3, 30, (200, 1, 1))
+            want = np.stack([scipy_expm(m) for m in mats])
+            got = dynsys.expm(mats)
+            size = np.max(np.abs(want), axis=(1, 2), keepdims=True)
+            assert np.max(np.abs(got - want) / size) <= 1e-11
+
+    def test_expm_of_a_rotation_generator(self):
+        th = np.array([0.0, 1e-9, 0.3, 2.0, 40.0])
+        mats = th[:, None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        E = dynsys.expm(mats)
+        np.testing.assert_allclose(E[:, 0, 0], np.cos(th), atol=1e-13)
+        np.testing.assert_allclose(E[:, 0, 1], np.sin(th), atol=1e-13)
+        np.testing.assert_array_equal(E[0], np.eye(2))
+
+    @pytest.mark.parametrize("kind", CESARI_KINDS)
+    def test_cesari_plateaus_are_exact_and_cheap(self, kind):
+        # one exact exponential step per plateau: few generator calls, and
+        # the closed form to rounding at every node of the gs track
+        gen = gs.build_cesari_counterexample(kind, horizon=1e4)
+        rfun, calls = counting(gs.scalar_rfun(gen, 2))
+        grid = gs._window_grid(0.0, gen.horizon, gen.breakpoints)
+        track = dynsys.fundamental_matrix(rfun, grid, 1e-9, gen.breakpoints)
+        assert len(calls) <= 400
+        want = gs.closed_form_phi(gen, 2, grid)
+        assert np.max(np.abs(track.Phi[:, 0, 0] - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["rotation", "diagonal", "mixed"]
+                             + sorted(gs.WHITELIST) + CESARI_KINDS)
+    def test_matches_rk45_reference(self, name):
+        tol = 1e-9
+        breaks, T = (), 20.0
+        if name in CESARI_KINDS:
+            gen = gs.build_cesari_counterexample(name)
+            rfun, breaks, T = gs.scalar_rfun(gen, 2), gen.breakpoints, gen.horizon
+        elif name in gs.WHITELIST:
+            rfun, T = gs.scalar_rfun(gs.WHITELIST[name], 2), 60.0
+        else:
+            rfun = {"rotation": rot, "diagonal": diag_gen, "mixed": mixed_gen}[name]
+        tg = np.linspace(0.0, T, 101)
+        got = dynsys.fundamental_matrix(rfun, tg, tol, breaks).Phi
+        want = rk45_fundamental_matrix(rfun, tg, tol, breaks)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 10 * tol
+
+    def test_dense_output_makes_no_generator_call(self):
+        rfun, calls = counting(mixed_gen)
+        track = dynsys.fundamental_matrix(rfun, np.linspace(0, 12, 25), 1e-9)
+        n = len(calls)
+        track.resample(np.linspace(1.3, 11.0, 300))
+        dynsys.asymptotic_limit(track.flow.column(0))
+        assert len(calls) == n
+
+    def test_lattice_flow_and_its_richardson_estimate(self):
+        # fourth order on the lattice; the estimate from every other node
+        # tracks the true error of the finer flow
+        t_end, tol = 8.0, 1e-12
+        want = rk45_fundamental_matrix(mixed_gen, [0.0, t_end], tol)[-1]
+        errs, ests = [], []
+        for n in (16, 32, 64):
+            t = np.linspace(0.0, t_end, n + 1)
+            R = np.stack([mixed_gen(s) for s in t])
+            flow = dynsys.lattice_flow(t, R)
+            errs.append(np.max(np.abs(flow.y[-1] - want)))
+            ests.append(dynsys.lattice_flow_error(t, R, flow))
+        rates = np.log2(np.array(errs[:-1]) / errs[1:])
+        assert np.all((rates > 3.5) & (rates < 4.5))
+        for e, est in zip(errs, ests):
+            assert 0.2 * e <= est <= 5 * e
+
+    def test_lattice_flow_dense_output_hits_its_nodes(self):
+        t = np.linspace(0.0, 6.0, 13)
+        R = np.stack([mixed_gen(s) for s in t])
+        flow = dynsys.lattice_flow(t, R)
+        np.testing.assert_allclose(flow.eval(t[::2]), flow.y, atol=1e-14)
+        with pytest.raises(ValueError, match="even"):
+            dynsys.lattice_flow(t[:-1], R[:-1])
 
 
 class TestStabilityConstant:
