@@ -64,6 +64,7 @@ class RunConfig:
     budget: criteria.Budget = dc_field(default_factory=criteria.Budget)
     options: dict = dc_field(default_factory=dict)
     output_dir: str = "."
+    gs_example: Optional[tuple] = None   # (generator, horizon) of a gs run
 
     @property
     def config_hash(self) -> str:
@@ -135,6 +136,8 @@ def load_config(path: str, subcommand: str) -> RunConfig:
         raise ConfigError("[gs] horizon: must lie in [10, 1e6]")
     if _option(cfg.options.get("moments", {}), "moments", "k_max", 1, int) < 1:
         raise ConfigError("[moments] k_max: must be at least 1")
+    if subcommand == "gs":
+        cfg.gs_example = _gs_example(cfg.options.get("gs", {}))
     return cfg
 
 
@@ -390,9 +393,9 @@ def run_integrate(cfg: RunConfig) -> dict:
     if rep.K_running is None:
         raise np.linalg.LinAlgError(rep.diagnostics)
     norms = np.linalg.norm(track.Phi.reshape(len(grid_t), -1), axis=1)
-    K_at = np.interp(grid_t, rep.K_running_t, rep.K_running)
     ys = track.Phi[:, :, 0]     # the trajectory through e_1
-    rows = [[t, *y, nrm, k] for t, y, nrm, k in zip(grid_t, ys, norms, K_at)]
+    rows = [[t, *y, nrm, k]
+            for t, y, nrm, k in zip(grid_t, ys, norms, rep.K_running)]
     header = ["t"] + [f"phi_{i+1}" for i in range(ys.shape[1])] + ["Phi_norm", "K_running"]
     path = write_csv(cfg, "trajectory.csv", header, rows)
     return {"csv": os.path.basename(path), "K_hat": rep.K_hat,
@@ -439,23 +442,39 @@ def run_appendix(cfg: RunConfig) -> dict:
     }
 
 
+_CESARI = {"cesari-convergent": gs.KIND_CONVERGENT_IMPROPER,
+           "cesari-minus-infinity": gs.KIND_MINUS_INFINITY}
+
+
+def _gs_example(opts: dict):
+    """The ``[gs]`` example's generator and horizon.
+
+    Built while loading: a Cesari schedule that the decay exponent or the
+    horizon cannot carry is a config error naming that key.
+    """
+    example = opts.get("example", "exp-decay")
+    horizon = _option(opts, "gs", "horizon", 1e4 if example in _CESARI else 100.0)
+    decay = _option(opts, "gs", "decay_exponent", 2.0 / 3.0)
+    if example in gs.WHITELIST:
+        return gs.WHITELIST[example], horizon
+    if example not in _CESARI:
+        raise ConfigError(f"[gs] unknown example {example!r}")
+    if not 0.5 < decay < 1:
+        raise ConfigError("[gs] decay_exponent: must lie in (1/2, 1)")
+    try:
+        gen = gs.build_cesari_counterexample(_CESARI[example], decay_exponent=decay,
+                                             horizon=horizon)
+    except ValueError as e:
+        raise ConfigError(f"[gs] horizon: {e}") from None
+    return gen, horizon
+
+
 def run_gs(cfg: RunConfig) -> dict:
     opts = cfg.options.get("gs", {})
     example = opts.get("example", "exp-decay")
-    cesari = {"cesari-convergent": gs.KIND_CONVERGENT_IMPROPER,
-              "cesari-minus-infinity": gs.KIND_MINUS_INFINITY}
-    horizon = _option(opts, "gs", "horizon", 1e4 if example in cesari else 100.0)
-    decay = _option(opts, "gs", "decay_exponent", 2.0 / 3.0)
+    gen, horizon = cfg.gs_example
     tol = _option(opts, "gs", "tol", 1e-4)
     n = cfg.dim
-    if example in cesari:
-        gen = gs.build_cesari_counterexample(cesari[example], decay_exponent=decay,
-                                             horizon=horizon)
-    elif example in gs.WHITELIST:
-        gen = gs.WHITELIST[example]
-    else:
-        raise ConfigError(f"[gs] unknown example {example!r}")
-
     rep = gs.verify_independence(gen, n, tol=tol, horizon=horizon)
     ts = np.linspace(0, horizon, 2049)
     gv = gen.gtil(ts)

@@ -13,16 +13,14 @@ convergence or divergence decides one implication route:
 
 All integrals are evaluated as ordered dyadic truncations (conditional
 convergence demands ordered partial sums, not absolute-value quadrature)
-and classified by the sequence machinery in :mod:`ellipreg.dyadic`; limits
-of convergent scalar envelopes are refined by direct tail quadrature in the
-log variable.  Evidence objects carry the partial-value tables so every
-verdict is auditable.
+and classified by the sequence machinery in :mod:`ellipreg.dyadic`, whose
+Levin u estimate is the limit of every convergent one.  Evidence objects
+carry the partial-value tables so every verdict is auditable.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -62,54 +60,18 @@ def _dyadic_quad_partials(F: Callable, s0: float, k_max: int, tol: float):
     pieces = np.empty(k_max)
     for k in range(k_max):
         a, b = s0 + k * LN2, s0 + (k + 1) * LN2
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sci_integrate.IntegrationWarning)
-            val, _ = sci_integrate.quad(F, a, b, epsabs=tol / 10, epsrel=tol / 10,
-                                        limit=200)
-        pieces[k] = val
+        # full_output keeps quad's accuracy warnings off stderr
+        pieces[k] = sci_integrate.quad(F, a, b, epsabs=tol / 10, epsrel=tol / 10,
+                                       limit=200, full_output=1)[0]
     return np.arange(1, k_max + 1), np.cumsum(pieces)
-
-
-def _tail_refine(F: Callable, s_end: float, tol: float) -> Optional[float]:
-    """Quadrature of F over [s_end, inf); None when it cannot be trusted."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", sci_integrate.IntegrationWarning)
-            val, err = sci_integrate.quad(F, s_end, np.inf,
-                                          epsabs=tol / 100, epsrel=tol / 100,
-                                          limit=400)
-        if not np.isfinite(val) or err > max(tol, 1e-8 * abs(val)):
-            return None
-        return float(val)
-    except Exception:
-        return None
-
-
-def _envelope_evidence(F: Callable, eps: float, k_max: int, tol: float,
-                       refine_tail: bool) -> IntegralEvidence:
-    s0 = -math.log(eps)
-    ks, partials = _dyadic_quad_partials(F, s0, k_max, tol)
-    ev = evidence_from_partials(ks, partials, tol)
-    if ev.converges and refine_tail:
-        tail = _tail_refine(F, s0 + k_max * LN2, tol)
-        if tail is not None:
-            refined = float(partials[-1]) + tail
-            drift = abs(refined - ev.limit_as_float())
-            resid = max(min(ev.residual, tol / 10), 1e-14)
-            if drift > 100 * (ev.residual or 0.0) + tol:
-                resid = drift   # refinement and extrapolation disagree
-            ev = IntegralEvidence(ev.k_values, ev.partial_values, ev.verdict,
-                                  np.float64(refined), resid,
-                                  ev.rate_tag, ev.detail)
-    return ev
 
 
 def square_dini_integral(omega: Modulus, tol: float = 1e-8,
                          eps: float = 1.0, k_max: int = 30) -> IntegralEvidence:
     """Ordered truncations of int_0^eps omega(r)^2 dr / r (the standing gate)."""
     F = lambda s: float(omega.log_form(np.array([s]))[0]) ** 2
-    refine = omega.analytic_tag != "piecewise-log"
-    return _envelope_evidence(F, eps, k_max, tol, refine)
+    ks, partials = _dyadic_quad_partials(F, -math.log(eps), k_max, tol)
+    return evidence_from_partials(ks, partials, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +338,7 @@ def classify(field: CoefficientField, budget: Budget = Budget()) -> RegularityVe
     grid = budget.sphere_grid(n)
 
     evidence: dict = {}
-    sq = square_dini_integral(field.modulus, tol=budget.tol, k_max=budget.k_max)
+    sq = square_dini_integral(field.modulus, budget.tol, budget.eps, budget.k_max)
     evidence["square_dini"] = sq
 
     profile = build_radial_profile(field, budget.eps, budget.k_max,

@@ -4,8 +4,9 @@ Every analytic criterion in this package reduces to the behavior of a
 sequence P_k of ordered truncations (cutoff 2^-k): does it converge, and to
 what, or does it diverge, and how fast?  Raw Cauchy differences are useless
 here because the interesting envelopes converge like 1/k; the verdict is
-instead based on the decay exponent of the increments and the limit is
-produced by sequence acceleration, cross-checked for stability.
+instead based on the decay exponent of the increments, and the limit is
+the Levin u-transform estimate, with the spread across its orders as the
+residual.
 
 Classification of the increments d_k = P_{k+1} - P_k on the tail:
   * geometric decay (ratio bounded away from 1)      -> converges
@@ -66,36 +67,23 @@ def levin_u(partials: np.ndarray, order: int) -> Optional[float]:
     return float(num / den)
 
 
-def _aitken(partials: np.ndarray) -> Optional[float]:
-    s = np.asarray(partials, float)
-    for _ in range(6):
-        if len(s) < 3:
-            break
-        d1 = s[1:-1] - s[:-2]
-        d2 = s[2:] - 2 * s[1:-1] + s[:-2]
-        mask = np.abs(d2) > 1e-300
-        if not np.all(mask):
-            break
-        nxt = s[2:] - (s[2:] - s[1:-1]) ** 2 / d2
-        if not np.all(np.isfinite(nxt)):
-            break
-        s = nxt
-    return float(s[-1]) if len(s) else None
+_LEVIN_ORDERS = (4, 6, 8)
 
 
-def _extrapolate(ks: np.ndarray, partials: np.ndarray):
-    """Limit estimate plus a stability spread across accelerators."""
-    cands = []
-    for order in (4, 6, 8):
-        v = levin_u(partials, order)
-        if v is not None and np.isfinite(v):
-            cands.append(v)
-    v = _aitken(partials[-12:])
-    if v is not None and np.isfinite(v):
-        cands.append(v)
-    if not cands:
-        return float(partials[-1]), float("inf")
-    cands = np.asarray(cands)
+def _extrapolate(partials: np.ndarray):
+    """Levin u limit estimate, with the spread across its orders.
+
+    A tail with an exactly zero increment has settled and has no Levin
+    estimate: its last partial is the limit, and the residual is its
+    largest increment from the one before it first stands still on.
+    """
+    cands = [levin_u(partials, order) for order in _LEVIN_ORDERS]
+    cands = np.asarray([v for v in cands if v is not None], float)
+    if not len(cands):
+        d = np.abs(np.diff(partials[-(max(_LEVIN_ORDERS) + 2):]))
+        still = np.flatnonzero(d == 0)
+        start = max(still[0] - 1, 0) if len(still) else 0
+        return float(partials[-1]), float(np.max(d[start:]))
     med = float(np.median(cands))
     spread = float(np.max(np.abs(cands - med)))
     return med, spread
@@ -134,7 +122,7 @@ def analyze_scalar_sequence(ks, partials, tol: float) -> SequenceVerdict:
         head = np.mean(np.abs(tail[: len(tail) // 2]))
         back = np.mean(np.abs(tail[len(tail) // 2:]))
         if back <= 0.6 * head:
-            limit, spread = _extrapolate(ks, P)
+            limit, spread = _extrapolate(P)
             lo, hi = min(P[-2], P[-1]), max(P[-2], P[-1])
             bracketed = lo - spread <= limit <= hi + spread
             resid = spread if bracketed else max(spread, float(np.abs(tail[-1])))
@@ -150,9 +138,9 @@ def analyze_scalar_sequence(ks, partials, tol: float) -> SequenceVerdict:
     ratios = tail[1:][nz[1:] & nz[:-1]] / tail[:-1][nz[1:] & nz[:-1]]
     ratio_med = float(np.median(ratios)) if len(ratios) else 1.0
 
-    # geometric decay: iterated Aitken is essentially exact
+    # geometric decay: Levin u is exact on a geometric tail
     if 0 < ratio_med <= 0.93 and np.all(ratios > 0) and np.all(ratios < 0.985):
-        limit, spread = _extrapolate(ks, P)
+        limit, spread = _extrapolate(P)
         resid = max(spread, abs(float(tail[-1])) * ratio_med / (1 - ratio_med) * 1e-8)
         return SequenceVerdict(VERDICT_CONVERGES, limit, resid)
 
@@ -166,7 +154,7 @@ def analyze_scalar_sequence(ks, partials, tol: float) -> SequenceVerdict:
         return SequenceVerdict(VERDICT_INCONCLUSIVE)
 
     if sigma >= _SIGMA_CONVERGENT:
-        limit, spread = _extrapolate(ks, P)
+        limit, spread = _extrapolate(P)
         if spread <= 10 * tol + 1e-12 * scale:
             return SequenceVerdict(VERDICT_CONVERGES, limit, max(spread, 1e-16),
                                    sigma=sigma)

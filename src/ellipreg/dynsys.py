@@ -37,7 +37,6 @@ EVIDENCE_NO = "evidence-no"
 INCONCLUSIVE = "inconclusive"
 
 _COND_LIMIT = 1e12
-_K_MAX_NODES = 320           # nodes of a matrix track paired for K
 _K_BLOCK = 32                # rows of the pairwise K table normed per batch
 _K_WINDOWS = 10              # dyadic windows of the K trend
 _K_SATURATION_RTOL = 0.01    # last three windows this close: saturated
@@ -406,8 +405,7 @@ class StabilityReport:
     verdict_uniform_stability: str
     growth_rate: Optional[float] = None
     diagnostics: str = ""
-    K_running: Optional[np.ndarray] = None    # running K at the nodes used
-    K_running_t: Optional[np.ndarray] = None  # times of those nodes
+    K_running: Optional[np.ndarray] = None    # running K at every node
 
 
 @dataclass(frozen=True)
@@ -420,41 +418,36 @@ class AsymptoticReport:
 def _pairwise_K(Phi: np.ndarray):
     """K(e) = max over s <= t <= t_e of ||Phi(t) Phi(s)^-1||, per end index.
 
-    Scalar tracks use the exact running-min formulation over every node;
-    matrix tracks subsample to _K_MAX_NODES and pair every node with every
-    earlier one.  K is a running maximum and ||Phi(t) Phi(s)^-1|| is at most
-    ||Phi(t)|| ||Phi(s)^-1||, both read off the one batched SVD the
-    conditioning check takes, so only pairs whose bound (with 1e-12 of
-    headroom for rounding) exceeds a floor under the running maximum get a
-    norm; the result equals the all-pairs maximum.  The floor is raised
-    before any pruning by norming, for every end node, the earlier node of
-    largest bound; the remaining pairs are normed in batches of _K_BLOCK end
-    nodes.  Returns (node_index_used, K_running) with K_running
-    nondecreasing.
+    Scalar tracks use the exact running-min formulation; matrix tracks pair
+    every node with every earlier one.  K is a running maximum and
+    ||Phi(t) Phi(s)^-1|| is at most ||Phi(t)|| ||Phi(s)^-1||, both read off
+    the one batched SVD the conditioning check takes, so only pairs whose
+    bound (with 1e-12 of headroom for rounding) exceeds a floor under the
+    running maximum get a norm; the result equals the all-pairs maximum.
+    The floor is raised before any pruning by norming, for every end node,
+    the earlier node of largest bound; the remaining pairs are normed in
+    batches of _K_BLOCK end nodes.  Returns K_running, nondecreasing, at
+    every node.
     """
     m, d, _ = Phi.shape
     if d == 1:
         v = np.abs(Phi[:, 0, 0])
         running_min = np.minimum.accumulate(v)
-        K_run = np.maximum.accumulate(v / running_min)
-        return np.arange(m), K_run
+        return np.maximum.accumulate(v / running_min)
 
-    sel = np.unique(np.linspace(0, m - 1, min(m, _K_MAX_NODES)).astype(int))
-    P = Phi[sel]
-    sv = np.linalg.svd(P, compute_uv=False)
+    sv = np.linalg.svd(Phi, compute_uv=False)
     if np.any(sv[:, 0] > _COND_LIMIT * sv[:, -1]):
         raise np.linalg.LinAlgError(
             f"fundamental matrix conditioning exceeds {_COND_LIMIT:.0e}")
-    Pinv = np.linalg.inv(P)
-    inv_norm = (1 + 1e-12) / sv[:, -1]     # ||P^-1||, rounded up
-    k = len(sel)
-    idx = np.arange(k)
+    Phi_inv = np.linalg.inv(Phi)
+    inv_norm = (1 + 1e-12) / sv[:, -1]     # ||Phi^-1||, rounded up
+    idx = np.arange(m)
     top = np.maximum.accumulate(np.where(
         inv_norm == np.maximum.accumulate(inv_norm), idx, 0))
-    floor = np.maximum.accumulate(spectral_norms(P @ Pinv[top]))
-    K_run = np.empty(k)
+    floor = np.maximum.accumulate(spectral_norms(Phi @ Phi_inv[top]))
+    K_run = np.empty(m)
     best = 1.0
-    for lo in range(0, k, _K_BLOCK):
+    for lo in range(0, m, _K_BLOCK):
         rows = idx[lo:lo + _K_BLOCK]
         T = np.maximum(best, floor[rows])
         cols = idx[: rows[-1] + 1]
@@ -462,10 +455,10 @@ def _pairwise_K(Phi: np.ndarray):
                             & (cols <= rows[:, None]))
         row_max = np.full(len(rows), -np.inf)
         if len(ii):
-            np.maximum.at(row_max, ii, spectral_norms(P[rows[ii]] @ Pinv[jj]))
+            np.maximum.at(row_max, ii, spectral_norms(Phi[rows[ii]] @ Phi_inv[jj]))
         K_run[rows] = np.maximum(T, np.maximum.accumulate(row_max))
         best = K_run[rows[-1]]
-    return sel, K_run
+    return K_run
 
 
 def stability_constant(track: FundamentalMatrixTrack) -> StabilityReport:
@@ -478,20 +471,19 @@ def stability_constant(track: FundamentalMatrixTrack) -> StabilityReport:
     growing at least linearly across the last four windows is instability
     evidence; anything else is inconclusive.  A fundamental matrix with
     conditioning beyond 1e12 yields inconclusive with a diagnostic.  The
-    report carries the running K at the nodes used, with their times.
+    report carries the running K at every node of the track.
     """
     t = track.t_grid
     span = t[-1] - t[0]
     try:
-        idx_used, K_run = _pairwise_K(track.Phi)
+        K_run = _pairwise_K(track.Phi)
     except np.linalg.LinAlgError as e:
         return StabilityReport(float("nan"), np.array([]), np.array([]),
                                INCONCLUSIVE, diagnostics=str(e))
-    t_used = t[idx_used]
     ends = t[0] + span * 2.0 ** np.arange(-(_K_WINDOWS - 1), 1, 1.0)
     K_trend = np.empty(len(ends))
     for i, e in enumerate(ends):
-        j = np.searchsorted(t_used, e + 1e-12)
+        j = np.searchsorted(t, e + 1e-12)
         K_trend[i] = K_run[min(max(j - 1, 0), len(K_run) - 1)]
     K_hat = float(K_run[-1])
 
@@ -510,7 +502,7 @@ def stability_constant(track: FundamentalMatrixTrack) -> StabilityReport:
             verdict = EVIDENCE_UNSTABLE
             growth = float(tail_slope)
     return StabilityReport(K_hat, K_trend, ends, verdict, growth,
-                           K_running=K_run, K_running_t=t_used)
+                           K_running=K_run)
 
 
 def _longest_positive_run(values: np.ndarray, eps: float) -> int:

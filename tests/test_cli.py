@@ -122,6 +122,10 @@ tol = -1e-6
         ("gs", "[gs]\nhorizon = nan\n", "[gs] horizon"),
         ("gs", "[gs]\nhorizon = -5\n", "[gs] horizon"),
         ("gs", "[gs]\nhorizon = 9.5\n", "[gs] horizon"),
+        ("gs", "[gs]\nexample = cesari-convergent\nhorizon = 100\n",
+         "[gs] horizon"),
+        ("gs", "[gs]\nexample = cesari-convergent\ndecay_exponent = 0.4\n",
+         "[gs] decay_exponent"),
         ("moments", "[moments]\nk_max = 0\n", "[moments] k_max"),
         ("moments", "[moments]\nk_max = -3\n", "[moments] k_max"),
     ])
@@ -341,15 +345,15 @@ radii = 0.5, 0.25, 0.125
 
     def test_numerical_failure_exits_1(self, tmp_path):
         out = tmp_path / "out"
-        # infeasible counterexample construction -> numerical failure
-        cfg = write_cfg(tmp_path, IDENTITY.format(out=out) + """
-[gs]
-example = cesari-convergent
-decay_exponent = 0.9
+        # the flow from t0 = -2.5 meets the field's pole at r = e^2 (t = -2)
+        cfg = write_cfg(tmp_path, BASE.format(out=out) + """
+[integrate]
+t0 = -2.5
+t1 = 5
 """)
-        assert cli.main(["gs", cfg]) == cli.EXIT_NUMERICAL
+        assert cli.main(["integrate", cfg]) == cli.EXIT_NUMERICAL
         partial = json.load(open(out / "report_partial.json"))
-        assert "binding constraint" in partial["payload"]["error"]
+        assert "step size underflow" in partial["payload"]["error"]
 
 
 class TestSchema:

@@ -10,7 +10,7 @@ from ellipreg import gilbarg_serrin as gs
 from ellipreg.coeff import inv_log_modulus, power_modulus
 from ellipreg.dyadic import (RATE_LOG, RATE_TO_MINUS_INF, VERDICT_CONVERGES,
                              VERDICT_DIVERGES, VERDICT_INCONCLUSIVE,
-                             VERDICT_OSCILLATES)
+                             VERDICT_OSCILLATES, IntegralEvidence)
 
 from conftest import count_solves, gs_log_field, gs_power_field
 from profile_reference import reference_profile
@@ -36,6 +36,15 @@ class TestSquareDini:
         ev = criteria.square_dini_integral(power_modulus(a), tol=1e-9)
         assert ev.converges
         assert ev.limit_as_float() == pytest.approx(1 / (2 * a), abs=1e-8)
+
+    def test_settled_tail_reports_last_partial(self):
+        # omega = r: the octave pieces of int r dr fall below rounding of the
+        # sum, so the tail has exactly zero increments and no Levin estimate
+        ev = criteria.square_dini_integral(power_modulus(1.0), tol=1e-9)
+        assert ev.partial_values[-1] == ev.partial_values[-2]
+        assert ev.converges
+        assert ev.limit_as_float() == ev.partial_values[-1]
+        assert 0 < ev.residual <= 1e-15
 
     def test_constant_envelope_diverges(self):
         ev = criteria.square_dini_integral(coeff.constant_modulus(0.5), tol=1e-8)
@@ -418,6 +427,83 @@ class TestClassify:
         assert "dynsys_stability_2t0" in v.evidence
         assert (v.evidence["dynsys_stability_2t0"].verdict_uniform_stability
                 == dynsys.EVIDENCE_STABLE)
+
+
+# The benchmark's rank-one lab fields, g = c/log(e^K/r)^p or g = c r^a with
+# omega = |g|, and the class the paper's criteria give each of them.
+LAB_FIELDS = [
+    (("log", -1.0, 2.0, 1.0), criteria.CLASS_ZERO_GRADIENT),
+    (("log", 1.0, 2.0, 1.0), criteria.CLASS_INCONCLUSIVE),
+    (("log", 1.0, 1.0, 2.0), criteria.CLASS_DIFFERENTIABLE),
+    (("log", -0.5, 1.0, 2.0), criteria.CLASS_DIFFERENTIABLE),
+    (("power", 1.0, 0.5), criteria.CLASS_DIFFERENTIABLE),
+    (("power", -0.5, 0.5), criteria.CLASS_DIFFERENTIABLE),
+]
+
+
+def lab_field(spec, n):
+    if spec[0] == "log":
+        _, c, K, p = spec
+        return gs_log_field(c, shift=K, n=n, power=p)
+    _, c, a = spec
+    return gs_power_field(a, c=c, n=n)
+
+
+def closed_form_limits(spec, n, eps):
+    """Exact square-Dini and ordered-R limits; the latter None if divergent.
+
+    In s = -ln r the envelope is c/(K + s)^p or c e^(-a s), and for a
+    rank-one field R = -nu g I with nu = (n - 1)/n, so both limits are
+    elementary integrals from s0 = -ln eps.
+    """
+    s0 = -math.log(eps)
+    nu = (n - 1) / n
+    if spec[0] == "log":
+        _, c, K, p = spec
+        sq = c * c * (K + s0) ** (1 - 2 * p) / (2 * p - 1)
+        g_int = c * (K + s0) ** (1 - p) / (p - 1) if p > 1 else None
+    else:
+        _, c, a = spec
+        sq = c * c * eps ** (2 * a) / (2 * a)
+        g_int = c * eps ** a / a
+    return sq, None if g_int is None else -nu * g_int * np.eye(n)
+
+
+class TestClosedFormOracle:
+    """Lab-field verdicts against the exact rank-one reduction, by depth."""
+
+    RUNS = ([(spec, want, 2, k) for spec, want in LAB_FIELDS
+             for k in (20, 25, 30, 35, 40)]
+            + [(*LAB_FIELDS[0], 3, 40)])
+
+    @pytest.mark.parametrize("spec, want, n, k_max", RUNS, ids=[
+        "-".join(map(str, (*spec, f"{n}d", f"k{k}"))) for spec, _, n, k in RUNS])
+    def test_lab_field(self, spec, want, n, k_max):
+        budget = criteria.Budget(k_max=k_max)
+        v = criteria.classify(lab_field(spec, n), budget)
+        assert v.classification == want
+        ev = v.evidence
+        items = [e for e in ev.values() if isinstance(e, IntegralEvidence)]
+        if "iterated_13" in ev:
+            items += [e for e in vars(ev["iterated_13"]).values() if e is not None]
+        for e in items:
+            if e.verdict == VERDICT_CONVERGES:
+                assert e.residual <= 10 * budget.tol
+        sq, pv = closed_form_limits(spec, n, budget.eps)
+        assert ev["square_dini"].limit_as_float() == pytest.approx(
+            sq, abs=10 * budget.tol)
+        if pv is not None:
+            assert ev["pv_12a"].converges
+            np.testing.assert_allclose(ev["pv_12a"].limit, pv, rtol=0,
+                                       atol=10 * budget.tol)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.25])
+    def test_square_dini_reads_eps(self, eps):
+        # omega = r^0.5: int_0^eps omega^2 dr/r = eps
+        v = criteria.classify(gs_power_field(0.5), criteria.Budget(eps=eps))
+        sq = v.evidence["square_dini"]
+        assert sq.converges
+        assert sq.limit_as_float() == pytest.approx(eps, abs=10 * v.budget.tol)
 
 
 def rotated_rank_one_field(c=0.6, turn=0.6):

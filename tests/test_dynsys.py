@@ -355,8 +355,7 @@ class TestStabilityConstant:
         tg = np.linspace(0, 15, 61)
         track = dynsys.fundamental_matrix(mixed_gen, tg, 1e-9)
         rep = dynsys.stability_constant(track)
-        assert len(rep.K_running) == len(rep.K_running_t) == len(tg)
-        np.testing.assert_array_equal(rep.K_running_t, tg)
+        assert len(rep.K_running) == len(tg)
         assert np.all(np.diff(rep.K_running) >= 0)
         assert rep.K_running[-1] == rep.K_hat
 
@@ -413,10 +412,8 @@ class TestPairwiseKPruning:
     @pytest.mark.parametrize("field_fn", RANK_ONE + [turned_field])
     def test_matches_all_pairs(self, field_fn, n):
         for track in profile_tracks(field_fn(n)):
-            sel, K_run = dynsys._pairwise_K(track.Phi)
-            ref_sel, ref_K = pairwise_K_all_pairs(track.Phi)
-            np.testing.assert_array_equal(sel, ref_sel)
-            np.testing.assert_array_equal(K_run, ref_K)
+            np.testing.assert_array_equal(dynsys._pairwise_K(track.Phi),
+                                          pairwise_K_all_pairs(track.Phi))
 
     def test_matches_all_pairs_on_rebased_track(self):
         # a non-normal rebase: the bound is loose and many pairs need a norm
@@ -424,8 +421,8 @@ class TestPairwiseKPruning:
         track = dynsys.fundamental_matrix(mixed_gen, tg, 1e-9)
         M = np.random.default_rng(11).normal(size=(2, 2)) + 3 * np.eye(2)
         Phi = np.einsum("kij,jl->kil", track.Phi, M)
-        np.testing.assert_array_equal(dynsys._pairwise_K(Phi)[1],
-                                      pairwise_K_all_pairs(Phi)[1])
+        np.testing.assert_array_equal(dynsys._pairwise_K(Phi),
+                                      pairwise_K_all_pairs(Phi))
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("field_fn", RANK_ONE)
@@ -440,8 +437,8 @@ class TestPairwiseKPruning:
         monkeypatch.setattr(dynsys, "spectral_norms", counted)
         for track in profile_tracks(field_fn(n)):
             normed.clear()
-            sel, _ = dynsys._pairwise_K(track.Phi)
-            k = len(sel)
+            dynsys._pairwise_K(track.Phi)
+            k = len(track.Phi)
             assert sum(normed) < 0.02 * k * (k + 1) // 2
 
 

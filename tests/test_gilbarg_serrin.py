@@ -124,6 +124,13 @@ class TestVerifyIndependence:
         assert rep.asym_constant.verdict == dynsys.EVIDENCE_YES
         assert rep.uniformly_stable.verdict_uniform_stability == dynsys.EVIDENCE_STABLE
 
+    def test_settled_square_partials_converge(self):
+        # int g^2 of e^-t reaches its limit to rounding well before t = 100,
+        # so the last square partials are equal and no Levin order applies
+        rep = gs.verify_independence(gs.WHITELIST["exp-decay"], 2, horizon=100.0)
+        assert np.diff(rep.square_partials)[-1] == 0.0
+        assert rep.square_integrable_verdict == "converges"
+
     def test_convergent_improper_triple(self):
         gen = gs.build_cesari_counterexample(gs.KIND_CONVERGENT_IMPROPER)
         rep = gs.verify_independence(gen, 2, tol=1e-4)

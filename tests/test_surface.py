@@ -20,6 +20,7 @@ ALLOWED = {
     "gronwall_bound_check": "acceptance gate subject: the growth-bound ratio",
     "perturbation_equivalence": "acceptance gate subject: perturbed-radial fields",
     "closed_form_phi": "acceptance gate subject: the scalar flow oracle",
+    "limit_as_float": "acceptance criterion 06 reads the square-Dini limit",
     "power_modulus": "field constructor every test fixture builds on",
     "inv_log_modulus": "field constructor every test fixture builds on",
     "make_custom": "field constructor every test fixture builds on",
