@@ -7,12 +7,13 @@ to the asymptotics of a linear dynamical system in log-time, evaluating a
 family of analytic integral criteria on the radial moment matrices of the
 field, and (in two dimensions) cross-checking the verdict against a direct
 finite-volume solve of the Dirichlet problem.
+
+Submodules load on import (``from ellipreg import criteria``), not with
+the package, so a run loads only what it uses: the sparse-matrix stack of
+the grid verifier comes in with :mod:`ellipreg.pde_verify` alone.
 """
 
 __version__ = "0.1.0"
-
-from . import coeff, sphmean, dyadic, dynsys, appendix_system, gilbarg_serrin
-from . import criteria, pde_verify
 
 __all__ = [
     "coeff",

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__, appendix_system, coeff, criteria, dynsys
 from . import gilbarg_serrin as gs
-from . import pde_verify, sphmean
+from . import sphmean
 
 SCHEMA_VERSION = "1"
 
@@ -134,6 +134,9 @@ def load_config(path: str, subcommand: str) -> RunConfig:
     # asymptotic_limit needs a trajectory spanning at least 10 time units
     if not 10 <= _option(cfg.options.get("gs", {}), "gs", "horizon", 10.0) <= 1e6:
         raise ConfigError("[gs] horizon: must lie in [10, 1e6]")
+    # the field is sampled at r = e^-t, which must lie in the unit ball
+    if not _option(cfg.options.get("integrate", {}), "integrate", "t0", 0.0) >= 0:
+        raise ConfigError("[integrate] t0: must be at least 0")
     if _option(cfg.options.get("moments", {}), "moments", "k_max", 1, int) < 1:
         raise ConfigError("[moments] k_max: must be at least 1")
     if subcommand == "gs":
@@ -522,6 +525,7 @@ def run_verify(cfg: RunConfig) -> dict:
                     _floats)
     tol = _option(opts, "pde", "tol", 1e-12)
     field = build_field(cfg)
+    from . import pde_verify     # sparse solvers; no other run loads them
     sol = pde_verify.solve_dirichlet(field, _BOUNDARY_FUNS[bname], N, tol=tol)
     dec = pde_verify.spectral_decompose(sol, radii)
     quo = pde_verify.lipschitz_quotient(sol, radii)
@@ -556,6 +560,18 @@ def run_report(cfg: RunConfig) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _numerical_errors() -> tuple:
+    """Exceptions that end a run with exit 1.
+
+    ``pde_verify`` loads only inside ``run_verify``, so its SolveError can
+    only have been raised once the module is in ``sys.modules``.
+    """
+    errors = (coeff.FieldError, dynsys.IntegrationError, ValueError,
+              np.linalg.LinAlgError)
+    pde_verify = sys.modules.get(f"{__package__}.pde_verify")
+    return errors if pde_verify is None else errors + (pde_verify.SolveError,)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ellipreg",
@@ -587,8 +603,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (coeff.FieldError, dynsys.IntegrationError, pde_verify.SolveError,
-            ValueError, np.linalg.LinAlgError) as e:
+    except _numerical_errors() as e:
         partial = {"error": str(e), "error_type": type(e).__name__}
         try:
             write_report(cfg, partial, time.perf_counter() - t_start,

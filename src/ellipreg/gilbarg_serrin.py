@@ -9,11 +9,11 @@ constructions separate uniform stability from asymptotic constancy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import dynsys
 
@@ -147,11 +147,7 @@ def build_cesari_counterexample(kind: str, decay_exponent: float = 2.0 / 3.0,
         trial_edges, trial_heights = [], []
         T_try = T
         for mass, sgn in ((b, +1.0), (b + c, -1.0)):
-            fw = lambda w: C * w * (T_try + w) ** (-a) - mass
-            hi = 8.0
-            while fw(hi) < 0 and hi < 1e12:
-                hi *= 2
-            w = brentq(fw, 1e-12, hi, xtol=1e-12, rtol=8.9e-16)
+            w = _plateau_width(C, a, T_try, mass)
             trial_heights.append(sgn * C * (T_try + w) ** (-a))
             T_try += w
             trial_edges.append(T_try)
@@ -209,6 +205,42 @@ def build_cesari_counterexample(kind: str, decay_exponent: float = 2.0 / 3.0,
         breakpoints=tuple(edges.tolist()),
         cumulative=cumulative, envelope=(C, a),
         blocks=blocks, horizon=float(horizon))
+
+
+def _plateau_width(C: float, a: float, T: float, mass: float,
+                   xtol: float = 1e-12) -> float:
+    """The width w > 0 of a plateau from T that carries ``mass``.
+
+    Solves f(w) = C w (T + w)^-a - mass = 0.  For a in (0, 1) f is
+    increasing and concave, so Newton steps from the left end of the
+    bracket climb to the root without overshoot; a step that would leave
+    the bracket is replaced by bisection.  It stops once a step is below
+    ``xtol``.
+    A root beyond 1e12 is reported as an infinite width.
+    """
+    f = lambda w: C * w * (T + w) ** (-a) - mass
+    lo, hi = 1e-12, 8.0
+    while f(hi) < 0:
+        if hi > 1e12:
+            return math.inf     # wider than any horizon
+        hi *= 2
+    w = lo
+    for _ in range(200):
+        fw = f(w)
+        if fw == 0:
+            return w
+        if fw < 0:
+            lo = w
+        else:
+            hi = w
+        step = fw / (C * (T + w) ** (-a - 1) * (T + (1 - a) * w))
+        nxt = w - step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - w) <= xtol:
+            return nxt
+        w = nxt
+    return w
 
 
 @dataclass(frozen=True)

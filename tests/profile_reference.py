@@ -5,21 +5,19 @@ spheres at once and reduces them to R, mu and the spherical mean of
 ||A - I||_2.  The classifier reads only R and mu, so
 ``criteria.build_radial_profile`` keeps those and ``condition_A_minus_I``
 computes the deviation itself; the tests hold both to this construction.
+The cumulatives use the program's own Simpson rule, so the arrays compare
+bit for bit; ``TestCumulativeSimpson`` holds that rule to scipy's.
 """
 
 import math
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import integrate as sci_integrate
 
+from ellipreg.criteria import _cumulative
 from ellipreg.sphmean import default_grid, mean_R_kernel
 
 LN2 = math.log(2.0)
-
-
-def _cumulative(vals, s):
-    return sci_integrate.cumulative_simpson(vals, x=s, axis=0, initial=0)
 
 
 def reference_profile(field, eps=0.5, k_max=30, nodes_per_octave=32, grid=None):

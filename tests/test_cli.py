@@ -118,6 +118,8 @@ tol = -1e-6
         ("classify", "[budget]\ndyn_t0 = nan\n", "[budget] dyn_t0"),
         ("verify", "[pde]\nn = 64\ntol = -1\n", "[pde] tol"),
         ("integrate", "[integrate]\ntol = nan\n", "[integrate] tol"),
+        # r = e^-t0 would lie outside the unit ball
+        ("integrate", "[integrate]\nt0 = -2.5\nt1 = 5\n", "[integrate] t0"),
         ("gs", "[gs]\ntol = 0\n", "[gs] tol"),
         ("gs", "[gs]\nhorizon = nan\n", "[gs] horizon"),
         ("gs", "[gs]\nhorizon = -5\n", "[gs] horizon"),
@@ -345,15 +347,29 @@ radii = 0.5, 0.25, 0.125
 
     def test_numerical_failure_exits_1(self, tmp_path):
         out = tmp_path / "out"
-        # the flow from t0 = -2.5 meets the field's pole at r = e^2 (t = -2)
+        # no step size meets a tolerance below the rounding of the flow
         cfg = write_cfg(tmp_path, BASE.format(out=out) + """
 [integrate]
-t0 = -2.5
+t0 = 0
 t1 = 5
+tol = 1e-18
 """)
         assert cli.main(["integrate", cfg]) == cli.EXIT_NUMERICAL
         partial = json.load(open(out / "report_partial.json"))
         assert "step size underflow" in partial["payload"]["error"]
+
+
+    def test_solver_failure_exits_1(self, tmp_path):
+        out = tmp_path / "out"
+        # CG stalls at rounding, far above a 1e-30 target
+        cfg = write_cfg(tmp_path, IDENTITY.format(out=out) + """
+[pde]
+n = 64
+tol = 1e-30
+""")
+        assert cli.main(["verify", cfg]) == cli.EXIT_NUMERICAL
+        partial = json.load(open(out / "report_partial.json"))
+        assert partial["payload"]["error_type"] == "SolveError"
 
 
 class TestSchema:

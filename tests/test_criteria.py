@@ -57,6 +57,108 @@ class TestSquareDini:
         assert ev.converges
 
 
+LN2 = math.log(2.0)
+
+
+def _piecewise_square_integral(values, s):
+    """int_0^s omega(e^-t)^2 dt for ``coeff.piecewise_log_modulus(values)``."""
+    vals = np.asarray(values, float)
+    m = int(math.floor(s / LN2))
+    shells = vals[np.minimum(np.arange(m), len(vals) - 1)]
+    return float(np.sum(shells ** 2) * LN2
+                 + vals[min(m, len(vals) - 1)] ** 2 * (s - m * LN2))
+
+
+_PIECEWISE_TABLE = 1.0 / (1.0 + np.arange(41))
+
+# (modulus, antiderivative of omega(e^-s)^2 in s, jump points or None)
+_SQUARE_DINI_ORACLES = {
+    "inv-log": (inv_log_modulus(1.0, 1.0, 2.0), lambda s: -1.0 / (2.0 + s), None),
+    "inv-log-sqrt": (inv_log_modulus(1.0, 0.5, 1.0), lambda s: math.log1p(s), None),
+    "power": (power_modulus(0.5), lambda s: -math.exp(-s), None),
+    "piecewise-log": (coeff.piecewise_log_modulus(_PIECEWISE_TABLE),
+                      lambda s: _piecewise_square_integral(_PIECEWISE_TABLE, s),
+                      LN2),
+}
+
+
+class TestSquareDiniQuadrature:
+    """The numpy octave quadrature against closed forms and scipy's quad.
+
+    Every octave piece must be within tol/10, the accuracy each octave is
+    asked for.  At eps = 0.3 each octave of the piecewise table holds a
+    jump (at a multiple of ln 2), which only bisection resolves.
+    """
+
+    K_MAX = 40
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    @pytest.mark.parametrize("eps", [0.5, 0.3])
+    @pytest.mark.parametrize("name", sorted(_SQUARE_DINI_ORACLES))
+    def test_octaves_match_closed_form_and_quad(self, name, eps, tol):
+        omega, antiderivative, jump_spacing = _SQUARE_DINI_ORACLES[name]
+        s0 = -math.log(eps)
+        ks, partials = criteria._dyadic_quad_partials(
+            lambda s: omega.log_form(s) ** 2, s0, self.K_MAX, tol)
+        assert np.array_equal(ks, np.arange(1, self.K_MAX + 1))
+        pieces = np.diff(partials, prepend=0.0)
+        edges = s0 + LN2 * np.arange(self.K_MAX + 1)
+        exact = np.diff([antiderivative(e) for e in edges])
+        assert np.max(np.abs(pieces - exact)) <= tol / 10
+
+        F = lambda s: float(omega.log_form(np.array([s]))[0]) ** 2
+        oracle = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            points = None
+            if jump_spacing is not None:
+                inside = jump_spacing * np.arange(math.ceil(a / jump_spacing),
+                                                  math.floor(b / jump_spacing) + 1)
+                points = [p for p in inside if a < p < b] or None
+            oracle.append(sci_integrate.quad(F, a, b, epsabs=1e-14, epsrel=1e-14,
+                                             limit=200, points=points)[0])
+        assert np.max(np.abs(pieces - np.array(oracle))) <= tol / 10
+        assert np.max(np.abs(np.array(oracle) - exact)) <= 1e-12
+
+    def test_nonfinite_envelope_stops(self):
+        # a piece that never settles ends with its estimate, not a hang
+        ks, partials = criteria._dyadic_quad_partials(
+            lambda s: np.full_like(s, np.nan), 0.0, 3, 1e-6)
+        assert np.all(np.isnan(partials))
+
+
+class TestCumulativeSimpson:
+    """criteria._cumulative against scipy's cumulative_simpson."""
+
+    @staticmethod
+    def _data(M, shape):
+        rng = np.random.default_rng(M)
+        s = -math.log(0.3) + np.arange(M) * (LN2 / 32)
+        trend = (2.0 + np.sin(3.0 * s)).reshape((M,) + (1,) * len(shape))
+        return s, trend + 0.1 * rng.standard_normal((M,) + shape)
+
+    @pytest.mark.parametrize("shape", [(), (3, 3)])
+    @pytest.mark.parametrize("M", [3, 4, 640, 641, 1281])
+    def test_matches_scipy(self, M, shape):
+        s, vals = self._data(M, shape)
+        got = criteria._cumulative(vals, s)
+        want = sci_integrate.cumulative_simpson(vals, x=s, axis=0, initial=0)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("M", [640, 641])
+    def test_even_nodes_are_simpson_pair_sums(self, M):
+        s, f = self._data(M, ())
+        h = s[1] - s[0]
+        pairs = np.cumsum(h / 3 * (f[0:-2:2] + 4 * f[1:-1:2] + f[2::2]))
+        np.testing.assert_allclose(criteria._cumulative(f, s)[2::2], pairs,
+                                   rtol=1e-13, atol=0)
+
+    def test_two_nodes_trapezoid(self):
+        s = np.array([0.0, 0.5])
+        got = criteria._cumulative(np.array([1.0, 3.0]), s)
+        assert np.array_equal(got, [0.0, 1.0])
+
+
 class TestCondition11:
     def test_identity_bounded_at_zero(self, identity_field):
         prof = criteria.build_radial_profile(identity_field)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ellipreg import appendix_system as apx
 from ellipreg import dynsys, sphmean
@@ -70,6 +73,29 @@ class TestCesariConstruction:
         assert b.window_sup >= 5.0
         pair_ends = b.boundary_values[::2]
         assert np.all(np.diff(pair_ends) < 0)        # monotone sinking
+
+    @pytest.mark.parametrize("a", [0.55, 2.0 / 3.0, 0.75])
+    @pytest.mark.parametrize("kind", [gs.KIND_CONVERGENT_IMPROPER,
+                                      gs.KIND_MINUS_INFINITY])
+    def test_schedule_edges_match_brentq(self, kind, a):
+        gen = gs.build_cesari_counterexample(kind, a, horizon=1e5)
+        C, _ = gen.envelope
+        T = gen.blocks.plateau_times[0]
+        want = [T]
+        for rise, fall in gen.blocks.block_integrals:
+            for mass in (rise, -fall):
+                f = lambda w: C * w * (T + w) ** (-a) - mass
+                hi = 8.0
+                while f(hi) < 0:
+                    hi *= 2
+                T += brentq(f, 1e-12, hi, xtol=1e-12, rtol=8.9e-16)
+                want.append(T)
+        np.testing.assert_allclose(gen.blocks.plateau_times, want,
+                                   rtol=1e-12, atol=0)
+
+    def test_width_beyond_any_horizon_is_infinite(self):
+        # C w^(1-a) grows too slowly to carry the mass before w = 1e12
+        assert gs._plateau_width(1.5, 0.99, 1.0, 10.0) == math.inf
 
     def test_window_sup_grows_with_horizon(self):
         small = gs.build_cesari_counterexample(gs.KIND_CONVERGENT_IMPROPER,
