@@ -43,6 +43,8 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
+_FIELD_T1_MAX = 700.0    # [integrate] t1 with generator = field: e^-t > 0
+
 SUBCOMMANDS = ("moments", "integrate", "classify", "appendix", "gs", "verify",
                "report")
 
@@ -134,9 +136,15 @@ def load_config(path: str, subcommand: str) -> RunConfig:
     # asymptotic_limit needs a trajectory spanning at least 10 time units
     if not 10 <= _option(cfg.options.get("gs", {}), "gs", "horizon", 10.0) <= 1e6:
         raise ConfigError("[gs] horizon: must lie in [10, 1e6]")
-    # the field is sampled at r = e^-t, which must lie in the unit ball
-    if not _option(cfg.options.get("integrate", {}), "integrate", "t0", 0.0) >= 0:
+    # the field is sampled at r = e^-t, which must lie in the unit ball and
+    # stay above the underflow of e^-t (745): past it R reads 0
+    integrate = cfg.options.get("integrate", {})
+    if not _option(integrate, "integrate", "t0", 0.0) >= 0:
         raise ConfigError("[integrate] t0: must be at least 0")
+    if (integrate.get("generator", "field") == "field"
+            and _option(integrate, "integrate", "t1", 30.0) > _FIELD_T1_MAX):
+        raise ConfigError(f"[integrate] t1: must be at most {_FIELD_T1_MAX:g} "
+                          "with generator = field")
     if _option(cfg.options.get("moments", {}), "moments", "k_max", 1, int) < 1:
         raise ConfigError("[moments] k_max: must be at least 1")
     if subcommand == "gs":
@@ -382,23 +390,27 @@ def run_integrate(cfg: RunConfig) -> dict:
     if source == "field":
         field = build_field(cfg)
         grid = cfg.budget.sphere_grid(n)
-        rfun = lambda t: sphmean.mean_matrix_R(field, math.exp(-t), grid)
-        breaks = ()
+        sample = lambda t: sphmean.mean_matrix_R_many(field, np.exp(-t), grid)
+        # 1024 intervals: the 513 output rows are flow nodes, where the
+        # Richardson estimate holds
+        flow = dynsys.refined_flow(sample, np.linspace(t0, t1, 1025), tol,
+                                   strict=True)
+        step = (len(flow.t) - 1) // 512
+        track = dynsys.FundamentalMatrixTrack(flow.t[::step], flow.y[::step])
     elif source in gs.WHITELIST:
         gen = gs.WHITELIST[source]
-        rfun = gs.scalar_rfun(gen, n)
-        breaks = gen.breakpoints
+        grid_t = np.linspace(t0, t1, 513)
+        phi = gs.closed_form_phi(gen, n, grid_t) / gs.closed_form_phi(gen, n, t0)
+        track = dynsys.FundamentalMatrixTrack(grid_t, phi[:, None, None])
     else:
         raise ConfigError(f"[integrate] unknown generator {source!r}")
-    grid_t = np.linspace(t0, t1, 513)
-    track = dynsys.fundamental_matrix(rfun, grid_t, tol, breaks)
     rep = dynsys.stability_constant(track)
     if rep.K_running is None:
         raise np.linalg.LinAlgError(rep.diagnostics)
-    norms = np.linalg.norm(track.Phi.reshape(len(grid_t), -1), axis=1)
+    norms = np.linalg.norm(track.Phi.reshape(len(track.Phi), -1), axis=1)
     ys = track.Phi[:, :, 0]     # the trajectory through e_1
     rows = [[t, *y, nrm, k]
-            for t, y, nrm, k in zip(grid_t, ys, norms, rep.K_running)]
+            for t, y, nrm, k in zip(track.t_grid, ys, norms, rep.K_running)]
     header = ["t"] + [f"phi_{i+1}" for i in range(ys.shape[1])] + ["Phi_norm", "K_running"]
     path = write_csv(cfg, "trajectory.csv", header, rows)
     return {"csv": os.path.basename(path), "K_hat": rep.K_hat,
@@ -481,9 +493,8 @@ def run_gs(cfg: RunConfig) -> dict:
     rep = gs.verify_independence(gen, n, tol=tol, horizon=horizon)
     ts = np.linspace(0, horizon, 2049)
     gv = gen.gtil(ts)
-    cum = gen.cumulative(ts) if gen.cumulative is not None else np.full_like(ts, np.nan)
-    phi = np.exp((n - 1.0) / n * cum) if gen.cumulative is not None \
-        else np.full_like(ts, np.nan)
+    cum = gen.cumulative(ts)
+    phi = gs.closed_form_phi(gen, n, ts)
     write_csv(cfg, "generator.csv", ["t", "g", "running_integral", "phi"],
               list(zip(ts, gv, cum, phi)))
     payload = {

@@ -43,7 +43,6 @@ from .sphmean import (SphericalGrid, default_grid, mean_matrix_R_many,
                       sphere_grid, sphere_sweep, symmetrized_S)
 
 LN2 = math.log(2.0)
-_FLOW_MAX_NODES_PER_OCTAVE = 256   # the dynamics lattice is halved no finer
 
 CLASS_INCONCLUSIVE = "inconclusive"
 CLASS_LIPSCHITZ = "lipschitz-at-origin"
@@ -496,33 +495,26 @@ def _flow_lattice(profile: RadialProfile, t0: float):
 def _dynamics_evidence(profile: RadialProfile, budget: Budget):
     """Stability from t0 and from 2 t0, and asymptotics, off one flow.
 
-    The flow is ``dynsys.lattice_flow`` on the profile's own R samples, so it
-    makes no sphere quadrature of its own unless the lattice must reach
+    The flow is ``dynsys.refined_flow`` from the profile's own R samples, so
+    it makes no sphere quadrature of its own unless the lattice must reach
     beyond the profile (dyn_t0 < -ln eps, or an odd count of intervals) or
-    be refined: while the Richardson
-    estimate from every other node exceeds ``dyn_tol``, the lattice is
-    halved with one sweep of the midpoints, down to
-    _FLOW_MAX_NODES_PER_OCTAVE.  The window opening is a free parameter, so
-    the stability constant is re-measured from twice the default start on
-    the rebased flow.
+    be halved to meet ``dyn_tol``, one sweep of the midpoints per halving.
+    The window opening is a free parameter, so the stability constant is
+    re-measured from twice the default start on the rebased flow.
     """
     t0 = budget.dyn_t0
     s, R = _flow_lattice(profile, t0)
-    flow = dynsys.lattice_flow(s, R)
-    while (dynsys.lattice_flow_error(s, R, flow) > budget.dyn_tol
-           and (s[2] - s[1]) * _FLOW_MAX_NODES_PER_OCTAVE > LN2 * (1 + 1e-9)):
-        mid = 0.5 * (s[1:] + s[:-1])
-        R_mid = mean_matrix_R_many(profile.field, np.exp(-mid), profile.grid)
-        s = np.insert(s, np.arange(1, len(s)), mid)
-        R = np.insert(R, np.arange(1, len(R)), R_mid, axis=0)
-        flow = dynsys.lattice_flow(s, R)
+    sample = lambda t: mean_matrix_R_many(profile.field, np.exp(-t), profile.grid)
+    flow = dynsys.refined_flow(sample, s, budget.dyn_tol, R)
     t1 = float(profile.s_nodes[-1])   # the profile depth
     track = dynsys.flow_track(flow, np.linspace(t0, t1, 257))
     stab = dynsys.stability_constant(track)
     stab2 = dynsys.stability_constant(track.resample(np.linspace(2 * t0, t1, 257)))
     asym = dynsys.AsymptoticReport(dynsys.INCONCLUSIVE)
     if t1 - t0 >= 10:
-        asym = dynsys.asymptotic_limit(track.flow.column(0), tol=budget.asi_tol)
+        col = track.flow.column(0)
+        asym = dynsys.asymptotic_limit(col.eval, col.t[0], col.t[-1],
+                                       tol=budget.asi_tol)
     return stab, stab2, asym
 
 

@@ -3,7 +3,7 @@
 For fields A(x) = I + g(|x|) theta theta^T every diagnostic in this package
 collapses to the scalar flow d(phi)/dt = ((n-1)/n) gtil(t) phi with
 gtil(t) = g(e^-t), which makes the family the laboratory for sharpness
-questions: closed-form solutions provide integrator oracles, and plateau
+questions: the flow is exp(((n-1)/n) int gtil) in closed form, and plateau
 constructions separate uniform stability from asymptotic constancy.
 """
 
@@ -23,18 +23,18 @@ KIND_MINUS_INFINITY = "minus-infinity"
 
 @dataclass(frozen=True)
 class ScalarGenerator:
-    """Scalar log-time generator gtil(t) with optional exact integral.
+    """Scalar log-time generator gtil(t) with its exact integral.
 
-    ``breakpoints`` are the discontinuity times (plateau edges); adaptive
-    integration must restart there.  ``cumulative`` is the exact
-    antiderivative int_0^t gtil when available; ``envelope`` is an optional
-    (C, a) pair certifying |gtil(t)| <= C * max(t, 1)^-a.
+    ``cumulative`` is the antiderivative int_0^t gtil.  ``breakpoints`` are
+    the discontinuity times (plateau edges); the window grid puts nodes on
+    them, since K peaks there.  ``envelope`` is an optional (C, a) pair
+    certifying |gtil(t)| <= C * max(t, 1)^-a.
     """
 
     name: str
     gtil: Callable[[np.ndarray], np.ndarray]
+    cumulative: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple = ()
-    cumulative: Optional[Callable[[np.ndarray], np.ndarray]] = None
     envelope: Optional[tuple] = None
 
     def __call__(self, t):
@@ -49,8 +49,8 @@ WHITELIST: dict = {}
 
 
 def _register(name, gtil, cumulative, envelope=None):
-    WHITELIST[name] = ScalarGenerator(name, _vec(gtil), (), _vec(cumulative),
-                                      envelope)
+    WHITELIST[name] = ScalarGenerator(name, _vec(gtil), _vec(cumulative),
+                                      envelope=envelope)
 
 
 _register("zero", lambda t: np.zeros_like(t), lambda t: np.zeros_like(t))
@@ -63,17 +63,9 @@ _register("one-over-1pt-sq", lambda t: (1.0 + t) ** -2.0,
 
 
 def closed_form_phi(gen: ScalarGenerator, n: int, t, phi0: float = 1.0):
-    """phi(t) = phi0 * exp(((n-1)/n) int_0^t gtil); requires the exact integral."""
-    if gen.cumulative is None:
-        raise ValueError(f"generator {gen.name!r} carries no closed-form integral")
+    """phi(t) = phi0 * exp(((n-1)/n) int_0^t gtil), the scalar flow exactly."""
     t = np.asarray(t, float)
     return phi0 * np.exp((n - 1.0) / n * gen.cumulative(t))
-
-
-def scalar_rfun(gen: ScalarGenerator, n: int) -> Callable:
-    """Matrix generator for the scalar flow: R(t) = -((n-1)/n) gtil(t)."""
-    nu = (n - 1.0) / n
-    return lambda t: np.array([[-nu * float(gen.gtil(np.asarray(t, float)))]])
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +254,19 @@ def verify_independence(gen: ScalarGenerator, n: int = 2,
     asymptotically constant (quiet tail), uniform-stability evidence
     negative (window constants keep growing), and square-integrability
     positive; that triple is what makes the two asymptotic notions
-    independent of each other.
+    independent of each other.  The flow is ``closed_form_phi``, read on a
+    window grid with a node on every plateau edge.
     """
     from .dyadic import analyze_scalar_sequence
 
     if horizon is None:
         horizon = getattr(gen, "horizon", 0.0) or 100.0
     grid = _window_grid(0.0, horizon, gen.breakpoints)
-    track = dynsys.fundamental_matrix(scalar_rfun(gen, n), grid, tol=1e-9,
-                                      breakpoints=gen.breakpoints)
+    track = dynsys.FundamentalMatrixTrack(
+        grid, closed_form_phi(gen, n, grid)[:, None, None])
     stab = dynsys.stability_constant(track)
-    asym = dynsys.asymptotic_limit(track.flow.column(0), tol=tol)
+    asym = dynsys.asymptotic_limit(lambda t: closed_form_phi(gen, n, t)[:, None],
+                                   0.0, horizon, tol=tol)
 
     blocks = getattr(gen, "blocks", None)
     if blocks is not None:
@@ -285,11 +279,7 @@ def verify_independence(gen: ScalarGenerator, n: int = 2,
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (g2[1:] + g2[:-1]) * np.diff(ts))])
         ends = horizon * 2.0 ** np.arange(-12, 1, 1.0)
         sq_partials = np.interp(ends, ts, cum)
-        if gen.cumulative is not None:
-            final = float(gen.cumulative(np.asarray([horizon]))[0])
-        else:
-            gv = np.asarray(gen.gtil(ts), float)
-            final = float(np.sum(0.5 * (gv[1:] + gv[:-1]) * np.diff(ts)))
+        final = float(gen.cumulative(np.asarray([horizon]))[0])
         wsup = float("nan")
     sq_verdict = analyze_scalar_sequence(
         np.arange(1, len(sq_partials) + 1), sq_partials, tol=1e-6).verdict

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ellipreg import coeff, dynsys, sphmean
+from ellipreg import coeff, sphmean
 
 
 @pytest.fixture(scope="session")
@@ -39,14 +39,13 @@ def random_spd(rng, n, lo=0.5, hi=3.0):
     return q @ np.diag(rng.uniform(lo, hi, n)) @ q.T
 
 
-def count_solves(monkeypatch):
-    """Record the arguments of every dynsys.integrate_system call."""
-    calls = []
-    inner = dynsys.integrate_system
+def scalar_rfun(gen, n):
+    """Matrix generator of a scalar flow: R(t) = -((n-1)/n) gtil(t), 1x1."""
+    nu = (n - 1.0) / n
+    return lambda t: np.array([[-nu * float(gen.gtil(np.asarray(t, float)))]])
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(dynsys, "integrate_system", counted)
-    return calls
+def batched(rfun):
+    """A per-time generator as the array sampler ``dynsys.refined_flow`` takes."""
+    return lambda ts: np.stack([np.atleast_2d(np.asarray(rfun(t), float))
+                                for t in ts])

@@ -1,9 +1,9 @@
 """Adaptive Runge-Kutta flow, kept as a reference for the tests.
 
-scipy's RK45 solves d(phi)/dt = -R(t) phi with the tolerance mapping
-``dynsys.integrate_system`` uses (rtol = tol/10, atol = tol/100 *
-max(1, max |phi0|)), restarting at every breakpoint.  The Magnus flows of
-``dynsys`` must agree with it to within 10*tol.
+scipy's RK45 solves d(phi)/dt = -R(t) phi at rtol = tol/10 and atol =
+tol/100 * max(1, max |phi0|), restarting at every breakpoint.  It shares no
+code with the Magnus flows of ``dynsys``, which must agree with it to within
+10*tol.
 """
 
 from dataclasses import dataclass

@@ -14,7 +14,9 @@ from ellipreg import coeff, criteria, dynsys, pde_verify, sphmean
 from ellipreg import gilbarg_serrin as gs
 from ellipreg.coeff import inv_log_modulus, power_modulus
 
-from conftest import gs_log_field, gs_power_field, random_spd
+from conftest import (batched, gs_log_field, gs_power_field, random_spd,
+                      scalar_rfun)
+from rk45_reference import rk45_integrate
 
 
 class _Criterion:
@@ -108,10 +110,12 @@ def test_criterion_05_scalar_flow_oracle():
         tq = np.linspace(0.0, 100.0, 2001)
         for name in names:
             gen = gs.WHITELIST[name]
-            traj = dynsys.integrate_system(gs.scalar_rfun(gen, 2), 0.0, 100.0,
-                                           [1.0], tol)
+            # the lattice flow, read at its nodes: every point of tq is one
+            flow = dynsys.refined_flow(batched(scalar_rfun(gen, 2)),
+                                       np.linspace(0.0, 100.0, 4001), tol,
+                                       strict=True)
             want = gs.closed_form_phi(gen, 2, tq)
-            got = traj.eval(tq)[:, 0]
+            got = flow.y[::(len(flow.t) - 1) // 2000, 0, 0]
             assert np.max(np.abs(got - want)) <= 1e-7
 
 
@@ -131,13 +135,13 @@ def test_criterion_07_growth_bound_ratio():
         nu = 0.5   # (n-1)/n at n = 2
         cases = []
         for name, gen in sorted(gs.WHITELIST.items()):
-            cases.append((gs.scalar_rfun(gen, 2),
+            cases.append((scalar_rfun(gen, 2),
                           lambda t, g=gen: nu * float(g.gtil(np.asarray(t, float))),
                           lambda t, g=gen: nu * g.cumulative(np.asarray(t, float)),
                           (), 60.0))
         for kind in (gs.KIND_CONVERGENT_IMPROPER, gs.KIND_MINUS_INFINITY):
             gen = gs.build_cesari_counterexample(kind)
-            cases.append((gs.scalar_rfun(gen, 2),
+            cases.append((scalar_rfun(gen, 2),
                           lambda t, g=gen: nu * float(g.gtil(np.asarray(t, float))),
                           lambda t, g=gen: nu * g.cumulative(np.asarray(t, float)),
                           gen.breakpoints, gen.horizon))
@@ -147,8 +151,8 @@ def test_criterion_07_growth_bound_ratio():
         for rfun, mu, cum, breaks, horizon in cases:
             phi0 = np.ones(np.asarray(rfun(0.0)).shape[0] if np.asarray(
                 rfun(0.0)).ndim else 1)
-            traj = dynsys.integrate_system(rfun, 0.0, horizon, phi0, 1e-9,
-                                           breakpoints=breaks)
+            traj = rk45_integrate(rfun, 0.0, horizon, phi0, 1e-9,
+                                  breakpoints=breaks)
             ratio = dynsys.gronwall_bound_check(traj, mu, cum)
             assert ratio <= 1 + 1e-6
 

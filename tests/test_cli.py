@@ -5,9 +5,11 @@ import re
 
 import pytest
 
-from ellipreg import cli, pde_verify, sphmean
+import numpy as np
 
-from conftest import count_solves
+from ellipreg import cli, dynsys, pde_verify, sphmean
+
+from rk45_reference import rk45_fundamental_matrix
 
 
 def write_cfg(tmp_path, text, name="run.ini"):
@@ -120,6 +122,8 @@ tol = -1e-6
         ("integrate", "[integrate]\ntol = nan\n", "[integrate] tol"),
         # r = e^-t0 would lie outside the unit ball
         ("integrate", "[integrate]\nt0 = -2.5\nt1 = 5\n", "[integrate] t0"),
+        # e^-t underflows past t = 745, where R would read 0
+        ("integrate", "[integrate]\nt1 = 1e4\n", "[integrate] t1"),
         ("gs", "[gs]\ntol = 0\n", "[gs] tol"),
         ("gs", "[gs]\nhorizon = nan\n", "[gs] horizon"),
         ("gs", "[gs]\nhorizon = -5\n", "[gs] horizon"),
@@ -140,6 +144,19 @@ tol = -1e-6
             cli.load_config(cfg, subcommand)
         assert cli.main([subcommand, cfg]) == cli.EXIT_CONFIG
         assert name in capsys.readouterr().err
+
+    def test_t1_bound_is_for_the_field_only(self, tmp_path):
+        # a named generator never evaluates e^-t: its closed form runs on
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, IDENTITY.format(out=out) + """
+[integrate]
+generator = neg-exp-decay
+t1 = 1e4
+""")
+        assert cli.main(["integrate", cfg]) == cli.EXIT_OK
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert rows[-1, 0] == 1e4
+        assert rows[-1, 1] == pytest.approx(np.exp(-0.5), rel=1e-14)
 
     def test_expression_whitelist_enforced(self, tmp_path):
         cfg = write_cfg(tmp_path, """
@@ -218,9 +235,17 @@ generator = field
 t0 = 0.7
 t1 = 20
 """)
-        calls = count_solves(monkeypatch)
+        sweeps = []
+        inner = sphmean.mean_matrix_R_many
+
+        def counted(*args, **kwargs):
+            sweeps.append(len(args[1]))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(sphmean, "mean_matrix_R_many", counted)
         assert cli.main(["integrate", cfg]) == cli.EXIT_OK
-        assert len(calls) == 1
+        # one sweep of the 1025-node starting lattice meets the default tol
+        assert sweeps == [1025]
         report = json.load(open(out / "report.json"))
         # contracting profile: the flow never grows
         assert report["payload"]["K_hat"] == pytest.approx(1.0, abs=1e-6)
@@ -230,6 +255,32 @@ t1 = 20
         assert rows[0] == ["t", "phi_1", "phi_2", "Phi_norm", "K_running"]
         assert [float(v) for v in rows[1][1:3]] == [1.0, 0.0]
         assert float(rows[-1][4]) == report["payload"]["K_hat"]
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    @pytest.mark.filterwarnings("ignore:At least one element of `rtol`")
+    def test_integrate_field_rows_within_tol(self, tmp_path, tol):
+        # every row against RK45 at 1e-13: the rows are flow nodes, where
+        # the flow's error estimate holds
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, BASE.format(out=out) + f"""
+[integrate]
+generator = field
+t1 = 30
+tol = {tol}
+""")
+        assert cli.main(["integrate", cfg]) == cli.EXIT_OK
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        t = rows[:, 0]
+        np.testing.assert_array_equal(t, np.linspace(0.0, 30.0, 513))
+        grid = sphmean.default_grid(2)
+        field = cli.build_field(cli.load_config(cfg, "integrate"))
+        rfun = lambda s: sphmean.mean_matrix_R(field, np.exp(-s), grid)
+        Phi = rk45_fundamental_matrix(rfun, t, 1e-13)
+        K = dynsys.stability_constant(dynsys.FundamentalMatrixTrack(t, Phi))
+        want = np.column_stack([Phi[:, :, 0],
+                                np.linalg.norm(Phi.reshape(len(t), -1), axis=1),
+                                K.K_running])
+        assert np.max(np.abs(rows[:, 1:] - want)) <= tol
 
     @pytest.mark.parametrize("subcommand, csv_name", [
         ("integrate", "trajectory.csv"),
@@ -347,7 +398,7 @@ radii = 0.5, 0.25, 0.125
 
     def test_numerical_failure_exits_1(self, tmp_path):
         out = tmp_path / "out"
-        # no step size meets a tolerance below the rounding of the flow
+        # no lattice meets a tolerance below the rounding of the flow
         cfg = write_cfg(tmp_path, BASE.format(out=out) + """
 [integrate]
 t0 = 0
@@ -356,7 +407,10 @@ tol = 1e-18
 """)
         assert cli.main(["integrate", cfg]) == cli.EXIT_NUMERICAL
         partial = json.load(open(out / "report_partial.json"))
-        assert "step size underflow" in partial["payload"]["error"]
+        error = partial["payload"]["error"]
+        assert partial["payload"]["error_type"] == "IntegrationError"
+        assert re.search(r"Richardson estimate \S+ at the finest spacing "
+                         r"0\.00\d+", error), error
 
 
     def test_solver_failure_exits_1(self, tmp_path):

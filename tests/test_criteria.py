@@ -12,8 +12,9 @@ from ellipreg.dyadic import (RATE_LOG, RATE_TO_MINUS_INF, VERDICT_CONVERGES,
                              VERDICT_DIVERGES, VERDICT_INCONCLUSIVE,
                              VERDICT_OSCILLATES, IntegralEvidence)
 
-from conftest import count_solves, gs_log_field, gs_power_field
+from conftest import gs_log_field, gs_power_field
 from profile_reference import reference_profile
+from rk45_reference import rk45_fundamental_matrix, rk45_integrate
 from volume_form_reference import sphere_area, volume_integral_partials
 
 
@@ -627,36 +628,45 @@ def rotated_rank_one_field(c=0.6, turn=0.6):
 
 
 def adaptive_dynamics(field, budget):
-    """The classifier's three dynamics items from an adaptive solve on R(t)."""
+    """The classifier's three dynamics items from RK45 solves on R(t)."""
     grid = budget.sphere_grid(field.dim)
     t0 = budget.dyn_t0
     t1 = -math.log(budget.eps) + budget.k_max * math.log(2.0)
     rfun = lambda t: sphmean.mean_matrix_R(field, math.exp(-t), grid)
-    track = dynsys.fundamental_matrix(rfun, np.linspace(t0, t1, 257),
-                                      budget.dyn_tol)
-    return (dynsys.stability_constant(track),
-            dynsys.stability_constant(track.resample(np.linspace(2 * t0, t1, 257))),
-            dynsys.asymptotic_limit(track.flow.column(0), tol=budget.asi_tol))
+    tg = np.linspace(t0, t1, 257)
+    traj = rk45_integrate(rfun, t0, t1, np.eye(field.dim), budget.dyn_tol)
+    Phi = traj.eval(tg)
+    Phi[0] = np.eye(field.dim)
+    tg2 = np.linspace(2 * t0, t1, 257)
+    Phi2 = rk45_fundamental_matrix(rfun, tg2, budget.dyn_tol)
+    return (dynsys.stability_constant(dynsys.FundamentalMatrixTrack(tg, Phi)),
+            dynsys.stability_constant(dynsys.FundamentalMatrixTrack(tg2, Phi2)),
+            dynsys.asymptotic_limit(lambda t: traj.eval(t)[:, :, 0], t0, t1,
+                                    tol=budget.asi_tol))
 
 
 class TestDynamicsSolves:
     @pytest.mark.parametrize("n, k_max", [(2, 30), (3, 15)])
-    def test_classify_makes_no_solve(self, monkeypatch, n, k_max):
-        # the flow steps the profile's own R samples: no adaptive solve and
-        # no single-radius sphere quadrature
-        calls = count_solves(monkeypatch)
-        means = []
-        inner = sphmean.mean_matrix_R
+    def test_classify_sweeps_only_the_profile(self, monkeypatch, n, k_max):
+        # the flow steps the profile's own R samples: one sphere sweep, the
+        # profile's, and no single-radius sphere quadrature
+        sweeps, means = [], []
+        inner_many, inner = criteria.mean_matrix_R_many, sphmean.mean_matrix_R
+
+        def counted_many(*args, **kwargs):
+            sweeps.append(args[1])
+            return inner_many(*args, **kwargs)
 
         def counted(*args, **kwargs):
             means.append(args)
             return inner(*args, **kwargs)
 
+        monkeypatch.setattr(criteria, "mean_matrix_R_many", counted_many)
         for module in (sphmean, criteria):
             monkeypatch.setattr(module, "mean_matrix_R", counted, raising=False)
         v = criteria.classify(gs_log_field(-1.0, shift=2.0, n=n),
                               criteria.Budget(k_max=k_max))
-        assert calls == [] and means == []
+        assert len(sweeps) == 1 and means == []
         assert v.evidence["dynsys_asymptotic"].residual is not None
 
     @pytest.mark.parametrize("change, sweeps", [
@@ -691,10 +701,19 @@ class TestDynamicsSolves:
             assert got.K_hat == pytest.approx(want.K_hat, rel=1e-7)
         assert ev["dynsys_asymptotic"].verdict == asym.verdict
 
-    def test_verify_independence_makes_one_solve(self, monkeypatch):
-        calls = count_solves(monkeypatch)
-        gs.verify_independence(gs.WHITELIST["exp-decay"], 2, horizon=60.0)
-        assert len(calls) == 1
+    def test_verify_independence_steps_no_flow(self, monkeypatch):
+        # a scalar generator's flow is its closed form: no lattice is swept
+        sweeps = []
+        inner = dynsys.lattice_flow
+
+        def counted(*args, **kwargs):
+            sweeps.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(dynsys, "lattice_flow", counted)
+        rep = gs.verify_independence(gs.WHITELIST["exp-decay"], 2, horizon=60.0)
+        assert sweeps == []
+        assert rep.asym_constant.limit[0] == pytest.approx(np.exp(0.5), rel=1e-12)
 
     def test_rebased_2t0_matches_fresh_start(self):
         field = rotated_rank_one_field()
@@ -703,8 +722,9 @@ class TestDynamicsSolves:
         grid = sphmean.default_grid(2)
         t1 = -math.log(budget.eps) + budget.k_max * math.log(2.0)
         rfun = lambda t: sphmean.mean_matrix_R(field, math.exp(-t), grid)
-        fresh = dynsys.stability_constant(dynsys.fundamental_matrix(
-            rfun, np.linspace(2 * budget.dyn_t0, t1, 257), budget.dyn_tol))
+        tg = np.linspace(2 * budget.dyn_t0, t1, 257)
+        fresh = dynsys.stability_constant(dynsys.FundamentalMatrixTrack(
+            tg, rk45_fundamental_matrix(rfun, tg, budget.dyn_tol)))
         assert fresh.K_hat > 1.1
         assert stab2.verdict_uniform_stability == fresh.verdict_uniform_stability
         assert stab2.K_hat == pytest.approx(fresh.K_hat, rel=1e-7)
