@@ -67,6 +67,8 @@ class RunConfig:
     options: dict = dc_field(default_factory=dict)
     output_dir: str = "."
     gs_example: Optional[tuple] = None   # (generator, horizon) of a gs run
+    # what the run records for the report's provenance_volatile block
+    volatile: dict = dc_field(default_factory=dict)
 
     @property
     def config_hash(self) -> str:
@@ -122,6 +124,12 @@ def load_config(path: str, subcommand: str) -> RunConfig:
             cfg.budget.validate()
         except ValueError as e:
             raise ConfigError(f"[budget] {e}") from None
+        # a sphere sweep holds at least one whole sphere of field samples
+        res, top = cfg.budget.grid_resolution, sphmean.max_resolution(cfg.dim)
+        if res is not None and res > top:
+            raise ConfigError(f"[budget] grid_resolution: must be at most {top} "
+                              f"in {cfg.dim}-D, so one sphere of field samples "
+                              "fits a sweep chunk")
     for name in ("integrate", "gs", "pde", "moments"):
         if parser.has_section(name):
             cfg.options[name] = dict(parser[name])
@@ -230,6 +238,7 @@ def write_report(cfg: RunConfig, payload: dict, wall_time: float,
         "config_hash": cfg.config_hash,
         "payload": _jsonable(payload),
         "provenance_volatile": {
+            **_jsonable(cfg.volatile),
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
             "wall_time_s": round(wall_time, 3),
         },
@@ -389,12 +398,13 @@ def run_integrate(cfg: RunConfig) -> dict:
     n = cfg.dim
     if source == "field":
         field = build_field(cfg)
-        grid = cfg.budget.sphere_grid(n)
-        sample = lambda t: sphmean.mean_matrix_R_many(field, np.exp(-t), grid)
+        sampler = sphmean.sphere_sampler(n, cfg.budget.grid_resolution, tol / 10)
+        sample = lambda t: sphmean.mean_matrix_R_many(field, np.exp(-t), sampler)
         # 1024 intervals: the 513 output rows are flow nodes, where the
         # Richardson estimate holds
         flow = dynsys.refined_flow(sample, np.linspace(t0, t1, 1025), tol,
                                    strict=True)
+        cfg.volatile["sphere_quadrature"] = sampler.record()
         step = (len(flow.t) - 1) // 512
         track = dynsys.FundamentalMatrixTrack(flow.t[::step], flow.y[::step])
     elif source in gs.WHITELIST:
@@ -420,6 +430,7 @@ def run_integrate(cfg: RunConfig) -> dict:
 def run_classify(cfg: RunConfig, emit_csv: bool = False) -> dict:
     field = build_field(cfg)
     verdict = criteria.classify(field, cfg.budget)
+    cfg.volatile["sphere_quadrature"] = verdict.sampler.record()
     payload = _verdict_payload(verdict)
     if emit_csv:
         for key, ev in verdict.evidence.items():

@@ -302,7 +302,7 @@ def make_gilbarg_serrin(n: int, g: Callable, omega_bound: Modulus,
     def batch(pts, gv=gv, n=n):
         pts = np.atleast_2d(np.asarray(pts, float))
         out = np.broadcast_to(np.eye(n), (len(pts), n, n)).copy()
-        r = np.linalg.norm(pts, axis=1)
+        r = _radii(pts)
         # origin rows get theta = 0, so A = I there; g is read at r = 1
         rs = np.where(r > 0, r, 1.0)
         th = pts / rs[:, None]
@@ -344,7 +344,7 @@ def make_perturbed_radial(n: int, a0: Callable, a1=None,
 
     def batch(pts):
         pts = np.atleast_2d(np.asarray(pts, float))
-        r = np.linalg.norm(pts, axis=1)
+        r = _radii(pts)
         out = np.stack([np.asarray(a0(ri), float) for ri in r])
         if a1_batch is not None:
             out = out + a1_batch(pts) - a1_zero
@@ -397,6 +397,27 @@ def make_custom(n: int, eval_batch: Callable, modulus: Modulus,
     return CoefficientField(dim=n, eval_batch=eval_batch, ellipticity=ellipticity,
                             modulus=modulus, family_tag=FAMILY_CUSTOM,
                             normalized=normalized)
+
+
+# below this |x| the squares of a point's coordinates may underflow
+_RADIUS_UNDERFLOW = 1e-140
+
+
+def _radii(pts: np.ndarray) -> np.ndarray:
+    """|x| per row of ``pts``.
+
+    Rows under _RADIUS_UNDERFLOW are scaled by their largest |x_i| first, so
+    a point at 1e-300 keeps its radius (the plain norm squares it to 0); the
+    other rows take the plain norm, bit for bit.
+    """
+    r = np.linalg.norm(pts, axis=1)
+    tiny = r < _RADIUS_UNDERFLOW
+    if np.any(tiny):
+        p = pts[tiny]
+        scale = np.max(np.abs(p), axis=1)
+        unit = p / np.where(scale > 0, scale, 1.0)[:, None]
+        r[tiny] = scale * np.linalg.norm(unit, axis=1)
+    return r
 
 
 def _is_vectorized(g) -> bool:

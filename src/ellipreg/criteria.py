@@ -24,13 +24,19 @@ than tol/10 is bisected, which closes in on the jumps of a piecewise
 envelope.
 R and mu are integrated on the profile's uniform log-radius nodes by
 cumulative Simpson, so every octave edge carries Simpson pair sums.
+
+Every R that ``classify`` reads (the profile, the flow lattice's extension
+and its halvings) comes from one :class:`~ellipreg.sphmean.SphereSampler`
+of the budget: the ``grid_resolution`` grid as given, or, when that is
+unset, the adaptive ladder 8, 16, ... up to the default grid, each radius
+checked against the rung below it to min(tol, dyn_tol)/10.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -39,8 +45,9 @@ from .coeff import CoefficientField, FieldError, Modulus
 from .dyadic import (IntegralEvidence, VERDICT_CONVERGES, VERDICT_DIVERGES,
                      VERDICT_INCONCLUSIVE, RATE_TO_MINUS_INF,
                      evidence_from_partials)
-from .sphmean import (SphericalGrid, default_grid, mean_matrix_R_many,
-                      sphere_grid, sphere_sweep, symmetrized_S)
+from .sphmean import (SphereSampler, SphericalGrid, default_grid,
+                      mean_matrix_R_many, sphere_grid, sphere_sampler,
+                      sphere_sweep, symmetrized_S)
 
 LN2 = math.log(2.0)
 
@@ -150,7 +157,7 @@ class RadialProfile:
     """
 
     field: CoefficientField
-    grid: SphericalGrid          # the sphere quadrature the profile used
+    grid: Union[SphericalGrid, SphereSampler]   # the profile's sphere quadrature
     eps: float
     k_max: int
     s_nodes: np.ndarray          # (M,)
@@ -171,7 +178,10 @@ class RadialProfile:
 
 def build_radial_profile(field: CoefficientField, eps: float = 0.5,
                          k_max: int = 30, nodes_per_octave: int = 32,
-                         grid: Optional[SphericalGrid] = None) -> RadialProfile:
+                         grid: Union[SphericalGrid, SphereSampler, None] = None
+                         ) -> RadialProfile:
+    """R and mu on the profile's nodes, from ``grid`` (the default grid when
+    None) or through a sampler, which later sweeps of the profile reuse."""
     if grid is None:
         grid = default_grid(field.dim)
     s0 = -math.log(eps)
@@ -337,9 +347,12 @@ def condition_A_minus_I(profile: RadialProfile,
     integral of R to converge absolutely, hence implies both refined
     conditions, and its failure is typical for slow (log-type) envelopes.
     The classifier does not read it, so the field is swept here, on the
-    profile's nodes and grid, one chunk of radii at a time.
+    profile's nodes and grid, one chunk of radii at a time.  The integrand is
+    not polynomial in theta, so a sampler's top rung is the grid.
     """
     s, grid = profile.s_nodes, profile.grid
+    if isinstance(grid, SphereSampler):
+        grid = grid.grid
     absdev = np.empty(len(s))
     for sl, A in sphere_sweep(profile.field, np.exp(-s), grid):
         dev = np.linalg.eigvalsh(A - np.eye(profile.dim))
@@ -384,10 +397,17 @@ class Budget:
                              "the profile depth -ln(eps) + k_max ln 2")
 
     def sphere_grid(self, n: int) -> SphericalGrid:
-        """The sphere quadrature of this budget in dimension n."""
+        """The sphere quadrature of this budget's moment tables in dimension n."""
         if self.grid_resolution is None:
             return default_grid(n)
         return sphere_grid(n, self.grid_resolution)
+
+    def sphere_sampler(self, n: int) -> SphereSampler:
+        """A fresh sampler of every R ``classify`` reads: the grid of
+        ``grid_resolution`` as given, or adaptive to min(tol, dyn_tol)/10,
+        below every gate downstream of R."""
+        return sphere_sampler(n, self.grid_resolution,
+                              min(self.tol, self.dyn_tol) / 10)
 
 
 @dataclass(frozen=True)
@@ -397,6 +417,7 @@ class RegularityVerdict:
     evidence: dict
     dim: int
     budget: Budget
+    sampler: Optional[SphereSampler] = None   # the sphere quadrature's record
 
 
 def classify(field: CoefficientField, budget: Budget = Budget()) -> RegularityVerdict:
@@ -413,14 +434,19 @@ def classify(field: CoefficientField, budget: Budget = Budget()) -> RegularityVe
         raise FieldError("classification requires a normalized field "
                          "(eval(0) = I); this one is flagged non-normalized")
     n = field.dim
-    grid = budget.sphere_grid(n)
+    sampler = budget.sphere_sampler(n)
 
     evidence: dict = {}
+
+    def verdict(classification: str, route: str) -> RegularityVerdict:
+        return RegularityVerdict(classification, route, evidence, n, budget,
+                                 sampler)
+
     sq = square_dini_integral(field.modulus, budget.tol, budget.eps, budget.k_max)
     evidence["square_dini"] = sq
 
     profile = build_radial_profile(field, budget.eps, budget.k_max,
-                                   budget.nodes_per_octave, grid)
+                                   budget.nodes_per_octave, sampler)
     cond11 = check_condition_11(profile, budget.tol)
     pv = pv_integral_R(profile, budget.tol)
     l12b = l1_condition_12b(profile, budget.tol, pv)
@@ -436,32 +462,30 @@ def classify(field: CoefficientField, budget: Budget = Budget()) -> RegularityVe
     evidence["dynsys_stability_2t0"] = stab2
 
     if not sq.converges:
-        return RegularityVerdict(CLASS_INCONCLUSIVE, ROUTE_NONE, evidence, n, budget)
+        return verdict(CLASS_INCONCLUSIVE, ROUTE_NONE)
 
     sinks = (sink.verdict == VERDICT_DIVERGES
              and sink.rate_tag == RATE_TO_MINUS_INF)
     if cond11.bounded and sinks:
-        return RegularityVerdict(CLASS_ZERO_GRADIENT, ROUTE_COR3, evidence, n, budget)
+        return verdict(CLASS_ZERO_GRADIENT, ROUTE_COR3)
 
     if pv.converges and l12b.converges:
-        return RegularityVerdict(CLASS_DIFFERENTIABLE, ROUTE_COR2, evidence, n, budget)
+        return verdict(CLASS_DIFFERENTIABLE, ROUTE_COR2)
     if pv.converges and l12b.verdict == VERDICT_INCONCLUSIVE:
         iterated = iterated_condition_13(profile, budget.tol)
         evidence["iterated_13"] = iterated
         if iterated.level2_passes:
-            return RegularityVerdict(CLASS_DIFFERENTIABLE, ROUTE_COR2_ITER,
-                                     evidence, n, budget)
+            return verdict(CLASS_DIFFERENTIABLE, ROUTE_COR2_ITER)
 
     if cond11.bounded:
-        return RegularityVerdict(CLASS_LIPSCHITZ, ROUTE_COR1, evidence, n, budget)
+        return verdict(CLASS_LIPSCHITZ, ROUTE_COR1)
 
     if dyn_stab.verdict_uniform_stability == dynsys.EVIDENCE_STABLE:
         if dyn_asym.verdict == dynsys.EVIDENCE_YES:
-            return RegularityVerdict(CLASS_DIFFERENTIABLE, ROUTE_DYNSYS,
-                                     evidence, n, budget)
-        return RegularityVerdict(CLASS_LIPSCHITZ, ROUTE_DYNSYS, evidence, n, budget)
+            return verdict(CLASS_DIFFERENTIABLE, ROUTE_DYNSYS)
+        return verdict(CLASS_LIPSCHITZ, ROUTE_DYNSYS)
 
-    return RegularityVerdict(CLASS_INCONCLUSIVE, ROUTE_NONE, evidence, n, budget)
+    return verdict(CLASS_INCONCLUSIVE, ROUTE_NONE)
 
 
 def _flow_lattice(profile: RadialProfile, t0: float):

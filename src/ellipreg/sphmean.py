@@ -10,12 +10,27 @@ with its symmetrization S = -(R + R^T)/2, the top eigenvalue mu(S), and the
 degree-<=4 moment matrices used by the first-order reduction.  Every R in
 the package, at one radius or many, comes from the one kernel
 :func:`mean_R_kernel` applied to field samples on a grid.
+
+R over many radii goes through :func:`mean_matrix_R_many`, on a fixed grid
+or through a :class:`SphereSampler`.  A sampler with one rung sweeps that
+grid as given.  An adaptive sampler climbs the ladder 8, 16, ... up to the
+default resolution (64 in 2-D, 32 in 3-D) radius by radius: every radius
+is swept at 8 and 16, is done when the two agree to the sampler's tol
+(relative once |R| > 1) and keeps the finer value; the others double
+again.  The top rung is the default grid, so there R is the default
+grid's value, agreed or not.  Every rung below the top is turned in the x1 x2 plane by
+the golden fraction of 2 pi / resolution.  Untouched, the m-node rule would
+nest in the 2 m-node one, and both would alias the angular modes that are
+multiples of 2 m with the same phase: they would agree on a wrong value
+(a 2-D cos(14 phi) term settled at 16 nodes with R off by a quarter of its
+amplitude).  Turned by irrational fractions, no aliased mode lines up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+import math
+from dataclasses import dataclass, field as dc_field
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -24,6 +39,8 @@ from .coeff import CoefficientField
 # field samples held by one chunk of a sphere sweep: 2^20 doubles (8 MB),
 # 56 radii on the 3-D default grid and 4096 on the 2-D one
 _SWEEP_CHUNK_DOUBLES = 1 << 20
+_MIN_RESOLUTION = 8
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0   # the turn of a lower rung, per 2 pi / res
 
 
 @dataclass(frozen=True)
@@ -66,8 +83,8 @@ def sphere_grid(n: int, resolution: int) -> SphericalGrid:
     polynomial integrands of degree <= 2*resolution - 1 in the polar
     direction and trigonometric degree < 2*resolution in azimuth.
     """
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
+    if resolution < _MIN_RESOLUTION:
+        raise ValueError(f"resolution must be at least {_MIN_RESOLUTION}")
     if n == 2:
         th = 2.0 * np.pi * np.arange(resolution) / resolution
         nodes = np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -90,8 +107,78 @@ def sphere_grid(n: int, resolution: int) -> SphericalGrid:
     raise ValueError(f"unsupported dimension n = {n}; only 2 and 3 are implemented")
 
 
+def default_resolution(n: int) -> int:
+    return 64 if n == 2 else 32
+
+
 def default_grid(n: int) -> SphericalGrid:
-    return sphere_grid(n, 64 if n == 2 else 32)
+    return sphere_grid(n, default_resolution(n))
+
+
+def max_resolution(n: int) -> int:
+    """The finest resolution whose one sphere of n x n field samples fits a
+    sweep chunk: a sweep holds at least one whole sphere."""
+    per_sphere = _SWEEP_CHUNK_DOUBLES // (n * n)
+    return per_sphere if n == 2 else math.isqrt(per_sphere // 2)
+
+
+@dataclass
+class SphereSampler:
+    """A ladder of sphere grids for R, coarsest first, and a record of its work.
+
+    With one rung the grid is swept as given.  With more, each radius climbs
+    until a rung agrees with the one below it to ``tol`` (relative once
+    |R| > 1), or reaches the top; see the module docstring.  ``settled``
+    counts the radii that kept each rung, ``max_discrepancy`` is the largest
+    scaled gap of the pair that settled a radius, and ``field_evals`` counts
+    field samples.
+    """
+
+    resolutions: tuple
+    grids: tuple
+    tol: float
+    settled: dict = dc_field(default_factory=dict)
+    max_discrepancy: float = 0.0
+    field_evals: int = 0
+
+    @property
+    def grid(self) -> SphericalGrid:
+        """The top rung: the grid for integrands no rung is exact for."""
+        return self.grids[-1]
+
+    def record(self) -> dict:
+        """The sampler's work, for a report's volatile provenance block."""
+        kept = self.resolutions[1:] or self.resolutions   # rungs a radius keeps
+        out = {"radii_settled": {str(r): self.settled.get(r, 0) for r in kept},
+               "field_evaluations": self.field_evals}
+        if len(self.grids) > 1:
+            out["pair_tol"] = self.tol
+            out["max_pair_discrepancy"] = self.max_discrepancy
+        return out
+
+
+def _turned(grid: SphericalGrid, angle: float) -> SphericalGrid:
+    """The grid turned by ``angle`` in the x1 x2 plane."""
+    c, s = math.cos(angle), math.sin(angle)
+    nodes = grid.nodes.copy()
+    nodes[:, 0] = c * grid.nodes[:, 0] - s * grid.nodes[:, 1]
+    nodes[:, 1] = s * grid.nodes[:, 0] + c * grid.nodes[:, 1]
+    return SphericalGrid(grid.dim, nodes, grid.weights)
+
+
+def sphere_sampler(n: int, resolution: Optional[int] = None,
+                   tol: float = 0.0) -> SphereSampler:
+    """The grid of ``resolution`` as given, or, when it is None, the adaptive
+    ladder 8, 16, ... up to the default grid, checked to ``tol``, each rung
+    below the top turned (module docstring)."""
+    if resolution is not None:
+        return SphereSampler((resolution,), (sphere_grid(n, resolution),), tol)
+    top = default_resolution(n)
+    ladder = tuple(_MIN_RESOLUTION << k
+                   for k in range((top // _MIN_RESOLUTION).bit_length()))
+    grids = tuple(_turned(sphere_grid(n, r), 2.0 * math.pi * _GOLDEN / r)
+                  for r in ladder[:-1]) + (default_grid(n),)
+    return SphereSampler(ladder, grids, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +230,62 @@ def sphere_sweep(field: CoefficientField, radii: np.ndarray,
         yield sl, field.eval_batch(pts).reshape(sl.stop - lo, m, n, n)
 
 
-def mean_matrix_R_many(field: CoefficientField, radii: np.ndarray,
-                       grid: Optional[SphericalGrid] = None) -> np.ndarray:
-    """R(r) over an array of radii, shape (M, n, n).
-
-    One :func:`sphere_sweep` of the field, each chunk reduced by
-    :func:`mean_R_kernel` into the output, so only one chunk of field samples
-    is held at a time.
-    """
-    if grid is None:
-        grid = default_grid(field.dim)
-    n = field.dim
-    R = np.empty((len(radii), n, n))
+def _sweep_R(field: CoefficientField, radii: np.ndarray,
+             grid: SphericalGrid) -> np.ndarray:
+    R = np.empty((len(radii), field.dim, field.dim))
     for sl, A in sphere_sweep(field, radii, grid):
         R[sl] = mean_R_kernel(A, grid)
+        del A      # or the chunk outlives the sweep's next field evaluation
     return R
+
+
+def _sampled_R(field: CoefficientField, radii: np.ndarray,
+               sampler: SphereSampler) -> np.ndarray:
+    """R over radii, each radius at the first rung that agrees with the one
+    below it, or at the top rung; one rung's chunk of samples at a time."""
+    top = len(sampler.grids) - 1
+    R = np.empty((len(radii), field.dim, field.dim))
+    live, coarse = np.arange(len(radii)), None
+    for rung, grid in enumerate(sampler.grids):
+        fine = _sweep_R(field, radii[live], grid)
+        sampler.field_evals += len(live) * len(grid.weights)
+        if rung == 0 and top > 0:
+            coarse = fine
+            continue
+        done = np.ones(len(live), bool)
+        if coarse is not None:
+            scale = np.maximum(1.0, np.max(np.abs(fine), axis=(1, 2)))
+            gap = np.max(np.abs(fine - coarse), axis=(1, 2)) / scale
+            if rung < top:
+                done = gap <= sampler.tol        # a NaN gap climbs to the top
+            finite = gap[done][np.isfinite(gap[done])]
+            sampler.max_discrepancy = max(sampler.max_discrepancy,
+                                          float(finite.max(initial=0.0)))
+        R[live[done]] = fine[done]
+        res = sampler.resolutions[rung]
+        sampler.settled[res] = sampler.settled.get(res, 0) + int(done.sum())
+        live, coarse = live[~done], fine[~done]
+        if not len(live):
+            break
+    return R
+
+
+def mean_matrix_R_many(field: CoefficientField, radii: np.ndarray,
+                       grid: Union[SphericalGrid, SphereSampler, None] = None
+                       ) -> np.ndarray:
+    """R(r) over an array of radii, shape (M, n, n).
+
+    On a grid (the default grid when None): one :func:`sphere_sweep` of the
+    field, each chunk reduced by :func:`mean_R_kernel` into the output, so
+    only one chunk of field samples is held at a time.  Through a
+    :class:`SphereSampler`: its ladder, radius by radius, one rung's chunk at
+    a time, with the work added to its record.
+    """
+    radii = np.asarray(radii, float)
+    if isinstance(grid, SphereSampler):
+        return _sampled_R(field, radii, grid)
+    return _sweep_R(field, radii, default_grid(field.dim) if grid is None
+                    else grid)
 
 
 def symmetrized_S(R: np.ndarray) -> np.ndarray:

@@ -116,6 +116,11 @@ tol = -1e-6
         ("classify", "[budget]\neps = 1.5\n", "[budget] eps"),
         ("classify", "[budget]\ngrid_resolution = 4\n",
          "[budget] grid_resolution"),
+        # one sphere of field samples must fit a sweep chunk of 2^20 doubles
+        ("classify", "[run]\ndim = 3\n[budget]\ngrid_resolution = 242\n",
+         "[budget] grid_resolution"),
+        ("moments", "[budget]\ngrid_resolution = 262145\n",
+         "[budget] grid_resolution"),
         ("classify", "[budget]\ndyn_t0 = -1\n", "[budget] dyn_t0"),
         ("classify", "[budget]\ndyn_t0 = nan\n", "[budget] dyn_t0"),
         ("verify", "[pde]\nn = 64\ntol = -1\n", "[pde] tol"),
@@ -144,6 +149,13 @@ tol = -1e-6
             cli.load_config(cfg, subcommand)
         assert cli.main([subcommand, cfg]) == cli.EXIT_CONFIG
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim, res", [(3, 241), (2, 262144)])
+    def test_finest_accepted_grid_resolution(self, tmp_path, dim, res):
+        # loaded only: a sphere this fine is never allocated here
+        cfg = write_cfg(tmp_path, f"[run]\ndim = {dim}\n[budget]\n"
+                        f"grid_resolution = {res}\n")
+        assert cli.load_config(cfg, "classify").budget.grid_resolution == res
 
     def test_t1_bound_is_for_the_field_only(self, tmp_path):
         # a named generator never evaluates e^-t: its closed form runs on
@@ -188,6 +200,25 @@ class TestClassifyRuns:
         with open(out / "condition_square_dini.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "k" and len(rows) > 10
+
+    @pytest.mark.parametrize("res", [None, 16])
+    def test_report_records_the_sphere_quadrature(self, tmp_path, res):
+        out = tmp_path / "out"
+        text = BASE.format(out=out)
+        if res is not None:
+            text = text.replace("k_max = 20", f"k_max = 20\ngrid_resolution = {res}")
+        assert cli.main(["classify", write_cfg(tmp_path, text)]) == cli.EXIT_OK
+        rec = json.load(open(out / "report.json"))["provenance_volatile"][
+            "sphere_quadrature"]
+        M = 20 * 32 + 1       # the profile's radii; its flow sweeps no other
+        if res is None:
+            # rank-one: every radius settles at the first pair, 8 + 16 nodes
+            assert rec["radii_settled"] == {"16": M, "32": 0, "64": 0}
+            assert rec["field_evaluations"] == 24 * M
+            assert rec["pair_tol"] == 1e-9
+            assert 0 <= rec["max_pair_discrepancy"] <= 1e-14
+        else:
+            assert rec == {"radii_settled": {"16": M}, "field_evaluations": 16 * M}
 
     def test_determinism_modulo_volatile_block(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -256,6 +287,21 @@ t1 = 20
         assert [float(v) for v in rows[1][1:3]] == [1.0, 0.0]
         assert float(rows[-1][4]) == report["payload"]["K_hat"]
 
+    def test_integrate_field_deep_in_log_time(self, tmp_path):
+        # r = e^-700 lies far below where |x|^2 underflows (t ~ 354); R must
+        # keep its closed form there, or the flow misses tol and exits 1
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, BASE.format(out=out) + """
+[integrate]
+generator = field
+t1 = 700
+""")
+        assert cli.main(["integrate", cfg]) == cli.EXIT_OK
+        report = json.load(open(out / "report.json"))
+        assert report["payload"]["verdict"] == "evidence-stable"
+        settled = report["provenance_volatile"]["sphere_quadrature"]["radii_settled"]
+        assert settled["32"] == settled["64"] == 0
+
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     @pytest.mark.filterwarnings("ignore:At least one element of `rtol`")
     def test_integrate_field_rows_within_tol(self, tmp_path, tol):
@@ -289,7 +335,11 @@ tol = {tol}
     ])
     def test_grid_resolution_reaches_every_sphere_mean(
             self, tmp_path, monkeypatch, subcommand, csv_name):
-        # every R in the package goes through the kernel: record its grid
+        # every R in the package goes through the kernel: record its grid.
+        # An explicit resolution reaches every sphere mean.  Unset, the
+        # moment tables keep the default grid, while the R sweeps of classify
+        # and integrate climb the adaptive ladder; this rank-one field
+        # settles at its first pair (8 and 16 nodes)
         sizes = []
         inner = sphmean.mean_R_kernel
 
@@ -311,7 +361,9 @@ tol = {tol}
                 grids[sub, res] = set(sizes)
             csvs[res] = (out / csv_name).read_text()
         assert csvs[16] != csvs[None]
-        assert grids[subcommand, None] == grids["classify", None] == {64}
+        assert grids["classify", None] == {8, 16}
+        assert grids[subcommand, None] == ({8, 16} if subcommand == "integrate"
+                                           else {64})
         assert grids[subcommand, 16] == grids["classify", 16] == {16}
 
     def test_appendix_dump(self, tmp_path):

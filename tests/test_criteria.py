@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
 
-from ellipreg import coeff, criteria, dynsys, sphmean
+from ellipreg import cli, coeff, criteria, dynsys, sphmean
 from ellipreg import gilbarg_serrin as gs
 from ellipreg.coeff import inv_log_modulus, power_modulus
 from ellipreg.dyadic import (RATE_LOG, RATE_TO_MINUS_INF, VERDICT_CONVERGES,
@@ -410,6 +410,20 @@ class TestProfileMatchesReference:
         assert peaks[40] <= 1.1 * peaks[10]
         assert peaks[40] < 64e6
 
+    def test_sweep_drops_each_chunk_before_the_next(self):
+        # a rank-one field evaluation peaks near three chunks of samples on
+        # top of its points; a chunk kept while the next is evaluated would
+        # add a fourth
+        field = gs_log_field(-1.0, shift=2.0, n=3)
+        sampler = criteria.Budget(k_max=40).sphere_sampler(3)
+        tracemalloc.start()
+        try:
+            criteria.build_radial_profile(field, k_max=40, grid=sampler)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * sphmean._SWEEP_CHUNK_DOUBLES
+
     def test_profile_keeps_its_grid(self):
         grid = sphmean.sphere_grid(2, 48)
         prof = criteria.build_radial_profile(gs_power_field(0.5), k_max=10,
@@ -607,6 +621,54 @@ class TestClosedFormOracle:
         sq = v.evidence["square_dini"]
         assert sq.converges
         assert sq.limit_as_float() == pytest.approx(eps, abs=10 * v.budget.tol)
+
+
+def verdict_strings(v):
+    """Class, route, soundness and every verdict, rate tag and kind string of
+    a verdict's report payload, by path."""
+    out = {}
+
+    def walk(x, path):
+        if isinstance(x, dict):
+            for key, val in x.items():
+                walk(val, f"{path}.{key}")
+        elif isinstance(x, (str, bool)):
+            out[path] = x
+
+    walk(cli._verdict_payload(v), "")
+    return out
+
+
+class TestAdaptiveSphereQuadrature:
+    """Unset grid_resolution against the default grid given explicitly."""
+
+    RUNS = [(spec, n, k) for spec, _ in LAB_FIELDS
+            for n, k in ((2, 20), (2, 40), (3, 30))]
+
+    @pytest.mark.parametrize("spec, n, k_max", RUNS, ids=[
+        "-".join(map(str, (*spec, f"{n}d", f"k{k}"))) for spec, n, k in RUNS])
+    def test_payload_agrees_with_the_default_grid(self, spec, n, k_max,
+                                                  monkeypatch):
+        profiles = []
+        inner = criteria.build_radial_profile
+
+        def kept(*args, **kwargs):
+            profiles.append(inner(*args, **kwargs))
+            return profiles[-1]
+
+        monkeypatch.setattr(criteria, "build_radial_profile", kept)
+        field = lab_field(spec, n)
+        adaptive, fixed = (criteria.classify(field, criteria.Budget(
+            k_max=k_max, grid_resolution=res))
+            for res in (None, sphmean.default_resolution(n)))
+        assert verdict_strings(adaptive) == verdict_strings(fixed)
+        # a rank-one field settles every radius at the first pair
+        M = k_max * adaptive.budget.nodes_per_octave + 1
+        assert adaptive.sampler.record()["radii_settled"]["16"] == M
+        # relative to the profile's largest |R|: entry by entry, the rules'
+        # rounding (up to 3e-14 in 3-D) outweighs 1e-12 of a deep radius
+        Ra, Rf = (p.R_nodes for p in profiles)
+        assert np.max(np.abs(Ra - Rf)) <= 1e-12 * np.max(np.abs(Rf))
 
 
 def rotated_rank_one_field(c=0.6, turn=0.6):

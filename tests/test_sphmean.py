@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -133,6 +136,160 @@ class TestMeanMatrixR:
             np.testing.assert_allclose(many[i],
                                        sphmean.mean_matrix_R(f, r, grid2),
                                        atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("make", ["gilbarg_serrin", "perturbed_radial"])
+    def test_gs_closed_form_below_square_underflow(self, n, make):
+        # |x| < 1e-154 squares to 0: the radius must not, nor map the point
+        # to I.  The identity part of A cancels in R only to the grid's
+        # rounding, about 5e-15 in 3-D, so 3-D carries that floor
+        f = coeff.make_gilbarg_serrin(n, coeff.parse_radial_expr("-1/log(e^2/r)"),
+                                      coeff.parse_modulus_expr("1/log(e^2/r)"))
+        if make == "perturbed_radial":
+            f = coeff.make_perturbed_radial(n, lambda r: np.eye(n), f,
+                                            modulus=f.modulus)
+        floor = 0.0 if n == 2 else 1e-14
+        for t in (360.0, 400.0, 700.0):
+            want = (1.0 - n) / n * (-1.0 / (2.0 + t))
+            radii = np.array([math.exp(-t)])
+            for grid in (sphmean.default_grid(n), sphmean.sphere_sampler(n, tol=1e-9)):
+                R = sphmean.mean_matrix_R_many(f, radii, grid)[0]
+                assert np.max(np.abs(R - want * np.eye(n))) <= 1e-12 * abs(want) + floor
+
+
+def angular_perturbed_field(n, m):
+    """(1 + r) I plus a1 = 0.2 r^0.5 cos(m phi) I, phi the azimuth in the
+    x1 x2 plane.  The R integrand has frequencies m - 2 .. m + 2 in phi,
+    so resolution 8 (8 azimuth nodes in 2-D, 16 in 3-D) aliases m = 6 and
+    m = 14, and in 2-D resolution 16 aliases m = 14 as well."""
+    def a1(pts):
+        pts = np.atleast_2d(np.asarray(pts, float))
+        amp = 0.2 * np.sqrt(np.linalg.norm(pts, axis=1))
+        amp *= np.cos(m * np.arctan2(pts[:, 1], pts[:, 0]))
+        return amp[:, None, None] * np.eye(n)
+    return coeff.make_perturbed_radial(n, lambda r: (1.0 + r) * np.eye(n), a1,
+                                       modulus=coeff.power_modulus(0.5, 2.0))
+
+
+def cos20_custom_field(n):
+    """I + g (theta theta^T + cos(20 theta_1) I / 2), g = 0.5 r^0.5: a
+    rank-one field plus a term of broad angular spectrum."""
+    def batch(pts):
+        pts = np.atleast_2d(np.asarray(pts, float))
+        r = np.linalg.norm(pts, axis=1)
+        th = pts / np.where(r > 0, r, 1.0)[:, None]
+        g = 0.5 * np.sqrt(r)
+        out = np.eye(n) + g[:, None, None] * th[:, :, None] * th[:, None, :]
+        return out + (0.5 * g * np.cos(20.0 * th[:, 0]))[:, None, None] * np.eye(n)
+    return coeff.make_custom(n, batch, coeff.power_modulus(0.5))
+
+
+class TestSphereSampler:
+    RADII = 2.0 ** -np.linspace(1.0, 30.0, 59)
+
+    def test_ladders(self):
+        assert sphmean.sphere_sampler(2).resolutions == (8, 16, 32, 64)
+        assert sphmean.sphere_sampler(3).resolutions == (8, 16, 32)
+        assert sphmean.sphere_sampler(3, 40).resolutions == (40,)
+        assert sphmean.max_resolution(2) == 2 ** 18
+        # 2 R^2 nodes of 9 doubles: 241 fits 2^20 doubles, 242 does not
+        assert sphmean.max_resolution(3) == 241
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("field_fn", [
+        lambda n: gs_log_field(-1.0, shift=2.0, n=n),
+        lambda n: gs_log_field(0.5, power=2.0, n=n),
+        lambda n: gs_power_field(0.5, c=-0.5, n=n),
+    ])
+    def test_rank_one_fields_settle_at_the_first_pair(self, n, field_fn):
+        # a degree-4 integrand: every rung is exact, so every radius keeps
+        # the 16-node R
+        f = field_fn(n)
+        sampler = sphmean.sphere_sampler(n, tol=1e-9)
+        R = sphmean.mean_matrix_R_many(f, self.RADII, sampler)
+        rec = sampler.record()
+        assert rec["radii_settled"] == {"16": len(self.RADII), "32": 0,
+                                        **({"64": 0} if n == 2 else {})}
+        assert rec["max_pair_discrepancy"] <= 1e-14
+        per_radius = 8 + 16 if n == 2 else 2 * 8 ** 2 + 2 * 16 ** 2
+        assert rec["field_evaluations"] == per_radius * len(self.RADII)
+        ref = sphmean.mean_matrix_R_many(f, self.RADII, sphmean.default_grid(n))
+        # the rules' own rounding: the 3-D default grid's second moments
+        # are off by up to 3e-14
+        np.testing.assert_allclose(R, ref, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("field_fn, n", [
+        (lambda n: angular_perturbed_field(n, 6), 2),
+        # both rules of the first pair alias frequency 16: untouched grids
+        # would agree on a wrong R
+        (lambda n: angular_perturbed_field(n, 14), 2),
+        (lambda n: angular_perturbed_field(n, 14), 3),
+        (cos20_custom_field, 2), (cos20_custom_field, 3),
+    ], ids=["perturbed-cos6-2d", "perturbed-cos14-2d", "perturbed-cos14-3d",
+            "custom-cos20-2d", "custom-cos20-3d"])
+    def test_angular_fields_go_finer_and_match_the_default_grid(self, field_fn, n):
+        f = field_fn(n)
+        tol = 1e-9
+        sampler = sphmean.sphere_sampler(n, tol=tol)
+        R = sphmean.mean_matrix_R_many(f, self.RADII, sampler)
+        ref = sphmean.mean_matrix_R_many(f, self.RADII, sphmean.default_grid(n))
+        settled = sampler.record()["radii_settled"]
+        assert sum(settled.values()) == len(self.RADII)
+        assert sum(c for res, c in settled.items() if int(res) > 16) > 0
+        scale = np.maximum(1.0, np.max(np.abs(ref), axis=(1, 2)))
+        assert np.all(np.max(np.abs(R - ref), axis=(1, 2)) <= tol * scale)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_top_rung_is_the_default_grid_bit_for_bit(self, n):
+        # no pair agrees to tol 0 unless bit-equal, so radii climb to the top
+        f = cos20_custom_field(n)
+        sampler = sphmean.sphere_sampler(n, tol=0.0)
+        R = sphmean.mean_matrix_R_many(f, self.RADII, sampler)
+        top = str(sphmean.default_resolution(n))
+        assert sampler.record()["radii_settled"][top] == len(self.RADII)
+        np.testing.assert_array_equal(R, sphmean.mean_matrix_R_many(
+            f, self.RADII, sphmean.default_grid(n)))
+
+    @pytest.mark.parametrize("n, res", [(2, 24), (3, 12)])
+    def test_explicit_resolution_sweeps_exactly_that_grid(self, n, res,
+                                                          monkeypatch):
+        sizes = []
+        inner = sphmean.mean_R_kernel
+
+        def spy(A, grid):
+            sizes.append(len(grid.weights))
+            return inner(A, grid)
+
+        f = cos20_custom_field(n)
+        sampler = sphmean.sphere_sampler(n, res, tol=1e-9)
+        monkeypatch.setattr(sphmean, "mean_R_kernel", spy)
+        R = sphmean.mean_matrix_R_many(f, self.RADII, sampler)
+        grid = sphmean.sphere_grid(n, res)
+        assert set(sizes) == {len(grid.weights)}
+        assert sampler.record() == {
+            "radii_settled": {str(res): len(self.RADII)},
+            "field_evaluations": len(grid.weights) * len(self.RADII)}
+        np.testing.assert_array_equal(
+            R, sphmean.mean_matrix_R_many(f, self.RADII, grid))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_samples_held_at_once_fit_the_chunk(self, n, monkeypatch):
+        # three spheres of the top rung: a chunk holds at least one
+        top = sphmean.default_grid(n).nodes.size * n
+        cap = 3 * top + 5
+        monkeypatch.setattr(sphmean, "_SWEEP_CHUNK_DOUBLES", cap)
+        held = []
+        f = cos20_custom_field(n)
+        inner = f.eval_batch
+        counted = dataclasses.replace(
+            f, eval_batch=lambda pts: held.append(len(pts) * n * n) or inner(pts))
+        sampler = sphmean.sphere_sampler(n, tol=1e-9)
+        R = sphmean.mean_matrix_R_many(counted, self.RADII, sampler)
+        assert max(held) <= cap
+        assert sum(held) == sampler.field_evals * n * n
+        np.testing.assert_array_equal(
+            R, sphmean.mean_matrix_R_many(f, self.RADII,
+                                          sphmean.sphere_sampler(n, tol=1e-9)))
 
 
 class TestSphereSweep:
