@@ -44,6 +44,7 @@ EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
 _FIELD_T1_MAX = 700.0    # [integrate] t1 with generator = field: e^-t > 0
+_PDE_RADII = [0.5, 0.25, 0.125, 0.0625, 0.03125]   # [pde] radii by default
 
 SUBCOMMANDS = ("moments", "integrate", "classify", "appendix", "gs", "verify",
                "report")
@@ -153,6 +154,15 @@ def load_config(path: str, subcommand: str) -> RunConfig:
             and _option(integrate, "integrate", "t1", 30.0) > _FIELD_T1_MAX):
         raise ConfigError(f"[integrate] t1: must be at most {_FIELD_T1_MAX:g} "
                           "with generator = field")
+    # the grid verifier's circles stay two cells inside the grid: [2h, 1 - 2h]
+    pde = cfg.options.get("pde", {})
+    n = _option(pde, "pde", "n", 256, int)
+    if not 64 <= n <= 1024:
+        raise ConfigError("[pde] n: must lie in [64, 1024]")
+    if not all(4 / n <= r <= 1 - 4 / n
+               for r in _option(pde, "pde", "radii", _PDE_RADII, _floats)):
+        raise ConfigError(f"[pde] radii: each must lie in [2h, 1 - 2h] = "
+                          f"[{4 / n:g}, {1 - 4 / n:g}] at n = {n}")
     if _option(cfg.options.get("moments", {}), "moments", "k_max", 1, int) < 1:
         raise ConfigError("[moments] k_max: must be at least 1")
     if subcommand == "gs":
@@ -537,18 +547,22 @@ def run_verify(cfg: RunConfig) -> dict:
         raise ConfigError("[run] dim: the grid verifier is two-dimensional")
     opts = cfg.options.get("pde", {})
     N = _option(opts, "pde", "n", 256, int)
-    if not (64 <= N <= 1024):
-        raise ConfigError("[pde] n: must lie in [64, 1024]")
     bname = opts.get("boundary", "x1")
     if bname not in _BOUNDARY_FUNS:
         raise ConfigError(f"[pde] boundary: unknown name {bname!r}; "
                           f"choose from {sorted(_BOUNDARY_FUNS)}")
-    radii = _option(opts, "pde", "radii", [0.5, 0.25, 0.125, 0.0625, 0.03125],
-                    _floats)
+    radii = _option(opts, "pde", "radii", _PDE_RADII, _floats)
     tol = _option(opts, "pde", "tol", 1e-12)
     field = build_field(cfg)
-    from . import pde_verify     # sparse solvers; no other run loads them
+    from . import pde_verify     # grid solver; no other run loads it
     sol = pde_verify.solve_dirichlet(field, _BOUNDARY_FUNS[bname], N, tol=tol)
+    cfg.volatile["grid_solve"] = {
+        "levels": list(sol.levels),
+        "stencil_points": list(sol.stencil_points),
+        "iterations": sol.iterations,
+        "rel_residual": sol.residual_norm,
+        "residual_tail": list(sol.residual_tail),
+    }
     dec = pde_verify.spectral_decompose(sol, radii)
     quo = pde_verify.lipschitz_quotient(sol, radii)
     gra = pde_verify.gradient_at_origin(dec)

@@ -357,6 +357,7 @@ def condition_A_minus_I(profile: RadialProfile,
     for sl, A in sphere_sweep(profile.field, np.exp(-s), grid):
         dev = np.linalg.eigvalsh(A - np.eye(profile.dim))
         absdev[sl] = np.einsum("m,rm->r", grid.weights, np.max(np.abs(dev), axis=2))
+        del A, dev   # or the chunk outlives the sweep's next field evaluation
     ks, partials = profile.octave_partials(_cumulative(absdev, s))
     return evidence_from_partials(ks, partials, tol)
 

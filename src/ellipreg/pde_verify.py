@@ -9,9 +9,13 @@ matrix is symmetric by construction and stays positive definite for the
 ellipticity range handled here; boundary faces carry half weight (they own
 half a cell).  Constant tensors reproduce linear data exactly and smooth
 problems converge at second order.  The 9-point stencil is assembled
-directly, one coefficient diagonal at a time, and the system is solved by
-conjugate gradients preconditioned with a smoothed-aggregation multigrid
-V-cycle, which needs about 14 iterations at every grid size.
+directly as an array of couplings per neighbour offset, and the system is
+solved by conjugate gradients preconditioned with a geometric multigrid
+V-cycle on stencil arrays: cell-centred bilinear transfers, Galerkin coarse
+stencils of 25 points, damped-Jacobi smoothing and a dense Cholesky solve on
+the coarsest grid.  It needs about 14 iterations at every grid size.
+Circle samples read a not-a-knot bicubic spline through the cell values.
+Nothing here needs more than numpy.
 
 The circle decomposition splits a solution on each circle of radius r into
 its mean, its first-moment part v(r) . x, and a remainder with vanishing
@@ -27,9 +31,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.interpolate import RectBivariateSpline
 
 from .coeff import CoefficientField
 
@@ -135,10 +136,13 @@ def _shift(d: int, N: int):
 
 
 def assemble(field: CoefficientField, gfun: Callable, N: int):
-    """Symmetric system (K, b) for the Dirichlet problem on the N x N grid.
+    """Symmetric system (S, b) for the Dirichlet problem on the N x N grid.
 
-    K is the 9-point stencil of the energy form, built diagonal by diagonal;
-    the lower diagonals are the upper ones, so K is exactly symmetric.
+    S is the 9-point stencil of the energy form as a (3, 3, N, N) array:
+    S[di + 1, dj + 1][i, j] couples cell (i, j) to cell (i + di, j + dj), and
+    is zero where that neighbour lies outside the grid.  Each coupling is
+    stored for both of its cells from one value, so the operator is exactly
+    symmetric.  b is the load vector, flattened row-major.
     """
     if field.dim != 2:
         raise ValueError("the grid solver is two-dimensional")
@@ -157,16 +161,14 @@ def assemble(field: CoefficientField, gfun: Callable, N: int):
     b += by.T
     del My, by, Ainv
 
-    diags, offsets = [M[0, 0].ravel()], [0]
+    S = np.zeros((3, 3, N, N))
+    S[1, 1] = M[0, 0]
     for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
         (ri, si), (rj, sj) = _shift(di, N), _shift(dj, N)
-        upper = np.zeros((N, N))
-        upper[ri, rj] = 0.5 * (M[di, dj][ri, rj] + M[-di, -dj][si, sj])
-        off = di * N + dj
-        diags += [upper.ravel()[:N * N - off]] * 2
-        offsets += [off, -off]
-    K = sp.diags(diags, offsets, shape=(N * N, N * N), format="csr")
-    return K, b.ravel(), xc
+        upper = 0.5 * (M[di, dj][ri, rj] + M[-di, -dj][si, sj])
+        S[1 + di, 1 + dj][ri, rj] = upper
+        S[1 - di, 1 - dj][si, sj] = upper
+    return S, b.ravel(), xc
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,9 @@ class GridSolution:
     iterations: int
     field: CoefficientField
     boundary_data: Callable
+    levels: tuple = ()           # grid side per multigrid level, finest first
+    stencil_points: tuple = ()   # stencil points per level
+    residual_tail: tuple = ()    # last relative recurrence residuals of CG
 
     @cached_property
     def interpolator(self):
@@ -187,14 +192,7 @@ class GridSolution:
         which the origin-gradient exactness contract needs.  It is built on
         first use and shared by every reader of this solution.
         """
-        spl = RectBivariateSpline(self.cell_coords, self.cell_coords, self.u,
-                                  kx=3, ky=3, s=0)
-
-        def ev(pts):
-            pts = np.atleast_2d(np.asarray(pts, float))
-            return spl(pts[:, 0], pts[:, 1], grid=False)
-
-        return ev
+        return _Spline(self.cell_coords, self.u)
 
     @property
     def h(self) -> float:
@@ -202,91 +200,307 @@ class GridSolution:
 
 
 # ---------------------------------------------------------------------------
-# smoothed-aggregation multigrid preconditioner
+# not-a-knot bicubic spline
 # ---------------------------------------------------------------------------
 
-_SWEEPS = 2              # damped-Jacobi sweeps before and after the correction
-_MAX_COARSE = 256        # unknowns at which the hierarchy hands over to splu
+def _moments(f: np.ndarray) -> np.ndarray:
+    """h^2/6 times the second derivatives, along axis 0, of the not-a-knot
+    cubic spline through the rows of f on a uniform grid.
+
+    Row k of the interior equations is m[k-1] + 4 m[k] + m[k+1] = f[k-1] -
+    2 f[k] + f[k+1].  Not-a-knot ends make m[0] - 2 m[1] + m[2] = 0, so on a
+    uniform grid row 1 gives m[1] = (f[0] - 2 f[1] + f[2]) / 6 outright (and
+    likewise at the far end); rows 2 .. n-3 are a (1, 4, 1) tridiagonal
+    system, swept once over all columns.
+    """
+    n = f.shape[0]
+    d = f[:-2] - 2.0 * f[1:-1] + f[2:]          # rows 1 .. n-2
+    m = np.empty_like(f)
+    m[1], m[n - 2] = d[0] / 6.0, d[-1] / 6.0
+    d = d[1:-1].copy()                          # rows 2 .. n-3
+    d[0] -= m[1]
+    d[-1] -= m[n - 2]
+    c = np.empty(len(d))                        # Thomas sweep, constant rows
+    c[0] = 0.25
+    d[0] *= 0.25
+    for k in range(1, len(d)):
+        c[k] = 1.0 / (4.0 - c[k - 1])
+        d[k] = (d[k] - d[k - 1]) * c[k]
+    for k in range(len(d) - 2, -1, -1):
+        d[k] -= c[k] * d[k + 1]
+    m[2:n - 2] = d
+    m[0] = 2.0 * m[1] - m[2]
+    m[n - 1] = 2.0 * m[n - 2] - m[n - 3]
+    return m
+
+
+class _Spline:
+    """Tensor-product not-a-knot cubic spline through grid values u[i, j].
+
+    On the cell [x_i, x_i+1] the 1-D spline is (1-t) f_i + t f_i+1 +
+    ((1-t)^3 - (1-t)) m_i + (t^3 - t) m_i+1 with m from ``_moments``; the
+    2-D spline combines values, x-moments, y-moments and mixed moments of
+    the four corners, sixteen terms per point.  Points outside the grid are
+    clamped to its edge.
+    """
+
+    def __init__(self, x: np.ndarray, u: np.ndarray):
+        self.x0, self.h, self.n = x[0], x[1] - x[0], len(x)
+        mx = _moments(u)
+        my = _moments(u.T).T
+        mxy = _moments(mx.T).T
+        self.coef = np.stack([u, mx, my, mxy])
+
+    def __call__(self, pts) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, float))
+        s = np.clip((pts - self.x0) / self.h, 0.0, self.n - 1.0)
+        k = np.minimum(s.astype(int), self.n - 2)
+        t = s - k
+        a = np.stack([1.0 - t, t])                      # value weights
+        b = a ** 3 - a                                  # moment weights
+        (i, j), out = k.T, 0.0
+        for p in (0, 1):
+            for q in (0, 1):
+                c = self.coef[:, i + p, j + q]
+                out = out + (a[p, :, 0] * (a[q, :, 1] * c[0] + b[q, :, 1] * c[2])
+                             + b[p, :, 0] * (a[q, :, 1] * c[1] + b[q, :, 1] * c[3]))
+        return out
+
+
+# ---------------------------------------------------------------------------
+# geometric multigrid on stencil arrays
+# ---------------------------------------------------------------------------
+
+_BLOCK = 64              # rows per block of a stencil apply
+_MAX_COARSE = 256        # unknowns at which the hierarchy hands over to Cholesky
+_Q = (0.25, 0.75, 0.75, 0.25)   # weights of fine cells 2I-1 .. 2I+2 in cell I
+
+
+class _Stencil:
+    """K x for a stencil array S of half-width w on an n x n grid (the layout
+    of ``assemble``), by blocks of _BLOCK rows.
+
+    x is copied into a zero-padded grid, so a neighbour beyond the wall
+    reads 0; the views of S and of the padded grid that each block multiplies
+    are made once, here, not on every product.
+    """
+
+    def __init__(self, S: np.ndarray):
+        w, n = S.shape[0] // 2, S.shape[-1]
+        self.S, self.n = S, n
+        self._xp = np.zeros((n + 2 * w, n + 2 * w))
+        self._inner = self._xp[w:n + w, w:n + w]
+        tmp = np.empty((min(_BLOCK, n), n))
+        self._blocks = []
+        for r0 in range(0, n, _BLOCK):
+            r1 = min(r0 + _BLOCK, n)
+            terms = [(S[a, b, r0:r1], self._xp[r0 + a:r1 + a, b:b + n])
+                     for a in range(2 * w + 1) for b in range(2 * w + 1)
+                     if a != w or b != w]
+            self._blocks.append((slice(r0, r1), S[w, w, r0:r1], terms,
+                                 tmp[:r1 - r0]))
+
+    def __call__(self, x: np.ndarray, out=None) -> np.ndarray:
+        """K x, written into ``out`` when given."""
+        self._inner[...] = x
+        y = np.empty_like(x) if out is None else out
+        for rows, centre, terms, t in self._blocks:
+            yb = y[rows]
+            np.multiply(centre, x[rows], out=yb)
+            for s, xs in terms:
+                yb += np.multiply(s, xs, out=t)
+        return y
+
+
+def _restrict1(f: np.ndarray) -> np.ndarray:
+    """P^T along axis 0: coarse cell I is (f[2I-1] + 3 f[2I] + 3 f[2I+1] +
+    f[2I+2]) / 4, with zeros beyond the grid."""
+    n = f.shape[0]
+    m = (n + 1) // 2
+    fp = np.zeros((2 * m + 2,) + f.shape[1:])
+    fp[1:n + 1] = f
+    c = fp[1:2 * m + 1:2] + fp[2:2 * m + 2:2]
+    c *= 3.0
+    c += fp[0:2 * m:2]
+    c += fp[3:2 * m + 3:2]
+    c *= 0.25
+    return c
+
+
+def _prolong1(c: np.ndarray, n: int) -> np.ndarray:
+    """P along axis 0 onto n fine cells: 3/4 of the parent, 1/4 of the coarse
+    cell on the child's other side, none beyond the wall."""
+    m = c.shape[0]
+    cp = np.zeros((m + 2,) + c.shape[1:])
+    cp[1:m + 1] = c
+    f = np.empty((n,) + c.shape[1:])
+    np.multiply(cp[1:m + 1], 3.0, out=f[0::2])
+    f[0::2] += cp[0:m]
+    np.multiply(cp[1:n // 2 + 1], 3.0, out=f[1::2])
+    f[1::2] += cp[2:n // 2 + 2]
+    f *= 0.25
+    return f
+
+
+def _restrict(f: np.ndarray) -> np.ndarray:
+    return _restrict1(_restrict1(f).T).T
+
+
+def _prolong(c: np.ndarray, n: int) -> np.ndarray:
+    return _prolong1(_prolong1(c, n).T, n).T
+
+
+def _galerkin_axis(S: np.ndarray) -> np.ndarray:
+    """P^T S P along the first offset axis and the first grid axis of S.
+
+    S has shape (2w+1, B, n, n2): entry [a + w, :, i] couples fine cell i to
+    fine cell i + a.  Coarse cell I gathers fine cells 2I + c - 1 with weight
+    _Q[c], so the coarse coupling at offset A sums _Q[c] _Q[c2] times the
+    fine coupling at offset a = 2A + c2 - c; the half-width goes from w to
+    (w + 3) // 2.  Couplings to coarse cells beyond the wall are dropped.
+    """
+    w, n = S.shape[0] // 2, S.shape[2]
+    m, W = (n + 1) // 2, (w + 3) // 2
+    C = np.zeros((2 * W + 1, S.shape[1], m) + S.shape[3:])
+    for c, qc in enumerate(_Q):
+        lo, hi = int(c == 0), min(m, (n - c) // 2 + 1)    # 0 <= 2I + c - 1 < n
+        rows = S[:, :, 2 * lo + c - 1:2 * hi + c - 2:2]
+        for c2, qc2 in enumerate(_Q):
+            for A in range(-W, W + 1):
+                a = 2 * A + c2 - c
+                if abs(a) <= w:
+                    C[A + W, :, lo:hi] += (qc * qc2) * rows[a + w]
+    for A in range(1, W + 1):
+        C[W + A, :, m - A:] = 0.0
+        C[W - A, :, :A] = 0.0
+    return C
+
+
+def _galerkin(S: np.ndarray) -> np.ndarray:
+    """Coarse stencil P^T K P, one axis at a time."""
+    T = _galerkin_axis(S).transpose(1, 0, 3, 2)
+    return np.ascontiguousarray(_galerkin_axis(T).transpose(1, 0, 3, 2))
+
+
+def _dense(S: np.ndarray) -> np.ndarray:
+    """The stencil as a dense (n^2, n^2) matrix, row-major cell order."""
+    w, n = S.shape[0] // 2, S.shape[-1]
+    idx = np.arange(n * n).reshape(n, n)
+    K = np.zeros((n * n, n * n))
+    for a in range(-w, w + 1):
+        for b in range(-w, w + 1):
+            (ri, si), (rj, sj) = _shift(a, n), _shift(b, n)
+            K[idx[ri, rj], idx[si, sj]] = S[a + w, b + w][ri, rj]
+    return K
 
 
 @dataclass(frozen=True)
 class _Level:
-    K: sp.csr_matrix
+    K: _Stencil                  # operator of this level
     wdinv: np.ndarray            # omega / diag(K): one damped-Jacobi step
-    P: sp.csr_matrix             # smoothed prolongator from the next level
-    R: sp.csr_matrix             # P^T
+    sweeps: int                  # Jacobi sweeps before and after the correction
 
 
-def _hierarchy(K: sp.csr_matrix, n: int):
-    """Smoothed-aggregation levels for K on an n x n grid, and the coarse LU.
+def _hierarchy(K: _Stencil):
+    """Geometric multigrid levels for the operator K, and the coarse solver.
 
-    Aggregates are 2 x 2 blocks of the grid (a last one of size 1 along an
-    odd side); the tentative prolongator T is piecewise constant on them and
-    P = (I - omega D^-1 K) T with omega = 4 / (3 rho), rho the Gershgorin
-    bound of D^-1 K.  Coarse operators are the Galerkin products P^T K P.
-    (Vanek, Mandel and Brezina, Computing 56, 1996.)
+    Prolongation is cell-centred bilinear, restriction its transpose, and
+    coarse stencils are the Galerkin products P^T K P: 25 points from the
+    first coarse level on, since the half-width stays at 2.  Each level
+    smooths with damped Jacobi, omega = 4 / (3 rho) with rho the Gershgorin
+    bound of D^-1 K: 2 + 2 sweeps on the finest level, 1 + 1 below.  The
+    first level with at most _MAX_COARSE unknowns is solved through a dense
+    Cholesky factor L, kept as L^-1.  Returns (levels, coarse stencil, L^-1).
+    (Trottenberg, Oosterlee and Schueller, Multigrid, 2001.)
     """
     levels = []
-    while n * n > _MAX_COARSE:
-        d = K.diagonal()
-        rho = np.max(abs(K) @ np.ones(n * n) / d)
-        wdinv = 4.0 / (3.0 * rho) / d
-        m = (n + 1) // 2
-        rows = np.arange(n * n)
-        i, j = np.divmod(rows, n)
-        T = sp.csr_matrix((np.ones(n * n), (rows, (i // 2) * m + j // 2)),
-                          shape=(n * n, m * m))
-        P = (T - sp.diags(wdinv) @ (K @ T)).tocsr()
-        R = P.T.tocsr()
-        levels.append(_Level(K, wdinv, P, R))
-        K, n = (R @ K @ P).tocsr(), m
-    return levels, spla.splu(K.tocsc())
+    while K.n ** 2 > _MAX_COARSE:
+        w = K.S.shape[0] // 2
+        d = K.S[w, w]
+        rho = np.max(np.abs(K.S).sum(axis=(0, 1)) / d)
+        levels.append(_Level(K, 4.0 / (3.0 * rho) / d, 1 if levels else 2))
+        K = _Stencil(_galerkin(K.S))
+    return levels, K.S, np.linalg.inv(np.linalg.cholesky(_dense(K.S)))
 
 
 def _vcycle(hierarchy, r: np.ndarray, k: int = 0) -> np.ndarray:
-    """One V-cycle from level k of ``hierarchy`` = (levels, coarse LU) on r."""
-    levels, coarse = hierarchy
+    """One V-cycle from level k of ``hierarchy`` = (levels, coarse stencil,
+    inverse Cholesky factor) on the residual grid r."""
+    levels, _, Linv = hierarchy
     if k == len(levels):
-        return coarse.solve(r)
+        return (Linv.T @ (Linv @ r.ravel())).reshape(r.shape)
     lev = levels[k]
-    x = lev.wdinv * r
-    for _ in range(_SWEEPS - 1):
-        x += lev.wdinv * (r - lev.K @ x)
-    x += lev.P @ _vcycle(hierarchy, lev.R @ (r - lev.K @ x), k + 1)
-    for _ in range(_SWEEPS):
-        x += lev.wdinv * (r - lev.K @ x)
+    x = lev.wdinv * r                           # C order, like the stencil
+    t = np.empty_like(x)                        # work grid
+
+    def residual():                             # r - K x, in t
+        return np.subtract(r, lev.K(x, out=t), out=t)
+
+    for _ in range(lev.sweeps - 1):
+        x += np.multiply(lev.wdinv, residual(), out=t)
+    x += _prolong(_vcycle(hierarchy, _restrict(residual()), k + 1), r.shape[0])
+    for _ in range(lev.sweeps):
+        x += np.multiply(lev.wdinv, residual(), out=t)
     return x
+
+
+def _pcg(K: _Stencil, b: np.ndarray, precond: Callable, tol: float,
+         maxiter: int):
+    """Preconditioned conjugate gradients for K x = b, b an n x n grid.
+
+    Stops once the recurrence residual falls to tol |b| (or is not finite);
+    returns x and the relative recurrence residual of every iteration.
+    """
+    bnorm = np.linalg.norm(b)
+    x, r, q = np.zeros_like(b), b.copy(), np.empty_like(b)
+    z = precond(r)
+    p, rz = z.copy(), np.vdot(r, z)
+    history = []
+    for _ in range(maxiter):
+        K(p, out=q)
+        alpha = rz / np.vdot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        history.append(float(np.linalg.norm(r) / bnorm))
+        if not history[-1] > tol:
+            break
+        z = precond(r)
+        rz, rz_old = np.vdot(r, z), rz
+        p *= rz / rz_old
+        p += z
+    return x, history
 
 
 def solve_dirichlet(field: CoefficientField, boundary_data: Callable, N: int,
                     tol: float = 1e-12, maxiter: int = 2000) -> GridSolution:
     """Solve the Dirichlet problem by preconditioned conjugate gradients.
 
-    The preconditioner is one smoothed-aggregation multigrid V-cycle
-    (2 x 2 aggregates, 2 + 2 damped-Jacobi sweeps, sparse LU on the coarsest
-    level); it keeps the iteration count near 14 at every grid size.
-    Failure to reach the requested relative residual raises with the
-    residual history.
+    The preconditioner is one geometric multigrid V-cycle (``_hierarchy``);
+    it keeps the iteration count near 14 at every grid size.  The loop stops
+    on the recurrence residual; the true relative residual |b - K u| / |b|
+    is then computed once, and one above 10 tol raises with the tail of the
+    recurrence history.
     """
     if not (8 <= N <= 2048):
         raise ValueError("N out of the supported range [8, 2048]")
     gfun = _vectorize_boundary(boundary_data)
-    K, b, xc = assemble(field, gfun, N)
-    hierarchy = _hierarchy(K, N)
-    M = spla.LinearOperator(K.shape, matvec=lambda r: _vcycle(hierarchy, r))
-
-    history = []
-    u, info = spla.cg(K, b, rtol=tol, atol=0.0, maxiter=maxiter, M=M,
-                      callback=lambda xk: history.append(
-                          float(np.linalg.norm(b - K @ xk))))
-    res = float(np.linalg.norm(b - K @ u) / np.linalg.norm(b))
-    if info != 0 or res > 10 * tol:
+    S, b, xc = assemble(field, gfun, N)
+    b = b.reshape(N, N)
+    K = _Stencil(S)
+    hierarchy = _hierarchy(K)
+    u, history = _pcg(K, b, lambda r: _vcycle(hierarchy, r), tol, maxiter)
+    res = float(np.linalg.norm(b - K(u)) / np.linalg.norm(b))
+    if not res <= 10 * tol:
         tail = ", ".join(f"{v:.3e}" for v in history[-5:])
         raise SolveError(
             f"conjugate gradients stopped at relative residual {res:.3e} "
             f"(target {tol:.1e}) after {len(history)} iterations; "
             f"history tail [{tail}]")
-    return GridSolution(N, xc, u.reshape(N, N), res, len(history), field, gfun)
+    stencils = [lev.K.S for lev in hierarchy[0]] + [hierarchy[1]]
+    return GridSolution(N, xc, u, res, len(history), field, gfun,
+                        levels=tuple(s.shape[-1] for s in stencils),
+                        stencil_points=tuple(s.shape[0] ** 2 for s in stencils),
+                        residual_tail=tuple(history[-5:]))
 
 
 def _vectorize_boundary(g: Callable) -> Callable:
@@ -317,6 +531,8 @@ class SpectralDecomposition:
 def _trusted_radii(sol: GridSolution, radii: Sequence[float]) -> np.ndarray:
     """Radii in decreasing order, checked to lie within [2h, 1 - 2h]."""
     radii = np.asarray(sorted(radii, reverse=True), float)
+    if not np.all(np.isfinite(radii)):
+        raise ValueError("radii must be finite")
     if np.any(radii < 2 * sol.h):
         bad = radii[radii < 2 * sol.h]
         raise ValueError(

@@ -124,6 +124,13 @@ tol = -1e-6
         ("classify", "[budget]\ndyn_t0 = -1\n", "[budget] dyn_t0"),
         ("classify", "[budget]\ndyn_t0 = nan\n", "[budget] dyn_t0"),
         ("verify", "[pde]\nn = 64\ntol = -1\n", "[pde] tol"),
+        ("verify", "[pde]\nn = 32\n", "[pde] n"),
+        ("verify", "[pde]\nn = 2048\n", "[pde] n"),
+        # circles must stay in [2h, 1 - 2h], h = 2/n
+        ("verify", "[pde]\nn = 64\nradii = 0.5, nan, 0.25\n", "[pde] radii"),
+        ("verify", "[pde]\nn = 64\nradii = 0.5, inf\n", "[pde] radii"),
+        ("verify", "[pde]\nn = 64\nradii = 0.5, 0.001\n", "[pde] radii"),
+        ("verify", "[pde]\nn = 64\nradii = 0.99, 0.5\n", "[pde] radii"),
         ("integrate", "[integrate]\ntol = nan\n", "[integrate] tol"),
         # r = e^-t0 would lie outside the unit ball
         ("integrate", "[integrate]\nt0 = -2.5\nt1 = 5\n", "[integrate] t0"),
@@ -405,13 +412,13 @@ radii = 0.5, 0.25, 0.125
     def test_verify_builds_one_spline(self, tmp_path, monkeypatch):
         # the circle decomposition and the quotients share one interpolant
         built = []
-        inner = pde_verify.RectBivariateSpline
+        inner = pde_verify._Spline
 
         def counted(*args, **kwargs):
-            built.append(args[2].shape)
+            built.append(args[1].shape)
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(pde_verify, "RectBivariateSpline", counted)
+        monkeypatch.setattr(pde_verify, "_Spline", counted)
         cfg = write_cfg(tmp_path, IDENTITY.format(out=tmp_path / "out") + """
 [pde]
 n = 64
@@ -420,6 +427,24 @@ radii = 0.5, 0.25, 0.125
 """)
         assert cli.main(["verify", cfg]) == cli.EXIT_OK
         assert built == [(64, 64)]
+
+    def test_verify_records_the_grid_solve(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, IDENTITY.format(out=out) + """
+[pde]
+n = 64
+boundary = x1
+radii = 0.5, 0.25, 0.125
+""")
+        assert cli.main(["verify", cfg]) == cli.EXIT_OK
+        report = json.load(open(out / "report.json"))
+        rec = report["provenance_volatile"]["grid_solve"]
+        assert rec["levels"] == [64, 32, 16]
+        assert rec["stencil_points"] == [9, 25, 25]
+        assert rec["iterations"] == report["payload"]["iterations"]
+        assert rec["rel_residual"] == report["payload"]["residual_norm"]
+        assert len(rec["residual_tail"]) == min(5, rec["iterations"])
+        assert rec["residual_tail"][-1] <= 1e-12
 
     def test_verify_finest_grid(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -467,10 +492,12 @@ tol = 1e-18
 
     def test_solver_failure_exits_1(self, tmp_path):
         out = tmp_path / "out"
-        # CG stalls at rounding, far above a 1e-30 target
+        # CG stalls at rounding, far above a 1e-30 target; the default radii
+        # reach below 2h at n = 64, so the config names its own
         cfg = write_cfg(tmp_path, IDENTITY.format(out=out) + """
 [pde]
 n = 64
+radii = 0.5, 0.25, 0.125
 tol = 1e-30
 """)
         assert cli.main(["verify", cfg]) == cli.EXIT_NUMERICAL

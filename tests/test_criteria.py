@@ -424,6 +424,21 @@ class TestProfileMatchesReference:
             tracemalloc.stop()
         assert peak < 4 * 8 * sphmean._SWEEP_CHUNK_DOUBLES
 
+    def test_deviation_sweep_drops_each_chunk_before_the_next(self):
+        # the deviation sweep holds a chunk, A - I and its eigenvalues; the
+        # previous chunk kept through the next field evaluation would push
+        # the peak past four chunks (36.9 MB against 26.4 MB here)
+        field = gs_log_field(-1.0, shift=2.0, n=3)
+        prof = criteria.build_radial_profile(
+            field, k_max=40, grid=criteria.Budget(k_max=40).sphere_sampler(3))
+        tracemalloc.start()
+        try:
+            criteria.condition_A_minus_I(prof)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * sphmean._SWEEP_CHUNK_DOUBLES
+
     def test_profile_keeps_its_grid(self):
         grid = sphmean.sphere_grid(2, 48)
         prof = criteria.build_radial_profile(gs_power_field(0.5), k_max=10,

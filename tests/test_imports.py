@@ -1,10 +1,9 @@
-"""Only the grid verifier loads scipy.
+"""No subcommand loads scipy; it is a test-only dependency.
 
 Each check runs in a fresh interpreter, since this test session has
 imported scipy long before.
 """
 
-import configparser
 import os
 import pathlib
 import subprocess
@@ -26,25 +25,16 @@ assert not scipy_modules(), ("import ellipreg.cli", scipy_modules())
 for argv in RUNS:
     assert cli.main(argv) == cli.EXIT_OK, argv
     assert not scipy_modules(), (argv, scipy_modules())
-assert cli.main(["verify", VERIFY_CONFIG]) == cli.EXIT_OK
-assert "scipy.sparse" in sys.modules
 """
 
 
-def test_only_verify_loads_scipy(tmp_path):
+def test_no_subcommand_loads_scipy(tmp_path):
     gs_log = str(CONFIGS / "gs_minus_log.ini")
-    # report runs verify too when the config has a [pde] section
-    no_pde = configparser.ConfigParser()
-    no_pde.read(gs_log)
-    no_pde.remove_section("pde")
-    report_cfg = tmp_path / "no_pde.ini"
-    with open(report_cfg, "w") as fh:
-        no_pde.write(fh)
-    runs = [["classify", gs_log], ["gs", str(CONFIGS / "cesari.ini")],
-            ["report", str(report_cfg)], ["moments", gs_log],
-            ["integrate", gs_log], ["appendix", gs_log]]
-    code = (f"RUNS = {runs!r}\nVERIFY_CONFIG = {str(CONFIGS / 'identity.ini')!r}\n"
-            + SCRIPT)
+    # report runs verify too: the config has a [pde] section
+    runs = [[sub, gs_log] for sub in ("classify", "report", "moments",
+                                      "integrate", "appendix", "verify")]
+    runs.append(["gs", str(CONFIGS / "cesari.ini")])
+    code = f"RUNS = {runs!r}\n" + SCRIPT
     path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "")
                                   .split(os.pathsep) if p]
     env = dict(os.environ, ELLIPREG_OUTDIR=str(tmp_path / "out"),

@@ -5,6 +5,7 @@ from ellipreg import coeff, pde_verify
 
 from assembly_reference import reference_assemble
 from conftest import gs_log_field
+from sa_reference import sa_solve, stencil_to_csr
 
 
 X1 = lambda p: p[:, 0]
@@ -32,7 +33,8 @@ def identity_quad_sol(identity_field):
 class TestAssembly:
     def test_matrix_symmetric_and_pd(self):
         field = gs_log_field(1.0, shift=2.0)
-        K, b, _ = pde_verify.assemble(field, X1, 48)
+        S, b, _ = pde_verify.assemble(field, X1, 48)
+        K = stencil_to_csr(S)
         assert abs(K - K.T).max() == 0.0
         w = np.linalg.eigvalsh(K.toarray())
         assert w[0] > 0
@@ -48,7 +50,8 @@ class TestAssembly:
     def test_matches_operator_product_reference(self, N, name):
         field = GRID_FIELDS[name]()
         for g in (X1, QUAD, SIN_X1_PLUS_X2):
-            K, b, _ = pde_verify.assemble(field, g, N)
+            S, b, _ = pde_verify.assemble(field, g, N)
+            K = stencil_to_csr(S)
             K_ref, b_ref = reference_assemble(field, g, N)
             assert abs(K - K_ref).max() <= 1e-13 * abs(K_ref).max()
             assert np.abs(b - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
@@ -95,6 +98,87 @@ class TestManufactured:
         field = gs_log_field(1.0, shift=2.0)
         sol = pde_verify.solve_dirichlet(field, X1, 96, tol=1e-11)
         assert sol.residual_norm <= 1e-10
+
+
+def _prolongation(n):
+    """Dense cell-centred bilinear P, written out from its weights."""
+    m = (n + 1) // 2
+    p = np.zeros((n, m))
+    for i in range(n):
+        p[i, i // 2] = 0.75
+        other = i // 2 + (1 if i % 2 else -1)
+        if 0 <= other < m:
+            p[i, other] = 0.25
+    return np.kron(p, p)
+
+
+class TestMultigrid:
+    @pytest.mark.parametrize("name", sorted(GRID_FIELDS))
+    @pytest.mark.parametrize("N", [64, 97, 256])
+    def test_matches_smoothed_aggregation_reference(self, N, name):
+        field = GRID_FIELDS[name]()
+        sol = pde_verify.solve_dirichlet(field, SIN_X1_PLUS_X2, N)
+        u_ref = sa_solve(field, SIN_X1_PLUS_X2, N)
+        assert np.abs(sol.u - u_ref).max() <= 1e-9 * np.abs(u_ref).max()
+
+    @pytest.mark.parametrize("N", [8, 9, 33])
+    def test_galerkin_stencils_equal_dense_products(self, N):
+        S, _, _ = pde_verify.assemble(gs_log_field(1.0, shift=2.0), X1, N)
+        K = stencil_to_csr(S).toarray()
+        while S.shape[-1] >= 4:
+            P = _prolongation(S.shape[-1])
+            S = pde_verify._galerkin(S)
+            assert S.shape[:2] == (5, 5)
+            want = P.T @ K @ P
+            K = stencil_to_csr(S).toarray()
+            assert np.abs(K - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("N", [33, 97])
+    def test_vcycle_symmetric_and_positive(self, N):
+        S, _, _ = pde_verify.assemble(gs_log_field(-1.0, shift=2.0), X1, N)
+        hierarchy = pde_verify._hierarchy(pde_verify._Stencil(S))
+        assert len(hierarchy[0]) >= 2
+        rng = np.random.default_rng(N)
+        for _ in range(5):
+            v, w = rng.standard_normal((2, N, N))
+            Bv, Bw = (pde_verify._vcycle(hierarchy, x) for x in (v, w))
+            assert abs(np.vdot(v, Bw) - np.vdot(w, Bv)) <= (
+                1e-12 * np.linalg.norm(v) * np.linalg.norm(Bw))
+            assert np.vdot(v, Bv) > 0
+
+    @pytest.mark.parametrize("N", [256, 512])
+    def test_gs_minus_log_field_within_14_iterations(self, N):
+        sol = pde_verify.solve_dirichlet(gs_log_field(-1.0, shift=2.0), X1, N)
+        assert sol.iterations <= 14
+        assert sol.levels[0] == N and sol.levels[-1] ** 2 <= 256
+        assert sol.stencil_points == (9,) + (25,) * (len(sol.levels) - 1)
+        assert len(sol.residual_tail) == 5
+        assert sol.residual_tail[-1] <= 1e-12
+
+
+class TestSpline:
+    @pytest.mark.parametrize("N", [8, 64, 256])
+    def test_matches_rect_bivariate_spline(self, N):
+        from scipy.interpolate import RectBivariateSpline
+        xc = -1 + (np.arange(N) + 0.5) * (2.0 / N)
+        X, Y = np.meshgrid(xc, xc, indexing="ij")
+        u = np.sin(3 * X) * np.cos(2 * Y) + 0.1 * np.random.default_rng(N) \
+            .standard_normal((N, N))
+        th = 2 * np.pi * np.arange(384) / 384
+        pts = np.concatenate([r * np.stack([np.cos(th), np.sin(th)], axis=1)
+                              for r in (0.75, 0.5, 0.25, 0.125, 0.0625)])
+        want = RectBivariateSpline(xc, xc, u, kx=3, ky=3, s=0)(
+            pts[:, 0], pts[:, 1], grid=False)
+        got = pde_verify._Spline(xc, u)(pts)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_reproduces_cubic_polynomials(self):
+        xc = -1 + (np.arange(16) + 0.5) * (2.0 / 16)
+        X, Y = np.meshgrid(xc, xc, indexing="ij")
+        cubic = lambda x, y: x ** 3 - 2 * x * y ** 2 + y ** 3 * x ** 2 + 0.5 * y
+        pts = np.random.default_rng(3).uniform(-0.9, 0.9, (200, 2))
+        got = pde_verify._Spline(xc, cubic(X, Y))(pts)
+        np.testing.assert_allclose(got, cubic(pts[:, 0], pts[:, 1]), atol=1e-13)
 
 
 class TestSpectralDecomposition:
@@ -162,6 +246,13 @@ class TestLipschitzQuotient:
                                                   radius):
         with pytest.raises(ValueError, match="floor|unit disk"):
             pde_verify.lipschitz_quotient(identity_x1_sol, [0.5, radius])
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_non_finite_radius_rejected(self, identity_x1_sol, radius):
+        for read in (pde_verify.lipschitz_quotient,
+                     pde_verify.spectral_decompose):
+            with pytest.raises(ValueError, match="finite"):
+                read(identity_x1_sol, [0.5, radius, 0.25])
 
 
 class TestGradientAtOrigin:
