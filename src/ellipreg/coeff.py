@@ -383,13 +383,17 @@ def make_perturbed_radial(n: int, a0: Callable, a1=None,
 def make_custom(n: int, eval_batch: Callable, modulus: Modulus,
                 ellipticity: Optional[tuple] = None,
                 normalized: bool = True) -> CoefficientField:
-    """Wrap an arbitrary batch evaluator; a probe sweep estimates ellipticity."""
+    """Wrap an arbitrary batch evaluator.
+
+    A probe sweep checks that its matrices are symmetric, always, and
+    estimates the ellipticity when none is given.
+    """
+    rng = np.random.default_rng(11)
+    probe = rng.normal(size=(256, n))
+    probe *= (rng.uniform(1e-4, 0.99, size=256) / np.linalg.norm(probe, axis=1))[:, None]
+    Ap = np.asarray(eval_batch(probe), float)
+    _assert_symmetric(Ap)
     if ellipticity is None:
-        rng = np.random.default_rng(11)
-        probe = rng.normal(size=(256, n))
-        probe *= (rng.uniform(1e-4, 0.99, size=256) / np.linalg.norm(probe, axis=1))[:, None]
-        Ap = np.asarray(eval_batch(probe), float)
-        _assert_symmetric(Ap)
         w = np.linalg.eigvalsh(Ap)
         ellipticity = (float(w[:, 0].min()), float(w[:, -1].max()))
         if ellipticity[0] <= 0:

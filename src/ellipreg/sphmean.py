@@ -9,7 +9,13 @@ whose log-time evolution drives the whole regularity diagnosis, together
 with its symmetrization S = -(R + R^T)/2, the top eigenvalue mu(S), and the
 degree-<=4 moment matrices used by the first-order reduction.  Every R in
 the package, at one radius or many, comes from the one kernel
-:func:`mean_R_kernel` applied to field samples on a grid.
+:func:`mean_R_kernel` applied to field samples on a grid.  Each grid carries
+the weight tensor T_m = w_m (I - n theta_m theta_m^T), so that
+R_ik = sum over m, j of A_m,ij T_m,jk: one matrix product per radius.
+
+A sweep over many radii evaluates the field a chunk of radii at a time: at
+most _SWEEP_CHUNK_DOUBLES doubles of samples (2 MB, small enough to stay in
+a core's cache while the kernel reduces them), but at least one sphere.
 
 R over many radii goes through :func:`mean_matrix_R_many`, on a fixed grid
 or through a :class:`SphereSampler`.  A sampler with one rung sweeps that
@@ -29,6 +35,7 @@ amplitude).  Turned by irrational fractions, no aliased mode lines up.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field as dc_field
 from typing import Iterator, Optional, Union
 
@@ -36,20 +43,29 @@ import numpy as np
 
 from .coeff import CoefficientField
 
-# field samples held by one chunk of a sphere sweep: 2^20 doubles (8 MB),
-# 56 radii on the 3-D default grid and 4096 on the 2-D one
-_SWEEP_CHUNK_DOUBLES = 1 << 20
+# field samples held by one chunk of a sphere sweep: 2^18 doubles (2 MB),
+# 14 radii on the 3-D default grid and 1024 on the 2-D one
+_SWEEP_CHUNK_DOUBLES = 1 << 18
+# field samples of the finest single sphere (8 MB): bounds max_resolution
+_SPHERE_CAP_DOUBLES = 1 << 20
 _MIN_RESOLUTION = 8
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0   # the turn of a lower rung, per 2 pi / res
 
 
 @dataclass(frozen=True)
 class SphericalGrid:
-    """Quadrature nodes on S^{n-1} with mean-value weights (sum = 1)."""
+    """Quadrature nodes on S^{n-1} with mean-value weights (sum = 1), and the
+    R kernel's weight tensor T_m = w_m (I - n theta_m theta_m^T)."""
 
     dim: int
     nodes: np.ndarray    # (m, n) unit vectors
     weights: np.ndarray  # (m,)
+    R_weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        th, n = self.nodes, self.dim
+        T = np.eye(n) - n * (th[:, :, None] * th[:, None, :])
+        object.__setattr__(self, "R_weights", self.weights[:, None, None] * T)
 
 
 @dataclass(frozen=True)
@@ -116,9 +132,9 @@ def default_grid(n: int) -> SphericalGrid:
 
 
 def max_resolution(n: int) -> int:
-    """The finest resolution whose one sphere of n x n field samples fits a
-    sweep chunk: a sweep holds at least one whole sphere."""
-    per_sphere = _SWEEP_CHUNK_DOUBLES // (n * n)
+    """The finest resolution whose one sphere of n x n field samples fits
+    _SPHERE_CAP_DOUBLES; a sweep chunk holds at least one whole sphere."""
+    per_sphere = _SPHERE_CAP_DOUBLES // (n * n)
     return per_sphere if n == 2 else math.isqrt(per_sphere // 2)
 
 
@@ -130,8 +146,9 @@ class SphereSampler:
     until a rung agrees with the one below it to ``tol`` (relative once
     |R| > 1), or reaches the top; see the module docstring.  ``settled``
     counts the radii that kept each rung, ``max_discrepancy`` is the largest
-    scaled gap of the pair that settled a radius, and ``field_evals`` counts
-    field samples.
+    scaled gap of the pair that settled a radius, ``field_evals`` counts
+    field samples, ``chunks`` the sweep chunks they came in and ``sweep_s``
+    the seconds spent evaluating and reducing them.
     """
 
     resolutions: tuple
@@ -140,6 +157,8 @@ class SphereSampler:
     settled: dict = dc_field(default_factory=dict)
     max_discrepancy: float = 0.0
     field_evals: int = 0
+    chunks: int = 0
+    sweep_s: float = 0.0
 
     @property
     def grid(self) -> SphericalGrid:
@@ -150,7 +169,8 @@ class SphereSampler:
         """The sampler's work, for a report's volatile provenance block."""
         kept = self.resolutions[1:] or self.resolutions   # rungs a radius keeps
         out = {"radii_settled": {str(r): self.settled.get(r, 0) for r in kept},
-               "field_evaluations": self.field_evals}
+               "field_evaluations": self.field_evals,
+               "chunks": self.chunks, "sweep_s": self.sweep_s}
         if len(self.grids) > 1:
             out["pair_tol"] = self.tol
             out["max_pair_discrepancy"] = self.max_discrepancy
@@ -191,12 +211,15 @@ def mean_R_kernel(A: np.ndarray, grid: SphericalGrid) -> np.ndarray:
     ``A`` holds the field at the grid nodes, shape (..., m, n, n), for one
     radius or a batch of radii; the result has shape (..., n, n).  The outer
     product convention is (A theta x theta)_{lk} = (A theta)_l theta_k.
+
+    One batched matrix product with the grid's weight tensor: A read as
+    (..., m n, n) and transposed, a view, is A_m,ji, which is A_m,ij because
+    field samples are symmetric.  Each radius is its own product, so its R
+    does not depend on the radii batched with it.
     """
-    th = grid.nodes
-    Ath = np.einsum("...mij,mj->...mi", A, th)
-    # one expression, so no (..., m, n, n) temporary outlives its use
-    return np.einsum("m,...mij->...ij", grid.weights,
-                     A - grid.dim * (Ath[..., :, :, None] * th[:, None, :]))
+    m, n = grid.nodes.shape
+    At = A.reshape(A.shape[:-3] + (m * n, n)).swapaxes(-1, -2)
+    return np.matmul(At, grid.R_weights.reshape(m * n, n))
 
 
 def mean_matrix_R(field: CoefficientField, r: float,
@@ -211,6 +234,11 @@ def mean_matrix_R(field: CoefficientField, r: float,
     return mean_R_kernel(field.eval_batch(r * grid.nodes), grid)
 
 
+def _radii_per_chunk(grid: SphericalGrid) -> int:
+    m, n = grid.nodes.shape
+    return max(1, _SWEEP_CHUNK_DOUBLES // (m * n * n))
+
+
 def sphere_sweep(field: CoefficientField, radii: np.ndarray,
                  grid: SphericalGrid) -> Iterator[tuple]:
     """The field at radii x grid.nodes, in chunks of consecutive radii.
@@ -223,7 +251,7 @@ def sphere_sweep(field: CoefficientField, radii: np.ndarray,
     """
     radii = np.asarray(radii, float)
     m, n = grid.nodes.shape
-    step = max(1, _SWEEP_CHUNK_DOUBLES // (m * n * n))
+    step = _radii_per_chunk(grid)
     for lo in range(0, len(radii), step):
         sl = slice(lo, min(lo + step, len(radii)))
         pts = (radii[sl, None, None] * grid.nodes[None, :, :]).reshape(-1, n)
@@ -247,8 +275,11 @@ def _sampled_R(field: CoefficientField, radii: np.ndarray,
     R = np.empty((len(radii), field.dim, field.dim))
     live, coarse = np.arange(len(radii)), None
     for rung, grid in enumerate(sampler.grids):
+        start = time.perf_counter()
         fine = _sweep_R(field, radii[live], grid)
+        sampler.sweep_s += time.perf_counter() - start
         sampler.field_evals += len(live) * len(grid.weights)
+        sampler.chunks += -(-len(live) // _radii_per_chunk(grid))
         if rung == 0 and top > 0:
             coarse = fine
             continue

@@ -34,6 +34,22 @@ def gs_power_field(a, c=1.0, n=2):
     return coeff.make_gilbarg_serrin(n, g, coeff.power_modulus(a, abs(c)))
 
 
+# The benchmark's rank-one lab fields: ("log", c, K, p) is g = c/log(e^K/r)^p
+# and ("power", c, a) is g = c r^a, with omega = |g|
+LAB_SPECS = [("log", -1.0, 2.0, 1.0), ("log", 1.0, 2.0, 1.0),
+             ("log", 1.0, 1.0, 2.0), ("log", -0.5, 1.0, 2.0),
+             ("power", 1.0, 0.5), ("power", -0.5, 0.5)]
+
+
+def lab_field(spec, n):
+    """The rank-one lab field of a LAB_SPECS entry in dimension n."""
+    if spec[0] == "log":
+        _, c, K, p = spec
+        return gs_log_field(c, shift=K, n=n, power=p)
+    _, c, a = spec
+    return gs_power_field(a, c=c, n=n)
+
+
 def random_spd(rng, n, lo=0.5, hi=3.0):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return q @ np.diag(rng.uniform(lo, hi, n)) @ q.T

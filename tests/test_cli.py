@@ -225,7 +225,9 @@ class TestClassifyRuns:
             assert rec["pair_tol"] == 1e-9
             assert 0 <= rec["max_pair_discrepancy"] <= 1e-14
         else:
-            assert rec == {"radii_settled": {"16": M}, "field_evaluations": 16 * M}
+            assert rec.pop("sweep_s") >= 0.0
+            assert rec == {"radii_settled": {"16": M}, "field_evaluations": 16 * M,
+                           "chunks": 1}
 
     def test_determinism_modulo_volatile_block(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -125,6 +125,28 @@ class TestPerturbedRadial:
             coeff.make_perturbed_radial(2, lambda r: (2.0 + r) * np.eye(2))
 
 
+class TestMakeCustom:
+    @staticmethod
+    def skewed(pts):
+        """I plus an off-diagonal entry on one side only."""
+        out = np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy()
+        out[:, 0, 1] += 0.1 * np.linalg.norm(pts, axis=1)
+        return out
+
+    @pytest.mark.parametrize("ellipticity", [None, (0.5, 2.0)])
+    def test_non_symmetric_evaluator_rejected(self, ellipticity):
+        # the R kernel reads each sample transposed, so a given ellipticity
+        # must not skip the symmetry probe
+        with pytest.raises(FieldError, match="non-symmetric"):
+            coeff.make_custom(2, self.skewed, coeff.power_modulus(1.0),
+                              ellipticity=ellipticity)
+
+    def test_given_ellipticity_is_kept(self):
+        f = coeff.make_custom(2, lambda p: np.broadcast_to(np.eye(2), (len(p), 2, 2)),
+                              coeff.power_modulus(1.0), ellipticity=(0.5, 2.0))
+        assert f.ellipticity == (0.5, 2.0)
+
+
 class TestEnvelopeInvariant:
     @pytest.mark.parametrize("field_fn", [
         lambda: gs_log_field(1.0),

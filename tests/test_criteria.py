@@ -12,7 +12,7 @@ from ellipreg.dyadic import (RATE_LOG, RATE_TO_MINUS_INF, VERDICT_CONVERGES,
                              VERDICT_DIVERGES, VERDICT_INCONCLUSIVE,
                              VERDICT_OSCILLATES, IntegralEvidence)
 
-from conftest import gs_log_field, gs_power_field
+from conftest import LAB_SPECS, gs_log_field, gs_power_field, lab_field
 from profile_reference import reference_profile
 from rk45_reference import rk45_fundamental_matrix, rk45_integrate
 from volume_form_reference import sphere_area, volume_integral_partials
@@ -561,24 +561,16 @@ class TestClassify:
                 == dynsys.EVIDENCE_STABLE)
 
 
-# The benchmark's rank-one lab fields, g = c/log(e^K/r)^p or g = c r^a with
-# omega = |g|, and the class the paper's criteria give each of them.
-LAB_FIELDS = [
-    (("log", -1.0, 2.0, 1.0), criteria.CLASS_ZERO_GRADIENT),
-    (("log", 1.0, 2.0, 1.0), criteria.CLASS_INCONCLUSIVE),
-    (("log", 1.0, 1.0, 2.0), criteria.CLASS_DIFFERENTIABLE),
-    (("log", -0.5, 1.0, 2.0), criteria.CLASS_DIFFERENTIABLE),
-    (("power", 1.0, 0.5), criteria.CLASS_DIFFERENTIABLE),
-    (("power", -0.5, 0.5), criteria.CLASS_DIFFERENTIABLE),
-]
-
-
-def lab_field(spec, n):
-    if spec[0] == "log":
-        _, c, K, p = spec
-        return gs_log_field(c, shift=K, n=n, power=p)
-    _, c, a = spec
-    return gs_power_field(a, c=c, n=n)
+# The benchmark's rank-one lab fields and the class the paper's criteria
+# give each of them.
+LAB_FIELDS = list(zip(LAB_SPECS, [
+    criteria.CLASS_ZERO_GRADIENT,     # -1/log(e^2/r)
+    criteria.CLASS_INCONCLUSIVE,      # 1/log(e^2/r)
+    criteria.CLASS_DIFFERENTIABLE,    # 1/log(e/r)^2
+    criteria.CLASS_DIFFERENTIABLE,    # -0.5/log(e/r)^2
+    criteria.CLASS_DIFFERENTIABLE,    # r^0.5
+    criteria.CLASS_DIFFERENTIABLE,    # -0.5 r^0.5
+]))
 
 
 def closed_form_limits(spec, n, eps):

@@ -6,7 +6,8 @@ import pytest
 
 from ellipreg import coeff, sphmean
 
-from conftest import gs_log_field, gs_power_field, random_spd
+from conftest import LAB_SPECS, gs_log_field, gs_power_field, lab_field, random_spd
+from mean_R_reference import reference_mean_R
 
 
 def aniso_field(gfun, n=2):
@@ -266,9 +267,13 @@ class TestSphereSampler:
         R = sphmean.mean_matrix_R_many(f, self.RADII, sampler)
         grid = sphmean.sphere_grid(n, res)
         assert set(sizes) == {len(grid.weights)}
-        assert sampler.record() == {
+        rec = sampler.record()
+        assert rec.pop("sweep_s") >= 0.0
+        # all 59 radii fit one chunk
+        assert rec == {
             "radii_settled": {str(res): len(self.RADII)},
-            "field_evaluations": len(grid.weights) * len(self.RADII)}
+            "field_evaluations": len(grid.weights) * len(self.RADII),
+            "chunks": 1}
         np.testing.assert_array_equal(
             R, sphmean.mean_matrix_R_many(f, self.RADII, grid))
 
@@ -314,6 +319,47 @@ class TestSphereSweep:
         sizes = [sl.stop - sl.start for sl, _ in sphmean.sphere_sweep(
             gs_power_field(0.5), radii, sphmean.sphere_grid(2, 8))]
         assert sizes == [1, 1, 1]
+
+
+class TestKernelOracle:
+    """mean_R_kernel against the three-pass reference formula."""
+
+    RADII = 2.0 ** -np.linspace(1.0, 30.0, 8)
+    FIELDS = [lambda n, spec=spec: lab_field(spec, n) for spec in LAB_SPECS]
+    FIELDS.append(cos20_custom_field)
+    IDS = ["-".join(map(str, spec)) for spec in LAB_SPECS] + ["custom-cos20"]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("field_fn", FIELDS, ids=IDS)
+    def test_every_rung_matches_the_reference(self, n, field_fn):
+        f = field_fn(n)
+        rungs = sphmean.sphere_sampler(n).grids   # the lower ones turned
+        for grid in rungs:
+            m = len(grid.weights)
+            pts = (self.RADII[:, None, None] * grid.nodes).reshape(-1, n)
+            A = f.eval_batch(pts).reshape(len(self.RADII), m, n, n)
+            R = sphmean.mean_R_kernel(A, grid)
+            assert R.shape == (len(self.RADII), n, n)
+            tol = 1e-14 * max(1.0, float(np.max(np.abs(A))))
+            assert np.max(np.abs(R - reference_mean_R(A, grid))) <= tol
+            # a radius is its own product: alone, as appendix_moments passes
+            # it, or in a batch of any shape, its R is the same to the bit
+            for i in range(len(self.RADII)):
+                np.testing.assert_array_equal(sphmean.mean_R_kernel(A[i], grid), R[i])
+            np.testing.assert_array_equal(
+                sphmean.mean_R_kernel(A.reshape(2, -1, m, n, n), grid),
+                R.reshape(2, -1, n, n))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_finest_grid_sweeps_one_sphere_per_chunk(self, n):
+        # the finest sphere outgrows a chunk but not the one-sphere cap
+        grid = sphmean.sphere_grid(n, sphmean.max_resolution(n))
+        per_sphere = grid.nodes.size * n
+        assert sphmean._SWEEP_CHUNK_DOUBLES < per_sphere <= sphmean._SPHERE_CAP_DOUBLES
+        radii = np.array([0.5, 0.25, 0.125])
+        chunks = [(sl.start, sl.stop, A.size) for sl, A in
+                  sphmean.sphere_sweep(gs_power_field(0.5, n=n), radii, grid)]
+        assert chunks == [(i, i + 1, per_sphere) for i in range(len(radii))]
 
 
 class TestSymmetrization:
