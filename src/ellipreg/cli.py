@@ -281,8 +281,13 @@ def load_schema() -> dict:
         return json.load(fh)
 
 
+_SCALAR_TYPES = {"string": str, "number": (int, float), "integer": int}
+
+
 def validate_report(report: dict, schema: Optional[dict] = None):
-    """Structural validation against the shipped schema (subset of JSON Schema)."""
+    """Structural validation against the shipped schema (subset of JSON Schema:
+    object, array with items, string, number and integer; a bool is neither
+    a number nor an integer)."""
     if schema is None:
         schema = load_schema()
     problems = []
@@ -299,10 +304,15 @@ def validate_report(report: dict, schema: Optional[dict] = None):
             for key, sub in spec.get("properties", {}).items():
                 if key in node:
                     check(node[key], sub, f"{path}.{key}")
-        elif typ == "string" and not isinstance(node, str):
-            problems.append(f"{path}: expected string")
-        elif typ == "number" and not isinstance(node, (int, float)):
-            problems.append(f"{path}: expected number")
+        elif typ == "array":
+            if not isinstance(node, list):
+                problems.append(f"{path}: expected array")
+                return
+            for i, item in enumerate(node):
+                check(item, spec.get("items", {}), f"{path}[{i}]")
+        elif typ in _SCALAR_TYPES and (isinstance(node, bool) or
+                                       not isinstance(node, _SCALAR_TYPES[typ])):
+            problems.append(f"{path}: expected {typ}")
 
     check(report, schema, "$")
     return problems
@@ -381,7 +391,7 @@ def run_moments(cfg: RunConfig) -> dict:
     opts = cfg.options.get("moments", {})
     k_max = _option(opts, "moments", "k_max", cfg.budget.k_max, int)
     radii = cfg.budget.eps * 2.0 ** -np.arange(0, k_max)
-    grid = cfg.budget.sphere_grid(field.dim)
+    grid = cfg.budget.sphere_sampler(field.dim).grid
     rows = []
     for r in radii:
         md = sphmean.appendix_moments(field, float(r), grid)
@@ -416,21 +426,21 @@ def run_integrate(cfg: RunConfig) -> dict:
                                    strict=True)
         cfg.volatile["sphere_quadrature"] = sampler.record()
         step = (len(flow.t) - 1) // 512
-        track = dynsys.FundamentalMatrixTrack(flow.t[::step], flow.y[::step])
+        ts, Phi = flow.t[::step], flow.y[::step]
     elif source in gs.WHITELIST:
         gen = gs.WHITELIST[source]
-        grid_t = np.linspace(t0, t1, 513)
-        phi = gs.closed_form_phi(gen, n, grid_t) / gs.closed_form_phi(gen, n, t0)
-        track = dynsys.FundamentalMatrixTrack(grid_t, phi[:, None, None])
+        ts = np.linspace(t0, t1, 513)
+        phi = gs.closed_form_phi(gen, n, ts) / gs.closed_form_phi(gen, n, t0)
+        Phi = phi[:, None, None]
     else:
         raise ConfigError(f"[integrate] unknown generator {source!r}")
-    rep = dynsys.stability_constant(track)
+    rep = dynsys.stability_constant(ts, Phi)
     if rep.K_running is None:
         raise np.linalg.LinAlgError(rep.diagnostics)
-    norms = np.linalg.norm(track.Phi.reshape(len(track.Phi), -1), axis=1)
-    ys = track.Phi[:, :, 0]     # the trajectory through e_1
+    norms = np.linalg.norm(Phi.reshape(len(Phi), -1), axis=1)
+    ys = Phi[:, :, 0]     # the trajectory through e_1
     rows = [[t, *y, nrm, k]
-            for t, y, nrm, k in zip(track.t_grid, ys, norms, rep.K_running)]
+            for t, y, nrm, k in zip(ts, ys, norms, rep.K_running)]
     header = ["t"] + [f"phi_{i+1}" for i in range(ys.shape[1])] + ["Phi_norm", "K_running"]
     path = write_csv(cfg, "trajectory.csv", header, rows)
     return {"csv": os.path.basename(path), "K_hat": rep.K_hat,
@@ -457,7 +467,7 @@ def run_classify(cfg: RunConfig, emit_csv: bool = False) -> dict:
 def run_appendix(cfg: RunConfig) -> dict:
     field = build_field(cfg)
     sys_ = appendix_system.build_reduced_system(
-        field, cfg.budget.sphere_grid(field.dim))
+        field, cfg.budget.sphere_sampler(field.dim).grid)
     ts = np.linspace(cfg.budget.dyn_t0,
                      -math.log(cfg.budget.eps) + cfg.budget.k_max * math.log(2.0),
                      41)

@@ -24,6 +24,9 @@ FAMILY_GILBARG_SERRIN = "GilbargSerrin"
 FAMILY_PERTURBED_RADIAL = "PerturbedRadial"
 FAMILY_CUSTOM = "Custom"
 
+# the radii at which make_gilbarg_serrin checks g against its envelope
+_GS_CHECK_RADII = 2.0 ** -np.arange(0, 31, dtype=float)
+
 
 class FieldError(ValueError):
     """Rejected field construction (ellipticity, symmetry, envelope, ...)."""
@@ -37,13 +40,13 @@ class FieldError(ValueError):
 class Modulus:
     """Oscillation envelope omega(r) on (0, 1], nondecreasing, omega(0+) = 0.
 
-    ``analytic_tag`` names the closed form when there is one, e.g.
-    "1/log(e/r)" or "r^0.5".
+    ``omega_log(s)`` is omega(e^-s) in closed form.  ``analytic_tag`` names
+    the closed form when there is one, e.g. "1/log(e/r)" or "r^0.5".
     """
 
     omega: Callable[[np.ndarray], np.ndarray]
+    omega_log: Callable[[np.ndarray], np.ndarray]
     analytic_tag: Optional[str] = None
-    omega_log: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -52,10 +55,7 @@ class Modulus:
 
     def log_form(self, s):
         """omega(e^-s); exact for built-ins even where e^-s underflows."""
-        s = np.asarray(s, dtype=float)
-        if self.omega_log is not None:
-            return np.asarray(self.omega_log(s), dtype=float)
-        return self(np.exp(-s))
+        return np.asarray(self.omega_log(np.asarray(s, dtype=float)), dtype=float)
 
 
 def zero_modulus() -> Modulus:
@@ -276,17 +276,15 @@ def make_constant(n: int, A0: np.ndarray) -> CoefficientField:
     )
 
 
-def make_gilbarg_serrin(n: int, g: Callable, omega_bound: Modulus,
-                        check_radii: Optional[np.ndarray] = None) -> CoefficientField:
+def make_gilbarg_serrin(n: int, g: Callable, omega_bound: Modulus) -> CoefficientField:
     """Field A(x) = I + g(|x|) theta theta^T with theta = x/|x|, g(0+) = 0.
 
     The radial profile must stay inside the declared envelope,
-    |g(r)| <= omega_bound(r), and keep the field elliptic, 1 + g(r) > 0.
+    |g(r)| <= omega_bound(r), and keep the field elliptic, 1 + g(r) > 0;
+    both are checked at the radii _GS_CHECK_RADII.
     """
     gv = np.vectorize(g, otypes=[float]) if not _is_vectorized(g) else g
-    if check_radii is None:
-        check_radii = 2.0 ** -np.arange(0, 31, dtype=float)
-    rr = np.asarray(check_radii, float)
+    rr = _GS_CHECK_RADII
     gr = np.asarray(gv(rr), float)
     wr = omega_bound(rr)
     bad = np.abs(gr) > wr * (1 + 1e-12) + 1e-15
@@ -319,9 +317,9 @@ def make_gilbarg_serrin(n: int, g: Callable, omega_bound: Modulus,
     )
 
 
-def make_perturbed_radial(n: int, a0: Callable, a1=None,
-                          modulus: Optional[Modulus] = None) -> CoefficientField:
-    """Field a0(|x|) + a1(x) - a1(0), with a0(0) = I.
+def make_perturbed_radial(n: int, a0: Callable, a1=None, *,
+                          modulus: Modulus) -> CoefficientField:
+    """Field a0(|x|) + a1(x) - a1(0), with a0(0) = I and envelope ``modulus``.
 
     ``a0`` maps a radius to an n x n symmetric matrix; ``a1`` is another
     CoefficientField, a batch evaluator, or None.  The correction by a1(0)
@@ -362,16 +360,6 @@ def make_perturbed_radial(n: int, a0: Callable, a1=None,
     lam_min, lam_max = float(w[:, 0].min()), float(w[:, -1].max())
     if lam_min <= 0:
         raise FieldError(f"combined field loses ellipticity (eigenvalue {lam_min:.6g})")
-
-    if modulus is None:
-        # envelope estimated from samples on dyadic spheres, then held fixed
-        radii = 2.0 ** -np.arange(0, 26, dtype=float)
-        vals = []
-        for r in radii:
-            th = _unit_probe(n, 64)
-            vals.append(np.max(np.abs(batch(r * th) - np.eye(n))))
-        vals = np.maximum.accumulate(np.asarray(vals)[::-1])[::-1]  # enforce monotone
-        modulus = piecewise_log_modulus(np.maximum(vals, 1e-300))
 
     tag = FAMILY_RADIAL if a1_batch is None else FAMILY_PERTURBED_RADIAL
     return CoefficientField(
@@ -430,15 +418,6 @@ def _is_vectorized(g) -> bool:
         return np.asarray(out).shape == (2,)
     except Exception:
         return False
-
-
-def _unit_probe(n: int, m: int) -> np.ndarray:
-    if n == 2:
-        th = 2 * np.pi * np.arange(m) / m
-        return np.stack([np.cos(th), np.sin(th)], axis=1)
-    rng = np.random.default_rng(3)
-    v = rng.normal(size=(m, n))
-    return v / np.linalg.norm(v, axis=1)[:, None]
 
 
 def _assert_symmetric(A: np.ndarray) -> None:

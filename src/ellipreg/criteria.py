@@ -29,14 +29,19 @@ Every R that ``classify`` reads (the profile, the flow lattice's extension
 and its halvings) comes from one :class:`~ellipreg.sphmean.SphereSampler`
 of the budget: the ``grid_resolution`` grid as given, or, when that is
 unset, the adaptive ladder 8, 16, ... up to the default grid, each radius
-checked against the rung below it to min(tol, dyn_tol)/10.
+checked against the rung below it to min(tol, dyn_tol)/10.  A profile holds
+its sampler, and every later sweep of the profile goes through it.
+
+The dynamics evidence reads one matrix-state flow from the profile's R:
+Phi(t) Phi(t_s)^-1 on a grid from each start t_s, and the trajectory
+through e_1 as the first column of the product from t0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,9 +50,8 @@ from .coeff import CoefficientField, FieldError, Modulus
 from .dyadic import (IntegralEvidence, VERDICT_CONVERGES, VERDICT_DIVERGES,
                      VERDICT_INCONCLUSIVE, RATE_TO_MINUS_INF,
                      evidence_from_partials)
-from .sphmean import (SphereSampler, SphericalGrid, default_grid,
-                      mean_matrix_R_many, sphere_grid, sphere_sampler,
-                      sphere_sweep, symmetrized_S)
+from .sphmean import (SphereSampler, default_resolution, mean_matrix_R_many,
+                      sphere_sampler, sphere_sweep, symmetrized_S)
 
 LN2 = math.log(2.0)
 
@@ -157,7 +161,7 @@ class RadialProfile:
     """
 
     field: CoefficientField
-    grid: Union[SphericalGrid, SphereSampler]   # the profile's sphere quadrature
+    sampler: SphereSampler       # the profile's sphere quadrature
     eps: float
     k_max: int
     s_nodes: np.ndarray          # (M,)
@@ -178,19 +182,19 @@ class RadialProfile:
 
 def build_radial_profile(field: CoefficientField, eps: float = 0.5,
                          k_max: int = 30, nodes_per_octave: int = 32,
-                         grid: Union[SphericalGrid, SphereSampler, None] = None
+                         sampler: Optional[SphereSampler] = None
                          ) -> RadialProfile:
-    """R and mu on the profile's nodes, from ``grid`` (the default grid when
-    None) or through a sampler, which later sweeps of the profile reuse."""
-    if grid is None:
-        grid = default_grid(field.dim)
+    """R and mu on the profile's nodes through ``sampler``, which later
+    sweeps of the profile reuse; None is the default grid as one rung."""
+    if sampler is None:
+        sampler = sphere_sampler(field.dim, default_resolution(field.dim))
     s0 = -math.log(eps)
     M = k_max * nodes_per_octave + 1
     s = s0 + np.arange(M) * (LN2 / nodes_per_octave)
-    R = mean_matrix_R_many(field, np.exp(-s), grid)
+    R = mean_matrix_R_many(field, np.exp(-s), sampler)
     mu = np.linalg.eigvalsh(symmetrized_S(R))[:, -1]
     octs = np.arange(0, k_max + 1) * nodes_per_octave
-    return RadialProfile(field, grid, eps, k_max, s, R, mu,
+    return RadialProfile(field, sampler, eps, k_max, s, R, mu,
                          _cumulative(R, s), _cumulative(mu, s), octs)
 
 
@@ -289,10 +293,21 @@ def l1_condition_12b(profile: RadialProfile, tol: float = 1e-6,
         return IntegralEvidence(ks, np.full(len(ks), np.nan),
                                 VERDICT_INCONCLUSIVE,
                                 detail={"reason": f"inner integral {pv.verdict}"})
-    inner = np.asarray(pv.limit, float)[None, :, :] - profile.cum_R
-    prod = np.einsum("sij,sjk->sik", profile.R_nodes, inner)
-    cum = _cumulative(dynsys.spectral_norms(prod), profile.s_nodes)
-    ks, partials = profile.octave_partials(cum)
+    return _tail_product_l1(profile, pv, profile.cum_R, tol)
+
+
+def _tail_product(profile: RadialProfile, ordered: IntegralEvidence,
+                  cum: np.ndarray) -> np.ndarray:
+    """R times the tail (limit - cum) of a converged ordered integral."""
+    inner = np.asarray(ordered.limit, float)[None, :, :] - cum
+    return np.einsum("sij,sjk->sik", profile.R_nodes, inner)
+
+
+def _tail_product_l1(profile: RadialProfile, ordered: IntegralEvidence,
+                     cum: np.ndarray, tol: float) -> IntegralEvidence:
+    """Ordered truncations of the spectral norm of ``_tail_product``."""
+    norms = dynsys.spectral_norms(_tail_product(profile, ordered, cum))
+    ks, partials = profile.octave_partials(_cumulative(norms, profile.s_nodes))
     return evidence_from_partials(ks, partials, tol)
 
 
@@ -309,30 +324,27 @@ class IteratedReport:
                 and self.level2_l1 is not None and self.level2_l1.converges)
 
 
-def iterated_condition_13(profile: RadialProfile, tol: float = 1e-6) -> IteratedReport:
+def iterated_condition_13(profile: RadialProfile, pv: IntegralEvidence,
+                          l12b: IntegralEvidence,
+                          tol: float = 1e-6) -> IteratedReport:
     """Second level of the ordered-integral refinement.
 
-    Level 2 replaces R by the product R(rho) * int_0^rho R d(sigma)/sigma and
-    repeats both the ordered-convergence and the L1 test; inconclusive or
-    worse at level 1 propagates.
+    ``pv`` and ``l12b`` are the profile's level-1 tests, as
+    ``pv_integral_R`` and ``l1_condition_12b`` give them.  Level 2 replaces
+    R by the product R(rho) * int_0^rho R d(sigma)/sigma and repeats both
+    the ordered-convergence and the L1 test; inconclusive or worse at level 1
+    propagates.
     """
-    pv = pv_integral_R(profile, tol)
-    l12b = l1_condition_12b(profile, tol, pv)
     if not pv.converges:
         return IteratedReport(pv, l12b, None, None)
-    inner = np.asarray(pv.limit, float)[None, :, :] - profile.cum_R
-    G = np.einsum("sij,sjk->sik", profile.R_nodes, inner)
-    cum_G = _cumulative(G, profile.s_nodes)
+    cum_G = _cumulative(_tail_product(profile, pv, profile.cum_R),
+                        profile.s_nodes)
     ks, partials = profile.octave_partials(cum_G)
     lvl2 = evidence_from_partials(ks, partials, tol)
     if not lvl2.converges:
         return IteratedReport(pv, l12b, lvl2, None)
-    inner2 = np.asarray(lvl2.limit, float)[None, :, :] - cum_G
-    prod2 = np.einsum("sij,sjk->sik", profile.R_nodes, inner2)
-    cum2 = _cumulative(dynsys.spectral_norms(prod2), profile.s_nodes)
-    ks2, partials2 = profile.octave_partials(cum2)
-    lvl2_l1 = evidence_from_partials(ks2, partials2, tol)
-    return IteratedReport(pv, l12b, lvl2, lvl2_l1)
+    return IteratedReport(pv, l12b, lvl2,
+                          _tail_product_l1(profile, lvl2, cum_G, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +359,10 @@ def condition_A_minus_I(profile: RadialProfile,
     integral of R to converge absolutely, hence implies both refined
     conditions, and its failure is typical for slow (log-type) envelopes.
     The classifier does not read it, so the field is swept here, on the
-    profile's nodes and grid, one chunk of radii at a time.  The integrand is
-    not polynomial in theta, so a sampler's top rung is the grid.
+    profile's nodes, one chunk of radii at a time.  The integrand is not
+    polynomial in theta, so it takes the top rung of the profile's sampler.
     """
-    s, grid = profile.s_nodes, profile.grid
-    if isinstance(grid, SphereSampler):
-        grid = grid.grid
+    s, grid = profile.s_nodes, profile.sampler.grid
     absdev = np.empty(len(s))
     for sl, A in sphere_sweep(profile.field, np.exp(-s), grid):
         dev = np.linalg.eigvalsh(A - np.eye(profile.dim))
@@ -396,12 +406,6 @@ class Budget:
         if not 0 <= 2 * self.dyn_t0 < depth:
             raise ValueError(f"dyn_t0: 2*dyn_t0 must lie in [0, {depth:.6g}), "
                              "the profile depth -ln(eps) + k_max ln 2")
-
-    def sphere_grid(self, n: int) -> SphericalGrid:
-        """The sphere quadrature of this budget's moment tables in dimension n."""
-        if self.grid_resolution is None:
-            return default_grid(n)
-        return sphere_grid(n, self.grid_resolution)
 
     def sphere_sampler(self, n: int) -> SphereSampler:
         """A fresh sampler of every R ``classify`` reads: the grid of
@@ -473,7 +477,7 @@ def classify(field: CoefficientField, budget: Budget = Budget()) -> RegularityVe
     if pv.converges and l12b.converges:
         return verdict(CLASS_DIFFERENTIABLE, ROUTE_COR2)
     if pv.converges and l12b.verdict == VERDICT_INCONCLUSIVE:
-        iterated = iterated_condition_13(profile, budget.tol)
+        iterated = iterated_condition_13(profile, pv, l12b, budget.tol)
         evidence["iterated_13"] = iterated
         if iterated.level2_passes:
             return verdict(CLASS_DIFFERENTIABLE, ROUTE_COR2_ITER)
@@ -508,7 +512,7 @@ def _flow_lattice(profile: RadialProfile, t0: float):
     if j < 0 or end >= len(s):
         below = max(-j, 0)
         new = s[0] + np.concatenate([np.arange(j, 0), np.arange(len(s), end + 1)]) * h
-        R_new = mean_matrix_R_many(profile.field, np.exp(-new), profile.grid)
+        R_new = mean_matrix_R_many(profile.field, np.exp(-new), profile.sampler)
         s = np.concatenate([new[:below], s, new[below:]])
         R = np.concatenate([R_new[:below], R, R_new[below:]])
         j = max(j, 0)
@@ -525,21 +529,28 @@ def _dynamics_evidence(profile: RadialProfile, budget: Budget):
     beyond the profile (dyn_t0 < -ln eps, or an odd count of intervals) or
     be halved to meet ``dyn_tol``, one sweep of the midpoints per halving.
     The window opening is a free parameter, so the stability constant is
-    re-measured from twice the default start on the rebased flow.
+    re-measured from twice the default start off the same flow.  From a start
+    t_s the flow is Phi(t) Phi(t_s)^-1, read on 257 points from t_s to the
+    profile depth; the trajectory through e_1 is its first column from t0 on.
     """
     t0 = budget.dyn_t0
     s, R = _flow_lattice(profile, t0)
-    sample = lambda t: mean_matrix_R_many(profile.field, np.exp(-t), profile.grid)
+    sample = lambda t: mean_matrix_R_many(profile.field, np.exp(-t), profile.sampler)
     flow = dynsys.refined_flow(sample, s, budget.dyn_tol, R)
     t1 = float(profile.s_nodes[-1])   # the profile depth
-    track = dynsys.flow_track(flow, np.linspace(t0, t1, 257))
-    stab = dynsys.stability_constant(track)
-    stab2 = dynsys.stability_constant(track.resample(np.linspace(2 * t0, t1, 257)))
+
+    def stability_from(ts: float) -> dynsys.StabilityReport:
+        tg = np.linspace(ts, t1, 257)
+        Phi = flow.eval(tg) @ np.linalg.inv(flow.eval(tg[:1])[0])
+        Phi[0] = np.eye(profile.dim)
+        return dynsys.stability_constant(tg, Phi)
+
+    stab, stab2 = stability_from(t0), stability_from(2 * t0)
     asym = dynsys.AsymptoticReport(dynsys.INCONCLUSIVE)
     if t1 - t0 >= 10:
-        col = track.flow.column(0)
-        asym = dynsys.asymptotic_limit(col.eval, col.t[0], col.t[-1],
-                                       tol=budget.asi_tol)
+        e1 = np.linalg.inv(flow.eval([t0])[0])[:, 0]     # Phi(t0)^-1 e_1
+        asym = dynsys.asymptotic_limit(lambda tq: flow.eval(tq) @ e1, t0,
+                                       float(flow.t[-1]), tol=budget.asi_tol)
     return stab, stab2, asym
 
 

@@ -17,8 +17,10 @@ generator with a known integral needs no flow: its Phi is exp of that
 integral (``gilbarg_serrin.closed_form_phi``).
 
 The fundamental matrix Phi is one matrix-state flow; every dynamics question
-reads from it: K from any start time (Phi(t) Phi(s)^-1 does not depend on it)
-and the trajectory through e_1, the first column of Phi.
+reads from it.  K = sup ||Phi(t) Phi(s)^-1|| does not depend on where Phi
+starts, so ``stability_constant`` takes any (t, Phi) arrays, and the flow from
+a later start t_s is Phi(t) Phi(t_s)^-1, one product off the same flow; the
+trajectory through e_1 is its first column.
 
 All verdicts are finite-window evidence with the window reported; nothing
 here claims an asymptotic proof.
@@ -44,7 +46,6 @@ _K_BLOCK = 32                # rows of the pairwise K table normed per batch
 _K_WINDOWS = 10              # dyadic windows of the K trend
 _K_SATURATION_RTOL = 0.01    # last three windows this close: saturated
 _ASYM_WINDOW_FRACTION = 0.1  # tail window of asymptotic_limit
-_GRONWALL_QUAD_ORDER = 8     # Gauss-Legendre nodes per step for int mu
 _FLOW_MAX_NODES_PER_OCTAVE = 256   # a lattice is halved no finer than ln2/256
 
 
@@ -105,12 +106,6 @@ def _commutator(X, Y):
 # trajectories
 # ---------------------------------------------------------------------------
 
-def _shift_matrix(p: int, x0: float) -> np.ndarray:
-    """T with sum_k c_k (x0 + u)^k = sum_j (T c)_j u^j for p coefficients."""
-    return np.array([[math.comb(k, j) * x0 ** (k - j) if k >= j else 0.0
-                      for k in range(p)] for j in range(p)])
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Node states of a Magnus flow plus a generator model per panel.
@@ -124,15 +119,15 @@ class Trajectory:
     """
 
     t: np.ndarray          # (m,) node times
-    y: np.ndarray          # (m, d) or (m, d, d) states at the nodes
+    y: np.ndarray          # (m, d, d) fundamental matrix at the nodes
     coef: np.ndarray       # (m - 1, p, d, d) generator model per panel
 
-    @property
-    def dim(self) -> int:
-        return self.y.shape[1]
-
     def eval(self, tq) -> np.ndarray:
+        """The states at the times ``tq``, each inside [t[0], t[-1]]."""
         tq = np.atleast_1d(np.asarray(tq, float))
+        lo, hi = self.t[0], self.t[-1]
+        if not np.all((tq >= lo) & (tq <= hi)):
+            raise ValueError(f"times outside the flow's window [{lo:g}, {hi:g}]")
         i = np.clip(np.searchsorted(self.t, tq, side="right") - 1,
                     0, len(self.t) - 2)
         s = tq - self.t[i]
@@ -144,30 +139,7 @@ class Trajectory:
         b = s[:, None, None] * c[:, 0] + 0.5 * np.einsum(
             "qk,qkab->qab", pw[:, 1:], c[:, 1:])
         E = expm(a1 - _commutator(b, a2) / 12.0)
-        y = self.y[i]
-        Y = y[:, :, None] if y.ndim == 2 else y
-        # E @ Y summed in one fixed order, so that the flow's column j
-        # reproduces Phi[:, :, j] bit for bit
-        out = E[:, :, :1] * Y[:, None, 0]
-        for j in range(1, E.shape[-1]):
-            out += E[:, :, j:j + 1] * Y[:, None, j]
-        return out[:, :, 0] if y.ndim == 2 else out
-
-    def column(self, j: int) -> "Trajectory":
-        """Column j of a matrix-state trajectory, as a vector trajectory."""
-        return Trajectory(self.t, self.y[:, :, j], self.coef)
-
-    def rebased(self, t0: float) -> "Trajectory":
-        """The matrix-state flow from t0 on, Phi(t) Phi(t0)^-1, no new solve."""
-        i = int(np.clip(np.searchsorted(self.t, t0, side="right") - 1,
-                        0, len(self.t) - 2))
-        P0 = self.eval([t0])[0]
-        y = np.concatenate([np.eye(len(P0))[None],
-                            self.y[i + 1:] @ np.linalg.inv(P0)])
-        coef = self.coef[i:].copy()
-        coef[0] = np.einsum("jk,kab->jab",
-                            _shift_matrix(len(coef[0]), t0 - self.t[i]), coef[0])
-        return Trajectory(np.concatenate([[t0], self.t[i + 1:]]), y, coef)
+        return E @ self.y[i]
 
 
 # ---------------------------------------------------------------------------
@@ -268,41 +240,8 @@ def refined_flow(sample: Callable, t: np.ndarray, tol: float,
 
 
 # ---------------------------------------------------------------------------
-# fundamental matrices
+# stability evidence
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FundamentalMatrixTrack:
-    """Phi(t) samples on a grid, Phi(t_grid[0]) = I.
-
-    ``flow`` is the matrix-state flow the samples are read from, started at
-    t_grid[0] (None on a track built from samples alone).
-    """
-
-    t_grid: np.ndarray
-    Phi: np.ndarray          # (m, d, d)
-    flow: Optional[Trajectory] = None
-
-    def resample(self, t_grid) -> "FundamentalMatrixTrack":
-        """The flow on another grid inside its window, no new solve."""
-        return flow_track(self.flow, t_grid)
-
-
-def flow_track(flow: Trajectory, t_grid) -> FundamentalMatrixTrack:
-    """Phi(t) Phi(t_grid[0])^-1 on t_grid, read off a matrix-state flow.
-
-    The track's flow is the flow rebased to start at t_grid[0].
-    """
-    t_grid = np.asarray(t_grid, float)
-    lo, hi = flow.t[0], flow.t[-1]
-    if not lo <= t_grid[0] < t_grid[-1] <= hi:
-        raise ValueError(f"grid [{t_grid[0]:g}, {t_grid[-1]:g}] is not an "
-                         f"increasing window inside [{lo:g}, {hi:g}]")
-    based = flow.rebased(float(t_grid[0]))
-    Phi = based.eval(t_grid)
-    Phi[0] = np.eye(flow.dim)
-    return FundamentalMatrixTrack(t_grid, Phi, based)
-
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
     """Batched spectral norms; closed form up to 2x2, SVD otherwise."""
@@ -315,10 +254,6 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
         return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
-
-# ---------------------------------------------------------------------------
-# stability evidence
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -384,22 +319,24 @@ def _pairwise_K(Phi: np.ndarray):
     return K_run
 
 
-def stability_constant(track: FundamentalMatrixTrack) -> StabilityReport:
+def stability_constant(t: np.ndarray, Phi: np.ndarray) -> StabilityReport:
     """Uniform-stability constant estimate with dyadic-window trend.
 
-    K_hat is the max of ||Phi(t) Phi(s)^-1|| over grid pairs; K_trend[m] is
-    the same max over the window [t0, t0 + span * 2^(m+1-M)], so the windows
-    expand dyadically to the full track.  Verdicts: saturation of the last
-    three windows within _K_SATURATION_RTOL is stability evidence; log K
-    growing at least linearly across the last four windows is instability
-    evidence; anything else is inconclusive.  A fundamental matrix with
-    conditioning beyond 1e12 yields inconclusive with a diagnostic.  The
-    report carries the running K at every node of the track.
+    ``Phi`` holds a fundamental matrix, shape (m, d, d), at the increasing
+    times ``t``; where it starts does not matter.  K_hat is the max of
+    ||Phi(t) Phi(s)^-1|| over grid pairs; K_trend[m] is the same max over
+    the window [t0, t0 + span * 2^(m+1-M)], so the windows expand dyadically
+    to the full grid.  Verdicts: saturation of the last three windows within
+    _K_SATURATION_RTOL is stability evidence; log K growing at least
+    linearly across the last four windows is instability evidence; anything
+    else is inconclusive.  A fundamental matrix with conditioning beyond
+    1e12 yields inconclusive with a diagnostic.  The report carries the
+    running K at every grid time.
     """
-    t = track.t_grid
+    t = np.asarray(t, float)
     span = t[-1] - t[0]
     try:
-        K_run = _pairwise_K(track.Phi)
+        K_run = _pairwise_K(Phi)
     except np.linalg.LinAlgError as e:
         return StabilityReport(float("nan"), np.array([]), np.array([]),
                                INCONCLUSIVE, diagnostics=str(e))
@@ -466,32 +403,23 @@ def asymptotic_limit(state: Callable, t0: float, t1: float,
 # growth bound and perturbation equivalence
 # ---------------------------------------------------------------------------
 
-def gronwall_bound_check(traj: Trajectory, mu: Callable,
-                         cumulative_mu: Optional[Callable] = None) -> float:
+def gronwall_bound_check(t: np.ndarray, y: np.ndarray,
+                         cumulative_mu: Callable) -> float:
     """Worst ratio of |phi(t)| against |phi(s)| exp(int_s^t mu).
 
-    ``mu(t)`` must be the top eigenvalue of the symmetric part of the
-    system's right-hand generator: for d(phi)/dt + R phi = 0 that generator
-    is B = -R, and (B + B^T)/2 is exactly the symmetrized matrix S whose top
+    ``y`` holds the states phi, shape (m, d), at the times ``t``, and
+    ``cumulative_mu(t)`` is int mu from t[0] on, up to a constant.  ``mu``
+    must be the top eigenvalue of the symmetric part of the system's
+    right-hand generator: for d(phi)/dt + R phi = 0 that generator is
+    B = -R, and (B + B^T)/2 is exactly the symmetrized matrix S whose top
     eigenvalue drives all growth bounds here.  The bound is an identity for
     scalar flows and an inequality otherwise, so the return value should
     never exceed 1 beyond integration error.
     """
-    t = traj.t
-    norms = np.linalg.norm(traj.y, axis=1)
+    norms = np.linalg.norm(y, axis=1)
     if np.any(norms == 0):
         raise ValueError("trajectory passes through zero; ratio undefined")
-    if cumulative_mu is not None:
-        M = np.asarray(cumulative_mu(t), float)
-    else:
-        x, w = np.polynomial.legendre.leggauss(_GRONWALL_QUAD_ORDER)
-        a, b = t[:-1], t[1:]
-        mid, half = (a + b) / 2, (b - a) / 2
-        nodes = mid[:, None] + half[:, None] * x[None, :]
-        vals = np.asarray([[mu(tt) for tt in row] for row in nodes])
-        pieces = (vals * w[None, :]).sum(axis=1) * half
-        M = np.concatenate([[0.0], np.cumsum(pieces)])
-    q = np.log(norms) - M
+    q = np.log(norms) - np.asarray(cumulative_mu(t), float)
     return float(np.exp(np.max(q - np.minimum.accumulate(q))))
 
 
@@ -543,7 +471,7 @@ def perturbation_equivalence(Rfun: Callable, Rtil: Callable, t_grid,
     def K_hat(f):
         flow = refined_flow(lambda ts: np.stack([f(t) for t in ts]), lattice,
                             tol, strict=True)
-        return stability_constant(flow_track(flow, t_grid)).K_hat
+        return stability_constant(t_grid, flow.eval(t_grid)).K_hat
 
     Ka, Kb = K_hat(fa), K_hat(fb)
     realized = max(Ka / Kb, Kb / Ka)

@@ -20,6 +20,17 @@ from . import dynsys
 KIND_CONVERGENT_IMPROPER = "convergent-improper"
 KIND_MINUS_INFINITY = "minus-infinity"
 
+# the plateau schedule of build_cesari_counterexample
+_ENVELOPE_AMPLITUDE = 1.5     # C in the envelope C t^-a
+_BLOCK_GAIN = 0.55            # block pair j rises by _BLOCK_GAIN * j
+_CANCEL_EXTRA = 1.2           # and falls by that plus c_j, made of _CANCEL_EXTRA
+_TARGET_WINDOW_SUP = 5.0      # the largest block rise the horizon must carry
+_T_START = 1.0                # the first plateau edge
+_TAIL_FRACTION = 0.2          # the quiet share of the horizon after the blocks
+_PLATEAU_XTOL = 1e-12         # Newton step at which a plateau width is done
+_WINDOW_PER_SEGMENT = 12      # window grid points between two plateau edges
+_WINDOW_UNIFORM = 257         # window grid points spread over the horizon
+
 
 @dataclass(frozen=True)
 class ScalarGenerator:
@@ -99,24 +110,18 @@ class PlateauGenerator(ScalarGenerator):
 
 
 def build_cesari_counterexample(kind: str, decay_exponent: float = 2.0 / 3.0,
-                                horizon: float = 1e4, *,
-                                envelope_amplitude: float = 1.5,
-                                block_gain: float = 0.55,
-                                cancel_extra: float = 1.2,
-                                target_window_sup: float = 5.0,
-                                t_start: float = 1.0,
-                                tail_fraction: float = 0.2) -> PlateauGenerator:
+                                horizon: float = 1e4) -> PlateauGenerator:
     """Plateau generator separating uniform stability from asymptotic constancy.
 
-    Block pair j rises by b_j = block_gain * j and falls by b_j + c_j, with
-    c_j = cancel_extra / j^2 (kind convergent-improper: the running integral
-    converges) or c_j = cancel_extra (kind minus-infinity: it sinks without
+    Block pair j rises by b_j = _BLOCK_GAIN * j and falls by b_j + c_j, with
+    c_j = _CANCEL_EXTRA / j^2 (kind convergent-improper: the running integral
+    converges) or c_j = _CANCEL_EXTRA (kind minus-infinity: it sinks without
     bound).  Plateau heights sit on the envelope C * t^-a at each plateau's
     right edge, so |gtil| <= C t^-a everywhere and gtil is square-integrable
-    for a > 1/2; widths follow.  Blocks stop before (1 - tail_fraction) *
+    for a > 1/2; widths follow.  Blocks stop before (1 - _TAIL_FRACTION) *
     horizon so the tail is exactly quiet, and the construction is rejected
     (naming the binding constraint) when the envelope cannot deliver a
-    window sup of target_window_sup within the horizon.
+    window sup of _TARGET_WINDOW_SUP within the horizon.
     """
     if kind not in (KIND_CONVERGENT_IMPROPER, KIND_MINUS_INFINITY):
         raise ValueError(f"unknown kind {kind!r}")
@@ -124,18 +129,18 @@ def build_cesari_counterexample(kind: str, decay_exponent: float = 2.0 / 3.0,
     if not (0.5 < a < 1.0):
         raise ValueError("decay_exponent must lie in (1/2, 1) for the "
                          "square-integrable/non-integrable regime")
-    C = float(envelope_amplitude)
-    t_stop = (1.0 - tail_fraction) * horizon
+    C = _ENVELOPE_AMPLITUDE
+    t_stop = (1.0 - _TAIL_FRACTION) * horizon
 
-    edges = [t_start]
+    edges = [_T_START]
     heights = []
     block_integrals = []
-    T = t_start
+    T = _T_START
     j = 0
     while True:
         j += 1
-        b = block_gain * j
-        c = cancel_extra / j ** 2 if kind == KIND_CONVERGENT_IMPROPER else cancel_extra
+        b = _BLOCK_GAIN * j
+        c = _CANCEL_EXTRA / j ** 2 if kind == KIND_CONVERGENT_IMPROPER else _CANCEL_EXTRA
         trial_edges, trial_heights = [], []
         T_try = T
         for mass, sgn in ((b, +1.0), (b + c, -1.0)):
@@ -153,12 +158,12 @@ def build_cesari_counterexample(kind: str, decay_exponent: float = 2.0 / 3.0,
 
     J = len(block_integrals)
     bi = np.asarray(block_integrals, float)
-    if J == 0 or bi[-1, 0] < target_window_sup:
+    if J == 0 or bi[-1, 0] < _TARGET_WINDOW_SUP:
         achieved = bi[-1, 0] if J else 0.0
         raise ValueError(
             f"infeasible schedule: envelope {C:g}*t^-{a:g} delivers a max "
             f"block rise of {achieved:g} < target window sup "
-            f"{target_window_sup:g} within horizon {horizon:g} "
+            f"{_TARGET_WINDOW_SUP:g} within horizon {horizon:g} "
             f"(binding constraint: blocks must end by t = {t_stop:g})")
 
     edges = np.asarray(edges)
@@ -199,15 +204,14 @@ def build_cesari_counterexample(kind: str, decay_exponent: float = 2.0 / 3.0,
         blocks=blocks, horizon=float(horizon))
 
 
-def _plateau_width(C: float, a: float, T: float, mass: float,
-                   xtol: float = 1e-12) -> float:
+def _plateau_width(C: float, a: float, T: float, mass: float) -> float:
     """The width w > 0 of a plateau from T that carries ``mass``.
 
     Solves f(w) = C w (T + w)^-a - mass = 0.  For a in (0, 1) f is
     increasing and concave, so Newton steps from the left end of the
     bracket climb to the root without overshoot; a step that would leave
     the bracket is replaced by bisection.  It stops once a step is below
-    ``xtol``.
+    _PLATEAU_XTOL.
     A root beyond 1e12 is reported as an infinite width.
     """
     f = lambda w: C * w * (T + w) ** (-a) - mass
@@ -229,7 +233,7 @@ def _plateau_width(C: float, a: float, T: float, mass: float,
         nxt = w - step
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - w) <= xtol:
+        if abs(nxt - w) <= _PLATEAU_XTOL:
             return nxt
         w = nxt
     return w
@@ -262,9 +266,8 @@ def verify_independence(gen: ScalarGenerator, n: int = 2,
     if horizon is None:
         horizon = getattr(gen, "horizon", 0.0) or 100.0
     grid = _window_grid(0.0, horizon, gen.breakpoints)
-    track = dynsys.FundamentalMatrixTrack(
+    stab = dynsys.stability_constant(
         grid, closed_form_phi(gen, n, grid)[:, None, None])
-    stab = dynsys.stability_constant(track)
     asym = dynsys.asymptotic_limit(lambda t: closed_form_phi(gen, n, t)[:, None],
                                    0.0, horizon, tol=tol)
 
@@ -288,12 +291,11 @@ def verify_independence(gen: ScalarGenerator, n: int = 2,
                               final, wsup)
 
 
-def _window_grid(t0: float, t1: float, breakpoints: Sequence[float],
-                 per_segment: int = 12, n_uniform: int = 257) -> np.ndarray:
+def _window_grid(t0: float, t1: float, breakpoints: Sequence[float]) -> np.ndarray:
     """Sample grid containing all plateau edges (flow extrema sit there)."""
-    pts = [np.linspace(t0, t1, n_uniform)]
+    pts = [np.linspace(t0, t1, _WINDOW_UNIFORM)]
     bps = [b for b in breakpoints if t0 < b < t1]
     bounds = np.concatenate([[t0], np.sort(bps), [t1]]) if bps else np.array([t0, t1])
     for a, b in zip(bounds[:-1], bounds[1:]):
-        pts.append(np.linspace(a, b, per_segment))
+        pts.append(np.linspace(a, b, _WINDOW_PER_SEGMENT))
     return np.unique(np.concatenate(pts))

@@ -35,6 +35,11 @@ import numpy as np
 from .coeff import CoefficientField
 
 
+_MAXITER = 2000            # conjugate-gradient iterations at most
+_CIRCLE_RESOLUTION = 256   # equispaced samples per circle
+_SATURATION_RTOL = 0.05    # last three quotients this close: bounded
+
+
 class SolveError(RuntimeError):
     """Linear solver failed to reach the requested residual."""
 
@@ -472,8 +477,10 @@ def _pcg(K: _Stencil, b: np.ndarray, precond: Callable, tol: float,
 
 
 def solve_dirichlet(field: CoefficientField, boundary_data: Callable, N: int,
-                    tol: float = 1e-12, maxiter: int = 2000) -> GridSolution:
+                    tol: float = 1e-12) -> GridSolution:
     """Solve the Dirichlet problem by preconditioned conjugate gradients.
+
+    ``boundary_data`` maps an (m, 2) array of wall points to their m values.
 
     The preconditioner is one geometric multigrid V-cycle (``_hierarchy``);
     it keeps the iteration count near 14 at every grid size.  The loop stops
@@ -483,12 +490,11 @@ def solve_dirichlet(field: CoefficientField, boundary_data: Callable, N: int,
     """
     if not (8 <= N <= 2048):
         raise ValueError("N out of the supported range [8, 2048]")
-    gfun = _vectorize_boundary(boundary_data)
-    S, b, xc = assemble(field, gfun, N)
+    S, b, xc = assemble(field, boundary_data, N)
     b = b.reshape(N, N)
     K = _Stencil(S)
     hierarchy = _hierarchy(K)
-    u, history = _pcg(K, b, lambda r: _vcycle(hierarchy, r), tol, maxiter)
+    u, history = _pcg(K, b, lambda r: _vcycle(hierarchy, r), tol, _MAXITER)
     res = float(np.linalg.norm(b - K(u)) / np.linalg.norm(b))
     if not res <= 10 * tol:
         tail = ", ".join(f"{v:.3e}" for v in history[-5:])
@@ -497,21 +503,10 @@ def solve_dirichlet(field: CoefficientField, boundary_data: Callable, N: int,
             f"(target {tol:.1e}) after {len(history)} iterations; "
             f"history tail [{tail}]")
     stencils = [lev.K.S for lev in hierarchy[0]] + [hierarchy[1]]
-    return GridSolution(N, xc, u, res, len(history), field, gfun,
+    return GridSolution(N, xc, u, res, len(history), field, boundary_data,
                         levels=tuple(s.shape[-1] for s in stencils),
                         stencil_points=tuple(s.shape[0] ** 2 for s in stencils),
                         residual_tail=tuple(history[-5:]))
-
-
-def _vectorize_boundary(g: Callable) -> Callable:
-    probe = np.zeros((2, 2))
-    try:
-        out = np.asarray(g(probe), float)
-        if out.shape == (2,):
-            return g
-    except Exception:
-        pass
-    return lambda pts: np.asarray([g(p) for p in np.atleast_2d(pts)], float)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +520,6 @@ class SpectralDecomposition:
     v: np.ndarray                # (m, 2) first-moment coefficients
     w_means: np.ndarray          # (m,) residual means on an independent grid
     w_moments: np.ndarray        # (m,) max residual first moments, same grid
-    circle_resolution: int
 
 
 def _trusted_radii(sol: GridSolution, radii: Sequence[float]) -> np.ndarray:
@@ -542,8 +536,7 @@ def _trusted_radii(sol: GridSolution, radii: Sequence[float]) -> np.ndarray:
     return radii
 
 
-def spectral_decompose(sol: GridSolution, radii: Sequence[float],
-                       circle_resolution: int = 256) -> SpectralDecomposition:
+def spectral_decompose(sol: GridSolution, radii: Sequence[float]) -> SpectralDecomposition:
     """Split u on circles into mean + first moments + remainder.
 
     u0(r) is the circle mean, v_k(r) = (n/r) * mean(u theta_k); the
@@ -554,7 +547,7 @@ def spectral_decompose(sol: GridSolution, radii: Sequence[float],
     """
     radii = _trusted_radii(sol, radii)
     interp = sol.interpolator
-    m = circle_resolution
+    m = _CIRCLE_RESOLUTION
     th = 2 * np.pi * np.arange(m) / m
     mfine = int(1.5 * m)
     thf = 2 * np.pi * (np.arange(mfine) + 0.37) / mfine
@@ -575,7 +568,7 @@ def spectral_decompose(sol: GridSolution, radii: Sequence[float],
         wmom.append(float(max(abs(np.mean(wf * np.cos(thf))),
                               abs(np.mean(wf * np.sin(thf))))))
     return SpectralDecomposition(radii, np.asarray(u0), np.asarray(vv),
-                                 np.asarray(wm), np.asarray(wmom), m)
+                                 np.asarray(wm), np.asarray(wmom))
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +583,7 @@ class QuotientReport:
     bounded_evidence: bool
 
 
-def lipschitz_quotient(sol: GridSolution, radii: Sequence[float],
-                       circle_resolution: int = 256,
-                       saturation_rtol: float = 0.05) -> QuotientReport:
+def lipschitz_quotient(sol: GridSolution, radii: Sequence[float]) -> QuotientReport:
     """Difference quotients max_{|x|=r} |u(x) - u(0)| / r on dyadic circles.
 
     Bounded evidence means the last three quotients agree within 5 percent,
@@ -602,7 +593,7 @@ def lipschitz_quotient(sol: GridSolution, radii: Sequence[float],
     radii = _trusted_radii(sol, radii)
     interp = sol.interpolator
     u0 = float(interp(np.zeros((1, 2)))[0])
-    th = 2 * np.pi * np.arange(circle_resolution) / circle_resolution
+    th = 2 * np.pi * np.arange(_CIRCLE_RESOLUTION) / _CIRCLE_RESOLUTION
     Q = []
     for r in radii:
         pts = r * np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -610,7 +601,7 @@ def lipschitz_quotient(sol: GridSolution, radii: Sequence[float],
         Q.append(float(np.max(np.abs(vals - u0)) / r))
     Q = np.asarray(Q)
     last = Q[-3:] if len(Q) >= 3 else Q
-    bounded = bool(np.max(last) <= np.min(last) * (1 + saturation_rtol))
+    bounded = bool(np.max(last) <= np.min(last) * (1 + _SATURATION_RTOL))
     return QuotientReport(radii, Q, u0, bounded)
 
 

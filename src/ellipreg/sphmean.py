@@ -222,18 +222,6 @@ def mean_R_kernel(A: np.ndarray, grid: SphericalGrid) -> np.ndarray:
     return np.matmul(At, grid.R_weights.reshape(m * n, n))
 
 
-def mean_matrix_R(field: CoefficientField, r: float,
-                  grid: Optional[SphericalGrid] = None) -> np.ndarray:
-    """Mean of A - n (A theta) x theta at radius r.
-
-    Vanishes identically for constant and radial fields; entrywise bounded
-    by a multiple of omega(r) in general.
-    """
-    if grid is None:
-        grid = default_grid(field.dim)
-    return mean_R_kernel(field.eval_batch(r * grid.nodes), grid)
-
-
 def _radii_per_chunk(grid: SphericalGrid) -> int:
     m, n = grid.nodes.shape
     return max(1, _SWEEP_CHUNK_DOUBLES // (m * n * n))

@@ -61,6 +61,11 @@ def scalar_rfun(gen, n):
     return lambda t: np.array([[-nu * float(gen.gtil(np.asarray(t, float)))]])
 
 
+def mean_R(field, r, grid=None):
+    """R at the one radius r, from the many-radii sweep."""
+    return sphmean.mean_matrix_R_many(field, [r], grid)[0]
+
+
 def batched(rfun):
     """A per-time generator as the array sampler ``dynsys.refined_flow`` takes."""
     return lambda ts: np.stack([np.atleast_2d(np.asarray(rfun(t), float))

@@ -9,6 +9,7 @@ import numpy as np
 
 from ellipreg import cli, dynsys, pde_verify, sphmean
 
+from conftest import mean_R
 from rk45_reference import rk45_fundamental_matrix
 
 
@@ -329,9 +330,9 @@ tol = {tol}
         np.testing.assert_array_equal(t, np.linspace(0.0, 30.0, 513))
         grid = sphmean.default_grid(2)
         field = cli.build_field(cli.load_config(cfg, "integrate"))
-        rfun = lambda s: sphmean.mean_matrix_R(field, np.exp(-s), grid)
+        rfun = lambda s: mean_R(field, np.exp(-s), grid)
         Phi = rk45_fundamental_matrix(rfun, t, 1e-13)
-        K = dynsys.stability_constant(dynsys.FundamentalMatrixTrack(t, Phi))
+        K = dynsys.stability_constant(t, Phi)
         want = np.column_stack([Phi[:, :, 0],
                                 np.linalg.norm(Phi.reshape(len(t), -1), axis=1),
                                 K.K_running])
@@ -514,3 +515,23 @@ class TestSchema:
         bad = {"schema_version": "1"}
         problems = cli.validate_report(bad, schema)
         assert problems
+
+    def test_array_and_integer_types_checked(self):
+        report = {"schema_version": "1", "tool_version": "0", "subcommand": "verify",
+                  "config_hash": "0", "payload": {},
+                  "provenance_volatile": {
+                      "timestamp_utc": "now", "wall_time_s": 0.1,
+                      "grid_solve": {"levels": "oops", "stencil_points": [9, 25],
+                                     "iterations": "x", "rel_residual": 1e-13,
+                                     "residual_tail": [1e-13]}}}
+        problems = cli.validate_report(report)
+        assert len(problems) == 2
+        assert any("grid_solve.levels: expected array" in p for p in problems)
+        assert any("grid_solve.iterations: expected integer" in p for p in problems)
+        # items are checked, and a bool is neither an integer nor a number
+        solve = report["provenance_volatile"]["grid_solve"]
+        solve.update(levels=[64, 2.5], iterations=True, rel_residual=False)
+        assert sorted(cli.validate_report(report)) == [
+            "$.provenance_volatile.grid_solve.iterations: expected integer",
+            "$.provenance_volatile.grid_solve.levels[1]: expected integer",
+            "$.provenance_volatile.grid_solve.rel_residual: expected number"]

@@ -6,7 +6,7 @@ import pytest
 from ellipreg import coeff, sphmean
 from ellipreg.coeff import FieldError
 
-from conftest import gs_log_field, gs_power_field, random_spd
+from conftest import gs_log_field, gs_power_field, mean_R, random_spd
 
 
 class TestMakeConstant:
@@ -86,7 +86,7 @@ class TestPerturbedRadial:
             2, lambda r: (1.0 + np.sqrt(r)) * np.eye(2),
             modulus=coeff.power_modulus(0.5))
         for r in 2.0 ** -np.arange(1, 12):
-            assert np.max(np.abs(sphmean.mean_matrix_R(f, r, grid2))) < 1e-12
+            assert np.max(np.abs(mean_R(f, r, grid2))) < 1e-12
 
     def test_gs_term_reduces_to_gs_field(self, grid2):
         gsf = gs_power_field(1.0, c=0.5)
@@ -116,13 +116,14 @@ class TestPerturbedRadial:
         alone = coeff.make_custom(2, lambda p: np.eye(2) + a1(p),
                                   coeff.power_modulus(1.0, eps))
         for r in (0.5, 0.25, 0.1):
-            R1 = sphmean.mean_matrix_R(combined, r, grid2)
-            R2 = sphmean.mean_matrix_R(alone, r, grid2)
+            R1 = mean_R(combined, r, grid2)
+            R2 = mean_R(alone, r, grid2)
             np.testing.assert_allclose(R1, R2, atol=1e-13)
 
     def test_non_normalized_center_rejected(self):
         with pytest.raises(FieldError, match="identity"):
-            coeff.make_perturbed_radial(2, lambda r: (2.0 + r) * np.eye(2))
+            coeff.make_perturbed_radial(2, lambda r: (2.0 + r) * np.eye(2),
+                                        modulus=coeff.power_modulus(1.0))
 
 
 class TestMakeCustom:

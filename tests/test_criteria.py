@@ -12,7 +12,7 @@ from ellipreg.dyadic import (RATE_LOG, RATE_TO_MINUS_INF, VERDICT_CONVERGES,
                              VERDICT_DIVERGES, VERDICT_INCONCLUSIVE,
                              VERDICT_OSCILLATES, IntegralEvidence)
 
-from conftest import LAB_SPECS, gs_log_field, gs_power_field, lab_field
+from conftest import LAB_SPECS, gs_log_field, gs_power_field, lab_field, mean_R
 from profile_reference import reference_profile
 from rk45_reference import rk45_fundamental_matrix, rk45_integrate
 from volume_form_reference import sphere_area, volume_integral_partials
@@ -256,10 +256,17 @@ class TestCondition12b:
         assert "inner" in ev.detail.get("reason", "")
 
 
+def iterated(prof):
+    """``iterated_condition_13`` on the profile's own level-1 tests."""
+    pv = criteria.pv_integral_R(prof)
+    return criteria.iterated_condition_13(prof, pv,
+                                          criteria.l1_condition_12b(prof, pv=pv))
+
+
 class TestIterated:
     def test_radial_all_levels_zero(self, identity_field):
         prof = criteria.build_radial_profile(identity_field)
-        rep = criteria.iterated_condition_13(prof)
+        rep = iterated(prof)
         assert rep.level1_ordered.converges and rep.level1_l1.converges
         assert rep.level2_passes
         assert abs(rep.level2_ordered.limit).max() < 1e-13
@@ -267,14 +274,14 @@ class TestIterated:
     def test_log_squared_level2(self):
         field = gs_log_field(1.0, power=2.0)
         prof = criteria.build_radial_profile(field)
-        rep = criteria.iterated_condition_13(prof)
+        rep = iterated(prof)
         assert rep.level1_ordered.converges
         assert rep.level2_passes
 
     def test_divergent_inner_propagates(self):
         field = gs_log_field(1.0)
         prof = criteria.build_radial_profile(field)
-        rep = criteria.iterated_condition_13(prof)
+        rep = iterated(prof)
         assert rep.level2_ordered is None
         assert not rep.level2_passes
 
@@ -366,7 +373,7 @@ class TestProfileMatchesReference:
         for name in ("s_nodes", "R_nodes", "mu_nodes", "cum_R", "cum_mu",
                      "octave_idx"):
             assert np.array_equal(getattr(prof, name), getattr(ref, name)), name
-        assert prof.grid.dim == field.dim
+        assert prof.sampler.grid.dim == field.dim
 
     @pytest.mark.parametrize("field_fn", PROFILE_FIELDS)
     def test_deviation_partials_bit_equal(self, field_fn):
@@ -418,7 +425,7 @@ class TestProfileMatchesReference:
         sampler = criteria.Budget(k_max=40).sphere_sampler(3)
         tracemalloc.start()
         try:
-            criteria.build_radial_profile(field, k_max=40, grid=sampler)
+            criteria.build_radial_profile(field, k_max=40, sampler=sampler)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -430,7 +437,7 @@ class TestProfileMatchesReference:
         # the peak past four chunks (36.9 MB against 26.4 MB here)
         field = gs_log_field(-1.0, shift=2.0, n=3)
         prof = criteria.build_radial_profile(
-            field, k_max=40, grid=criteria.Budget(k_max=40).sphere_sampler(3))
+            field, k_max=40, sampler=criteria.Budget(k_max=40).sphere_sampler(3))
         tracemalloc.start()
         try:
             criteria.condition_A_minus_I(prof)
@@ -440,11 +447,11 @@ class TestProfileMatchesReference:
         assert peak < 4 * 8 * sphmean._SWEEP_CHUNK_DOUBLES
 
     def test_profile_keeps_its_grid(self):
-        grid = sphmean.sphere_grid(2, 48)
+        sampler = sphmean.sphere_sampler(2, 48)
         prof = criteria.build_radial_profile(gs_power_field(0.5), k_max=10,
-                                             grid=grid)
-        assert prof.grid is grid
-        ref = reference_profile(gs_power_field(0.5), k_max=10, grid=grid)
+                                             sampler=sampler)
+        assert prof.sampler is sampler
+        ref = reference_profile(gs_power_field(0.5), k_max=10, grid=sampler.grid)
         ev = criteria.condition_A_minus_I(prof)
         assert np.array_equal(ev.partial_values,
                               ref.cum_absdev[ref.octave_idx[1:]])
@@ -698,18 +705,18 @@ def rotated_rank_one_field(c=0.6, turn=0.6):
 
 def adaptive_dynamics(field, budget):
     """The classifier's three dynamics items from RK45 solves on R(t)."""
-    grid = budget.sphere_grid(field.dim)
+    grid = budget.sphere_sampler(field.dim).grid
     t0 = budget.dyn_t0
     t1 = -math.log(budget.eps) + budget.k_max * math.log(2.0)
-    rfun = lambda t: sphmean.mean_matrix_R(field, math.exp(-t), grid)
+    rfun = lambda t: mean_R(field, math.exp(-t), grid)
     tg = np.linspace(t0, t1, 257)
     traj = rk45_integrate(rfun, t0, t1, np.eye(field.dim), budget.dyn_tol)
     Phi = traj.eval(tg)
     Phi[0] = np.eye(field.dim)
     tg2 = np.linspace(2 * t0, t1, 257)
     Phi2 = rk45_fundamental_matrix(rfun, tg2, budget.dyn_tol)
-    return (dynsys.stability_constant(dynsys.FundamentalMatrixTrack(tg, Phi)),
-            dynsys.stability_constant(dynsys.FundamentalMatrixTrack(tg2, Phi2)),
+    return (dynsys.stability_constant(tg, Phi),
+            dynsys.stability_constant(tg2, Phi2),
             dynsys.asymptotic_limit(lambda t: traj.eval(t)[:, :, 0], t0, t1,
                                     tol=budget.asi_tol))
 
@@ -718,24 +725,23 @@ class TestDynamicsSolves:
     @pytest.mark.parametrize("n, k_max", [(2, 30), (3, 15)])
     def test_classify_sweeps_only_the_profile(self, monkeypatch, n, k_max):
         # the flow steps the profile's own R samples: one sphere sweep, the
-        # profile's, and no single-radius sphere quadrature
-        sweeps, means = [], []
-        inner_many, inner = criteria.mean_matrix_R_many, sphmean.mean_matrix_R
+        # profile's, and no sphere kernel outside a sweep
+        sweeps, kernels = [], []
+        inner_many, inner = criteria.mean_matrix_R_many, sphmean.mean_R_kernel
 
         def counted_many(*args, **kwargs):
             sweeps.append(args[1])
             return inner_many(*args, **kwargs)
 
         def counted(*args, **kwargs):
-            means.append(args)
+            kernels.append(len(sweeps))
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(criteria, "mean_matrix_R_many", counted_many)
-        for module in (sphmean, criteria):
-            monkeypatch.setattr(module, "mean_matrix_R", counted, raising=False)
+        monkeypatch.setattr(sphmean, "mean_R_kernel", counted)
         v = criteria.classify(gs_log_field(-1.0, shift=2.0, n=n),
                               criteria.Budget(k_max=k_max))
-        assert len(sweeps) == 1 and means == []
+        assert len(sweeps) == 1 and set(kernels) == {1}
         assert v.evidence["dynsys_asymptotic"].residual is not None
 
     @pytest.mark.parametrize("change, sweeps", [
@@ -790,10 +796,10 @@ class TestDynamicsSolves:
         stab2 = criteria.classify(field, budget).evidence["dynsys_stability_2t0"]
         grid = sphmean.default_grid(2)
         t1 = -math.log(budget.eps) + budget.k_max * math.log(2.0)
-        rfun = lambda t: sphmean.mean_matrix_R(field, math.exp(-t), grid)
+        rfun = lambda t: mean_R(field, math.exp(-t), grid)
         tg = np.linspace(2 * budget.dyn_t0, t1, 257)
-        fresh = dynsys.stability_constant(dynsys.FundamentalMatrixTrack(
-            tg, rk45_fundamental_matrix(rfun, tg, budget.dyn_tol)))
+        fresh = dynsys.stability_constant(
+            tg, rk45_fundamental_matrix(rfun, tg, budget.dyn_tol))
         assert fresh.K_hat > 1.1
         assert stab2.verdict_uniform_stability == fresh.verdict_uniform_stability
         assert stab2.K_hat == pytest.approx(fresh.K_hat, rel=1e-7)

@@ -6,7 +6,8 @@ import pytest
 
 from ellipreg import coeff, sphmean
 
-from conftest import LAB_SPECS, gs_log_field, gs_power_field, lab_field, random_spd
+from conftest import (LAB_SPECS, gs_log_field, gs_power_field, lab_field, mean_R,
+                      random_spd)
 from mean_R_reference import reference_mean_R
 
 
@@ -80,7 +81,7 @@ class TestMeanMatrixR:
             for _ in range(10):
                 f = coeff.make_constant(n, random_spd(rng, n))
                 for r in 2.0 ** -np.arange(1, 21):
-                    assert np.max(np.abs(sphmean.mean_matrix_R(f, r, grid))) < 1e-12
+                    assert np.max(np.abs(mean_R(f, r, grid))) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_gs_closed_form(self, n):
@@ -89,7 +90,7 @@ class TestMeanMatrixR:
         for r in 2.0 ** -np.arange(1, 21):
             gval = 1.0 / (1.0 - np.log(r))
             want = (1.0 - n) / n * gval * np.eye(n)
-            R = sphmean.mean_matrix_R(f, r, grid)
+            R = mean_R(f, r, grid)
             assert np.max(np.abs(R - want)) < 1e-10
 
     def test_gs_constant_profile_value(self, grid2):
@@ -97,35 +98,35 @@ class TestMeanMatrixR:
         f = coeff.make_gilbarg_serrin(
             2, lambda r: 0.3 * np.ones_like(np.asarray(r, float)),
             coeff.constant_modulus(0.3))
-        R = sphmean.mean_matrix_R(f, 0.25, grid2)
+        R = mean_R(f, 0.25, grid2)
         np.testing.assert_allclose(R, -0.15 * np.eye(2), atol=1e-14)
 
     def test_anisotropic_hand_value(self, grid2):
         # mean of (A - 2 A theta x theta) for a_11 = 1 + g theta_1^2 is
         # diag(-g/4, 0): frozen from the degree-four moment table
         f = aniso_field(lambda r: 0.4 * np.ones_like(r))
-        R = sphmean.mean_matrix_R(f, 0.5, grid2)
+        R = mean_R(f, 0.5, grid2)
         np.testing.assert_allclose(R, np.diag([-0.1, 0.0]), atol=1e-14)
 
     def test_anisotropic_dense_quadrature_oracle(self):
         f = aniso_field(lambda r: 0.4 * r)
         dense = sphmean.sphere_grid(2, 4096)
         for r in (0.5, 0.1):
-            R_def = sphmean.mean_matrix_R(f, r)
-            R_orc = sphmean.mean_matrix_R(f, r, dense)
+            R_def = mean_R(f, r)
+            R_orc = mean_R(f, r, dense)
             np.testing.assert_allclose(R_def, R_orc, atol=1e-13)
 
     def test_resolution_convergence(self):
         for f in (gs_log_field(1.0), aniso_field(lambda r: 0.3 * r)):
-            a = sphmean.mean_matrix_R(f, 0.3, sphmean.sphere_grid(2, 64))
-            b = sphmean.mean_matrix_R(f, 0.3, sphmean.sphere_grid(2, 128))
+            a = mean_R(f, 0.3, sphmean.sphere_grid(2, 64))
+            b = mean_R(f, 0.3, sphmean.sphere_grid(2, 128))
             assert np.max(np.abs(a - b)) < 1e-10
 
     def test_oscillation_ratio_bounded(self, grid2):
         # |R(r)| <= c omega(r): report/check the empirical ratio on built-ins
         f = gs_log_field(1.0)
         for r in 2.0 ** -np.arange(1, 15):
-            R = sphmean.mean_matrix_R(f, r, grid2)
+            R = mean_R(f, r, grid2)
             om = float(f.modulus(np.array([r]))[0])
             assert np.max(np.abs(R)) <= 1.0 * om + 1e-15
 
@@ -135,7 +136,7 @@ class TestMeanMatrixR:
         many = sphmean.mean_matrix_R_many(f, radii, grid2)
         for i, r in enumerate(radii):
             np.testing.assert_allclose(many[i],
-                                       sphmean.mean_matrix_R(f, r, grid2),
+                                       mean_R(f, r, grid2),
                                        atol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 3])

@@ -20,8 +20,6 @@ ALLOWED = {
     "gronwall_bound_check": "acceptance gate subject: the growth-bound ratio",
     "perturbation_equivalence": "acceptance gate subject: perturbed-radial fields",
     "limit_as_float": "acceptance criterion 06 reads the square-Dini limit",
-    "mean_matrix_R": "one-radius R: the sphmean tests' subject, and a span "
-                     "the benchmark's layer tracer names",
     "power_modulus": "field constructor every test fixture builds on",
     "inv_log_modulus": "field constructor every test fixture builds on",
     "make_custom": "field constructor every test fixture builds on",
