@@ -8,6 +8,15 @@ A(0) = I for normalized fields) together with a nondecreasing envelope
 Fields are represented as evaluators plus metadata, never as sampled arrays,
 so quadrature resolution is always chosen by the consumer.  All objects here
 are immutable and all operations pure.
+
+The sphere means read a field on whole spheres, radii x grid nodes, through
+:meth:`CoefficientField.on_spheres`.  A factory that knows its field's
+radial structure supplies the sampler: a rank-one field is I + g(r) theta
+theta^T with g read once per radius and theta theta^T the grid's
+``node_outer``, a radial field calls a0 once per radius.  Any other field
+is read through ``eval_batch`` at the points.  A grid is anything with
+``nodes`` (m, n) and ``node_outer`` (m, n, n), so this module does not
+import the quadrature module.
 """
 
 from __future__ import annotations
@@ -220,6 +229,12 @@ class CoefficientField:
     symmetric matrices; ``eval`` is the single-point convenience wrapper.
     ``normalized`` records whether eval(0) = I; the classification pipeline
     only accepts normalized fields, while the moment quadratures accept any.
+    ``sphere_batch`` maps radii (k,) and a grid to the field on those
+    spheres, (k, m, n, n); None reads ``eval_batch`` at the points, looked
+    up when sampled.  The two are separate evaluators of one field:
+    ``dataclasses.replace(field, eval_batch=...)`` keeps the old
+    ``sphere_batch``, so the sphere means do not read the new evaluator.
+    Pass ``sphere_batch=None`` with it to have them read it.
     """
 
     dim: int
@@ -229,10 +244,18 @@ class CoefficientField:
     family_tag: str = FAMILY_CUSTOM
     normalized: bool = True
     gs_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    sphere_batch: Optional[Callable[[np.ndarray, object], np.ndarray]] = None
 
     def eval(self, x) -> np.ndarray:
         x = np.asarray(x, float).reshape(1, self.dim)
         return self.eval_batch(x)[0]
+
+    def on_spheres(self, radii, grid) -> np.ndarray:
+        """The field at radii[i] * grid.nodes[j], shape (k, m, n, n)."""
+        radii = np.asarray(radii, float)
+        if self.sphere_batch is not None:
+            return self.sphere_batch(radii, grid)
+        return _at_points(self.eval_batch, radii, grid)
 
     def __call__(self, x) -> np.ndarray:
         return self.eval(x)
@@ -308,12 +331,20 @@ def make_gilbarg_serrin(n: int, g: Callable, omega_bound: Modulus) -> Coefficien
         out += gval[:, None, None] * th[:, :, None] * th[:, None, :]
         return out
 
+    def sphere(radii, grid, gv=gv, n=n):
+        # g once per radius; radius 0 takes g = 0, so A = I there
+        live = radii > 0
+        gval = np.where(live, np.asarray(gv(np.where(live, radii, 1.0)), float), 0.0)
+        out = gval[:, None, None, None] * grid.node_outer
+        out += np.eye(n)
+        return out
+
     lam_min = float(min(1.0, 1.0 + np.min(gr)))
     lam_max = float(max(1.0, 1.0 + np.max(gr)))
     return CoefficientField(
         dim=n, eval_batch=batch, ellipticity=(lam_min, lam_max),
         modulus=omega_bound, family_tag=FAMILY_GILBARG_SERRIN,
-        normalized=True, gs_profile=gv,
+        normalized=True, gs_profile=gv, sphere_batch=sphere,
     )
 
 
@@ -331,13 +362,14 @@ def make_perturbed_radial(n: int, a0: Callable, a1=None, *,
         raise FieldError("a0(0) must equal the identity")
 
     if a1 is None:
-        a1_batch = None
+        a1_batch = a1_sphere = None
         a1_zero = np.zeros((n, n))
     elif isinstance(a1, CoefficientField):
-        a1_batch = a1.eval_batch
+        a1_batch, a1_sphere = a1.eval_batch, a1.on_spheres
         a1_zero = a1.eval(np.zeros(n))
     else:
         a1_batch = a1
+        a1_sphere = lambda radii, grid: _at_points(a1, radii, grid)
         a1_zero = np.asarray(a1(np.zeros((1, n))), float)[0]
 
     def batch(pts):
@@ -348,6 +380,16 @@ def make_perturbed_radial(n: int, a0: Callable, a1=None, *,
             out = out + a1_batch(pts) - a1_zero
         # points at the origin evaluate to I by fiat
         out[r == 0] = np.eye(n)
+        return out
+
+    def sphere(radii, grid):
+        # a0 once per radius, the same matrix over its sphere
+        a0r = np.stack([np.asarray(a0(r), float) for r in radii])
+        out = np.repeat(a0r[:, None], len(grid.nodes), axis=1)
+        if a1_sphere is not None:
+            out += a1_sphere(radii, grid)
+            out -= a1_zero
+        out[radii == 0] = np.eye(n)
         return out
 
     # sampled ellipticity estimate on a coarse probe set
@@ -364,7 +406,7 @@ def make_perturbed_radial(n: int, a0: Callable, a1=None, *,
     tag = FAMILY_RADIAL if a1_batch is None else FAMILY_PERTURBED_RADIAL
     return CoefficientField(
         dim=n, eval_batch=batch, ellipticity=(lam_min, lam_max),
-        modulus=modulus, family_tag=tag, normalized=True,
+        modulus=modulus, family_tag=tag, normalized=True, sphere_batch=sphere,
     )
 
 
@@ -410,6 +452,13 @@ def _radii(pts: np.ndarray) -> np.ndarray:
         unit = p / np.where(scale > 0, scale, 1.0)[:, None]
         r[tiny] = scale * np.linalg.norm(unit, axis=1)
     return r
+
+
+def _at_points(eval_batch: Callable, radii: np.ndarray, grid) -> np.ndarray:
+    """``eval_batch`` at the points radii x grid.nodes, shape (k, m, n, n)."""
+    m, n = grid.nodes.shape
+    pts = (radii[:, None, None] * grid.nodes[None, :, :]).reshape(-1, n)
+    return eval_batch(pts).reshape(len(radii), m, n, n)
 
 
 def _is_vectorized(g) -> bool:

@@ -13,19 +13,21 @@ the package, at one radius or many, comes from the one kernel
 the weight tensor T_m = w_m (I - n theta_m theta_m^T), so that
 R_ik = sum over m, j of A_m,ij T_m,jk: one matrix product per radius.
 
-A sweep over many radii evaluates the field a chunk of radii at a time: at
-most _SWEEP_CHUNK_DOUBLES doubles of samples (2 MB, small enough to stay in
-a core's cache while the kernel reduces them), but at least one sphere.
+A sweep over many radii samples the field a chunk of whole spheres at a
+time, through the field's own :meth:`~ellipreg.coeff.CoefficientField.on_spheres`
+(a rank-one field reads g once per radius and the grid's theta theta^T):
+at most _SWEEP_CHUNK_DOUBLES doubles of samples (2 MB, small enough to stay
+in a core's cache while the kernel reduces them), but at least one sphere.
 
-R over many radii goes through :func:`mean_matrix_R_many`, on a fixed grid
-or through a :class:`SphereSampler`.  A sampler with one rung sweeps that
-grid as given.  An adaptive sampler climbs the ladder 8, 16, ... up to the
-default resolution (64 in 2-D, 32 in 3-D) radius by radius: every radius
-is swept at 8 and 16, is done when the two agree to the sampler's tol
-(relative once |R| > 1) and keeps the finer value; the others double
-again.  The top rung is the default grid, so there R is the default
-grid's value, agreed or not.  Every rung below the top is turned in the x1 x2 plane by
-the golden fraction of 2 pi / resolution.  Untouched, the m-node rule would
+R over many radii goes through :func:`mean_matrix_R_many` and a
+:class:`SphereSampler`.  A sampler with one rung sweeps that grid as
+given.  An adaptive sampler climbs the ladder 8, 16, ... up to the default
+resolution (64 in 2-D, 32 in 3-D) radius by radius: every radius is swept
+at 8 and 16, is done when the two agree to the sampler's tol (relative
+once |R| > 1) and keeps the finer value; the others double again.  The top
+rung is the default grid, so there R is the default grid's value, agreed
+or not.  Every rung below the top is turned in the x1 x2 plane by the
+golden fraction of 2 pi / resolution.  Untouched, the m-node rule would
 nest in the 2 m-node one, and both would alias the angular modes that are
 multiples of 2 m with the same phase: they would agree on a wrong value
 (a 2-D cos(14 phi) term settled at 16 nodes with R off by a quarter of its
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -54,18 +56,22 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0   # the turn of a lower rung, per 2 pi / 
 
 @dataclass(frozen=True)
 class SphericalGrid:
-    """Quadrature nodes on S^{n-1} with mean-value weights (sum = 1), and the
-    R kernel's weight tensor T_m = w_m (I - n theta_m theta_m^T)."""
+    """Quadrature nodes on S^{n-1} with mean-value weights (sum = 1), their
+    outer products theta_m theta_m^T, and the R kernel's weight tensor
+    T_m = w_m (I - n theta_m theta_m^T)."""
 
     dim: int
     nodes: np.ndarray    # (m, n) unit vectors
     weights: np.ndarray  # (m,)
+    node_outer: np.ndarray = dc_field(init=False, repr=False, compare=False)
     R_weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         th, n = self.nodes, self.dim
-        T = np.eye(n) - n * (th[:, :, None] * th[:, None, :])
-        object.__setattr__(self, "R_weights", self.weights[:, None, None] * T)
+        outer = th[:, :, None] * th[:, None, :]
+        object.__setattr__(self, "node_outer", outer)
+        object.__setattr__(self, "R_weights",
+                           self.weights[:, None, None] * (np.eye(n) - n * outer))
 
 
 @dataclass(frozen=True)
@@ -231,19 +237,17 @@ def sphere_sweep(field: CoefficientField, radii: np.ndarray,
                  grid: SphericalGrid) -> Iterator[tuple]:
     """The field at radii x grid.nodes, in chunks of consecutive radii.
 
-    Yields ``(sl, A)`` with ``A`` the samples at ``radii[sl]``, shape
+    Yields ``(sl, A)`` with ``A = field.on_spheres(radii[sl], grid)``, shape
     (len, m, n, n), holding at most _SWEEP_CHUNK_DOUBLES doubles (at least one
     radius), so memory stays fixed however many radii are swept.  The field is
-    pointwise in the radius, so a reduction over chunks is bit-identical to
+    sampled sphere by sphere, so a reduction over chunks is bit-identical to
     one over the whole sweep.
     """
     radii = np.asarray(radii, float)
-    m, n = grid.nodes.shape
     step = _radii_per_chunk(grid)
     for lo in range(0, len(radii), step):
         sl = slice(lo, min(lo + step, len(radii)))
-        pts = (radii[sl, None, None] * grid.nodes[None, :, :]).reshape(-1, n)
-        yield sl, field.eval_batch(pts).reshape(sl.stop - lo, m, n, n)
+        yield sl, field.on_spheres(radii[sl], grid)
 
 
 def _sweep_R(field: CoefficientField, radii: np.ndarray,
@@ -255,10 +259,14 @@ def _sweep_R(field: CoefficientField, radii: np.ndarray,
     return R
 
 
-def _sampled_R(field: CoefficientField, radii: np.ndarray,
-               sampler: SphereSampler) -> np.ndarray:
-    """R over radii, each radius at the first rung that agrees with the one
-    below it, or at the top rung; one rung's chunk of samples at a time."""
+def mean_matrix_R_many(field: CoefficientField, radii: np.ndarray,
+                       sampler: SphereSampler) -> np.ndarray:
+    """R(r) over an array of radii, shape (M, n, n), through the sampler's
+    ladder: each radius at the first rung that agrees with the one below it,
+    or at the top rung.  Each rung is one :func:`sphere_sweep` reduced by
+    :func:`mean_R_kernel`, so only one chunk of field samples is held at a
+    time; the work is added to the sampler's record."""
+    radii = np.asarray(radii, float)
     top = len(sampler.grids) - 1
     R = np.empty((len(radii), field.dim, field.dim))
     live, coarse = np.arange(len(radii)), None
@@ -289,24 +297,6 @@ def _sampled_R(field: CoefficientField, radii: np.ndarray,
     return R
 
 
-def mean_matrix_R_many(field: CoefficientField, radii: np.ndarray,
-                       grid: Union[SphericalGrid, SphereSampler, None] = None
-                       ) -> np.ndarray:
-    """R(r) over an array of radii, shape (M, n, n).
-
-    On a grid (the default grid when None): one :func:`sphere_sweep` of the
-    field, each chunk reduced by :func:`mean_R_kernel` into the output, so
-    only one chunk of field samples is held at a time.  Through a
-    :class:`SphereSampler`: its ladder, radius by radius, one rung's chunk at
-    a time, with the work added to its record.
-    """
-    radii = np.asarray(radii, float)
-    if isinstance(grid, SphereSampler):
-        return _sampled_R(field, radii, grid)
-    return _sweep_R(field, radii, default_grid(field.dim) if grid is None
-                    else grid)
-
-
 def symmetrized_S(R: np.ndarray) -> np.ndarray:
     """S = -(R + R^T)/2 over the last two axes; the antisymmetric part drops out."""
     R = np.asarray(R, float)
@@ -332,7 +322,7 @@ def appendix_moments(field: CoefficientField, r: float,
     n = field.dim
     w = grid.weights
     th = grid.nodes
-    A = field.eval_batch(r * th)
+    A = field.on_spheres([r], grid)[0]
     Ath = np.einsum("mij,mj->mi", A, th)
     quad = np.einsum("mi,mi->m", th, Ath)          # theta^T A theta
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,9 +63,19 @@ def scalar_rfun(gen, n):
     return lambda t: np.array([[-nu * float(gen.gtil(np.asarray(t, float)))]])
 
 
+def one_rung(grid):
+    """The one-rung sampler that sweeps ``grid`` as given."""
+    m = len(grid.weights)
+    res = m if grid.dim == 2 else math.isqrt(m // 2)
+    return sphmean.SphereSampler((res,), (grid,), 0.0)
+
+
 def mean_R(field, r, grid=None):
-    """R at the one radius r, from the many-radii sweep."""
-    return sphmean.mean_matrix_R_many(field, [r], grid)[0]
+    """R at the one radius r, from the many-radii sweep on the grid (the
+    default grid when None)."""
+    if grid is None:
+        grid = sphmean.default_grid(field.dim)
+    return sphmean.mean_matrix_R_many(field, [r], one_rung(grid))[0]
 
 
 def batched(rfun):

@@ -1,8 +1,9 @@
 """Reference radial profile that also carries the mean deviation of A from I.
 
 This is the profile as one sweep that holds the field samples ``A`` on all
-spheres at once and reduces them to R, mu and the spherical mean of
-||A - I||_2.  The classifier reads only R and mu, so
+spheres at once, read through the field's own sphere sampler
+``field.on_spheres`` as the program reads them, and reduces them to R, mu
+and the spherical mean of ||A - I||_2.  The classifier reads only R and mu, so
 ``criteria.build_radial_profile`` keeps those and ``condition_A_minus_I``
 computes the deviation itself; the tests hold both to this construction.
 The cumulatives use the program's own Simpson rule, so the arrays compare
@@ -29,8 +30,7 @@ def reference_profile(field, eps=0.5, k_max=30, nodes_per_octave=32, grid=None):
     s = s0 + np.arange(M) * (LN2 / nodes_per_octave)
     radii = np.exp(-s)
 
-    pts = (radii[:, None, None] * grid.nodes[None, :, :]).reshape(-1, n)
-    A = field.eval_batch(pts).reshape(M, len(grid.weights), n, n)
+    A = field.on_spheres(radii, grid)
     R = mean_R_kernel(A, grid)
     S = -0.5 * (R + np.swapaxes(R, 1, 2))
     mu = np.linalg.eigvalsh(S)[:, -1]

@@ -42,7 +42,7 @@ def test_criterion_01_constant_and_radial_annihilation():
         rng = np.random.default_rng(1234)
         radii = 2.0 ** -np.arange(1, 21, dtype=float)
         for n in (2, 3):
-            grid = sphmean.default_grid(n)
+            sampler = sphmean.sphere_sampler(n, sphmean.default_resolution(n))
             fields = [coeff.make_constant(n, random_spd(rng, n))
                       for _ in range(10)]
             fields += [
@@ -52,7 +52,7 @@ def test_criterion_01_constant_and_radial_annihilation():
                 for p in (1.0, 0.5, 2.0)
             ]
             for f in fields:
-                R = sphmean.mean_matrix_R_many(f, radii, grid)
+                R = sphmean.mean_matrix_R_many(f, radii, sampler)
                 assert np.max(np.abs(R)) <= 1e-12
 
 
@@ -65,10 +65,10 @@ def test_criterion_02_closed_form_mean_matrix():
             (lambda r: np.sqrt(r), power_modulus(0.5)),
         ]
         for n in (2, 3):
-            grid = sphmean.default_grid(n)
+            sampler = sphmean.sphere_sampler(n, sphmean.default_resolution(n))
             for gf, om in profiles:
                 field = coeff.make_gilbarg_serrin(n, gf, om)
-                R = sphmean.mean_matrix_R_many(field, radii, grid)
+                R = sphmean.mean_matrix_R_many(field, radii, sampler)
                 want = ((1.0 - n) / n * gf(radii))[:, None, None] * np.eye(n)
                 assert np.max(np.abs(R - want)) <= 1e-10
 

@@ -88,6 +88,24 @@ class TestPerturbedRadial:
         for r in 2.0 ** -np.arange(1, 12):
             assert np.max(np.abs(mean_R(f, r, grid2))) < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_spheres_read_a0_once_per_radius(self, n):
+        calls = []
+
+        def a0(r):
+            calls.append(r)
+            return (1.0 + np.sqrt(r)) * np.eye(n)
+
+        f = coeff.make_perturbed_radial(n, a0, modulus=coeff.power_modulus(0.5))
+        calls.clear()
+        radii = np.array([0.5, 0.25, 1e-300, 0.0])
+        grid = sphmean.default_grid(n)
+        A = f.on_spheres(radii, grid)
+        assert calls == list(radii)
+        np.testing.assert_array_equal(A[:, 0], np.stack([a0(r) for r in radii[:-1]]
+                                                        + [np.eye(n)]))
+        np.testing.assert_array_equal(A, np.broadcast_to(A[:, :1], A.shape))
+
     def test_gs_term_reduces_to_gs_field(self, grid2):
         gsf = gs_power_field(1.0, c=0.5)
         f = coeff.make_perturbed_radial(2, lambda r: np.eye(2), gsf,

@@ -413,9 +413,9 @@ def turned_field(n, angle=0.7):
 
 def profile_tracks(field):
     """Phi from t0 and from 2 t0 off the classifier's flow at k_max = 30."""
-    grid = sphmean.default_grid(field.dim)
+    sampler = sphmean.sphere_sampler(field.dim, sphmean.default_resolution(field.dim))
     t0, t1 = math.log(2.0), 31 * math.log(2.0)
-    sample = lambda t: sphmean.mean_matrix_R_many(field, np.exp(-t), grid)
+    sample = lambda t: sphmean.mean_matrix_R_many(field, np.exp(-t), sampler)
     flow = dynsys.refined_flow(sample, np.linspace(t0, t1, 513), 1e-8)
     return (from_start(flow, np.linspace(t0, t1, 257)),
             from_start(flow, np.linspace(2 * t0, t1, 513)))

@@ -7,7 +7,7 @@ import pytest
 from ellipreg import coeff, sphmean
 
 from conftest import (LAB_SPECS, gs_log_field, gs_power_field, lab_field, mean_R,
-                      random_spd)
+                      one_rung, random_spd)
 from mean_R_reference import reference_mean_R
 
 
@@ -133,7 +133,7 @@ class TestMeanMatrixR:
     def test_many_radii_path_matches(self, grid2):
         f = gs_power_field(0.5)
         radii = 2.0 ** -np.arange(1, 8, dtype=float)
-        many = sphmean.mean_matrix_R_many(f, radii, grid2)
+        many = sphmean.mean_matrix_R_many(f, radii, one_rung(grid2))
         for i, r in enumerate(radii):
             np.testing.assert_allclose(many[i],
                                        mean_R(f, r, grid2),
@@ -154,8 +154,9 @@ class TestMeanMatrixR:
         for t in (360.0, 400.0, 700.0):
             want = (1.0 - n) / n * (-1.0 / (2.0 + t))
             radii = np.array([math.exp(-t)])
-            for grid in (sphmean.default_grid(n), sphmean.sphere_sampler(n, tol=1e-9)):
-                R = sphmean.mean_matrix_R_many(f, radii, grid)[0]
+            for sampler in (sphmean.sphere_sampler(n, sphmean.default_resolution(n)),
+                            sphmean.sphere_sampler(n, tol=1e-9)):
+                R = sphmean.mean_matrix_R_many(f, radii, sampler)[0]
                 assert np.max(np.abs(R - want * np.eye(n))) <= 1e-12 * abs(want) + floor
 
 
@@ -215,7 +216,8 @@ class TestSphereSampler:
         assert rec["max_pair_discrepancy"] <= 1e-14
         per_radius = 8 + 16 if n == 2 else 2 * 8 ** 2 + 2 * 16 ** 2
         assert rec["field_evaluations"] == per_radius * len(self.RADII)
-        ref = sphmean.mean_matrix_R_many(f, self.RADII, sphmean.default_grid(n))
+        ref = sphmean.mean_matrix_R_many(f, self.RADII,
+                                         one_rung(sphmean.default_grid(n)))
         # the rules' own rounding: the 3-D default grid's second moments
         # are off by up to 3e-14
         np.testing.assert_allclose(R, ref, rtol=0, atol=1e-13)
@@ -234,7 +236,8 @@ class TestSphereSampler:
         tol = 1e-9
         sampler = sphmean.sphere_sampler(n, tol=tol)
         R = sphmean.mean_matrix_R_many(f, self.RADII, sampler)
-        ref = sphmean.mean_matrix_R_many(f, self.RADII, sphmean.default_grid(n))
+        ref = sphmean.mean_matrix_R_many(f, self.RADII,
+                                         one_rung(sphmean.default_grid(n)))
         settled = sampler.record()["radii_settled"]
         assert sum(settled.values()) == len(self.RADII)
         assert sum(c for res, c in settled.items() if int(res) > 16) > 0
@@ -250,7 +253,7 @@ class TestSphereSampler:
         top = str(sphmean.default_resolution(n))
         assert sampler.record()["radii_settled"][top] == len(self.RADII)
         np.testing.assert_array_equal(R, sphmean.mean_matrix_R_many(
-            f, self.RADII, sphmean.default_grid(n)))
+            f, self.RADII, one_rung(sphmean.default_grid(n))))
 
     @pytest.mark.parametrize("n, res", [(2, 24), (3, 12)])
     def test_explicit_resolution_sweeps_exactly_that_grid(self, n, res,
@@ -276,7 +279,7 @@ class TestSphereSampler:
             "field_evaluations": len(grid.weights) * len(self.RADII),
             "chunks": 1}
         np.testing.assert_array_equal(
-            R, sphmean.mean_matrix_R_many(f, self.RADII, grid))
+            R, sphmean.mean_matrix_R_many(f, self.RADII, one_rung(grid)))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_samples_held_at_once_fit_the_chunk(self, n, monkeypatch):
@@ -298,6 +301,67 @@ class TestSphereSampler:
                                           sphmean.sphere_sampler(n, tol=1e-9)))
 
 
+def assert_samples_agree(got, want):
+    """Field samples equal to 1e-15 max(1, |A|), the rounding of theta."""
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
+def radial_a0(n):
+    return lambda r: (1.0 + 0.5 * math.sqrt(r)) * np.eye(n)
+
+
+# every factory's sphere sampler; the perturbed radial field once with a
+# field as a1 (read on spheres) and once with a bare evaluator (at points)
+SAMPLED_FAMILIES = {
+    "gs-log": lambda n: lab_field(LAB_SPECS[0], n),
+    "gs-power": lambda n: lab_field(LAB_SPECS[4], n),
+    "constant": lambda n: coeff.make_constant(
+        n, random_spd(np.random.default_rng(5), n)),
+    "radial": lambda n: coeff.make_perturbed_radial(
+        n, radial_a0(n), modulus=coeff.power_modulus(0.5, 0.5)),
+    "perturbed-gs": lambda n: coeff.make_perturbed_radial(
+        n, radial_a0(n), lab_field(LAB_SPECS[1], n),
+        modulus=coeff.power_modulus(0.5)),
+    "perturbed-cos6": lambda n: angular_perturbed_field(n, 6),
+    "custom-cos20": cos20_custom_field,
+}
+
+
+class TestOnSpheres:
+    """Each field's sphere sampler against eval_batch at radii x nodes."""
+
+    RADII = np.concatenate([[1.0], 2.0 ** -np.arange(1.0, 31.0),
+                            [1e-140, 1e-300, 0.0]])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("family", list(SAMPLED_FAMILIES))
+    def test_matches_eval_batch_at_the_points(self, n, family):
+        f = SAMPLED_FAMILIES[family](n)
+        for grid in sphmean.sphere_sampler(n).grids:   # the lower ones turned
+            got = f.on_spheres(self.RADII, grid)
+            m = len(grid.weights)
+            assert got.shape == (len(self.RADII), m, n, n)
+            pts = (self.RADII[:, None, None] * grid.nodes).reshape(-1, n)
+            assert_samples_agree(got.reshape(-1, n, n), f.eval_batch(pts))
+            if f.normalized:    # radius 0 is the origin: A = I
+                np.testing.assert_array_equal(
+                    got[-1], np.broadcast_to(np.eye(n), (m, n, n)))
+
+    def test_replaced_eval_batch_is_read_only_without_sphere_batch(self):
+        f = lab_field(LAB_SPECS[0], 3)
+        seen = []
+        wrapped = lambda pts: seen.append(len(pts)) or f.eval_batch(pts)
+        grid = sphmean.default_grid(3)
+        kept = dataclasses.replace(f, eval_batch=wrapped)
+        kept.on_spheres(self.RADII, grid)
+        assert seen == []       # the factory's sampler, not the wrapper
+        dropped = dataclasses.replace(f, eval_batch=wrapped, sphere_batch=None)
+        A = dropped.on_spheres(self.RADII, grid)
+        assert seen == [len(self.RADII) * len(grid.weights)]
+        assert_samples_agree(A, f.on_spheres(self.RADII, grid))
+
+
 class TestSphereSweep:
     @pytest.mark.parametrize("n", [2, 3])
     def test_chunks_cover_radii_in_order_within_the_cap(self, n, monkeypatch):
@@ -309,8 +373,10 @@ class TestSphereSweep:
         seen = []
         for sl, A in sphmean.sphere_sweep(f, radii, grid):
             assert A.shape == (sl.stop - sl.start, len(grid.weights), n, n)
+            np.testing.assert_array_equal(A, f.on_spheres(radii[sl], grid))
+            # theta from the nodes, not x/|x|: equal to the rounding
             pts = (radii[sl, None, None] * grid.nodes).reshape(-1, n)
-            np.testing.assert_array_equal(A.reshape(-1, n, n), f.eval_batch(pts))
+            assert_samples_agree(A.reshape(-1, n, n), f.eval_batch(pts))
             seen.append((sl.start, sl.stop))
         assert seen == [(0, 5), (5, 10), (10, 15), (15, 20), (20, 23)]
 

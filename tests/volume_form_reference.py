@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ellipreg.sphmean import mean_matrix_R_many, sphere_grid
+from ellipreg.sphmean import mean_matrix_R_many, sphere_sampler
 
 LN2 = math.log(2.0)
 
@@ -27,13 +27,13 @@ def volume_integral_partials(field, r=0.5, k_max=30, gl_order=12,
     n = field.dim
     if angular_resolution is None:
         angular_resolution = 48 if n == 2 else 20
-    grid = sphere_grid(n, angular_resolution)
+    sampler = sphere_sampler(n, angular_resolution)
     x, wq = np.polynomial.legendre.leggauss(gl_order)
     k = np.arange(k_max)
     a = -math.log(r) + k * LN2
     half = 0.5 * LN2
     snodes = (a + half)[:, None] + half * x[None, :]          # (k_max, gl_order)
-    vals = mean_matrix_R_many(field, np.exp(-snodes.ravel()), grid)
+    vals = mean_matrix_R_many(field, np.exp(-snodes.ravel()), sampler)
     shells = sphere_area(n) * half * np.einsum(
         "q,kqij->kij", wq, vals.reshape(k_max, gl_order, n, n))
     return np.cumsum(shells, axis=0)
