@@ -567,8 +567,8 @@ def run_verify(cfg: RunConfig) -> dict:
     from . import pde_verify     # grid solver; no other run loads it
     sol = pde_verify.solve_dirichlet(field, _BOUNDARY_FUNS[bname], N, tol=tol)
     cfg.volatile["grid_solve"] = {
-        "levels": list(sol.levels),
-        "stencil_points": list(sol.stencil_points),
+        "preconditioner": pde_verify.PRECONDITIONER,
+        "start_residual": sol.start_residual,
         "iterations": sol.iterations,
         "rel_residual": sol.residual_norm,
         "residual_tail": list(sol.residual_tail),

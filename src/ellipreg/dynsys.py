@@ -280,8 +280,11 @@ def _pairwise_K(Phi: np.ndarray):
     every node with every earlier one.  K is a running maximum and
     ||Phi(t) Phi(s)^-1|| is at most ||Phi(t)|| ||Phi(s)^-1||, both read off
     the one batched SVD the conditioning check takes, so only pairs whose
-    bound (with 1e-12 of headroom for rounding) exceeds a floor under the
-    running maximum get a norm; the result equals the all-pairs maximum.
+    bound exceeds a floor under the running maximum get a norm.  The bound
+    carries no rounding headroom, which would make a flow that stays I
+    (R = 0) norm every pair, each bound reading 1 + headroom > K = 1; so a
+    skipped pair can beat the maximum by rounding alone, and the result
+    equals the all-pairs maximum to a few ulps.
     The floor is raised before any pruning by norming, for every end node,
     the earlier node of largest bound; the remaining pairs are normed in
     batches of _K_BLOCK end nodes.  Returns K_running, nondecreasing, at
@@ -298,7 +301,7 @@ def _pairwise_K(Phi: np.ndarray):
         raise np.linalg.LinAlgError(
             f"fundamental matrix conditioning exceeds {_COND_LIMIT:.0e}")
     Phi_inv = np.linalg.inv(Phi)
-    inv_norm = (1 + 1e-12) / sv[:, -1]     # ||Phi^-1||, rounded up
+    inv_norm = 1.0 / sv[:, -1]             # ||Phi^-1||
     idx = np.arange(m)
     top = np.maximum.accumulate(np.where(
         inv_norm == np.maximum.accumulate(inv_norm), idx, 0))

@@ -4,7 +4,7 @@ This is the sparse-matrix solver ``pde_verify`` shipped before its geometric
 multigrid on stencil arrays: 2 x 2 aggregates, a smoothed prolongator, sparse
 Galerkin products, 2 + 2 damped-Jacobi sweeps on every level and a sparse LU
 on the coarsest.  Its coarse operators grow level by level, so it is slower,
-but it shares no code with the shipped hierarchy; the tests hold the shipped
+but it shares no code with the shipped solver; the tests hold the shipped
 solution to it.
 """
 

@@ -433,21 +433,21 @@ radii = 0.5, 0.25, 0.125
 
     def test_verify_records_the_grid_solve(self, tmp_path):
         out = tmp_path / "out"
+        # x1^2 - x2^2 is not a solution of the scheme, so CG iterates
         cfg = write_cfg(tmp_path, IDENTITY.format(out=out) + """
 [pde]
 n = 64
-boundary = x1
+boundary = harmonic-quadratic
 radii = 0.5, 0.25, 0.125
 """)
         assert cli.main(["verify", cfg]) == cli.EXIT_OK
         report = json.load(open(out / "report.json"))
         rec = report["provenance_volatile"]["grid_solve"]
-        assert rec["levels"] == [64, 32, 16]
-        assert rec["stencil_points"] == [9, 25, 25]
-        assert rec["iterations"] == report["payload"]["iterations"]
+        assert rec["preconditioner"] == "sine-transform Laplacian"
+        assert rec["iterations"] == report["payload"]["iterations"] >= 1
         assert rec["rel_residual"] == report["payload"]["residual_norm"]
-        assert len(rec["residual_tail"]) == min(5, rec["iterations"])
-        assert rec["residual_tail"][-1] <= 1e-12
+        assert len(rec["residual_tail"]) == min(5, rec["iterations"] + 1)
+        assert rec["residual_tail"][-1] <= 1e-12 < rec["start_residual"]
 
     def test_verify_finest_grid(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -495,11 +495,14 @@ tol = 1e-18
 
     def test_solver_failure_exits_1(self, tmp_path):
         out = tmp_path / "out"
-        # CG stalls at rounding, far above a 1e-30 target; the default radii
-        # reach below 2h at n = 64, so the config names its own
+        # CG stalls at rounding, far above a 1e-30 target; x1 would not do,
+        # since its lifted start already solves the identity field's scheme
+        # exactly.  The default radii reach below 2h at n = 64, so the config
+        # names its own
         cfg = write_cfg(tmp_path, IDENTITY.format(out=out) + """
 [pde]
 n = 64
+boundary = harmonic-quadratic
 radii = 0.5, 0.25, 0.125
 tol = 1e-30
 """)
@@ -521,17 +524,19 @@ class TestSchema:
                   "config_hash": "0", "payload": {},
                   "provenance_volatile": {
                       "timestamp_utc": "now", "wall_time_s": 0.1,
-                      "grid_solve": {"levels": "oops", "stencil_points": [9, 25],
+                      "grid_solve": {"preconditioner": "sine-transform Laplacian",
+                                     "start_residual": 1e-4,
                                      "iterations": "x", "rel_residual": 1e-13,
-                                     "residual_tail": [1e-13]}}}
+                                     "residual_tail": "oops"}}}
         problems = cli.validate_report(report)
         assert len(problems) == 2
-        assert any("grid_solve.levels: expected array" in p for p in problems)
+        assert any("grid_solve.residual_tail: expected array" in p for p in problems)
         assert any("grid_solve.iterations: expected integer" in p for p in problems)
         # items are checked, and a bool is neither an integer nor a number
         solve = report["provenance_volatile"]["grid_solve"]
-        solve.update(levels=[64, 2.5], iterations=True, rel_residual=False)
+        solve.update(residual_tail=[1e-4, True], iterations=True,
+                     rel_residual=False)
         assert sorted(cli.validate_report(report)) == [
             "$.provenance_volatile.grid_solve.iterations: expected integer",
-            "$.provenance_volatile.grid_solve.levels[1]: expected integer",
-            "$.provenance_volatile.grid_solve.rel_residual: expected number"]
+            "$.provenance_volatile.grid_solve.rel_residual: expected number",
+            "$.provenance_volatile.grid_solve.residual_tail[1]: expected number"]

@@ -460,6 +460,21 @@ class TestPairwiseKPruning:
             k = len(Phi)
             assert sum(normed) < 0.02 * k * (k + 1) // 2
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_identity_flow_norms_no_block(self, n, monkeypatch):
+        # R = 0 (radial and identity fields): every bound is exactly K = 1
+        normed = []
+        inner = dynsys.spectral_norms
+
+        def counted(mats):
+            normed.append(len(mats))
+            return inner(mats)
+
+        monkeypatch.setattr(dynsys, "spectral_norms", counted)
+        K = dynsys._pairwise_K(np.broadcast_to(np.eye(n), (300, n, n)).copy())
+        assert normed == [300]               # the floor's diagonal pairs only
+        np.testing.assert_array_equal(K, np.ones(300))
+
 
 class TestAsymptoticLimit:
     def test_zero_generator_exact(self):
