@@ -13,12 +13,10 @@ R = C - nB up to a second-order (omega^2) defect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .coeff import CoefficientField
-from .sphmean import MomentData, SphericalGrid, appendix_moments, default_grid
+from .sphmean import MomentData
 
 
 def m_infinity(n: int) -> np.ndarray:
@@ -90,26 +88,3 @@ def r1_block_residual(m: MomentData) -> R1Residual:
     res = float(np.linalg.norm(R1 - CnB, 2))
     qres = float(np.max(np.abs(CnB - m.R)))
     return R1Residual(R1, CnB, res, qres)
-
-
-@dataclass(frozen=True)
-class ReducedSystem:
-    """The assembled reduction for one field: M_inf, J, and moments along log-time."""
-
-    n: int
-    M_inf: np.ndarray
-    J: np.ndarray
-    field: CoefficientField
-    grid: SphericalGrid
-
-    def moments_at(self, t: float) -> MomentData:
-        return appendix_moments(self.field, float(np.exp(-t)), self.grid)
-
-
-def build_reduced_system(field: CoefficientField,
-                         grid: Optional[SphericalGrid] = None) -> ReducedSystem:
-    n = field.dim
-    if grid is None:
-        grid = default_grid(n)
-    return ReducedSystem(n=n, M_inf=m_infinity(n), J=jordanizer(n),
-                         field=field, grid=grid)

@@ -32,9 +32,9 @@ unset, the adaptive ladder 8, 16, ... up to the default grid, each radius
 checked against the rung below it to min(tol, dyn_tol)/10.  A profile holds
 its sampler, and every later sweep of the profile goes through it.
 
-The dynamics evidence reads one matrix-state flow from the profile's R:
-Phi(t) Phi(t_s)^-1 on a grid from each start t_s, and the trajectory
-through e_1 as the first column of the product from t0.
+The dynamics evidence reads one matrix-state flow from the profile's R, at
+its nodes only: Phi(t) Phi(t_s)^-1 from the first node t_s of each window,
+and the trajectory through e_1 as the first column of the product from t0.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .sphmean import (SphereSampler, default_resolution, mean_matrix_R_many,
                       sphere_sampler, sphere_sweep, symmetrized_S)
 
 LN2 = math.log(2.0)
+_STABILITY_NODES = 257   # flow nodes per stability window at most: K is quadratic
 
 CLASS_INCONCLUSIVE = "inconclusive"
 CLASS_LIPSCHITZ = "lipschitz-at-origin"
@@ -516,9 +517,7 @@ def _flow_lattice(profile: RadialProfile, t0: float):
         s = np.concatenate([new[:below], s, new[below:]])
         R = np.concatenate([R_new[:below], R, R_new[below:]])
         j = max(j, 0)
-    s = s[j:].copy()
-    s[0] = min(s[0], t0)     # a start that rounds onto the lattice
-    return s, R[j:]
+    return s[j:], R[j:]
 
 
 def _dynamics_evidence(profile: RadialProfile, budget: Budget):
@@ -529,28 +528,38 @@ def _dynamics_evidence(profile: RadialProfile, budget: Budget):
     beyond the profile (dyn_t0 < -ln eps, or an odd count of intervals) or
     be halved to meet ``dyn_tol``, one sweep of the midpoints per halving.
     The window opening is a free parameter, so the stability constant is
-    re-measured from twice the default start off the same flow.  From a start
-    t_s the flow is Phi(t) Phi(t_s)^-1, read on 257 points from t_s to the
-    profile depth; the trajectory through e_1 is its first column from t0 on.
+    re-measured from twice the default start off the same flow.  Every item
+    reads flow nodes, where ``dyn_tol`` holds, from the first node at or
+    after its start up to the profile depth: Phi(t) Phi(t_s)^-1 from that
+    node t_s.  A stability window takes at most _STABILITY_NODES of them,
+    the nodes nearest as many equispaced times, both ends included; the
+    trajectory through e_1 is the first column from t0, at every node.
     """
     t0 = budget.dyn_t0
     s, R = _flow_lattice(profile, t0)
     sample = lambda t: mean_matrix_R_many(profile.field, np.exp(-t), profile.sampler)
     flow = dynsys.refined_flow(sample, s, budget.dyn_tol, R)
-    t1 = float(profile.s_nodes[-1])   # the profile depth
+    slack = 1e-9 * (s[1] - s[0])
+    end = np.searchsorted(flow.t, profile.s_nodes[-1] + slack, side="right")
 
-    def stability_from(ts: float) -> dynsys.StabilityReport:
-        tg = np.linspace(ts, t1, 257)
-        Phi = flow.eval(tg) @ np.linalg.inv(flow.eval(tg[:1])[0])
+    def from_node(ts: float):
+        i = min(np.searchsorted(flow.t, ts - slack), end - 1)
+        Phi = flow.y[i:end] @ np.linalg.inv(flow.y[i])
         Phi[0] = np.eye(profile.dim)
-        return dynsys.stability_constant(tg, Phi)
+        return flow.t[i:end], Phi
 
-    stab, stab2 = stability_from(t0), stability_from(2 * t0)
+    def stability(t, Phi) -> dynsys.StabilityReport:
+        # the flow's nodes are equispaced, so equispaced indices are the
+        # nodes nearest equispaced times
+        k = np.rint(np.linspace(0, len(t) - 1, min(len(t), _STABILITY_NODES)))
+        k = k.astype(int)
+        return dynsys.stability_constant(t[k], Phi[k])
+
+    t, Phi = from_node(t0)
+    stab, stab2 = stability(t, Phi), stability(*from_node(2 * t0))
     asym = dynsys.AsymptoticReport(dynsys.INCONCLUSIVE)
-    if t1 - t0 >= 10:
-        e1 = np.linalg.inv(flow.eval([t0])[0])[:, 0]     # Phi(t0)^-1 e_1
-        asym = dynsys.asymptotic_limit(lambda tq: flow.eval(tq) @ e1, t0,
-                                       float(flow.t[-1]), tol=budget.asi_tol)
+    if t[-1] - t[0] >= 10:
+        asym = dynsys.asymptotic_limit(t, Phi[:, :, 0], tol=budget.asi_tol)
     return stab, stab2, asym
 
 

@@ -10,16 +10,16 @@ perturbations of the generator.
 One flow builds every ``Trajectory``: ``lattice_flow`` steps generator
 samples on an equispaced lattice without calling anything, and
 ``refined_flow`` halves that lattice, sampling only the midpoints, until the
-flow's Richardson estimate meets a tolerance.  A trajectory keeps its node
-states and, per panel between nodes, the quadratic through the panel's
-three samples, so dense output needs no further generator call.  A scalar
-generator with a known integral needs no flow: its Phi is exp of that
-integral (``gilbarg_serrin.closed_form_phi``).
+flow's Richardson estimate meets a tolerance.  A trajectory is its node
+times and node states, and every reader takes those arrays: the tolerance
+holds at the nodes, so nothing is read between them.  A scalar generator
+with a known integral needs no flow: its Phi is exp of that integral
+(``gilbarg_serrin.closed_form_phi``).
 
 The fundamental matrix Phi is one matrix-state flow; every dynamics question
 reads from it.  K = sup ||Phi(t) Phi(s)^-1|| does not depend on where Phi
 starts, so ``stability_constant`` takes any (t, Phi) arrays, and the flow from
-a later start t_s is Phi(t) Phi(t_s)^-1, one product off the same flow; the
+a later node t_s is Phi(t) Phi(t_s)^-1, one product off the same flow; the
 trajectory through e_1 is its first column.
 
 All verdicts are finite-window evidence with the window reported; nothing
@@ -91,7 +91,7 @@ def expm(Om: np.ndarray) -> np.ndarray:
     V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
          + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * I)
     E = np.linalg.solve(V - U, V + U)
-    E[norm == 0] = I                          # exactly, for dense output at a node
+    E[norm == 0] = I                          # exactly: a flow of R = 0 stays I
     for j in range(int(s.max(initial=0))):
         m = s > j
         E[m] = E[m] @ E[m]
@@ -108,51 +108,23 @@ def _commutator(X, Y):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Node states of a Magnus flow plus a generator model per panel.
-
-    On panel i, between t[i] and t[i+1], the generator A = -R is the
-    polynomial sum_k coef[i, k] s^k in s = t - t[i].  Dense output starts
-    from y[i] with the fourth-order Magnus exponent of that polynomial,
-    Omega(s) = a1 - [b, a2]/12, where a1 = int_0^s A, a2 = (12/s) int_0^s
-    (u - s/2) A du and b = s (A(0) + A(s))/2.  At the end of a panel this
-    is the panel's Simpson-pair step.
-    """
+    """Node times and node states of a Magnus flow."""
 
     t: np.ndarray          # (m,) node times
     y: np.ndarray          # (m, d, d) fundamental matrix at the nodes
-    coef: np.ndarray       # (m - 1, p, d, d) generator model per panel
-
-    def eval(self, tq) -> np.ndarray:
-        """The states at the times ``tq``, each inside [t[0], t[-1]]."""
-        tq = np.atleast_1d(np.asarray(tq, float))
-        lo, hi = self.t[0], self.t[-1]
-        if not np.all((tq >= lo) & (tq <= hi)):
-            raise ValueError(f"times outside the flow's window [{lo:g}, {hi:g}]")
-        i = np.clip(np.searchsorted(self.t, tq, side="right") - 1,
-                    0, len(self.t) - 2)
-        s = tq - self.t[i]
-        c = self.coef[i]
-        k = np.arange(c.shape[1])
-        pw = s[:, None] ** (k + 1)
-        a1 = np.einsum("qk,qkab->qab", pw / (k + 1), c)
-        a2 = np.einsum("qk,qkab->qab", pw * (6.0 * k / ((k + 1) * (k + 2))), c)
-        b = s[:, None, None] * c[:, 0] + 0.5 * np.einsum(
-            "qk,qkab->qab", pw[:, 1:], c[:, 1:])
-        E = expm(a1 - _commutator(b, a2) / 12.0)
-        return E @ self.y[i]
 
 
 # ---------------------------------------------------------------------------
 # Magnus flow on a sampled lattice
 # ---------------------------------------------------------------------------
 
-def _lattice_steps(t: np.ndarray, R: np.ndarray):
-    """Simpson-pair Magnus steps over node pairs: (exp(Omega), A0, A1, A2, H)."""
+def _lattice_steps(t: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Simpson-pair Magnus steps exp(Omega) over node pairs."""
     A = -R
     A0, A1, A2 = A[0:-1:2], A[1::2], A[2::2]
     H = (t[2::2] - t[0:-1:2])[:, None, None]
     Om = H / 6.0 * (A0 + 4.0 * A1 + A2) + H * H / 12.0 * _commutator(A2, A0)
-    return expm(Om), A0, A1, A2, H
+    return expm(Om)
 
 
 def _lattice_states(E: np.ndarray) -> np.ndarray:
@@ -171,15 +143,12 @@ def lattice_flow(t: np.ndarray, R: np.ndarray) -> Trajectory:
     fourth-order Magnus step (Iserles and Norsett 1999; Blanes, Casas, Oteo
     and Ros 2009): with A = -R and H the pair's length,
     Omega = H/6 (A0 + 4 A1 + A2) + H^2/12 [A2, A0], whose first term is
-    Simpson's rule.  Nothing is sampled beyond ``R``; dense output reads the
-    quadratic through the pair's three samples.
+    Simpson's rule.  Nothing is sampled beyond ``R``, and the flow's nodes
+    are t[::2].
     """
     if (len(t) - 1) % 2 or len(t) < 3:
         raise ValueError("lattice_flow needs an even, positive count of intervals")
-    E, A0, A1, A2, H = _lattice_steps(t, R)
-    coef = np.stack([A0, (4.0 * A1 - 3.0 * A0 - A2) / H,
-                     2.0 * (A0 - 2.0 * A1 + A2) / (H * H)], axis=1)
-    return Trajectory(t[::2], _lattice_states(E), coef)
+    return Trajectory(t[::2], _lattice_states(_lattice_steps(t, R)))
 
 
 def lattice_flow_error(t: np.ndarray, R: np.ndarray, flow: Trajectory) -> float:
@@ -190,16 +159,16 @@ def lattice_flow_error(t: np.ndarray, R: np.ndarray, flow: Trajectory) -> float:
     difference over 15, relative to max(1, max |Phi|), estimates the fine
     flow's error.  Infinite when the coarse lattice holds no pair.
 
-    The estimate holds at the nodes.  Dense output between them is about
-    ten times coarser: for the 2-D field g = -1/log(e^2/r) on [0, 30] from
-    1024 intervals at tol 1e-9, the error against a 1e-13 RK45 solve is
-    5.2e-10 at the nodes and 5.4e-9 midway between them.  Output that must
-    meet a tolerance is read at nodes.
+    The estimate holds at the nodes only, which is why a flow keeps no
+    model between them: for the 2-D field g = -1/log(e^2/r) on [0, 30] from
+    1024 intervals at tol 1e-9, the error against a 1e-13 RK45 solve was
+    5.2e-10 at the nodes and 5.4e-9 midway between them, read off the
+    per-panel Magnus interpolant.
     """
     n = 4 * ((len(t) - 1) // 4)
     if n == 0:
         return math.inf
-    coarse = _lattice_states(_lattice_steps(t[:n + 1:2], R[:n + 1:2])[0])
+    coarse = _lattice_states(_lattice_steps(t[:n + 1:2], R[:n + 1:2]))
     fine = flow.y[: n // 2 + 1: 2]
     size = np.maximum(1.0, np.max(np.abs(fine), axis=(1, 2)))
     return float(np.max(np.max(np.abs(fine - coarse), axis=(1, 2)) / size)) / 15.0
@@ -376,22 +345,27 @@ def _longest_positive_run(values: np.ndarray, eps: float) -> int:
     return best
 
 
-def asymptotic_limit(state: Callable, t0: float, t1: float,
+def asymptotic_limit(t: np.ndarray, y: np.ndarray,
                      tol: float = 1e-6) -> AsymptoticReport:
-    """Tail-window limit of a trajectory on [t0, t1].
+    """Tail-window limit of a trajectory read at its nodes.
 
-    ``state`` maps an array of times to the (len, d) states there.  The
-    limit is the mean over the final _ASYM_WINDOW_FRACTION of the span; the
-    evidence is positive when the max deviation there is below tol and at
-    most half that over the preceding window (an exactly quiet tail counts).
+    ``y`` holds the states, shape (m, d), at the increasing times ``t``.
+    The last window is the nodes in the final _ASYM_WINDOW_FRACTION of
+    [t[0], t[-1]], and the window before it the nodes in the fraction
+    before that.  The limit is the mean over the last window; the evidence
+    is positive when the max deviation there is below tol and at most half
+    that over the window before (an exactly quiet tail counts).  A window
+    of fewer than two nodes shows no deviation, so it is inconclusive.
     """
-    if t1 - t0 < 10:
+    t = np.asarray(t, float)
+    t1 = t[-1]
+    if t1 - t[0] < 10:
         raise ValueError("trajectory window must span at least 10 time units")
-    w = _ASYM_WINDOW_FRACTION * (t1 - t0)
-    tq_last = np.linspace(t1 - w, t1, 200)
-    tq_prev = np.linspace(t1 - 2 * w, t1 - w, 200)
-    y_last = state(tq_last)
-    y_prev = state(tq_prev)
+    w = _ASYM_WINDOW_FRACTION * (t1 - t[0])
+    y_last = y[t >= t1 - w]
+    y_prev = y[(t >= t1 - 2 * w) & (t <= t1 - w)]
+    if min(len(y_last), len(y_prev)) < 2:
+        return AsymptoticReport(INCONCLUSIVE)
     mean = y_last.mean(axis=0)
     dev = float(np.max(np.linalg.norm(y_last - mean, axis=1)))
     dev_prev = float(np.max(np.linalg.norm(y_prev - y_prev.mean(axis=0), axis=1)))
@@ -445,10 +419,14 @@ def perturbation_equivalence(Rfun: Callable, Rtil: Callable, t_grid,
     dyadic partial integrals keep growing, i.e. non-integrable ones), the
     two stability constants, and checks the realized change factor of K_hat
     against exp(c * l1) with c the measured conditioning constant
-    max(K_base, K_perturbed).  Each constant is read on t_grid off a
-    ``refined_flow`` at ``tol`` that starts from twice as many intervals.
+    max(K_base, K_perturbed).  ``t_grid`` is equispaced; each constant is
+    read off a ``refined_flow`` at ``tol`` whose first lattice has twice as
+    many intervals, at the flow nodes that are ``t_grid``, one every
+    (flow nodes - 1) / (len(t_grid) - 1).
     """
     t_grid = np.asarray(t_grid, float)
+    if not np.allclose(np.diff(t_grid), t_grid[1] - t_grid[0], rtol=1e-9, atol=0):
+        raise ValueError("t_grid must be equispaced")
     fa = lambda t: np.atleast_2d(np.asarray(Rfun(t), float))
     fb = lambda t: np.atleast_2d(np.asarray(Rtil(t), float))
     if fa(t_grid[0]).shape != fb(t_grid[0]).shape:
@@ -474,7 +452,8 @@ def perturbation_equivalence(Rfun: Callable, Rtil: Callable, t_grid,
     def K_hat(f):
         flow = refined_flow(lambda ts: np.stack([f(t) for t in ts]), lattice,
                             tol, strict=True)
-        return stability_constant(t_grid, flow.eval(t_grid)).K_hat
+        stride = (len(flow.t) - 1) // (len(t_grid) - 1)
+        return stability_constant(flow.t[::stride], flow.y[::stride]).K_hat
 
     Ka, Kb = K_hat(fa), K_hat(fb)
     realized = max(Ka / Kb, Kb / Ka)

@@ -259,17 +259,17 @@ def verify_independence(gen: ScalarGenerator, n: int = 2,
     negative (window constants keep growing), and square-integrability
     positive; that triple is what makes the two asymptotic notions
     independent of each other.  The flow is ``closed_form_phi``, read on a
-    window grid with a node on every plateau edge.
+    window grid with a node on every plateau edge; both the stability
+    constant and the tail windows read it there.
     """
     from .dyadic import analyze_scalar_sequence
 
     if horizon is None:
         horizon = getattr(gen, "horizon", 0.0) or 100.0
     grid = _window_grid(0.0, horizon, gen.breakpoints)
-    stab = dynsys.stability_constant(
-        grid, closed_form_phi(gen, n, grid)[:, None, None])
-    asym = dynsys.asymptotic_limit(lambda t: closed_form_phi(gen, n, t)[:, None],
-                                   0.0, horizon, tol=tol)
+    phi = closed_form_phi(gen, n, grid)
+    stab = dynsys.stability_constant(grid, phi[:, None, None])
+    asym = dynsys.asymptotic_limit(grid, phi[:, None], tol=tol)
 
     blocks = getattr(gen, "blocks", None)
     if blocks is not None:

@@ -112,11 +112,14 @@ class TestR1Residual:
 
 
 class TestReducedSystem:
-    def test_builder_and_defect_curve(self):
+    def test_reduction_and_defect_curve(self):
+        # the calls ``ellipreg appendix`` makes: M_inf and J for the
+        # dimension, then the moments along log-time on the sampler's grid
         field = gs_log_field(1.0)
-        red = apx.build_reduced_system(field)
-        assert red.n == 2
+        n, grid = field.dim, sphmean.default_grid(field.dim)
+        M_inf, J = apx.m_infinity(n), apx.jordanizer(n)
+        assert M_inf.shape == J.shape == (4, 4)
         for t in (1.0, 4.0):
-            md = red.moments_at(t)
+            md = sphmean.appendix_moments(field, float(np.exp(-t)), grid)
             assert md.r == pytest.approx(np.exp(-t))
             assert apx.r1_block_residual(md).residual >= 0

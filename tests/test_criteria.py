@@ -14,7 +14,7 @@ from ellipreg.dyadic import (RATE_LOG, RATE_TO_MINUS_INF, VERDICT_CONVERGES,
 
 from conftest import LAB_SPECS, gs_log_field, gs_power_field, lab_field, mean_R
 from profile_reference import reference_profile
-from rk45_reference import rk45_fundamental_matrix, rk45_integrate
+from rk45_reference import rk45_fundamental_matrix
 from volume_form_reference import sphere_area, volume_integral_partials
 
 
@@ -703,22 +703,40 @@ def rotated_rank_one_field(c=0.6, turn=0.6):
     return coeff.make_custom(2, batch, inv_log_modulus(c=c, shift=2.0))
 
 
-def adaptive_dynamics(field, budget):
-    """The classifier's three dynamics items from RK45 solves on R(t)."""
+def classify_reading_nodes(field, budget, monkeypatch):
+    """``classify``'s evidence, the node times each dynamics item read and
+    the classifier's flow."""
+    seen = {"stability": [], "asymptotic": [], "flow": []}
+
+    def record(name, key, pick):
+        inner = getattr(dynsys, name)
+
+        def recorded(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            seen[key].append(pick(args, out))
+            return out
+
+        monkeypatch.setattr(dynsys, name, recorded)
+
+    record("stability_constant", "stability", lambda args, out: np.array(args[0]))
+    record("asymptotic_limit", "asymptotic", lambda args, out: np.array(args[0]))
+    record("refined_flow", "flow", lambda args, out: out)
+    return criteria.classify(field, budget).evidence, seen
+
+
+def adaptive_dynamics(field, budget, seen):
+    """The classifier's three dynamics items from RK45 solves on R(t), read
+    at the flow nodes the classifier read."""
     grid = budget.sphere_sampler(field.dim).grid
-    t0 = budget.dyn_t0
-    t1 = -math.log(budget.eps) + budget.k_max * math.log(2.0)
     rfun = lambda t: mean_R(field, math.exp(-t), grid)
-    tg = np.linspace(t0, t1, 257)
-    traj = rk45_integrate(rfun, t0, t1, np.eye(field.dim), budget.dyn_tol)
-    Phi = traj.eval(tg)
-    Phi[0] = np.eye(field.dim)
-    tg2 = np.linspace(2 * t0, t1, 257)
+    (tg, tg2), (ta,) = seen["stability"], seen["asymptotic"]
+    Phi = rk45_fundamental_matrix(rfun, ta, budget.dyn_tol)
+    # the window from t0 opens at the trajectory's first node
+    assert tg[0] == ta[0] and np.all(np.isin(tg, ta))
     Phi2 = rk45_fundamental_matrix(rfun, tg2, budget.dyn_tol)
-    return (dynsys.stability_constant(tg, Phi),
+    return (dynsys.stability_constant(tg, Phi[np.isin(ta, tg)]),
             dynsys.stability_constant(tg2, Phi2),
-            dynsys.asymptotic_limit(lambda t: traj.eval(t)[:, :, 0], t0, t1,
-                                    tol=budget.asi_tol))
+            dynsys.asymptotic_limit(ta, Phi[:, :, 0], tol=budget.asi_tol))
 
 
 class TestDynamicsSolves:
@@ -765,16 +783,60 @@ class TestDynamicsSolves:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(criteria, "mean_matrix_R_many", counted)
-        ev = criteria.classify(field, budget).evidence
+        ev, seen = classify_reading_nodes(field, budget, monkeypatch)
         assert len(radii) == sweeps
         assert max(np.max(r) for r in radii) <= 1 + 1e-12
-        stab, stab2, asym = adaptive_dynamics(field, budget)
+        stab, stab2, asym = adaptive_dynamics(field, budget, seen)
         assert stab.K_hat > 1.1
         for key, want in (("dynsys_stability", stab), ("dynsys_stability_2t0", stab2)):
             got = ev[key]
             assert got.verdict_uniform_stability == want.verdict_uniform_stability
             assert got.K_hat == pytest.approx(want.K_hat, rel=1e-7)
         assert ev["dynsys_asymptotic"].verdict == asym.verdict
+
+    def test_asymptotic_window_ends_with_the_stability_windows(self, monkeypatch):
+        # 95 intervals from r = 1: the flow ends one node past the profile,
+        # yet all three items stop at the profile depth
+        budget = criteria.Budget(nodes_per_octave=5, k_max=18, dyn_t0=0.0)
+        _, seen = classify_reading_nodes(rotated_rank_one_field(), budget,
+                                         monkeypatch)
+        depth = -math.log(budget.eps) + budget.k_max * math.log(2.0)
+        (flow,) = seen["flow"]
+        assert flow.t[-1] > depth + 0.1
+        ends = [t[-1] for t in seen["stability"] + seen["asymptotic"]]
+        assert len(ends) == 3
+        np.testing.assert_allclose(ends, depth, rtol=0, atol=1e-12)
+
+    def test_halved_flow_hands_at_most_257_nodes_per_window(self, monkeypatch):
+        # 80 intervals halved twice: 321 flow nodes, more than a window takes
+        budget = criteria.Budget(nodes_per_octave=4, k_max=40)
+        _, seen = classify_reading_nodes(rotated_rank_one_field(), budget,
+                                         monkeypatch)
+        depth = -math.log(budget.eps) + budget.k_max * math.log(2.0)
+        (flow,) = seen["flow"]
+        for t, start in zip(seen["stability"], (budget.dyn_t0, 2 * budget.dyn_t0)):
+            nodes = flow.t[(flow.t >= start - 1e-12) & (flow.t <= depth + 1e-12)]
+            assert len(nodes) > 257 and len(t) == 257
+            assert t[0] == nodes[0] and t[-1] == nodes[-1]
+            assert np.all(np.isin(t, nodes))
+            # the nodes nearest equispaced times: each gap within one node
+            # spacing of the equispaced step
+            step = (nodes[-1] - nodes[0]) / 256
+            assert np.max(np.diff(t)) <= step + (nodes[1] - nodes[0])
+        # the trajectory reads every node from t0 to the depth
+        np.testing.assert_array_equal(seen["asymptotic"][0],
+                                      flow.t[flow.t <= depth + 1e-12])
+
+    def test_start_past_the_last_node_reads_the_last_node(self, monkeypatch):
+        # R = 0 meets dyn_tol unhalved: flow nodes 0.05, 0.512 and 0.974,
+        # one past the depth 0.743, so no node lies in [2 t0, depth]
+        budget = criteria.Budget(eps=math.exp(-0.05), k_max=1,
+                                 nodes_per_octave=3, dyn_t0=0.27)
+        _, seen = classify_reading_nodes(coeff.make_constant(2, np.eye(2)),
+                                         budget, monkeypatch)
+        (flow,) = seen["flow"]
+        assert len(flow.t) == 3
+        np.testing.assert_array_equal(seen["stability"][1], flow.t[1:2])
 
     def test_verify_independence_steps_no_flow(self, monkeypatch):
         # a scalar generator's flow is its closed form: no lattice is swept
@@ -790,14 +852,15 @@ class TestDynamicsSolves:
         assert sweeps == []
         assert rep.asym_constant.limit[0] == pytest.approx(np.exp(0.5), rel=1e-12)
 
-    def test_rebased_2t0_matches_fresh_start(self):
+    def test_rebased_2t0_matches_fresh_start(self, monkeypatch):
         field = rotated_rank_one_field()
         budget = criteria.Budget(k_max=20)
-        stab2 = criteria.classify(field, budget).evidence["dynsys_stability_2t0"]
+        ev, seen = classify_reading_nodes(field, budget, monkeypatch)
+        stab2 = ev["dynsys_stability_2t0"]
         grid = sphmean.default_grid(2)
-        t1 = -math.log(budget.eps) + budget.k_max * math.log(2.0)
         rfun = lambda t: mean_R(field, math.exp(-t), grid)
-        tg = np.linspace(2 * budget.dyn_t0, t1, 257)
+        tg = seen["stability"][1]
+        assert tg[0] >= 2 * budget.dyn_t0 - 1e-12
         fresh = dynsys.stability_constant(
             tg, rk45_fundamental_matrix(rfun, tg, budget.dyn_tol))
         assert fresh.K_hat > 1.1

@@ -47,14 +47,24 @@ def lattice_flow_on(rfun, t_grid, tol):
     return flow_on(rfun, t_grid[0], t_grid[-1], tol, 2 * (len(t_grid) - 1))
 
 
+def at_nodes(flow, tq):
+    """The flow's states at the times tq, each of which must be a flow node."""
+    i = np.clip(np.searchsorted(flow.t, tq), 1, len(flow.t) - 1)
+    i -= np.abs(flow.t[i - 1] - tq) < np.abs(flow.t[i] - tq)
+    np.testing.assert_allclose(flow.t[i], tq, rtol=0, atol=1e-9)
+    return flow.y[i]
+
+
 def lattice_phi(rfun, t_grid, tol):
     """Phi on an equispaced t_grid, Phi(t_grid[0]) = I."""
-    return lattice_flow_on(rfun, t_grid, tol).eval(t_grid)
+    return at_nodes(lattice_flow_on(rfun, t_grid, tol), t_grid)
 
 
 def from_start(flow, t_grid):
-    """Phi(t) Phi(t_grid[0])^-1 on t_grid, off a flow that starts earlier."""
-    Phi = flow.eval(t_grid) @ np.linalg.inv(flow.eval(t_grid[:1])[0])
+    """Phi(t) Phi(t_grid[0])^-1 on t_grid, flow nodes of a flow that starts
+    earlier."""
+    Phi = at_nodes(flow, t_grid)
+    Phi = Phi @ np.linalg.inv(Phi[0])
     Phi[0] = np.eye(Phi.shape[-1])
     return Phi
 
@@ -76,9 +86,7 @@ class TestRefinedFlow:
         flow = flow_on(rot, 0, 25, 1e-10)
         norms = np.linalg.norm(flow.y[:, :, 0], axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-8)
-        tq = np.linspace(0, 25, 100)
-        ys = flow.eval(tq)[:, :, 0]
-        np.testing.assert_allclose(ys[:, 0], np.cos(tq), atol=1e-8)
+        np.testing.assert_allclose(flow.y[:, 0, 0], np.cos(flow.t), atol=1e-8)
 
     def test_lattice_without_a_pair_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -193,7 +201,6 @@ class TestMatrixState:
     def test_matrix_state_shapes(self):
         flow = flow_on(rot, 0, 5, 1e-9)
         assert flow.y.shape == (len(flow.t), 2, 2)
-        assert flow.eval([1.0, 2.0]).shape == (2, 2, 2)
 
     @pytest.mark.parametrize("gen", [rot, diag_gen, mixed_gen],
                              ids=["rotation", "diagonal", "mixed"])
@@ -215,7 +222,7 @@ class TestMatrixState:
         tg = np.linspace(0, 20, 41)
         flow = lattice_flow_on(mixed_gen, tg, tol)
         direct = rk45_integrate(mixed_gen, 0, 20, [1.0, 0.0], tol)
-        np.testing.assert_allclose(flow.eval(tg)[:, :, 0], direct.eval(tg),
+        np.testing.assert_allclose(flow.y[:, :, 0], direct.eval(flow.t),
                                    atol=10 * tol)
 
     def test_later_start_is_the_restarted_flow(self):
@@ -227,23 +234,6 @@ class TestMatrixState:
         np.testing.assert_allclose(moved, fresh, atol=100 * tol)
         tight = lattice_phi(mixed_gen, tg, tol / 5)
         np.testing.assert_allclose(moved, tight, atol=100 * tol)
-
-    @pytest.mark.parametrize("window", [(-1.0, 5.0), (2.0, 13.0), (12.0, 12.5)])
-    def test_eval_outside_window_rejected(self, window):
-        flow = lattice_flow_on(rot, np.linspace(0, 12, 25), 1e-9)
-        with pytest.raises(ValueError, match="window"):
-            flow.eval(np.linspace(*window, 5))
-
-
-def counting(Rfun):
-    """Rfun plus the list its calls are appended to."""
-    calls = []
-
-    def counted(t):
-        calls.append(t)
-        return Rfun(t)
-
-    return counted, calls
 
 
 CESARI_KINDS = [gs.KIND_CONVERGENT_IMPROPER, gs.KIND_MINUS_INFINITY]
@@ -291,14 +281,6 @@ class TestMagnusFlow:
         want = rk45_fundamental_matrix(rfun, tg, tol, breaks)
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 10 * tol
 
-    def test_dense_output_makes_no_generator_call(self):
-        rfun, calls = counting(mixed_gen)
-        flow = lattice_flow_on(rfun, np.linspace(0, 12, 25), 1e-9)
-        n = len(calls)
-        from_start(flow, np.linspace(1.3, 11.0, 300))
-        dynsys.asymptotic_limit(lambda t: flow.eval(t)[:, :, 0], 0.0, 12.0)
-        assert len(calls) == n
-
     def test_lattice_flow_and_its_richardson_estimate(self):
         # fourth order on the lattice; the estimate from every other node
         # tracks the true error of the finer flow
@@ -316,11 +298,12 @@ class TestMagnusFlow:
         for e, est in zip(errs, ests):
             assert 0.2 * e <= est <= 5 * e
 
-    def test_lattice_flow_dense_output_hits_its_nodes(self):
+    def test_lattice_flow_nodes_are_every_other_sample(self):
         t = np.linspace(0.0, 6.0, 13)
         R = np.stack([mixed_gen(s) for s in t])
         flow = dynsys.lattice_flow(t, R)
-        np.testing.assert_allclose(flow.eval(t[::2]), flow.y, atol=1e-14)
+        np.testing.assert_array_equal(flow.t, t[::2])
+        np.testing.assert_array_equal(flow.y[0], np.eye(2))
         with pytest.raises(ValueError, match="even"):
             dynsys.lattice_flow(t[:-1], R[:-1])
 
@@ -412,13 +395,14 @@ def turned_field(n, angle=0.7):
 
 
 def profile_tracks(field):
-    """Phi from t0 and from 2 t0 off the classifier's flow at k_max = 30."""
+    """Phi from t0 and from 2 t0 at every node of the classifier's flow at
+    k_max = 30, each from the first node at or after its start."""
     sampler = sphmean.sphere_sampler(field.dim, sphmean.default_resolution(field.dim))
     t0, t1 = math.log(2.0), 31 * math.log(2.0)
     sample = lambda t: sphmean.mean_matrix_R_many(field, np.exp(-t), sampler)
     flow = dynsys.refined_flow(sample, np.linspace(t0, t1, 513), 1e-8)
-    return (from_start(flow, np.linspace(t0, t1, 257)),
-            from_start(flow, np.linspace(2 * t0, t1, 513)))
+    return tuple(from_start(flow, flow.t[flow.t >= ts - 1e-12])
+                 for ts in (t0, 2 * t0))
 
 
 RANK_ONE = [lambda n: gs_log_field(-1.0, shift=2.0, n=n),
@@ -479,29 +463,35 @@ class TestPairwiseKPruning:
 class TestAsymptoticLimit:
     def test_zero_generator_exact(self):
         flow = flow_on(lambda t: np.zeros((2, 2)), 0, 20, 1e-10)
-        state = lambda t: flow.eval(t) @ np.array([0.3, -0.2])
-        rep = dynsys.asymptotic_limit(state, 0.0, 20.0, tol=1e-8)
+        rep = dynsys.asymptotic_limit(flow.t, flow.y @ np.array([0.3, -0.2]),
+                                      tol=1e-8)
         assert rep.verdict == dynsys.EVIDENCE_YES
         np.testing.assert_allclose(rep.limit, [0.3, -0.2], atol=1e-12)
 
     def test_scalar_limit_value(self):
         gen = gs.WHITELIST["exp-decay"]
         flow = flow_on(scalar_rfun(gen, 2), 0, 40, 1e-10)
-        rep = dynsys.asymptotic_limit(lambda t: flow.eval(t)[:, :, 0], 0.0, 40.0,
-                                      tol=1e-6)
+        rep = dynsys.asymptotic_limit(flow.t, flow.y[:, :, 0], tol=1e-6)
         assert rep.verdict == dynsys.EVIDENCE_YES
         assert rep.limit[0] == pytest.approx(np.exp(0.5), abs=1e-6)
 
     def test_rotation_not_constant(self):
         flow = flow_on(rot, 0, 40, 1e-9)
-        rep = dynsys.asymptotic_limit(lambda t: flow.eval(t)[:, :, 0], 0.0, 40.0,
-                                      tol=1e-6)
+        rep = dynsys.asymptotic_limit(flow.t, flow.y[:, :, 0], tol=1e-6)
         assert rep.verdict == dynsys.EVIDENCE_NO
+
+    def test_window_of_one_node_inconclusive(self):
+        # nodes 2 apart on [0, 12]: each tail window of width 1.2 holds one
+        t = np.arange(0.0, 13.0, 2.0)
+        rep = dynsys.asymptotic_limit(t, np.ones((len(t), 2)))
+        assert rep.verdict == dynsys.INCONCLUSIVE and rep.residual is None
+        rep = dynsys.asymptotic_limit(np.arange(0.0, 12.5, 0.5), np.ones((25, 2)))
+        assert rep.verdict == dynsys.EVIDENCE_YES
 
     def test_short_window_rejected(self):
         flow = flow_on(rot, 0, 5, 1e-9)
         with pytest.raises(ValueError, match="10"):
-            dynsys.asymptotic_limit(lambda t: flow.eval(t)[:, :, 0], 0.0, 5.0)
+            dynsys.asymptotic_limit(flow.t, flow.y[:, :, 0])
 
 
 def trajectory(rfun, t1, phi0, tol):
@@ -559,6 +549,12 @@ class TestPerturbation:
         pert = lambda t: rot(t) + 1.0 / (1 + t) * np.eye(2)
         with pytest.raises(ValueError, match="non-integrable"):
             dynsys.perturbation_equivalence(rot, pert, tg)
+
+    def test_uneven_grid_rejected(self):
+        # the grid is read as every k-th flow node, so it must be equispaced
+        tg = np.concatenate([np.linspace(0, 10, 41), np.linspace(10.5, 25, 30)])
+        with pytest.raises(ValueError, match="equispaced"):
+            dynsys.perturbation_equivalence(rot, rot, tg)
 
     def test_unmet_tolerance_raises(self):
         # K_hat from a flow that misses tol would not bound anything
