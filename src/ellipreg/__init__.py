@@ -9,8 +9,9 @@ field, and (in two dimensions) cross-checking the verdict against a direct
 finite-volume solve of the Dirichlet problem.
 
 Submodules load on import (``from ellipreg import criteria``), not with
-the package, so a run loads only what it uses: the sparse-matrix stack of
-the grid verifier comes in with :mod:`ellipreg.pde_verify` alone.
+the package, so a run loads only what it uses: the grid verifier,
+:mod:`ellipreg.pde_verify`, loads only for runs that solve on the grid.
+Every submodule needs numpy alone.
 """
 
 __version__ = "0.1.0"

@@ -76,6 +76,49 @@ class RunConfig:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
 
 
+_BUDGET_KEYS = (("eps", float), ("k_max", int), ("tol", float),
+                ("grid_resolution", int), ("nodes_per_octave", int),
+                ("dyn_tol", float), ("dyn_t0", float), ("asi_tol", float))
+# every key some run reads, by section; [field] keys depend on the family
+_SECTION_KEYS = {
+    "run": ("dim",),
+    "field": ("family",),
+    "budget": tuple(key for key, _ in _BUDGET_KEYS),
+    "integrate": ("generator", "t0", "t1", "tol"),
+    "gs": ("example", "horizon", "decay_exponent", "tol"),
+    "pde": ("n", "boundary", "radii", "tol"),
+    "moments": ("k_max",),
+    "output": ("dir",),
+}
+_GS_FIELD_KEYS = ("g", "omega", "omega_piecewise")
+_FIELD_KEYS = {"identity": (), "": (), "constant": ("diag",),
+               "gilbarg-serrin": _GS_FIELD_KEYS, "gs": _GS_FIELD_KEYS,
+               "radial": ("scale", "omega")}
+
+
+def _check_keys(parser: configparser.ConfigParser):
+    """Reject the first section or key that no run reads, so a misspelling
+    is named instead of silently leaving its default in place.  An unknown
+    field family is left to ``build_field``, which names it."""
+    if parser.defaults():
+        raise ConfigError(f"[{parser.default_section}]: no run reads this "
+                          "section; set each key in its own section")
+    for name in parser.sections():
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"[{name}]: unknown section; expected one of "
+                              + ", ".join(f"[{k}]" for k in _SECTION_KEYS))
+        known = _SECTION_KEYS[name]
+        if name == "field":
+            family = parser[name].get("family", "identity").strip().lower()
+            if family not in _FIELD_KEYS:
+                continue
+            known += _FIELD_KEYS[family]
+        for key in parser[name]:
+            if key not in known:
+                raise ConfigError(f"[{name}] {key}: unknown key; expected one "
+                                  f"of {', '.join(known)}")
+
+
 def _floats(text: str) -> list:
     return [float(v) for v in text.split(",")]
 
@@ -105,6 +148,7 @@ def load_config(path: str, subcommand: str) -> RunConfig:
     except configparser.Error as e:
         raise ConfigError(f"config parse error: {e}") from None
 
+    _check_keys(parser)
     cfg = RunConfig(subcommand=subcommand, raw_text=text)
     if parser.has_section("run"):
         cfg.dim = _option(parser["run"], "run", "dim", 2, int)
@@ -115,11 +159,7 @@ def load_config(path: str, subcommand: str) -> RunConfig:
     if parser.has_section("budget"):
         sec = parser["budget"]
         kwargs = {key: _option(sec, "budget", key, None, cast)
-                  for key, cast in (("eps", float), ("k_max", int), ("tol", float),
-                                    ("grid_resolution", int),
-                                    ("nodes_per_octave", int), ("dyn_tol", float),
-                                    ("dyn_t0", float), ("asi_tol", float))
-                  if sec.get(key) is not None}
+                  for key, cast in _BUDGET_KEYS if sec.get(key) is not None}
         cfg.budget = criteria.Budget(**kwargs)
         try:
             cfg.budget.validate()
@@ -193,6 +233,9 @@ def build_field(cfg: RunConfig) -> coeff.CoefficientField:
             omega_expr = spec.get("omega")
             omega_piecewise = spec.get("omega_piecewise")
             if omega_piecewise:
+                if omega_expr:
+                    raise ConfigError("[field] omega: not read beside "
+                                      "omega_piecewise; set one of the two")
                 vals = _option(spec, "field", "omega_piecewise", None, _floats)
                 omega = coeff.piecewise_log_modulus(vals)
             elif omega_expr:
@@ -502,6 +545,9 @@ def _gs_example(opts: dict):
     horizon = _option(opts, "gs", "horizon", 1e4 if example in _CESARI else 100.0)
     decay = _option(opts, "gs", "decay_exponent", 2.0 / 3.0)
     if example in gs.WHITELIST:
+        if "decay_exponent" in opts:
+            raise ConfigError("[gs] decay_exponent: only the Cesari examples "
+                              f"read it, not {example!r}")
         return gs.WHITELIST[example], horizon
     if example not in _CESARI:
         raise ConfigError(f"[gs] unknown example {example!r}")
@@ -564,7 +610,9 @@ def run_verify(cfg: RunConfig) -> dict:
     radii = _option(opts, "pde", "radii", _PDE_RADII, _floats)
     tol = _option(opts, "pde", "tol", 1e-12)
     field = build_field(cfg)
-    from . import pde_verify     # grid solver; no other run loads it
+    # loaded here, not at the top: only verify and report solve on the grid,
+    # and its import (about 10 ms) would otherwise fall on every run
+    from . import pde_verify
     sol = pde_verify.solve_dirichlet(field, _BOUNDARY_FUNS[bname], N, tol=tol)
     cfg.volatile["grid_solve"] = {
         "preconditioner": pde_verify.PRECONDITIONER,
@@ -574,23 +622,21 @@ def run_verify(cfg: RunConfig) -> dict:
         "residual_tail": list(sol.residual_tail),
     }
     dec = pde_verify.spectral_decompose(sol, radii)
-    quo = pde_verify.lipschitz_quotient(sol, radii)
-    gra = pde_verify.gradient_at_origin(dec)
     write_csv(cfg, "circle_tables.csv",
               ["r", "u0", "v1", "v2", "Q", "w_mean", "w_moment"],
               [[r, u0, v[0], v[1], q, wm, wmo]
-               for r, u0, v, q, wm, wmo in zip(dec.radii, dec.u0, dec.v, quo.Q,
+               for r, u0, v, q, wm, wmo in zip(dec.radii, dec.u0, dec.v, dec.Q,
                                                dec.w_means, dec.w_moments)])
     return {
         "N": N,
         "boundary": bname,
         "residual_norm": sol.residual_norm,
         "iterations": sol.iterations,
-        "u_origin": quo.u_origin,
-        "Q": _jsonable(quo.Q),
-        "bounded_evidence": quo.bounded_evidence,
-        "gradient_limit": _jsonable(gra.limit),
-        "gradient_converged_evidence": gra.converged_evidence,
+        "u_origin": dec.u_origin,
+        "Q": _jsonable(dec.Q),
+        "bounded_evidence": dec.bounded_evidence,
+        "gradient_limit": _jsonable(dec.limit),
+        "gradient_converged_evidence": dec.converged_evidence,
         "w_orthogonality_max": float(max(dec.w_means.max(), dec.w_moments.max())),
     }
 

@@ -495,28 +495,21 @@ def classify(field: CoefficientField, budget: Budget = Budget()) -> RegularityVe
 
 
 def _flow_lattice(profile: RadialProfile, t0: float):
-    """Profile nodes and R from the last node at or below t0 on.
+    """Profile nodes and R from the last node at or below t0 to the depth.
 
-    An odd count of intervals is made even by starting one node lower, or by
-    ending one node deeper where that node would lie outside the unit ball
-    (s < 0).  Nodes beyond the profile are swept in one batch.
+    An odd count of intervals is made even by starting one node lower, or
+    one node higher where the lower node would lie outside the unit ball
+    (s < 0).  Nodes below the profile are swept in one batch.
     """
     s, R = profile.s_nodes, profile.R_nodes
     h = s[1] - s[0]
     j = math.floor((t0 - s[0]) / h + 1e-9)   # within 1e-9 h of a node: on it
-    end = len(s) - 1
-    if (end - j) % 2:
-        if s[0] + (j - 1) * h > -1e-9 * h:
-            j -= 1
-        else:
-            end += 1
-    if j < 0 or end >= len(s):
-        below = max(-j, 0)
-        new = s[0] + np.concatenate([np.arange(j, 0), np.arange(len(s), end + 1)]) * h
+    if (len(s) - 1 - j) % 2:
+        j += -1 if s[0] + (j - 1) * h > -1e-9 * h else 1
+    if j < 0:
+        new = s[0] + np.arange(j, 0) * h
         R_new = mean_matrix_R_many(profile.field, np.exp(-new), profile.sampler)
-        s = np.concatenate([new[:below], s, new[below:]])
-        R = np.concatenate([R_new[:below], R, R_new[below:]])
-        j = max(j, 0)
+        return np.concatenate([new, s]), np.concatenate([R_new, R])
     return s[j:], R[j:]
 
 
@@ -525,28 +518,28 @@ def _dynamics_evidence(profile: RadialProfile, budget: Budget):
 
     The flow is ``dynsys.refined_flow`` from the profile's own R samples, so
     it makes no sphere quadrature of its own unless the lattice must reach
-    beyond the profile (dyn_t0 < -ln eps, or an odd count of intervals) or
+    below the profile (dyn_t0 < -ln eps, or an odd count of intervals) or
     be halved to meet ``dyn_tol``, one sweep of the midpoints per halving.
     The window opening is a free parameter, so the stability constant is
     re-measured from twice the default start off the same flow.  Every item
     reads flow nodes, where ``dyn_tol`` holds, from the first node at or
-    after its start up to the profile depth: Phi(t) Phi(t_s)^-1 from that
-    node t_s.  A stability window takes at most _STABILITY_NODES of them,
-    the nodes nearest as many equispaced times, both ends included; the
-    trajectory through e_1 is the first column from t0, at every node.
+    after its start up to the profile depth, where the flow ends: Phi(t)
+    Phi(t_s)^-1 from that node t_s.  A stability window takes at most
+    _STABILITY_NODES of them, the nodes nearest as many equispaced times,
+    both ends included; the trajectory through e_1 is the first column from
+    t0, at every node.
     """
     t0 = budget.dyn_t0
     s, R = _flow_lattice(profile, t0)
     sample = lambda t: mean_matrix_R_many(profile.field, np.exp(-t), profile.sampler)
     flow = dynsys.refined_flow(sample, s, budget.dyn_tol, R)
     slack = 1e-9 * (s[1] - s[0])
-    end = np.searchsorted(flow.t, profile.s_nodes[-1] + slack, side="right")
 
     def from_node(ts: float):
-        i = min(np.searchsorted(flow.t, ts - slack), end - 1)
-        Phi = flow.y[i:end] @ np.linalg.inv(flow.y[i])
+        i = np.searchsorted(flow.t, ts - slack)   # ts < depth = flow.t[-1]
+        Phi = flow.y[i:] @ np.linalg.inv(flow.y[i])
         Phi[0] = np.eye(profile.dim)
-        return flow.t[i:end], Phi
+        return flow.t[i:], Phi
 
     def stability(t, Phi) -> dynsys.StabilityReport:
         # the flow's nodes are equispaced, so equispaced indices are the

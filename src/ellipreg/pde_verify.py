@@ -17,17 +17,18 @@ close to the identity it needs about 14 iterations at every grid size.
 Circle samples read a not-a-knot bicubic spline through the cell values.
 Nothing here needs more than numpy.
 
-The circle decomposition splits a solution on each circle of radius r into
-its mean, its first-moment part v(r) . x, and a remainder with vanishing
-mean and first moments; the limit of v(r) is the gradient at the origin
-whenever it exists.  Everything the grid cannot resolve below a few cells
-is reported as evidence at the stated radii, never extrapolated silently.
+The circle decomposition reads the spline once per circle.  It splits a
+solution on each circle of radius r into its mean, its first-moment part
+v(r) . x, and a remainder with vanishing mean and first moments, and takes
+the Lipschitz quotient max |u - u(0)| / r off the same samples; the limit of
+v(r) is the gradient at the origin whenever it exists.  Everything the grid
+cannot resolve below a few cells is reported as evidence at the stated
+radii, never extrapolated silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -184,24 +185,8 @@ class GridSolution:
     u: np.ndarray                # (N, N), index (i, j) ~ (x_i, y_j)
     residual_norm: float
     iterations: int
-    field: CoefficientField
-    boundary_data: Callable
     start_residual: float = float("nan")   # relative residual of CG's start
     residual_tail: tuple = ()    # last relative residuals of CG, start included
-
-    @cached_property
-    def interpolator(self):
-        """Bicubic spline evaluator over cell centers: pts (m, 2) -> (m,).
-
-        The interpolating spline reproduces cubic polynomial data exactly,
-        which the origin-gradient exactness contract needs.  It is built on
-        first use and shared by every reader of this solution.
-        """
-        return _Spline(self.cell_coords, self.u)
-
-    @property
-    def h(self) -> float:
-        return 2.0 / self.N
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +231,8 @@ class _Spline:
     ((1-t)^3 - (1-t)) m_i + (t^3 - t) m_i+1 with m from ``_moments``; the
     2-D spline combines values, x-moments, y-moments and mixed moments of
     the four corners, sixteen terms per point.  Points outside the grid are
-    clamped to its edge.
+    clamped to its edge.  The spline reproduces cubic polynomial data
+    exactly, so the circle moments of linear data are exact too.
     """
 
     def __init__(self, x: np.ndarray, u: np.ndarray):
@@ -420,7 +406,7 @@ def solve_dirichlet(field: CoefficientField, boundary_data: Callable, N: int,
             f"conjugate gradients stopped at relative residual {res:.3e} "
             f"(target {tol:.1e}) after {len(history) - 1} iterations; "
             f"history tail [{tail}]")
-    return GridSolution(N, xc, u, res, len(history) - 1, field, boundary_data,
+    return GridSolution(N, xc, u, res, len(history) - 1,
                         start_residual=history[0],
                         residual_tail=tuple(history[-5:]))
 
@@ -431,121 +417,82 @@ def solve_dirichlet(field: CoefficientField, boundary_data: Callable, N: int,
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    radii: np.ndarray
+    radii: np.ndarray            # (m,) decreasing
     u0: np.ndarray               # (m,) circle means
     v: np.ndarray                # (m, 2) first-moment coefficients
     w_means: np.ndarray          # (m,) residual means on an independent grid
     w_moments: np.ndarray        # (m,) max residual first moments, same grid
-
-
-def _trusted_radii(sol: GridSolution, radii: Sequence[float]) -> np.ndarray:
-    """Radii in decreasing order, checked to lie within [2h, 1 - 2h]."""
-    radii = np.asarray(sorted(radii, reverse=True), float)
-    if not np.all(np.isfinite(radii)):
-        raise ValueError("radii must be finite")
-    if np.any(radii < 2 * sol.h):
-        bad = radii[radii < 2 * sol.h]
-        raise ValueError(
-            f"radius {bad.max():g} below the trusted floor 2h = {2 * sol.h:g}")
-    if np.any(radii > 1.0 - 2 * sol.h):
-        raise ValueError("radii must stay inside the unit disk on the grid")
-    return radii
+    Q: np.ndarray                # (m,) max |u - u(0)| / r per circle
+    u_origin: float              # the spline's value at the origin
+    bounded_evidence: bool       # the last three Q agree within 5 percent
+    limit: np.ndarray            # (2,) extrapolated limit of v(r) as r -> 0
+    converged_evidence: bool     # changes of v(r) grow by 35 % at most
 
 
 def spectral_decompose(sol: GridSolution, radii: Sequence[float]) -> SpectralDecomposition:
-    """Split u on circles into mean + first moments + remainder.
+    """Everything the circles say at the origin, from one reading of each.
 
-    u0(r) is the circle mean, v_k(r) = (n/r) * mean(u theta_k); the
-    remainder w has exactly zero mean and first moments against the defining
-    quadrature, so the reported residuals are measured on an independent,
-    offset, finer circle grid: they quantify interpolation and quadrature
-    error, not bookkeeping.
+    The radii are sorted decreasing and must lie in [2h, 1 - 2h].  Each
+    circle is sampled once on the equispaced rule and once on an offset,
+    finer rule.  From the first come the mean u0(r), the first moments
+    v_k(r) = (n/r) * mean(u theta_k) and the Lipschitz quotient
+    Q(r) = max |u - u(0)| / r.  The remainder w = u - u0 - r v . theta has
+    exactly zero mean and first moments against that rule, so its residuals
+    are measured on the second rule: they quantify interpolation and
+    quadrature error, not bookkeeping.
+
+    Bounded evidence means the last three quotients agree within 5 percent,
+    mirroring the saturation tests of the analytic criteria; fewer than
+    three circles give none.  The limit of v(r) is the gradient at the
+    origin whenever it exists: an Aitken step on the last three v(r),
+    componentwise.  Converged evidence needs at least three circles, and
+    each change |v(r_{k+1}) - v(r_k)| at most 1.35 times the one before it
+    (plus 1e-12).
     """
-    radii = _trusted_radii(sol, radii)
-    interp = sol.interpolator
+    radii = np.asarray(sorted(radii, reverse=True), float)
+    h = 2.0 / sol.N
+    if not np.all(np.isfinite(radii)):
+        raise ValueError("radii must be finite")
+    if np.any(radii < 2 * h):
+        bad = radii[radii < 2 * h]
+        raise ValueError(
+            f"radius {bad.max():g} below the trusted floor 2h = {2 * h:g}")
+    if np.any(radii > 1.0 - 2 * h):
+        raise ValueError("radii must stay inside the unit disk on the grid")
+
+    interp = _Spline(sol.cell_coords, sol.u)
+    u_origin = float(interp(np.zeros((1, 2)))[0])
     m = _CIRCLE_RESOLUTION
     th = 2 * np.pi * np.arange(m) / m
     mfine = int(1.5 * m)
     thf = 2 * np.pi * (np.arange(mfine) + 0.37) / mfine
 
-    u0, vv, wm, wmom = [], [], [], []
+    u0, vv, Q, wm, wmom = [], [], [], [], []
     for r in radii:
-        pts = r * np.stack([np.cos(th), np.sin(th)], axis=1)
-        vals = interp(pts)
+        vals = interp(r * np.stack([np.cos(th), np.sin(th)], axis=1))
         mean = float(vals.mean())
         v = 2.0 / r * np.array([np.mean(vals * np.cos(th)),
                                 np.mean(vals * np.sin(th))])
-        ptsf = r * np.stack([np.cos(thf), np.sin(thf)], axis=1)
-        valsf = interp(ptsf)
+        valsf = interp(r * np.stack([np.cos(thf), np.sin(thf)], axis=1))
         wf = valsf - mean - r * (v[0] * np.cos(thf) + v[1] * np.sin(thf))
         u0.append(mean)
         vv.append(v)
+        Q.append(float(np.max(np.abs(vals - u_origin)) / r))
         wm.append(float(np.abs(wf.mean())))
         wmom.append(float(max(abs(np.mean(wf * np.cos(thf))),
                               abs(np.mean(wf * np.sin(thf))))))
-    return SpectralDecomposition(radii, np.asarray(u0), np.asarray(vv),
-                                 np.asarray(wm), np.asarray(wmom))
+    Q, v = np.asarray(Q), np.asarray(vv)
 
-
-# ---------------------------------------------------------------------------
-# pointwise evidence
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuotientReport:
-    radii: np.ndarray
-    Q: np.ndarray                # max |u - u(0)| / r per circle
-    u_origin: float
-    bounded_evidence: bool
-
-
-def lipschitz_quotient(sol: GridSolution, radii: Sequence[float]) -> QuotientReport:
-    """Difference quotients max_{|x|=r} |u(x) - u(0)| / r on dyadic circles.
-
-    Bounded evidence means the last three quotients agree within 5 percent,
-    mirroring the saturation tests used by the analytic criteria.  Radii
-    must lie in [2h, 1 - 2h], as for ``spectral_decompose``.
-    """
-    radii = _trusted_radii(sol, radii)
-    interp = sol.interpolator
-    u0 = float(interp(np.zeros((1, 2)))[0])
-    th = 2 * np.pi * np.arange(_CIRCLE_RESOLUTION) / _CIRCLE_RESOLUTION
-    Q = []
-    for r in radii:
-        pts = r * np.stack([np.cos(th), np.sin(th)], axis=1)
-        vals = interp(pts)
-        Q.append(float(np.max(np.abs(vals - u0)) / r))
-    Q = np.asarray(Q)
-    last = Q[-3:] if len(Q) >= 3 else Q
-    bounded = bool(np.max(last) <= np.min(last) * (1 + _SATURATION_RTOL))
-    return QuotientReport(radii, Q, u0, bounded)
-
-
-@dataclass(frozen=True)
-class GradientReport:
-    radii: np.ndarray
-    v: np.ndarray                # (m, 2)
-    limit: np.ndarray            # extrapolated gradient estimate
-    residuals: np.ndarray        # |v(r_{k+1}) - v(r_k)|
-    converged_evidence: bool
-
-
-def gradient_at_origin(dec: SpectralDecomposition) -> GradientReport:
-    """Gradient from the first circle moments: limit of v(r) as r -> 0.
-
-    Reads the moments v(r) off a circle decomposition.  Extrapolation
-    accelerates the dyadic sequence v(2^-k) componentwise; converged
-    evidence requires the successive differences to decrease.
-    """
-    v = dec.v[np.argsort(dec.radii)[::-1]]   # large r first
+    bounded = bool(len(Q) >= 3 and
+                   np.max(Q[-3:]) <= np.min(Q[-3:]) * (1 + _SATURATION_RTOL))
     diffs = np.linalg.norm(np.diff(v, axis=0), axis=1)
     converged = bool(len(diffs) >= 2 and np.all(np.diff(diffs) <= 1e-12 +
                                                 0.35 * diffs[:-1]))
     limit = v[-1].copy()
     if len(v) >= 3:
-        for c in range(2):
-            s = v[:, c]
-            d2 = s[2:] - 2 * s[1:-1] + s[:-2]
-            if abs(d2[-1]) > 1e-300:
-                limit[c] = s[-1] - (s[-1] - s[-2]) ** 2 / d2[-1]
-    return GradientReport(dec.radii, dec.v, limit, diffs, converged)
+        d2 = v[-1] - 2 * v[-2] + v[-3]
+        for c in np.flatnonzero(np.abs(d2) > 1e-300):
+            limit[c] = v[-1, c] - (v[-1, c] - v[-2, c]) ** 2 / d2[c]
+    return SpectralDecomposition(radii, np.asarray(u0), v, np.asarray(wm),
+                                 np.asarray(wmom), Q, u_origin, bounded,
+                                 limit, converged)

@@ -222,8 +222,7 @@ def test_criterion_10_manufactured_solutions(identity_field):
         slope = -np.polyfit(np.log([64, 128, 256, 512]), np.log(errs), 1)[0]
         assert 1.8 <= slope <= 2.2
 
-        grad = pde_verify.gradient_at_origin(
-            pde_verify.spectral_decompose(sol, [0.5, 0.25, 0.125, 0.0625]))
+        grad = pde_verify.spectral_decompose(sol, [0.5, 0.25, 0.125, 0.0625])
         assert np.max(np.abs(grad.limit - np.array([1.0, 0.0]))) <= 1e-10
 
 
@@ -237,8 +236,7 @@ def test_criterion_11_cross_validation():
         assert v_minus.classification == criteria.CLASS_ZERO_GRADIENT
         assert v_minus.route == criteria.ROUTE_COR3
         sol_m = pde_verify.solve_dirichlet(minus, x1, 512, tol=1e-12)
-        grad = pde_verify.gradient_at_origin(
-            pde_verify.spectral_decompose(sol_m, radii))
+        grad = pde_verify.spectral_decompose(sol_m, radii)
         mags = np.linalg.norm(grad.v, axis=1)
         assert len(mags) >= 5 and np.all(np.diff(mags) < 0)
 
@@ -248,7 +246,7 @@ def test_criterion_11_cross_validation():
         assert (v_plus.evidence["dynsys_stability"].verdict_uniform_stability
                 == dynsys.EVIDENCE_UNSTABLE)
         sol_p = pde_verify.solve_dirichlet(plus, x1, 512, tol=1e-12)
-        quo = pde_verify.lipschitz_quotient(sol_p, radii)
+        quo = pde_verify.spectral_decompose(sol_p, radii)
         assert np.sum(np.diff(quo.Q) > 0) >= 3
         assert np.all(np.diff(quo.Q)[-3:] > 0)
 

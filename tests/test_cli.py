@@ -93,6 +93,9 @@ tol = -1e-6
         ("integrate", "[integrate]\nt0 = 5\nt1 = 1\n", "[integrate] t1"),
         ("moments", "[moments]\nk_max = abc\n", "[moments] k_max"),
         ("classify", "[field]\nfamily = constant\ndiag = 1, x\n", "[field] diag"),
+        # a key that the run would not read beside another
+        ("classify", "[field]\nfamily = gilbarg-serrin\ng = -1/log(e^2/r)\n"
+         "omega = banana\nomega_piecewise = 0.5, 0.4, 0.3\n", "[field] omega"),
     ])
     def test_malformed_option_exits_2(self, tmp_path, capsys, subcommand,
                                       text, name):
@@ -147,6 +150,19 @@ tol = -1e-6
          "[gs] decay_exponent"),
         ("moments", "[moments]\nk_max = 0\n", "[moments] k_max"),
         ("moments", "[moments]\nk_max = -3\n", "[moments] k_max"),
+        # a section or key that no run reads
+        ("classify", "[budget]\nk_maxx = 12\n", "[budget] k_maxx"),
+        ("classify", "[pdee]\nn = 64\n", "[pdee]"),
+        ("classify", "[DEFAULT]\nk_max = 12\n", "[DEFAULT]"),
+        ("classify", "[run]\ndims = 3\n", "[run] dims"),
+        ("classify", "[field]\nfamily = identity\ng = r^1\n", "[field] g"),
+        ("classify", "[field]\nfamily = radial\ndiag = 1, 2\n", "[field] diag"),
+        ("verify", "[pde]\nn = 64\nradius = 0.5\n", "[pde] radius"),
+        ("integrate", "[integrate]\nt_1 = 5\n", "[integrate] t_1"),
+        ("gs", "[gs]\nexampel = cesari-convergent\n", "[gs] exampel"),
+        ("moments", "[moments]\nkmax = 3\n", "[moments] kmax"),
+        ("gs", "[gs]\nexample = exp-decay\ndecay_exponent = 0.6\n",
+         "[gs] decay_exponent"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, subcommand,
                                         text, name):
@@ -413,15 +429,21 @@ radii = 0.5, 0.25, 0.125
         assert (out / "circle_tables.csv").exists()
 
     def test_verify_builds_one_spline(self, tmp_path, monkeypatch):
-        # the circle decomposition and the quotients share one interpolant
-        built = []
-        inner = pde_verify._Spline
+        # the circle decomposition, the quotients and the gradient read one
+        # interpolant: at the origin, then each circle on the equispaced and
+        # the offset rule
+        built, calls = [], []
 
-        def counted(*args, **kwargs):
-            built.append(args[1].shape)
-            return inner(*args, **kwargs)
+        class Counted(pde_verify._Spline):
+            def __init__(self, x, u):
+                built.append(u.shape)
+                super().__init__(x, u)
 
-        monkeypatch.setattr(pde_verify, "_Spline", counted)
+            def __call__(self, pts):
+                calls.append(len(pts))
+                return super().__call__(pts)
+
+        monkeypatch.setattr(pde_verify, "_Spline", Counted)
         cfg = write_cfg(tmp_path, IDENTITY.format(out=tmp_path / "out") + """
 [pde]
 n = 64
@@ -430,6 +452,7 @@ radii = 0.5, 0.25, 0.125
 """)
         assert cli.main(["verify", cfg]) == cli.EXIT_OK
         assert built == [(64, 64)]
+        assert calls == [1] + [256, 384] * 3
 
     def test_verify_records_the_grid_solve(self, tmp_path):
         out = tmp_path / "out"

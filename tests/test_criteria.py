@@ -769,7 +769,7 @@ class TestDynamicsSolves:
         # 95 intervals: the flow starts one node below the profile
         ({"nodes_per_octave": 5, "k_max": 19}, 3),
         # 95 intervals from r = 1: the node below lies outside the unit
-        # ball, so the flow ends one node deeper instead
+        # ball, so the flow starts one node higher instead
         ({"nodes_per_octave": 5, "k_max": 18, "dyn_t0": 0.0}, 4),
     ])
     def test_lattice_flow_matches_adaptive_solve(self, monkeypatch, change, sweeps):
@@ -795,16 +795,21 @@ class TestDynamicsSolves:
         assert ev["dynsys_asymptotic"].verdict == asym.verdict
 
     def test_asymptotic_window_ends_with_the_stability_windows(self, monkeypatch):
-        # 95 intervals from r = 1: the flow ends one node past the profile,
-        # yet all three items stop at the profile depth
+        # 95 intervals from r = 1: the node below lies outside the unit
+        # ball, so the flow starts one node above r = 1 and, like all three
+        # items, stops at the profile depth
         budget = criteria.Budget(nodes_per_octave=5, k_max=18, dyn_t0=0.0)
         _, seen = classify_reading_nodes(rotated_rank_one_field(), budget,
                                          monkeypatch)
         depth = -math.log(budget.eps) + budget.k_max * math.log(2.0)
         (flow,) = seen["flow"]
-        assert flow.t[-1] > depth + 0.1
+        h = math.log(2.0) / budget.nodes_per_octave
+        np.testing.assert_allclose([flow.t[0], flow.t[-1]], [h, depth],
+                                   rtol=0, atol=1e-12)
+        starts = [t[0] for t in seen["stability"] + seen["asymptotic"]]
         ends = [t[-1] for t in seen["stability"] + seen["asymptotic"]]
         assert len(ends) == 3
+        np.testing.assert_allclose(starts, h, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ends, depth, rtol=0, atol=1e-12)
 
     def test_halved_flow_hands_at_most_257_nodes_per_window(self, monkeypatch):
@@ -827,16 +832,20 @@ class TestDynamicsSolves:
         np.testing.assert_array_equal(seen["asymptotic"][0],
                                       flow.t[flow.t <= depth + 1e-12])
 
-    def test_start_past_the_last_node_reads_the_last_node(self, monkeypatch):
-        # R = 0 meets dyn_tol unhalved: flow nodes 0.05, 0.512 and 0.974,
-        # one past the depth 0.743, so no node lies in [2 t0, depth]
+    def test_late_start_reads_the_last_node(self, monkeypatch):
+        # three intervals from 0.05, and the node below lies outside the
+        # unit ball, so the flow starts one node higher, at 0.281, and ends
+        # at the depth 0.743; the only node in [2 t0, depth] is the last
         budget = criteria.Budget(eps=math.exp(-0.05), k_max=1,
                                  nodes_per_octave=3, dyn_t0=0.27)
         _, seen = classify_reading_nodes(coeff.make_constant(2, np.eye(2)),
                                          budget, monkeypatch)
         (flow,) = seen["flow"]
-        assert len(flow.t) == 3
-        np.testing.assert_array_equal(seen["stability"][1], flow.t[1:2])
+        h = math.log(2.0) / 3
+        np.testing.assert_allclose(flow.t[[0, -1]], [0.05 + h, 0.05 + 3 * h],
+                                   rtol=0, atol=1e-12)
+        assert np.all(flow.t[:-1] < 2 * budget.dyn_t0)
+        np.testing.assert_array_equal(seen["stability"][1], flow.t[-1:])
 
     def test_verify_independence_steps_no_flow(self, monkeypatch):
         # a scalar generator's flow is its closed form: no lattice is swept

@@ -199,14 +199,13 @@ class TestSpectralDecomposition:
         assert dec.w_means.max() < 1e-8
         assert dec.w_moments.max() < 1e-8
 
-    def test_radial_function_decomposes_to_mean(self, identity_field):
+    def test_radial_function_decomposes_to_mean(self):
         # decomposition applies to any grid function, solution or not
         N = 128
         h = 2.0 / N
         xc = -1 + (np.arange(N) + 0.5) * h
         X, Y = np.meshgrid(xc, xc, indexing="ij")
-        sol = pde_verify.GridSolution(N, xc, X ** 2 + Y ** 2, 0.0, 0,
-                                      identity_field, lambda p: None)
+        sol = pde_verify.GridSolution(N, xc, X ** 2 + Y ** 2, 0.0, 0)
         dec = pde_verify.spectral_decompose(sol, [0.5, 0.25])
         np.testing.assert_allclose(dec.u0, [0.25, 0.0625], atol=1e-8)
         np.testing.assert_allclose(dec.v, 0, atol=1e-8)
@@ -219,14 +218,14 @@ class TestSpectralDecomposition:
 
 class TestLipschitzQuotient:
     def test_linear_solution_quotient_one(self, identity_x1_sol):
-        rep = pde_verify.lipschitz_quotient(identity_x1_sol,
+        rep = pde_verify.spectral_decompose(identity_x1_sol,
                                             [0.5, 0.25, 0.125, 0.0625])
         np.testing.assert_allclose(rep.Q, 1.0, atol=1e-8)
         assert rep.bounded_evidence
         assert abs(rep.u_origin) < 1e-10
 
     def test_harmonic_polynomial_bounded(self, identity_quad_sol):
-        rep = pde_verify.lipschitz_quotient(identity_quad_sol,
+        rep = pde_verify.spectral_decompose(identity_quad_sol,
                                             [0.4, 0.2, 0.1, 0.05])
         # Q(r) ~ r for a quadratic: decreasing, hence bounded evidence
         assert np.all(np.diff(rep.Q) < 0)
@@ -235,28 +234,34 @@ class TestLipschitzQuotient:
         field = gs_log_field(1.0, shift=2.0)
         sol = pde_verify.solve_dirichlet(field, X1, 256, tol=1e-12)
         radii = [0.5, 0.25, 0.125, 0.0625, 0.03125]
-        rep = pde_verify.lipschitz_quotient(sol, radii)
+        rep = pde_verify.spectral_decompose(sol, radii)
         assert np.all(np.diff(rep.Q) > 0)
+        assert not rep.bounded_evidence
+
+    @pytest.mark.parametrize("radii", [[0.5], [0.5, 0.25]])
+    def test_fewer_than_three_circles_give_no_bounded_evidence(
+            self, identity_x1_sol, radii):
+        # Q = 1 on every circle, yet one or two circles show no saturation
+        rep = pde_verify.spectral_decompose(identity_x1_sol, radii)
+        np.testing.assert_allclose(rep.Q, 1.0, atol=1e-8)
         assert not rep.bounded_evidence
 
     @pytest.mark.parametrize("radius", [0.01, 0.99])
     def test_radius_outside_trusted_band_rejected(self, identity_x1_sol,
                                                   radius):
         with pytest.raises(ValueError, match="floor|unit disk"):
-            pde_verify.lipschitz_quotient(identity_x1_sol, [0.5, radius])
+            pde_verify.spectral_decompose(identity_x1_sol, [0.5, radius])
 
     @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
     def test_non_finite_radius_rejected(self, identity_x1_sol, radius):
-        for read in (pde_verify.lipschitz_quotient,
-                     pde_verify.spectral_decompose):
-            with pytest.raises(ValueError, match="finite"):
-                read(identity_x1_sol, [0.5, radius, 0.25])
+        with pytest.raises(ValueError, match="finite"):
+            pde_verify.spectral_decompose(identity_x1_sol, [0.5, radius, 0.25])
 
 
 class TestGradientAtOrigin:
     def test_linear_exact(self, identity_x1_sol):
-        rep = pde_verify.gradient_at_origin(pde_verify.spectral_decompose(
-            identity_x1_sol, [0.5, 0.25, 0.125, 0.0625]))
+        rep = pde_verify.spectral_decompose(
+            identity_x1_sol, [0.5, 0.25, 0.125, 0.0625])
         np.testing.assert_allclose(rep.v, [[1, 0]] * 4, atol=1e-9)
         np.testing.assert_allclose(rep.limit, [1, 0], atol=1e-9)
 
@@ -267,8 +272,7 @@ class TestGradientAtOrigin:
         sol = pde_verify.solve_dirichlet(identity_field,
                                          lambda p: np.sin(p[:, 0]), 256,
                                          tol=1e-12)
-        rep = pde_verify.gradient_at_origin(
-            pde_verify.spectral_decompose(sol, [0.4, 0.2, 0.1, 0.05]))
+        rep = pde_verify.spectral_decompose(sol, [0.4, 0.2, 0.1, 0.05])
         assert rep.limit[0] == pytest.approx(oracle, abs=5e-6)
         assert abs(rep.limit[1]) < 1e-8
         assert rep.converged_evidence
@@ -276,7 +280,7 @@ class TestGradientAtOrigin:
     def test_zero_gradient_case_decreasing(self):
         field = gs_log_field(-1.0, shift=2.0)
         sol = pde_verify.solve_dirichlet(field, X1, 256, tol=1e-12)
-        rep = pde_verify.gradient_at_origin(pde_verify.spectral_decompose(
-            sol, [0.5, 0.25, 0.125, 0.0625, 0.03125]))
+        rep = pde_verify.spectral_decompose(
+            sol, [0.5, 0.25, 0.125, 0.0625, 0.03125])
         mags = np.linalg.norm(rep.v, axis=1)
         assert np.all(np.diff(mags) < 0)
