@@ -199,10 +199,13 @@ def load_config(path: str, subcommand: str) -> RunConfig:
     n = _option(pde, "pde", "n", 256, int)
     if not 64 <= n <= 1024:
         raise ConfigError("[pde] n: must lie in [64, 1024]")
-    if not all(4 / n <= r <= 1 - 4 / n
-               for r in _option(pde, "pde", "radii", _PDE_RADII, _floats)):
+    radii = _option(pde, "pde", "radii", _PDE_RADII, _floats)
+    if not all(4 / n <= r <= 1 - 4 / n for r in radii):
         raise ConfigError(f"[pde] radii: each must lie in [2h, 1 - 2h] = "
                           f"[{4 / n:g}, {1 - 4 / n:g}] at n = {n}")
+    # a repeated circle would count as several in the plateau tests
+    if len(set(radii)) < len(radii):
+        raise ConfigError("[pde] radii: each circle must be given once")
     if _option(cfg.options.get("moments", {}), "moments", "k_max", 1, int) < 1:
         raise ConfigError("[moments] k_max: must be at least 1")
     if subcommand == "gs":
@@ -620,8 +623,12 @@ def run_verify(cfg: RunConfig) -> dict:
         "iterations": sol.iterations,
         "rel_residual": sol.residual_norm,
         "residual_tail": list(sol.residual_tail),
+        "assemble_s": sol.assemble_s,
+        "solve_s": sol.solve_s,
     }
+    t = time.perf_counter()
     dec = pde_verify.spectral_decompose(sol, radii)
+    cfg.volatile["grid_solve"]["circles_s"] = time.perf_counter() - t
     write_csv(cfg, "circle_tables.csv",
               ["r", "u0", "v1", "v2", "Q", "w_mean", "w_moment"],
               [[r, u0, v[0], v[1], q, wm, wmo]

@@ -12,10 +12,11 @@ problems converge at second order.  The 9-point stencil is assembled
 directly as an array of couplings per neighbour offset, and the system is
 solved by conjugate gradients started from the Coons patch of the wall data
 and preconditioned with the exact solve of the unit 5-point Laplacian,
-diagonalized by the sine transform (four matrix products).  For fields
-close to the identity it needs about 14 iterations at every grid size.
-Circle samples read a not-a-knot bicubic spline through the cell values.
-Nothing here needs more than numpy.
+diagonalized by the sine transform and applied by real FFTs in
+O(n^2 log n) (Makhoul, IEEE TASSP 1980).  For fields close to the identity
+it needs about 14 iterations at every grid size.  Circle samples read a
+not-a-knot bicubic spline through the cell values.  Nothing here needs more
+than numpy.
 
 The circle decomposition reads the spline once per circle.  It splits a
 solution on each circle of radius r into its mean, its first-moment part
@@ -28,6 +29,7 @@ radii, never extrapolated silently.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -187,13 +189,45 @@ class GridSolution:
     iterations: int
     start_residual: float = float("nan")   # relative residual of CG's start
     residual_tail: tuple = ()    # last relative residuals of CG, start included
+    assemble_s: float = float("nan")       # wall time of ``assemble``
+    solve_s: float = float("nan")          # wall time of the rest: start, CG
 
 
 # ---------------------------------------------------------------------------
 # not-a-knot bicubic spline
 # ---------------------------------------------------------------------------
 
-def _moments(f: np.ndarray) -> np.ndarray:
+_BAND = 32                 # rows per block of the spline's moment solve
+
+
+def _moment_band(L: int) -> np.ndarray:
+    """The inverse of the L x L tridiagonal (1, 4, 1) matrix, by blocks of
+    _BAND = B rows: block b holds rows bB .. bB + B - 1 against the 3B
+    columns from (b - 1) B, zero where a row or column lies off the matrix.
+
+    With p(k) = (-beta)^k and beta = 2 - sqrt(3), the images of the zero rows
+    -1 and L give entry (i, j) as (p|i - j| - p(i + j + 2) - p(2L - i - j) +
+    p(2L + 2 - |i - j|)) / (2 sqrt(3) (1 - p(2L + 2))).  Every entry off the
+    band lies more than B from the diagonal, below beta^33 ~ 1e-19 of it,
+    so the band is the inverse to rounding.
+    """
+    nb = -(-L // _BAND)
+    i = np.arange(nb * _BAND).reshape(nb, _BAND, 1)
+    j = np.arange(-_BAND, 2 * _BAND) + _BAND * np.arange(nb)[:, None, None]
+    beta = 2.0 - np.sqrt(3.0)
+    table = np.append((-beta) ** np.arange(64), 0.0)    # p(k), 0 from k = 64
+
+    def p(k):
+        return table[np.clip(k, 0, 64)]
+
+    d = np.abs(i - j)
+    band = ((p(d) - p(i + j + 2) - p(2 * L - i - j) + p(2 * L + 2 - d))
+            / (2.0 * np.sqrt(3.0) * (1.0 - p(2 * L + 2))))
+    band[(i >= L) | (j < 0) | (j >= L)] = 0.0
+    return band
+
+
+def _moments(f: np.ndarray, band: np.ndarray) -> np.ndarray:
     """h^2/6 times the second derivatives, along axis 0, of the not-a-knot
     cubic spline through the rows of f on a uniform grid.
 
@@ -201,24 +235,24 @@ def _moments(f: np.ndarray) -> np.ndarray:
     2 f[k] + f[k+1].  Not-a-knot ends make m[0] - 2 m[1] + m[2] = 0, so on a
     uniform grid row 1 gives m[1] = (f[0] - 2 f[1] + f[2]) / 6 outright (and
     likewise at the far end); rows 2 .. n-3 are a (1, 4, 1) tridiagonal
-    system, swept once over all columns.
+    system, solved for all columns at once by one batched product with the
+    band of its inverse, ``_moment_band(n - 4)``.
     """
-    n = f.shape[0]
-    d = f[:-2] - 2.0 * f[1:-1] + f[2:]          # rows 1 .. n-2
+    n, L = f.shape[0], f.shape[0] - 4
     m = np.empty_like(f)
-    m[1], m[n - 2] = d[0] / 6.0, d[-1] / 6.0
-    d = d[1:-1].copy()                          # rows 2 .. n-3
-    d[0] -= m[1]
-    d[-1] -= m[n - 2]
-    c = np.empty(len(d))                        # Thomas sweep, constant rows
-    c[0] = 0.25
-    d[0] *= 0.25
-    for k in range(1, len(d)):
-        c[k] = 1.0 / (4.0 - c[k - 1])
-        d[k] = (d[k] - d[k - 1]) * c[k]
-    for k in range(len(d) - 2, -1, -1):
-        d[k] -= c[k] * d[k + 1]
-    m[2:n - 2] = d
+    m[1] = (f[0] - 2.0 * f[1] + f[2]) / 6.0
+    m[n - 2] = (f[n - 3] - 2.0 * f[n - 2] + f[n - 1]) / 6.0
+    # right-hand sides of rows 2 .. n-3, with a zero block on either side
+    d = np.zeros(((len(band) + 2) * _BAND,) + f.shape[1:])
+    rhs = d[_BAND:_BAND + L]
+    np.subtract(f[1:n - 3], f[2:n - 2], out=rhs)
+    rhs -= f[2:n - 2]
+    rhs += f[3:n - 1]
+    rhs[0] -= m[1]
+    rhs[-1] -= m[n - 2]
+    windows = np.lib.stride_tricks.sliding_window_view(d, 3 * _BAND, axis=0)
+    m[2:n - 2] = np.matmul(band, windows[::_BAND].swapaxes(1, 2)).reshape(
+        -1, f.shape[1])[:L]
     m[0] = 2.0 * m[1] - m[2]
     m[n - 1] = 2.0 * m[n - 2] - m[n - 3]
     return m
@@ -237,9 +271,10 @@ class _Spline:
 
     def __init__(self, x: np.ndarray, u: np.ndarray):
         self.x0, self.h, self.n = x[0], x[1] - x[0], len(x)
-        mx = _moments(u)
-        my = _moments(u.T).T
-        mxy = _moments(mx.T).T
+        band = _moment_band(len(x) - 4)
+        mx = _moments(u, band)
+        my = _moments(u.T, band).T
+        mxy = _moments(mx.T, band).T
         self.coef = np.stack([u, mx, my, mxy])
 
     def __call__(self, pts) -> np.ndarray:
@@ -301,23 +336,83 @@ class _Stencil:
         return y
 
 
+def _dst(x: np.ndarray, axis: int) -> np.ndarray:
+    """DST-II along ``axis``: y[k-1] = sum_j x[j] sin(pi k (j + 1/2) / n),
+    k = 1 .. n, by one real FFT of length n (Makhoul, A fast cosine transform
+    in one and two dimensions, IEEE TASSP 1980).
+
+    The entries are permuted to v = [x0, x2, x4, ..., -x5, -x3, -x1], so the
+    odd ones enter reversed and negated; then, with W the real FFT of v times
+    exp(-i pi k / 2n), -Im W[k] is y_k and Re W[k] is y_(n-k), k = 0 .. n/2.
+    """
+    n = x.shape[axis]
+    c = n - n // 2                               # the even-indexed entries
+    v = np.empty_like(x)
+    xs, vs = np.moveaxis(x, axis, 0), np.moveaxis(v, axis, 0)
+    vs[:c] = xs[::2]
+    np.negative(xs[n - 1 - n % 2::-2], out=vs[c:])
+    W = np.moveaxis(np.fft.rfft(v, axis=axis), axis, 0)
+    W *= _twiddle(n)
+    y = np.empty_like(x)
+    ys = np.moveaxis(y, axis, 0)
+    np.negative(W.imag[1:c], out=ys[:c - 1])
+    ys[c - 1:] = W.real[::-1]
+    return y
+
+
+def _idst(y: np.ndarray, axis: int) -> np.ndarray:
+    """The inverse of ``_dst`` along ``axis``, by one inverse real FFT.
+
+    It undoes each step of ``_dst``: W[k] = y_(n-k) - i y_k (y_0 = 0), times
+    exp(i pi k / 2n), then the inverse FFT and the inverse permutation.  For
+    even n the Nyquist term W[n/2] = y_(n/2) (1 - i) keeps its imaginary
+    part; the twiddle turns it real.
+    """
+    n = y.shape[axis]
+    h, c = n // 2, n - n // 2
+    ys = np.moveaxis(y, axis, 0)
+    W = np.empty(y.shape[:axis] + (h + 1,) + y.shape[axis + 1:], complex)
+    Ws = np.moveaxis(W, axis, 0)
+    Ws.real = ys[c - 1:][::-1]
+    Ws.imag[0] = 0.0
+    np.negative(ys[:h], out=Ws.imag[1:])
+    Ws *= _twiddle(n).conj()
+    v = np.moveaxis(np.fft.irfft(W, n, axis=axis), axis, 0)
+    x = np.empty_like(y)
+    xs = np.moveaxis(x, axis, 0)
+    xs[::2] = v[:c]
+    np.negative(v[c:], out=xs[n - 1 - n % 2::-2])
+    return x
+
+
+def _twiddle(n: int) -> np.ndarray:
+    """exp(-i pi k / 2n), k = 0 .. n/2, as a column."""
+    return np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1))[:, None]
+
+
 def _sine_solver(n: int) -> Callable:
     """Exact solve with the unit 5-point Laplacian of the n x n grid.
 
     On the cells the identity field assembles to T (x) I + I (x) T, with T
     tridiagonal (-1, 2, -1) plus 1 on its two ends (the half-cell difference
-    against the wall).  The DST-II basis V[j, k] = sin(pi k (j + 1/2) / n),
-    k = 1 .. n, diagonalizes T with eigenvalues 4 sin^2(pi k / 2n); scaled by
-    sqrt(2 / n), and its last column by a further 1/sqrt(2), it is
-    orthonormal.  The solve is V ((V^T r V) / (lam_i + lam_j)) V^T: four
-    matrix products, symmetric and positive definite.
+    against the wall).  The DST-II basis U[j, k] = sin(pi k (j + 1/2) / n),
+    k = 1 .. n, diagonalizes T with eigenvalues 4 sin^2(pi k / 2n), so the
+    solve is U^-T ((U^T r U) / (lam_i + lam_j)) U^-1: a DST-II along each
+    axis, a scale, and the inverse transform along each axis, all by real
+    FFTs in O(n^2 log n) (``_dst``, ``_idst``).  Since U's columns are
+    orthogonal, U^-1 is U^T up to the diagonal of their squared norms, and
+    that diagonal commutes with the scale; the solve is symmetric and
+    positive definite.
     """
     k = np.arange(1, n + 1)
-    V = np.sqrt(2.0 / n) * np.sin(np.pi / n * np.outer(np.arange(n) + 0.5, k))
-    V[:, -1] *= np.sqrt(0.5)
     lam = 4.0 * np.sin(0.5 * np.pi / n * k) ** 2
     inv = 1.0 / (lam[:, None] + lam)
-    return lambda r: V @ ((V.T @ r @ V) * inv) @ V.T
+
+    def solve(r):
+        z = _dst(_dst(r, 1), 0)
+        z *= inv
+        return _idst(_idst(z, 0), 1)
+    return solve
 
 
 def _coons(gfun: Callable, xc: np.ndarray) -> np.ndarray:
@@ -394,7 +489,9 @@ def solve_dirichlet(field: CoefficientField, boundary_data: Callable, N: int,
     """
     if not (8 <= N <= 2048):
         raise ValueError("N out of the supported range [8, 2048]")
+    t0 = time.perf_counter()
     S, b, xc = assemble(field, boundary_data, N)
+    t1 = time.perf_counter()
     b = b.reshape(N, N)
     K = _Stencil(S)
     u, history = _pcg(K, b, _sine_solver(N), tol, _MAXITER,
@@ -408,7 +505,8 @@ def solve_dirichlet(field: CoefficientField, boundary_data: Callable, N: int,
             f"history tail [{tail}]")
     return GridSolution(N, xc, u, res, len(history) - 1,
                         start_residual=history[0],
-                        residual_tail=tuple(history[-5:]))
+                        residual_tail=tuple(history[-5:]),
+                        assemble_s=t1 - t0, solve_s=time.perf_counter() - t1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +530,15 @@ class SpectralDecomposition:
 def spectral_decompose(sol: GridSolution, radii: Sequence[float]) -> SpectralDecomposition:
     """Everything the circles say at the origin, from one reading of each.
 
-    The radii are sorted decreasing and must lie in [2h, 1 - 2h].  Each
-    circle is sampled once on the equispaced rule and once on an offset,
-    finer rule.  From the first come the mean u0(r), the first moments
-    v_k(r) = (n/r) * mean(u theta_k) and the Lipschitz quotient
-    Q(r) = max |u - u(0)| / r.  The remainder w = u - u0 - r v . theta has
-    exactly zero mean and first moments against that rule, so its residuals
-    are measured on the second rule: they quantify interpolation and
-    quadrature error, not bookkeeping.
+    The radii are sorted decreasing, must be distinct (a repeated circle
+    would count as several in the plateau tests) and must lie in
+    [2h, 1 - 2h].  Each circle is sampled once on the equispaced rule and
+    once on an offset, finer rule.  From the first come the mean u0(r), the
+    first moments v_k(r) = (n/r) * mean(u theta_k) and the Lipschitz
+    quotient Q(r) = max |u - u(0)| / r.  The remainder
+    w = u - u0 - r v . theta has exactly zero mean and first moments against
+    that rule, so its residuals are measured on the second rule: they
+    quantify interpolation and quadrature error, not bookkeeping.
 
     Bounded evidence means the last three quotients agree within 5 percent,
     mirroring the saturation tests of the analytic criteria; fewer than
@@ -453,6 +552,8 @@ def spectral_decompose(sol: GridSolution, radii: Sequence[float]) -> SpectralDec
     h = 2.0 / sol.N
     if not np.all(np.isfinite(radii)):
         raise ValueError("radii must be finite")
+    if np.any(np.diff(radii) == 0):
+        raise ValueError("radii must be distinct")
     if np.any(radii < 2 * h):
         bad = radii[radii < 2 * h]
         raise ValueError(

@@ -135,6 +135,9 @@ tol = -1e-6
         ("verify", "[pde]\nn = 64\nradii = 0.5, inf\n", "[pde] radii"),
         ("verify", "[pde]\nn = 64\nradii = 0.5, 0.001\n", "[pde] radii"),
         ("verify", "[pde]\nn = 64\nradii = 0.99, 0.5\n", "[pde] radii"),
+        # one circle given three times is still one circle
+        ("verify", "[pde]\nn = 64\nradii = 0.5, 0.5, 0.5\n", "[pde] radii"),
+        ("verify", "[pde]\nn = 64\nradii = 0.5, 0.25, 0.50\n", "[pde] radii"),
         ("integrate", "[integrate]\ntol = nan\n", "[integrate] tol"),
         # r = e^-t0 would lie outside the unit ball
         ("integrate", "[integrate]\nt0 = -2.5\nt1 = 5\n", "[integrate] t0"),
@@ -471,6 +474,11 @@ radii = 0.5, 0.25, 0.125
         assert rec["rel_residual"] == report["payload"]["residual_norm"]
         assert len(rec["residual_tail"]) == min(5, rec["iterations"] + 1)
         assert rec["residual_tail"][-1] <= 1e-12 < rec["start_residual"]
+        # which grid layer took the time: assembly, the solve, the circles;
+        # together they fit in the run's wall time (rounded to 1 ms)
+        layers = [rec[k] for k in ("assemble_s", "solve_s", "circles_s")]
+        assert all(t > 0 for t in layers)
+        assert sum(layers) <= report["provenance_volatile"]["wall_time_s"] + 5e-4
 
     def test_verify_finest_grid(self, tmp_path, monkeypatch):
         out = tmp_path / "out"

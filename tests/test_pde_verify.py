@@ -119,7 +119,21 @@ class TestMultigrid:
         assert np.linalg.norm(K @ x.ravel() - r.ravel()) <= (
             1e-13 * np.linalg.norm(r))
 
-    @pytest.mark.parametrize("N", [33, 97])
+    @pytest.mark.parametrize("N", [8, 9, 64, 97, 255, 256, 1024])
+    def test_sine_solve_matches_dense_products(self, N):
+        # the dense form of the same solve: V ((V^T r V) * inv) V^T with the
+        # orthonormal DST-II basis V; even N has the Nyquist term k = N/2
+        k = np.arange(1, N + 1)
+        V = np.sqrt(2.0 / N) * np.sin(np.pi / N * np.outer(np.arange(N) + 0.5, k))
+        V[:, -1] *= np.sqrt(0.5)
+        lam = 4.0 * np.sin(0.5 * np.pi / N * k) ** 2
+        inv = 1.0 / (lam[:, None] + lam)
+        r = np.random.default_rng(N).standard_normal((N, N))
+        dense = V @ ((V.T @ r @ V) * inv) @ V.T
+        fast = pde_verify._sine_solver(N)(r)
+        assert np.linalg.norm(fast - dense) <= 1e-13 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("N", [32, 33, 96, 97])
     def test_sine_solve_symmetric_and_positive(self, N):
         solve = pde_verify._sine_solver(N)
         rng = np.random.default_rng(N)
@@ -155,7 +169,7 @@ class TestMultigrid:
 
 
 class TestSpline:
-    @pytest.mark.parametrize("N", [8, 64, 256])
+    @pytest.mark.parametrize("N", [8, 9, 64, 97, 256])
     def test_matches_rect_bivariate_spline(self, N):
         from scipy.interpolate import RectBivariateSpline
         xc = -1 + (np.arange(N) + 0.5) * (2.0 / N)
@@ -245,6 +259,12 @@ class TestLipschitzQuotient:
         rep = pde_verify.spectral_decompose(identity_x1_sol, radii)
         np.testing.assert_allclose(rep.Q, 1.0, atol=1e-8)
         assert not rep.bounded_evidence
+
+    @pytest.mark.parametrize("radii", [[0.5, 0.5, 0.5], [0.5, 0.25, 0.5]])
+    def test_repeated_radius_rejected(self, identity_x1_sol, radii):
+        # one circle read three times would show a plateau of Q
+        with pytest.raises(ValueError, match="distinct"):
+            pde_verify.spectral_decompose(identity_x1_sol, radii)
 
     @pytest.mark.parametrize("radius", [0.01, 0.99])
     def test_radius_outside_trusted_band_rejected(self, identity_x1_sol,
