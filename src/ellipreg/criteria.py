@@ -377,6 +377,13 @@ def condition_A_minus_I(profile: RadialProfile,
 # classification
 # ---------------------------------------------------------------------------
 
+# The smallest tol, dyn_tol and asi_tol a Budget accepts.  Below it tol/10
+# falls under the rounding of an O(1) partial (about 1e-16), pieces of the
+# adaptive octave quadrature stop settling and are split level after level:
+# tol = 1e-300 grew memory until the process was killed.
+TOL_FLOOR = 1e-14
+
+
 @dataclass(frozen=True)
 class Budget:
     """Numerical effort knobs for one classification run."""
@@ -393,8 +400,13 @@ class Budget:
     def validate(self):
         """Raise ValueError naming the first field outside its range."""
         for key in ("tol", "dyn_tol", "asi_tol"):
-            if not 0 < getattr(self, key) < math.inf:
+            value = getattr(self, key)
+            if not 0 < value < math.inf:
                 raise ValueError(f"{key}: must be finite and positive")
+            if value < TOL_FLOOR:
+                raise ValueError(f"{key}: must be at least the floor "
+                                 f"{TOL_FLOOR:g}, where double precision "
+                                 "still resolves it")
         if not 0 < self.eps <= 1:
             raise ValueError("eps: must lie in (0, 1]")
         if not 1 <= self.k_max <= 40:

@@ -8,15 +8,24 @@ the walls).  The scheme is assembled from its discrete energy form, so the
 matrix is symmetric by construction and stays positive definite for the
 ellipticity range handled here; boundary faces carry half weight (they own
 half a cell).  Constant tensors reproduce linear data exactly and smooth
-problems converge at second order.  The 9-point stencil is assembled
-directly as an array of couplings per neighbour offset, and the system is
-solved by conjugate gradients started from the Coons patch of the wall data
-and preconditioned with the exact solve of the unit 5-point Laplacian,
-diagonalized by the sine transform and applied by real FFTs in
-O(n^2 log n) (Makhoul, IEEE TASSP 1980).  For fields close to the identity
-it needs about 14 iterations at every grid size.  Circle samples read a
-not-a-knot bicubic spline through the cell values.  Nothing here needs more
-than numpy.
+problems converge at second order.  Each face family adds its couplings
+straight into the 9-point stencil, an array of couplings per neighbour
+offset, and the system is solved by conjugate gradients started from the
+Coons patch of the wall data and preconditioned with the exact solve of the
+unit 5-point Laplacian, diagonalized by the sine transform and applied by
+real FFTs in O(n^2 log n) (Makhoul, IEEE TASSP 1980).  For fields close to
+the identity it needs about 14 iterations at every grid size.  Circle
+samples read a not-a-knot bicubic spline through the cell values.  Nothing
+here needs more than numpy (2.0 or later, for FFTs written through
+``out=``).
+
+Memory.  A solve holds at most about 18 N x N arrays of doubles at once:
+the stencil (9), the load, the iterate, CG's three work arrays, the padded
+copy the stencil apply reads, and the preconditioner's scale and its real
+and complex FFT buffers, all made once per solve; assembly stays below
+that (about 17).  That is 36 MB at n = 512 and 145 MB at n = 1024
+(tracemalloc peaks), and ``verify`` at n = 1024 takes about 1.5 s
+(in-report ``wall_time_s``) on a 2-CPU VM.
 
 The circle decomposition reads the spline once per circle.  It splits a
 solution on each circle of radius r into its mean, its first-moment part
@@ -39,9 +48,10 @@ from .coeff import CoefficientField
 
 
 _MAXITER = 2000            # conjugate-gradient iterations at most
-PRECONDITIONER = "sine-transform Laplacian"   # what ``_sine_solver`` applies
+PRECONDITIONER = "sine-transform Laplacian"   # what ``_SineSolver`` applies
 _CIRCLE_RESOLUTION = 256   # equispaced samples per circle
 _SATURATION_RTOL = 0.05    # last three quotients this close: bounded
+_BLOCK = 64                # grid rows per field evaluation or stencil block
 
 
 class SolveError(RuntimeError):
@@ -63,9 +73,31 @@ def _inv2(A: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _cell_inverses(field: CoefficientField, xc: np.ndarray) -> np.ndarray:
+    """A^-1 at the cell centres as an (N, N, 2, 2) array, evaluated _BLOCK
+    grid rows at a time, so the field's own temporaries stay a fraction of
+    one grid."""
+    N = len(xc)
+    Ainv = np.empty((N, N, 2, 2))
+    for r0 in range(0, N, _BLOCK):
+        X, Y = np.meshgrid(xc[r0:r0 + _BLOCK], xc, indexing="ij")
+        A = field.eval_batch(np.stack([X.ravel(), Y.ravel()], axis=1))
+        Ainv[r0:r0 + _BLOCK] = _inv2(A.reshape(-1, N, 2, 2))
+    return Ainv
+
+
+def _normal_weights(N: int):
+    """Weights of cells (p, j) and (p-1, j) in the normal difference across
+    face p, as (N + 1, 1) columns: 1 and -1 inside, 2 against the wall data
+    (a half-cell difference) and 0 for the cell beyond a wall."""
+    wp, wm = np.ones((N + 1, 1)), -np.ones((N + 1, 1))
+    wp[0], wp[N], wm[0], wm[N] = 2.0, 0.0, 0.0, -2.0
+    return wp, wm
+
+
 def _face_family(field: CoefficientField, gfun: Callable, Ainv: np.ndarray,
                  swap: bool):
-    """Stencil rows and load of one face family, in the family's own frame.
+    """Face coefficients and load of one face family, in the family's own frame.
 
     The frame puts the face normal first: frame cell (p, j) is grid cell
     (p, j) for the x-normal faces and (j, p) for the y-normal ones (``swap``),
@@ -74,13 +106,13 @@ def _face_family(field: CoefficientField, gfun: Callable, Ainv: np.ndarray,
     with Du the two-point normal difference (half-cell against the data on a
     wall) and TCu the tangential difference of the corner values (4-cell
     means inside, data on the walls).  Inside, the face tensor is the
-    matrix-harmonic mean of the two cells; a wall face carries half the
-    tensor at the face, since it owns half a cell.
+    matrix-harmonic mean 2 (Ainv_- + Ainv_+)^-1 of the two cells, of which
+    only the first row is formed; a wall face carries half the tensor at the
+    face, since it owns half a cell.
 
-    Returns M, a dict from the offset (di, dj) to the (N, N) array whose
-    entry (i, j) is the coefficient of D^T a_nn D + D^T a_nt T C in row cell
-    (i, j) and column cell (i + di, j + dj), and the load vector b as an
-    (N, N) array.
+    Returns a_nn and a_nt as (N + 1, N) arrays and the family's load vector
+    b, what the wall data contribute to its rows, as an (N, N) array;
+    ``_add_couplings`` turns the coefficients into stencil entries.
     """
     N = Ainv.shape[0]
     h = 2.0 / N
@@ -92,28 +124,23 @@ def _face_family(field: CoefficientField, gfun: Callable, Ainv: np.ndarray,
         return pts[:, ::-1] if swap else pts
 
     ann, ant = np.empty((N + 1, N)), np.empty((N + 1, N))
-    F = 2.0 * _inv2(Ainv[:-1] + Ainv[1:])
-    ann[1:N], ant[1:N] = F[..., 0, 0], F[..., 0, 1]
-    del F
+    B = Ainv[:-1] + Ainv[1:]
+    det = B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]
+    ann[1:N] = 2.0 * (B[..., 1, 1] / det)
+    ant[1:N] = 2.0 * (-B[..., 0, 1] / det)
+    del B, det
     Awall = field.eval_batch(real(xw[[0, N], None], xc)).reshape(2, N, 2, 2)
     if swap:
         Awall = Awall[..., ::-1, ::-1]
     ann[[0, N]] = 0.5 * Awall[..., 0, 0]
     ant[[0, N]] = 0.5 * Awall[..., 0, 1]
 
-    # normal difference: weights of cells (p, j) and (p-1, j), wall data
-    wp = np.ones((N + 1, 1))
-    wm = -np.ones((N + 1, 1))
-    wp[0], wp[N], wm[0], wm[N] = 2.0, 0.0, 0.0, -2.0
+    # wall data in the normal difference
+    wp, wm = _normal_weights(N)
     bn = np.zeros((N + 1, N))
     bn[0] = -2.0 * gfun(real(-1.0, xc))
     bn[N] = 2.0 * gfun(real(1.0, xc))
-
-    # tangential difference of inner faces: weights of cells (p-1+a, j+d)
-    # for d = -1, 0, 1 (same for a = 0, 1); wall corners enter as data
-    j = np.arange(N)
-    lo, hi = 0.25 * (j >= 1), 0.25 * (j <= N - 2)
-    vt = {-1: -lo, 0: hi - lo, 1: hi}
+    # wall corners in the tangential difference
     tb = np.zeros((N + 1, N))
     tb[1:N, N - 1] = gfun(real(xw[1:N], 1.0))
     tb[1:N, 0] -= gfun(real(xw[1:N], -1.0))
@@ -122,19 +149,43 @@ def _face_family(field: CoefficientField, gfun: Callable, Ainv: np.ndarray,
         tb[p] = gw[1:] - gw[:-1]
 
     t = ann * bn + 0.5 * ant * tb
-    b = -(wp[:N] * t[:N] + wm[1:] * t[1:])
+    return ann, ant, -(wp[:N] * t[:N] + wm[1:] * t[1:])
 
-    M = {(di, dj): np.zeros((N, N)) for di in (-1, 0, 1) for dj in (-1, 0, 1)}
-    M[0, 0] += wp[:N] ** 2 * ann[:N] + wm[1:] ** 2 * ann[1:]
-    M[-1, 0] += (wp * wm)[:N] * ann[:N]
-    M[1, 0] += (wp * wm)[1:] * ann[1:]
-    ant[[0, N]] = 0.0                        # wall faces: all corners are data
-    cp, cm = wp[:N] * ant[:N], wm[1:] * ant[1:]
-    for d, v in vt.items():
-        M[-1, d] += cp * v
-        M[0, d] += (cp + cm) * v
-        M[1, d] += cm * v
-    return M, b
+
+def _add_couplings(S: np.ndarray, ann: np.ndarray, ant: np.ndarray,
+                   swap: bool):
+    """Add one face family's D^T a_nn D + D^T a_nt T C to the stencil S.
+
+    Row cell (i, j) of the frame couples to cell (i + di, j + dj) in
+    S[1 + di, 1 + dj], or in the transpose of S[1 + dj, 1 + di] for the
+    y-normal faces (``swap``).  Each slot takes the family's whole entry in
+    one addition, so S is the sum of the two families' own stencils to the
+    last bit.  The tangential difference of the corner values weighs the cells
+    (p-1+a, j+d), a = 0, 1, with v_d for d = -1, 0, 1 (wall corners enter
+    as data), so a cell takes a_nt of its low face against the cells in
+    rows i-1 and i, and minus that of its high face against rows i and
+    i+1.  ``ant`` is zeroed on the walls, whose corners are all data.
+    """
+    N = S.shape[-1]
+    wp, wm = _normal_weights(N)
+
+    def at(di, dj):
+        return S[1 + dj, 1 + di].T if swap else S[1 + di, 1 + dj]
+
+    j = np.arange(N)
+    lo, hi = 0.25 * (j >= 1), 0.25 * (j <= N - 2)
+    vt = {-1: -lo, 0: hi - lo, 1: hi}
+    ant[[0, N]] = 0.0
+    low, high = ant[:N], ant[1:]             # each cell's low and high face
+    across = low - high
+    at(0, 0)[...] += (wp[:N] ** 2 * ann[:N] + wm[1:] ** 2 * ann[1:]
+                      + across * vt[0])
+    at(-1, 0)[...] += (wp * wm)[:N] * ann[:N] + low * vt[0]
+    at(1, 0)[...] += (wp * wm)[1:] * ann[1:] - high * vt[0]
+    for d in (-1, 1):
+        at(-1, d)[...] += low * vt[d]
+        at(0, d)[...] += across * vt[d]
+        at(1, d)[...] -= high * vt[d]
 
 
 def _shift(d: int, N: int):
@@ -152,31 +203,34 @@ def assemble(field: CoefficientField, gfun: Callable, N: int):
     is zero where that neighbour lies outside the grid.  Each coupling is
     stored for both of its cells from one value, so the operator is exactly
     symmetric.  b is the load vector, flattened row-major.
+
+    Both face families are reduced to their coefficients before S exists,
+    and the cell inverses are freed first, so at most about 17 N x N arrays
+    are live at once (9 of them S).
     """
     if field.dim != 2:
         raise ValueError("the grid solver is two-dimensional")
     h = 2.0 / N
     xc = -1 + (np.arange(N) + 0.5) * h
-    X, Y = np.meshgrid(xc, xc, indexing="ij")
-    A = field.eval_batch(np.stack([X.ravel(), Y.ravel()], axis=1))
-    Ainv = _inv2(A.reshape(N, N, 2, 2))
-    del A
-
-    M, b = _face_family(field, gfun, Ainv, swap=False)
-    My, by = _face_family(field, gfun,
-                           Ainv.transpose(1, 0, 2, 3)[..., ::-1, ::-1], swap=True)
-    for (di, dj), m in My.items():
-        M[dj, di] += m.T
+    Ainv = _cell_inverses(field, xc)
+    ann_x, ant_x, b = _face_family(field, gfun, Ainv, swap=False)
+    ann_y, ant_y, by = _face_family(
+        field, gfun, Ainv.transpose(1, 0, 2, 3)[..., ::-1, ::-1], swap=True)
+    del Ainv
     b += by.T
-    del My, by, Ainv
+    del by
 
     S = np.zeros((3, 3, N, N))
-    S[1, 1] = M[0, 0]
+    _add_couplings(S, ann_x, ant_x, swap=False)
+    del ann_x, ant_x
+    _add_couplings(S, ann_y, ant_y, swap=True)
+    del ann_y, ant_y
     for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
         (ri, si), (rj, sj) = _shift(di, N), _shift(dj, N)
-        upper = 0.5 * (M[di, dj][ri, rj] + M[-di, -dj][si, sj])
-        S[1 + di, 1 + dj][ri, rj] = upper
-        S[1 - di, 1 - dj][si, sj] = upper
+        upper, lower = S[1 + di, 1 + dj][ri, rj], S[1 - di, 1 - dj][si, sj]
+        upper += lower
+        upper *= 0.5
+        lower[...] = upper
     return S, b.ravel(), xc
 
 
@@ -297,8 +351,6 @@ class _Spline:
 # conjugate gradients, preconditioned by the sine-transform Laplacian
 # ---------------------------------------------------------------------------
 
-_BLOCK = 64              # rows per block of a stencil apply
-
 
 class _Stencil:
     """K x for a stencil array S of half-width w on an n x n grid (the layout
@@ -336,61 +388,7 @@ class _Stencil:
         return y
 
 
-def _dst(x: np.ndarray, axis: int) -> np.ndarray:
-    """DST-II along ``axis``: y[k-1] = sum_j x[j] sin(pi k (j + 1/2) / n),
-    k = 1 .. n, by one real FFT of length n (Makhoul, A fast cosine transform
-    in one and two dimensions, IEEE TASSP 1980).
-
-    The entries are permuted to v = [x0, x2, x4, ..., -x5, -x3, -x1], so the
-    odd ones enter reversed and negated; then, with W the real FFT of v times
-    exp(-i pi k / 2n), -Im W[k] is y_k and Re W[k] is y_(n-k), k = 0 .. n/2.
-    """
-    n = x.shape[axis]
-    c = n - n // 2                               # the even-indexed entries
-    v = np.empty_like(x)
-    xs, vs = np.moveaxis(x, axis, 0), np.moveaxis(v, axis, 0)
-    vs[:c] = xs[::2]
-    np.negative(xs[n - 1 - n % 2::-2], out=vs[c:])
-    W = np.moveaxis(np.fft.rfft(v, axis=axis), axis, 0)
-    W *= _twiddle(n)
-    y = np.empty_like(x)
-    ys = np.moveaxis(y, axis, 0)
-    np.negative(W.imag[1:c], out=ys[:c - 1])
-    ys[c - 1:] = W.real[::-1]
-    return y
-
-
-def _idst(y: np.ndarray, axis: int) -> np.ndarray:
-    """The inverse of ``_dst`` along ``axis``, by one inverse real FFT.
-
-    It undoes each step of ``_dst``: W[k] = y_(n-k) - i y_k (y_0 = 0), times
-    exp(i pi k / 2n), then the inverse FFT and the inverse permutation.  For
-    even n the Nyquist term W[n/2] = y_(n/2) (1 - i) keeps its imaginary
-    part; the twiddle turns it real.
-    """
-    n = y.shape[axis]
-    h, c = n // 2, n - n // 2
-    ys = np.moveaxis(y, axis, 0)
-    W = np.empty(y.shape[:axis] + (h + 1,) + y.shape[axis + 1:], complex)
-    Ws = np.moveaxis(W, axis, 0)
-    Ws.real = ys[c - 1:][::-1]
-    Ws.imag[0] = 0.0
-    np.negative(ys[:h], out=Ws.imag[1:])
-    Ws *= _twiddle(n).conj()
-    v = np.moveaxis(np.fft.irfft(W, n, axis=axis), axis, 0)
-    x = np.empty_like(y)
-    xs = np.moveaxis(x, axis, 0)
-    xs[::2] = v[:c]
-    np.negative(v[c:], out=xs[n - 1 - n % 2::-2])
-    return x
-
-
-def _twiddle(n: int) -> np.ndarray:
-    """exp(-i pi k / 2n), k = 0 .. n/2, as a column."""
-    return np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1))[:, None]
-
-
-def _sine_solver(n: int) -> Callable:
+class _SineSolver:
     """Exact solve with the unit 5-point Laplacian of the n x n grid.
 
     On the cells the identity field assembles to T (x) I + I (x) T, with T
@@ -403,16 +401,77 @@ def _sine_solver(n: int) -> Callable:
     orthogonal, U^-1 is U^T up to the diagonal of their squared norms, and
     that diagonal commutes with the scale; the solve is symmetric and
     positive definite.
-    """
-    k = np.arange(1, n + 1)
-    lam = 4.0 * np.sin(0.5 * np.pi / n * k) ** 2
-    inv = 1.0 / (lam[:, None] + lam)
 
-    def solve(r):
-        z = _dst(_dst(r, 1), 0)
-        z *= inv
-        return _idst(_idst(z, 0), 1)
-    return solve
+    The real and complex work arrays and the twiddles are made once, here,
+    and every transform writes through ``out=``, so a solve into ``out``
+    allocates no n x n array.
+    """
+
+    def __init__(self, n: int):
+        k = np.arange(1, n + 1)
+        lam = 4.0 * np.sin(0.5 * np.pi / n * k) ** 2
+        self.n, self.inv = n, 1.0 / (lam[:, None] + lam)
+        h = n // 2
+        self._v = np.empty((n, n))
+        W = np.empty(n * (h + 1), complex)
+        tw = np.exp(-0.5j * np.pi / n * np.arange(h + 1))   # exp(-i pi k / 2n)
+        # per transform axis: the real FFT's output, its twiddle and the
+        # inverse twiddle, shaped to that axis
+        self._W = (W.reshape(h + 1, n), W.reshape(n, h + 1))
+        self._tw = (tw[:, None], tw)
+        self._twc = (tw.conj()[:, None], tw.conj())
+
+    def __call__(self, r: np.ndarray, out=None) -> np.ndarray:
+        """The solve of r, written into ``out`` when given."""
+        z = np.empty_like(r) if out is None else out
+        self._dst(r, 1, z)
+        self._dst(z, 0, z)
+        z *= self.inv
+        self._idst(z, 0, z)
+        self._idst(z, 1, z)
+        return z
+
+    def _dst(self, x: np.ndarray, axis: int, out: np.ndarray):
+        """DST-II along ``axis`` into ``out``, which may be x:
+        y[k-1] = sum_j x[j] sin(pi k (j + 1/2) / n), k = 1 .. n, by one real
+        FFT of length n (Makhoul, A fast cosine transform in one and two
+        dimensions, IEEE TASSP 1980).
+
+        The entries are permuted to v = [x0, x2, x4, ..., -x5, -x3, -x1], so
+        the odd ones enter reversed and negated; then, with W the real FFT of
+        v times exp(-i pi k / 2n), -Im W[k] is y_k and Re W[k] is y_(n-k),
+        k = 0 .. n/2.
+        """
+        n, c, W = self.n, self.n - self.n // 2, self._W[axis]
+        xs, vs = np.moveaxis(x, axis, 0), np.moveaxis(self._v, axis, 0)
+        vs[:c] = xs[::2]
+        np.negative(xs[n - 1 - n % 2::-2], out=vs[c:])
+        np.fft.rfft(self._v, axis=axis, out=W)
+        W *= self._tw[axis]
+        Ws, ys = np.moveaxis(W, axis, 0), np.moveaxis(out, axis, 0)
+        np.negative(Ws.imag[1:c], out=ys[:c - 1])
+        ys[c - 1:] = Ws.real[::-1]
+
+    def _idst(self, y: np.ndarray, axis: int, out: np.ndarray):
+        """The inverse of ``_dst`` along ``axis`` into ``out``, which may be
+        y, by one inverse real FFT.
+
+        It undoes each step of ``_dst``: W[k] = y_(n-k) - i y_k (y_0 = 0),
+        times exp(i pi k / 2n), then the inverse FFT and the inverse
+        permutation.  For even n the Nyquist term W[n/2] = y_(n/2) (1 - i)
+        keeps its imaginary part; the twiddle turns it real.
+        """
+        n, h, W = self.n, self.n // 2, self._W[axis]
+        c = n - h
+        Ws, ys = np.moveaxis(W, axis, 0), np.moveaxis(y, axis, 0)
+        Ws.real = ys[c - 1:][::-1]
+        Ws.imag[0] = 0.0
+        np.negative(ys[:h], out=Ws.imag[1:])
+        W *= self._twc[axis]
+        np.fft.irfft(W, n, axis=axis, out=self._v)
+        vs, xs = np.moveaxis(self._v, axis, 0), np.moveaxis(out, axis, 0)
+        xs[::2] = vs[:c]
+        np.negative(vs[c:], out=xs[n - 1 - n % 2::-2])
 
 
 def _coons(gfun: Callable, xc: np.ndarray) -> np.ndarray:
@@ -440,33 +499,37 @@ def _coons(gfun: Callable, xc: np.ndarray) -> np.ndarray:
 def _pcg(K: _Stencil, b: np.ndarray, precond: Callable, tol: float,
          maxiter: int, x: np.ndarray):
     """Preconditioned conjugate gradients for K x = b from the start x, b an
-    n x n grid; x is updated in place.
+    n x n grid; x is updated in place, and ``precond(r, out=)`` writes its
+    solve into a given array.
 
     Stops once the recurrence residual falls to tol |b| (or is not finite),
     which a start close enough meets before the first iteration; returns x
     and the relative residual of the start followed by the recurrence
-    residual of every iteration.
+    residual of every iteration.  The residual r, the direction p and q are
+    the only work arrays: q holds K p, then alpha K p and alpha p for the
+    updates, then the preconditioned residual, so an iteration allocates no
+    n x n array.
     """
     bnorm = np.linalg.norm(b)
-    r = b - K(x)
+    r = K(x)
+    np.subtract(b, r, out=r)
     history = [float(np.linalg.norm(r) / bnorm)]
     if not history[-1] > tol:
         return x, history
-    q = np.empty_like(b)
-    z = precond(r)
-    p, rz = z.copy(), np.vdot(r, z)
+    q = precond(r)
+    p, rz = q.copy(), np.vdot(r, q)
     for _ in range(maxiter):
         K(p, out=q)
         alpha = rz / np.vdot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        r -= np.multiply(q, alpha, out=q)
+        x += np.multiply(p, alpha, out=q)
         history.append(float(np.linalg.norm(r) / bnorm))
         if not history[-1] > tol:
             break
-        z = precond(r)
-        rz, rz_old = np.vdot(r, z), rz
+        precond(r, out=q)
+        rz, rz_old = np.vdot(r, q), rz
         p *= rz / rz_old
-        p += z
+        p += q
     return x, history
 
 
@@ -479,7 +542,7 @@ def solve_dirichlet(field: CoefficientField, boundary_data: Callable, N: int,
     CG starts from the Coons patch of the wall data (``_coons``), which is
     the solution outright for the identity field with linear data, and is
     preconditioned by the exact solve with the unit Laplacian
-    (``_sine_solver``).  For a field that stays a bounded perturbation of
+    (``_SineSolver``).  For a field that stays a bounded perturbation of
     the identity the two operators are spectrally equivalent, so the
     iteration count does not grow with N; it grows like the square root of
     the field's ellipticity ratio instead (Concus and Golub, 1973).  The
@@ -494,7 +557,7 @@ def solve_dirichlet(field: CoefficientField, boundary_data: Callable, N: int,
     t1 = time.perf_counter()
     b = b.reshape(N, N)
     K = _Stencil(S)
-    u, history = _pcg(K, b, _sine_solver(N), tol, _MAXITER,
+    u, history = _pcg(K, b, _SineSolver(N), tol, _MAXITER,
                       _coons(boundary_data, xc))
     res = float(np.linalg.norm(b - K(u)) / np.linalg.norm(b))
     if not res <= 10 * tol:

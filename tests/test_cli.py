@@ -7,7 +7,7 @@ import pytest
 
 import numpy as np
 
-from ellipreg import cli, dynsys, pde_verify, sphmean
+from ellipreg import cli, criteria, dynsys, pde_verify, sphmean
 
 from conftest import mean_R
 from rk45_reference import rk45_fundamental_matrix
@@ -109,6 +109,14 @@ tol = -1e-6
         ("classify", "[budget]\ntol = nan\n", "[budget] tol"),
         ("classify", "[budget]\ntol = inf\n", "[budget] tol"),
         ("classify", "[budget]\nasi_tol = -1\n", "[budget] asi_tol"),
+        # below the floor the adaptive quadrature's pieces stop settling
+        # and are split level after level
+        ("classify", "[budget]\ntol = 1e-300\n",
+         "[budget] tol: must be at least the floor 1e-14"),
+        ("classify", "[budget]\ndyn_tol = 1e-15\n",
+         "[budget] dyn_tol: must be at least the floor 1e-14"),
+        ("classify", "[budget]\nasi_tol = 5e-324\n",
+         "[budget] asi_tol: must be at least the floor 1e-14"),
         ("classify", "[budget]\nk_max = 0\n", "[budget] k_max"),
         ("classify", "[budget]\nk_max = 1\n", "[budget] dyn_t0"),
         ("classify", "[budget]\nnodes_per_octave = 0\n",
@@ -176,6 +184,13 @@ tol = -1e-6
             cli.load_config(cfg, subcommand)
         assert cli.main([subcommand, cfg]) == cli.EXIT_CONFIG
         assert name in capsys.readouterr().err
+
+    def test_budget_tolerance_at_floor_accepted(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[budget]\ntol = 1e-14\ndyn_tol = 1e-14\n"
+                        "asi_tol = 1e-14\n")
+        budget = cli.load_config(cfg, "classify").budget
+        assert budget.tol == budget.dyn_tol == budget.asi_tol == (
+            criteria.TOL_FLOOR)
 
     @pytest.mark.parametrize("dim, res", [(3, 241), (2, 262144)])
     def test_finest_accepted_grid_resolution(self, tmp_path, dim, res):

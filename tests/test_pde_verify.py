@@ -1,7 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ellipreg import coeff, pde_verify
+from ellipreg import cli, coeff, pde_verify
 
 from assembly_reference import reference_assemble
 from conftest import gs_log_field
@@ -61,6 +65,53 @@ class TestAssembly:
             pde_verify.solve_dirichlet(identity_field, X1, 4)
 
 
+def _bump_field(l1, l2, angle, c, r0, width):
+    """A = C + g(|x|) theta theta^T: C the constant SPD tensor with
+    eigenvalues l1, l2 >= 1 along the angle, g = c exp(-((r - r0)/width)^2)
+    with c > -1, so 1 + g > 0 keeps A positive definite; theta = 0 at the
+    origin."""
+    Q = np.array([[np.cos(angle), -np.sin(angle)],
+                  [np.sin(angle), np.cos(angle)]])
+    C = Q @ np.diag([l1, l2]) @ Q.T
+
+    def batch(pts):
+        r = np.linalg.norm(pts, axis=1)
+        th = pts / np.where(r > 0, r, 1.0)[:, None]
+        g = c * np.exp(-((r - r0) / width) ** 2)
+        return C + g[:, None, None] * th[:, :, None] * th[:, None, :]
+    return dataclasses.replace(coeff.make_constant(2, C), eval_batch=batch)
+
+
+class TestAssemblyProperty:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(l1=st.floats(1.0, 3.0), l2=st.floats(1.0, 3.0),
+           angle=st.floats(0.0, np.pi), c=st.floats(-0.9, 2.0),
+           r0=st.floats(0.0, 1.2), width=st.floats(0.1, 1.0),
+           N=st.integers(8, 40),
+           boundary=st.sampled_from(sorted(cli._BOUNDARY_FUNS)))
+    def test_matches_reference_and_stores_couplings_once(
+            self, l1, l2, angle, c, r0, width, N, boundary):
+        field = _bump_field(l1, l2, angle, c, r0, width)
+        gfun = cli._BOUNDARY_FUNS[boundary]
+        S, b, _ = pde_verify.assemble(field, gfun, N)
+        K_ref, b_ref = reference_assemble(field, gfun, N)
+        assert abs(stencil_to_csr(S) - K_ref).max() <= (
+            1e-12 * abs(K_ref).max())
+        assert np.abs(b - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
+        # the coupling of cells (i, j) and (i + di, j + dj) is one number,
+        # stored bit for bit in the rows of both cells; none leaves the grid
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                (ri, si), (rj, sj) = (pde_verify._shift(di, N),
+                                      pde_verify._shift(dj, N))
+                here = S[1 + di, 1 + dj]
+                assert np.array_equal(here[ri, rj],
+                                      S[1 - di, 1 - dj][si, sj])
+                outside = np.ones((N, N), bool)
+                outside[ri, rj] = False
+                assert not here[outside].any()
+
+
 class TestManufactured:
     def test_identity_linear_exact(self, identity_x1_sol):
         X, _ = np.meshgrid(identity_x1_sol.cell_coords,
@@ -113,7 +164,7 @@ class TestMultigrid:
     def test_sine_solve_inverts_identity_operator(self, identity_field, N):
         S, _, _ = pde_verify.assemble(identity_field, X1, N)
         K = stencil_to_csr(S)
-        solve = pde_verify._sine_solver(N)
+        solve = pde_verify._SineSolver(N)
         r = np.random.default_rng(N).standard_normal((N, N))
         x = solve(r)
         assert np.linalg.norm(K @ x.ravel() - r.ravel()) <= (
@@ -130,12 +181,12 @@ class TestMultigrid:
         inv = 1.0 / (lam[:, None] + lam)
         r = np.random.default_rng(N).standard_normal((N, N))
         dense = V @ ((V.T @ r @ V) * inv) @ V.T
-        fast = pde_verify._sine_solver(N)(r)
+        fast = pde_verify._SineSolver(N)(r)
         assert np.linalg.norm(fast - dense) <= 1e-13 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("N", [32, 33, 96, 97])
     def test_sine_solve_symmetric_and_positive(self, N):
-        solve = pde_verify._sine_solver(N)
+        solve = pde_verify._SineSolver(N)
         rng = np.random.default_rng(N)
         for _ in range(5):
             v, w = rng.standard_normal((2, N, N))
@@ -166,6 +217,53 @@ class TestMultigrid:
         assert sol.iterations <= 14
         assert len(sol.residual_tail) == 5
         assert sol.residual_tail[-1] <= 1e-12
+
+
+class TestMemory:
+    def test_solve_holds_at_most_20_grids(self):
+        # the benchmark's verify field, -1/log(e^2/r), at n = 256: the
+        # stencil is 9 of the N x N arrays of doubles, CG's vectors and the
+        # preconditioner's buffers most of the rest
+        field, N = gs_log_field(-1.0, shift=2.0), 256
+        pde_verify.solve_dirichlet(field, X1, N)   # numpy's one-time set-up
+        tracemalloc.start()
+        try:
+            pde_verify.solve_dirichlet(field, X1, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * N * N * 8
+
+    def test_cg_work_is_three_grids(self):
+        # r, p and q, whatever the iteration count: an iteration allocates
+        # no grid of its own
+        N = 256
+        S, b, _ = pde_verify.assemble(gs_log_field(-1.0, shift=2.0), X1, N)
+        K, b = pde_verify._Stencil(S), b.reshape(N, N)
+        precond, x = pde_verify._SineSolver(N), np.zeros((N, N))
+        tracemalloc.start()
+        try:
+            _, history = pde_verify._pcg(K, b, precond, 1e-30, 5, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(history) == 6
+        assert peak < 4 * N * N * 8
+
+    @pytest.mark.parametrize("N", [255, 256])
+    def test_preconditioner_into_buffers_allocates_under_one_grid(self, N):
+        solve = pde_verify._SineSolver(N)
+        r = np.random.default_rng(N).standard_normal((N, N))
+        z = np.empty_like(r)
+        solve(r, out=z)
+        tracemalloc.start()
+        try:
+            assert solve(r, out=z) is z
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N * N * 8
+        assert np.array_equal(z, solve(r))
 
 
 class TestSpline:
