@@ -43,9 +43,6 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
-_FIELD_T1_MAX = 700.0    # [integrate] t1 with generator = field: e^-t > 0
-_PDE_RADII = [0.5, 0.25, 0.125, 0.0625, 0.03125]   # [pde] radii by default
-
 SUBCOMMANDS = ("moments", "integrate", "classify", "appendix", "gs", "verify",
                "report")
 
@@ -58,16 +55,89 @@ class ConfigError(ValueError):
 # configuration
 # ---------------------------------------------------------------------------
 
+_GS_FIELD_KEYS = ("g", "omega", "omega_piecewise")
+# the [field] keys each family reads beside ``family``
+_FIELD_KEYS = {"identity": (), "": (), "constant": ("diag",),
+               "gilbarg-serrin": _GS_FIELD_KEYS, "gs": _GS_FIELD_KEYS,
+               "radial": ("scale", "omega")}
+_CESARI = {"cesari-convergent": gs.KIND_CONVERGENT_IMPROPER,
+           "cesari-minus-infinity": gs.KIND_MINUS_INFINITY}
+_BOUNDARY_FUNS = {
+    "x1": lambda p: p[:, 0],
+    "x2": lambda p: p[:, 1],
+    "harmonic-quadratic": lambda p: p[:, 0] ** 2 - p[:, 1] ** 2,
+    "sin-x1": lambda p: np.sin(p[:, 0]),
+    "one": lambda p: np.ones(len(p)),
+}
+
+
+def _floats(text: str) -> list:
+    return [float(v) for v in text.split(",")]
+
+
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and positive")
+
+# Every config key but a [field] family's own keys, one row each: (section,
+# key, cast, default, accepted, message).  ``load_config`` casts a given value
+# and refuses it with "[section] key: message" where ``accepted`` is false;
+# an absent key takes the default.  The [budget] rows take Budget's defaults
+# and leave their ranges to Budget.validate, which ``criteria.classify`` runs
+# too; a None default elsewhere is filled in from another key while loading.
+_OPTIONS = (
+    ("run", "dim", int, 2, lambda v: v in (2, 3), "must be 2 or 3"),
+    ("field", "family", str.lower, "identity", lambda v: v in _FIELD_KEYS,
+     "must be one of " + ", ".join(filter(None, _FIELD_KEYS))),
+    ("budget", "eps", float, criteria.Budget.eps, None, None),
+    ("budget", "k_max", int, criteria.Budget.k_max, None, None),
+    ("budget", "tol", float, criteria.Budget.tol, None, None),
+    ("budget", "grid_resolution", int, criteria.Budget.grid_resolution,
+     None, None),
+    ("budget", "nodes_per_octave", int, criteria.Budget.nodes_per_octave,
+     None, None),
+    ("budget", "dyn_tol", float, criteria.Budget.dyn_tol, None, None),
+    ("budget", "dyn_t0", float, criteria.Budget.dyn_t0, None, None),
+    ("budget", "asi_tol", float, criteria.Budget.asi_tol, None, None),
+    ("integrate", "generator", str, "field",
+     lambda v: v == "field" or v in gs.WHITELIST,
+     "must be field or one of " + ", ".join(gs.WHITELIST)),
+    # the field is sampled at r = e^-t, which must lie in the unit ball
+    ("integrate", "t0", float, 0.0, lambda v: 0 <= v < math.inf,
+     "must be finite and at least 0"),
+    ("integrate", "t1", float, 30.0, math.isfinite, "must be finite"),
+    ("integrate", "tol", float, 1e-9, *_POSITIVE),
+    ("gs", "example", str, "exp-decay",
+     lambda v: v in gs.WHITELIST or v in _CESARI,
+     "must be one of " + ", ".join([*gs.WHITELIST, *_CESARI])),
+    # asymptotic_limit needs a trajectory spanning at least 10 time units
+    ("gs", "horizon", float, None, lambda v: 10 <= v <= 1e6,
+     "must lie in [10, 1e6]"),
+    ("gs", "decay_exponent", float, 2.0 / 3.0, lambda v: 0.5 < v < 1,
+     "must lie in (1/2, 1)"),
+    ("gs", "tol", float, 1e-4, *_POSITIVE),
+    ("pde", "n", int, 256, lambda v: 64 <= v <= 1024, "must lie in [64, 1024]"),
+    ("pde", "boundary", str, "x1", lambda v: v in _BOUNDARY_FUNS,
+     "must be one of " + ", ".join(_BOUNDARY_FUNS)),
+    # a repeated circle would count as several in the plateau tests
+    ("pde", "radii", _floats, [0.5, 0.25, 0.125, 0.0625, 0.03125],
+     lambda v: len(set(v)) == len(v), "each circle must be given once"),
+    ("pde", "tol", float, 1e-12, *_POSITIVE),
+    ("moments", "k_max", int, None, lambda v: 1 <= v <= criteria.K_MAX_CAP,
+     f"must lie in [1, {criteria.K_MAX_CAP}]"),
+    ("output", "dir", str, ".", None, None),
+)
+
+
 @dataclass
 class RunConfig:
     subcommand: str
     raw_text: str
-    dim: int = 2
-    field_spec: dict = dc_field(default_factory=dict)
-    budget: criteria.Budget = dc_field(default_factory=criteria.Budget)
-    options: dict = dc_field(default_factory=dict)
-    output_dir: str = "."
-    gs_example: Optional[tuple] = None   # (generator, horizon) of a gs run
+    dim: int
+    options: dict          # section -> key -> typed value, one per _OPTIONS row
+    sections: tuple        # the sections the config gives
+    field_spec: dict       # [field] as written: its keys depend on the family
+    budget: criteria.Budget
+    output_dir: str
+    gs_generator: object   # [gs] example's; a Cesari one is built for gs only
     # what the run records for the report's provenance_volatile block
     volatile: dict = dc_field(default_factory=dict)
 
@@ -76,69 +146,44 @@ class RunConfig:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
 
 
-_BUDGET_KEYS = (("eps", float), ("k_max", int), ("tol", float),
-                ("grid_resolution", int), ("nodes_per_octave", int),
-                ("dyn_tol", float), ("dyn_t0", float), ("asi_tol", float))
-# every key some run reads, by section; [field] keys depend on the family
-_SECTION_KEYS = {
-    "run": ("dim",),
-    "field": ("family",),
-    "budget": tuple(key for key, _ in _BUDGET_KEYS),
-    "integrate": ("generator", "t0", "t1", "tol"),
-    "gs": ("example", "horizon", "decay_exponent", "tol"),
-    "pde": ("n", "boundary", "radii", "tol"),
-    "moments": ("k_max",),
-    "output": ("dir",),
-}
-_GS_FIELD_KEYS = ("g", "omega", "omega_piecewise")
-_FIELD_KEYS = {"identity": (), "": (), "constant": ("diag",),
-               "gilbarg-serrin": _GS_FIELD_KEYS, "gs": _GS_FIELD_KEYS,
-               "radial": ("scale", "omega")}
-
-
-def _check_keys(parser: configparser.ConfigParser):
-    """Reject the first section or key that no run reads, so a misspelling
-    is named instead of silently leaving its default in place.  An unknown
-    field family is left to ``build_field``, which names it."""
+def _read_options(parser: configparser.ConfigParser) -> dict:
+    """Every _OPTIONS row, cast and range-checked, by section and key; then
+    the first section or key that no row reads is refused, so a misspelling
+    is named instead of silently leaving its default in place."""
     if parser.defaults():
         raise ConfigError(f"[{parser.default_section}]: no run reads this "
                           "section; set each key in its own section")
+    opts = {}
+    for section, key, cast, default, accepted, message in _OPTIONS:
+        text = parser.get(section, key, fallback=None)
+        value = default
+        if text is not None:
+            try:
+                value = cast(text)
+            except ValueError as e:
+                raise ConfigError(f"[{section}] {key}: {e}") from None
+            if accepted is not None and not accepted(value):
+                raise ConfigError(f"[{section}] {key}: {message}")
+        opts.setdefault(section, {})[key] = value
     for name in parser.sections():
-        if name not in _SECTION_KEYS:
+        if name not in opts:
             raise ConfigError(f"[{name}]: unknown section; expected one of "
-                              + ", ".join(f"[{k}]" for k in _SECTION_KEYS))
-        known = _SECTION_KEYS[name]
+                              + ", ".join(f"[{k}]" for k in opts))
+        known = tuple(opts[name])
         if name == "field":
-            family = parser[name].get("family", "identity").strip().lower()
-            if family not in _FIELD_KEYS:
-                continue
-            known += _FIELD_KEYS[family]
+            known += _FIELD_KEYS[opts["field"]["family"]]
         for key in parser[name]:
             if key not in known:
                 raise ConfigError(f"[{name}] {key}: unknown key; expected one "
                                   f"of {', '.join(known)}")
-
-
-def _floats(text: str) -> list:
-    return [float(v) for v in text.split(",")]
-
-
-def _option(values, section: str, key: str, default, cast=float):
-    """``values[key]`` cast by ``cast``, ``default`` when absent; every option
-    cast goes through here, so a malformed value names its section and key."""
-    text = values.get(key)
-    if text is None:
-        return default
-    try:
-        return cast(text)
-    except ValueError as e:
-        raise ConfigError(f"[{section}] {key}: {e}") from None
+    return opts
 
 
 def load_config(path: str, subcommand: str) -> RunConfig:
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
-    parser = configparser.ConfigParser()
+    # no interpolation: a value is read as written, '%' included
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             text = fh.read()
@@ -147,75 +192,71 @@ def load_config(path: str, subcommand: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {e}") from None
     except configparser.Error as e:
         raise ConfigError(f"config parse error: {e}") from None
+    opts = _read_options(parser)
 
-    _check_keys(parser)
-    cfg = RunConfig(subcommand=subcommand, raw_text=text)
-    if parser.has_section("run"):
-        cfg.dim = _option(parser["run"], "run", "dim", 2, int)
-        if cfg.dim not in (2, 3):
-            raise ConfigError("[run] dim: must be 2 or 3")
-    if parser.has_section("field"):
-        cfg.field_spec = dict(parser["field"])
-    if parser.has_section("budget"):
-        sec = parser["budget"]
-        kwargs = {key: _option(sec, "budget", key, None, cast)
-                  for key, cast in _BUDGET_KEYS if sec.get(key) is not None}
-        cfg.budget = criteria.Budget(**kwargs)
-        try:
-            cfg.budget.validate()
-        except ValueError as e:
-            raise ConfigError(f"[budget] {e}") from None
-        # a sphere sweep holds at least one whole sphere of field samples
-        res, top = cfg.budget.grid_resolution, sphmean.max_resolution(cfg.dim)
-        if res is not None and res > top:
-            raise ConfigError(f"[budget] grid_resolution: must be at most {top} "
-                              f"in {cfg.dim}-D, so one sphere of field samples "
-                              "fits a sweep chunk")
-    for name in ("integrate", "gs", "pde", "moments"):
-        if parser.has_section(name):
-            cfg.options[name] = dict(parser[name])
-    if parser.has_section("output"):
-        cfg.output_dir = parser["output"].get("dir", ".")
-    cfg.output_dir = os.environ.get("ELLIPREG_OUTDIR", cfg.output_dir)
-
-    for section, key in (("pde", "tol"), ("integrate", "tol"), ("gs", "tol")):
-        value = _option(cfg.options.get(section, {}), section, key, 1.0)
-        if not 0 < value < math.inf:
-            raise ConfigError(f"[{section}] {key}: must be finite and positive")
-    # asymptotic_limit needs a trajectory spanning at least 10 time units
-    if not 10 <= _option(cfg.options.get("gs", {}), "gs", "horizon", 10.0) <= 1e6:
-        raise ConfigError("[gs] horizon: must lie in [10, 1e6]")
-    # the field is sampled at r = e^-t, which must lie in the unit ball and
-    # stay above the underflow of e^-t (745): past it R reads 0
-    integrate = cfg.options.get("integrate", {})
-    if not _option(integrate, "integrate", "t0", 0.0) >= 0:
-        raise ConfigError("[integrate] t0: must be at least 0")
-    if (integrate.get("generator", "field") == "field"
-            and _option(integrate, "integrate", "t1", 30.0) > _FIELD_T1_MAX):
-        raise ConfigError(f"[integrate] t1: must be at most {_FIELD_T1_MAX:g} "
+    # the rules that tie one key to another
+    dim = opts["run"]["dim"]
+    if subcommand == "verify" and dim != 2:
+        raise ConfigError("[run] dim: the grid verifier is two-dimensional")
+    try:
+        budget = criteria.Budget(**opts["budget"])
+        budget.validate()
+    except ValueError as e:
+        raise ConfigError(f"[budget] {e}") from None
+    # a sphere sweep holds at least one whole sphere of field samples
+    res, top = budget.grid_resolution, sphmean.max_resolution(dim)
+    if res is not None and res > top:
+        raise ConfigError(f"[budget] grid_resolution: must be at most {top} "
+                          f"in {dim}-D, so one sphere of field samples "
+                          "fits a sweep chunk")
+    if opts["moments"]["k_max"] is None:
+        opts["moments"]["k_max"] = budget.k_max
+    integrate = opts["integrate"]
+    if not integrate["t1"] > integrate["t0"]:
+        raise ConfigError("[integrate] t1: must exceed t0")
+    if integrate["generator"] == "field" and integrate["t1"] > criteria.T_MAX:
+        raise ConfigError(f"[integrate] t1: must be at most {criteria.T_MAX:g} "
                           "with generator = field")
     # the grid verifier's circles stay two cells inside the grid: [2h, 1 - 2h]
-    pde = cfg.options.get("pde", {})
-    n = _option(pde, "pde", "n", 256, int)
-    if not 64 <= n <= 1024:
-        raise ConfigError("[pde] n: must lie in [64, 1024]")
-    radii = _option(pde, "pde", "radii", _PDE_RADII, _floats)
-    if not all(4 / n <= r <= 1 - 4 / n for r in radii):
+    n = opts["pde"]["n"]
+    if not all(4 / n <= r <= 1 - 4 / n for r in opts["pde"]["radii"]):
         raise ConfigError(f"[pde] radii: each must lie in [2h, 1 - 2h] = "
                           f"[{4 / n:g}, {1 - 4 / n:g}] at n = {n}")
-    # a repeated circle would count as several in the plateau tests
-    if len(set(radii)) < len(radii):
-        raise ConfigError("[pde] radii: each circle must be given once")
-    if _option(cfg.options.get("moments", {}), "moments", "k_max", 1, int) < 1:
-        raise ConfigError("[moments] k_max: must be at least 1")
-    if subcommand == "gs":
-        cfg.gs_example = _gs_example(cfg.options.get("gs", {}))
-    return cfg
+    gs_opts = opts["gs"]
+    example = gs_opts["example"]
+    generator = gs.WHITELIST.get(example)      # None for the Cesari examples
+    if gs_opts["horizon"] is None:
+        gs_opts["horizon"] = 1e4 if generator is None else 100.0
+    if generator is not None and parser.has_option("gs", "decay_exponent"):
+        raise ConfigError("[gs] decay_exponent: only the Cesari examples "
+                          f"read it, not {example!r}")
+    if subcommand == "gs" and generator is None:
+        # a Cesari schedule that the horizon cannot carry is a config error
+        try:
+            generator = gs.build_cesari_counterexample(
+                _CESARI[example], decay_exponent=gs_opts["decay_exponent"],
+                horizon=gs_opts["horizon"])
+        except ValueError as e:
+            raise ConfigError(f"[gs] horizon: {e}") from None
+    return RunConfig(
+        subcommand=subcommand, raw_text=text, dim=dim, options=opts,
+        sections=tuple(parser.sections()),
+        field_spec=dict(parser["field"]) if parser.has_section("field") else {},
+        budget=budget,
+        output_dir=os.environ.get("ELLIPREG_OUTDIR", opts["output"]["dir"]),
+        gs_generator=generator)
+
+
+def _field_floats(spec: dict, key: str) -> list:
+    try:
+        return _floats(spec[key])
+    except ValueError as e:
+        raise ConfigError(f"[field] {key}: {e}") from None
 
 
 def build_field(cfg: RunConfig) -> coeff.CoefficientField:
     spec = cfg.field_spec
-    family = spec.get("family", "identity").strip().lower()
+    family = cfg.options["field"]["family"]
     n = cfg.dim
     if family in ("identity", ""):
         return coeff.make_constant(n, np.eye(n))
@@ -223,7 +264,7 @@ def build_field(cfg: RunConfig) -> coeff.CoefficientField:
         diag = spec.get("diag")
         if diag is None:
             raise ConfigError("[field] constant family needs diag = a, b[, c]")
-        vals = _option(spec, "field", "diag", None, _floats)
+        vals = _field_floats(spec, "diag")
         if len(vals) != n:
             raise ConfigError(f"[field] diag: expected {n} entries")
         return coeff.make_constant(n, np.diag(vals))
@@ -239,8 +280,8 @@ def build_field(cfg: RunConfig) -> coeff.CoefficientField:
                 if omega_expr:
                     raise ConfigError("[field] omega: not read beside "
                                       "omega_piecewise; set one of the two")
-                vals = _option(spec, "field", "omega_piecewise", None, _floats)
-                omega = coeff.piecewise_log_modulus(vals)
+                omega = coeff.piecewise_log_modulus(
+                    _field_floats(spec, "omega_piecewise"))
             elif omega_expr:
                 omega = coeff.parse_modulus_expr(omega_expr)
             else:
@@ -249,17 +290,16 @@ def build_field(cfg: RunConfig) -> coeff.CoefficientField:
             return coeff.make_gilbarg_serrin(n, g, omega)
         except coeff.FieldError as e:
             raise ConfigError(f"[field] {e}") from None
-    if family == "radial":
-        a_expr = spec.get("scale", "r^1")
-        try:
-            sc = coeff.parse_radial_expr(a_expr)
-        except coeff.FieldError as e:
-            raise ConfigError(f"[field] scale: {e}") from None
-        a0 = lambda r: (1.0 + float(sc(np.asarray([r]))[0])) * np.eye(n)
-        omega_expr = spec.get("omega", a_expr.lstrip("+-"))
-        return coeff.make_perturbed_radial(
-            n, a0, None, modulus=coeff.parse_modulus_expr(omega_expr))
-    raise ConfigError(f"[field] unknown family {family!r}")
+    # the radial family
+    a_expr = spec.get("scale", "r^1")
+    try:
+        sc = coeff.parse_radial_expr(a_expr)
+    except coeff.FieldError as e:
+        raise ConfigError(f"[field] scale: {e}") from None
+    a0 = lambda r: (1.0 + float(sc(np.asarray([r]))[0])) * np.eye(n)
+    omega_expr = spec.get("omega", a_expr.lstrip("+-"))
+    return coeff.make_perturbed_radial(
+        n, a0, None, modulus=coeff.parse_modulus_expr(omega_expr))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +474,7 @@ def _verdict_payload(verdict: criteria.RegularityVerdict) -> dict:
 
 def run_moments(cfg: RunConfig) -> dict:
     field = build_field(cfg)
-    opts = cfg.options.get("moments", {})
-    k_max = _option(opts, "moments", "k_max", cfg.budget.k_max, int)
+    k_max = cfg.options["moments"]["k_max"]
     radii = cfg.budget.eps * 2.0 ** -np.arange(0, k_max)
     grid = cfg.budget.sphere_sampler(field.dim).grid
     rows = []
@@ -454,13 +493,8 @@ def run_moments(cfg: RunConfig) -> dict:
 
 
 def run_integrate(cfg: RunConfig) -> dict:
-    opts = cfg.options.get("integrate", {})
-    t0 = _option(opts, "integrate", "t0", 0.0)
-    t1 = _option(opts, "integrate", "t1", 30.0)
-    tol = _option(opts, "integrate", "tol", 1e-9)
-    if not t1 > t0:
-        raise ConfigError("[integrate] t1: must exceed t0")
-    source = opts.get("generator", "field")
+    opts = cfg.options["integrate"]
+    t0, t1, tol, source = opts["t0"], opts["t1"], opts["tol"], opts["generator"]
     n = cfg.dim
     if source == "field":
         field = build_field(cfg)
@@ -473,13 +507,11 @@ def run_integrate(cfg: RunConfig) -> dict:
         cfg.volatile["sphere_quadrature"] = sampler.record()
         step = (len(flow.t) - 1) // 512
         ts, Phi = flow.t[::step], flow.y[::step]
-    elif source in gs.WHITELIST:
+    else:
         gen = gs.WHITELIST[source]
         ts = np.linspace(t0, t1, 513)
         phi = gs.closed_form_phi(gen, n, ts) / gs.closed_form_phi(gen, n, t0)
         Phi = phi[:, None, None]
-    else:
-        raise ConfigError(f"[integrate] unknown generator {source!r}")
     rep = dynsys.stability_constant(ts, Phi)
     if rep.K_running is None:
         raise np.linalg.LinAlgError(rep.diagnostics)
@@ -534,43 +566,11 @@ def run_appendix(cfg: RunConfig) -> dict:
     }
 
 
-_CESARI = {"cesari-convergent": gs.KIND_CONVERGENT_IMPROPER,
-           "cesari-minus-infinity": gs.KIND_MINUS_INFINITY}
-
-
-def _gs_example(opts: dict):
-    """The ``[gs]`` example's generator and horizon.
-
-    Built while loading: a Cesari schedule that the decay exponent or the
-    horizon cannot carry is a config error naming that key.
-    """
-    example = opts.get("example", "exp-decay")
-    horizon = _option(opts, "gs", "horizon", 1e4 if example in _CESARI else 100.0)
-    decay = _option(opts, "gs", "decay_exponent", 2.0 / 3.0)
-    if example in gs.WHITELIST:
-        if "decay_exponent" in opts:
-            raise ConfigError("[gs] decay_exponent: only the Cesari examples "
-                              f"read it, not {example!r}")
-        return gs.WHITELIST[example], horizon
-    if example not in _CESARI:
-        raise ConfigError(f"[gs] unknown example {example!r}")
-    if not 0.5 < decay < 1:
-        raise ConfigError("[gs] decay_exponent: must lie in (1/2, 1)")
-    try:
-        gen = gs.build_cesari_counterexample(_CESARI[example], decay_exponent=decay,
-                                             horizon=horizon)
-    except ValueError as e:
-        raise ConfigError(f"[gs] horizon: {e}") from None
-    return gen, horizon
-
-
 def run_gs(cfg: RunConfig) -> dict:
-    opts = cfg.options.get("gs", {})
-    example = opts.get("example", "exp-decay")
-    gen, horizon = cfg.gs_example
-    tol = _option(opts, "gs", "tol", 1e-4)
+    opts = cfg.options["gs"]
+    gen, horizon = cfg.gs_generator, opts["horizon"]
     n = cfg.dim
-    rep = gs.verify_independence(gen, n, tol=tol, horizon=horizon)
+    rep = gs.verify_independence(gen, n, tol=opts["tol"], horizon=horizon)
     ts = np.linspace(0, horizon, 2049)
     gv = gen.gtil(ts)
     cum = gen.cumulative(ts)
@@ -578,7 +578,7 @@ def run_gs(cfg: RunConfig) -> dict:
     write_csv(cfg, "generator.csv", ["t", "g", "running_integral", "phi"],
               list(zip(ts, gv, cum, phi)))
     payload = {
-        "example": example,
+        "example": opts["example"],
         "asym_constant": _evidence_dict(rep.asym_constant),
         "uniformly_stable": _evidence_dict(rep.uniformly_stable),
         "square_integrable": rep.square_integrable_verdict,
@@ -592,31 +592,15 @@ def run_gs(cfg: RunConfig) -> dict:
     return payload
 
 
-_BOUNDARY_FUNS = {
-    "x1": lambda p: p[:, 0],
-    "x2": lambda p: p[:, 1],
-    "harmonic-quadratic": lambda p: p[:, 0] ** 2 - p[:, 1] ** 2,
-    "sin-x1": lambda p: np.sin(p[:, 0]),
-    "one": lambda p: np.ones(len(p)),
-}
-
-
 def run_verify(cfg: RunConfig) -> dict:
-    if cfg.dim != 2:
-        raise ConfigError("[run] dim: the grid verifier is two-dimensional")
-    opts = cfg.options.get("pde", {})
-    N = _option(opts, "pde", "n", 256, int)
-    bname = opts.get("boundary", "x1")
-    if bname not in _BOUNDARY_FUNS:
-        raise ConfigError(f"[pde] boundary: unknown name {bname!r}; "
-                          f"choose from {sorted(_BOUNDARY_FUNS)}")
-    radii = _option(opts, "pde", "radii", _PDE_RADII, _floats)
-    tol = _option(opts, "pde", "tol", 1e-12)
+    opts = cfg.options["pde"]
+    N, bname, radii = opts["n"], opts["boundary"], opts["radii"]
     field = build_field(cfg)
     # loaded here, not at the top: only verify and report solve on the grid,
     # and its import (about 10 ms) would otherwise fall on every run
     from . import pde_verify
-    sol = pde_verify.solve_dirichlet(field, _BOUNDARY_FUNS[bname], N, tol=tol)
+    sol = pde_verify.solve_dirichlet(field, _BOUNDARY_FUNS[bname], N,
+                                     tol=opts["tol"])
     cfg.volatile["grid_solve"] = {
         "preconditioner": pde_verify.PRECONDITIONER,
         "start_residual": sol.start_residual,
@@ -650,7 +634,7 @@ def run_verify(cfg: RunConfig) -> dict:
 
 def run_report(cfg: RunConfig) -> dict:
     payload = {"classification": run_classify(cfg)}
-    if cfg.dim == 2 and "pde" in cfg.options:
+    if cfg.dim == 2 and "pde" in cfg.sections:
         payload["pde"] = run_verify(cfg)
     return payload
 

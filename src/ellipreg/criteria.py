@@ -383,6 +383,11 @@ def condition_A_minus_I(profile: RadialProfile,
 # tol = 1e-300 grew memory until the process was killed.
 TOL_FLOOR = 1e-14
 
+# The deepest log time any run reads: the field is sampled at r = e^-t,
+# which underflows to 0 past t = 745.
+T_MAX = 700.0
+K_MAX_CAP = 40     # the most dyadic octaves a Budget or a moment table reads
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -409,13 +414,17 @@ class Budget:
                                  "still resolves it")
         if not 0 < self.eps <= 1:
             raise ValueError("eps: must lie in (0, 1]")
-        if not 1 <= self.k_max <= 40:
-            raise ValueError("k_max: must lie in [1, 40]")
-        if self.nodes_per_octave < 1:
-            raise ValueError("nodes_per_octave: must be at least 1")
+        if not 1 <= self.k_max <= K_MAX_CAP:
+            raise ValueError(f"k_max: must lie in [1, {K_MAX_CAP}]")
+        if not 1 <= self.nodes_per_octave <= 4096:
+            raise ValueError("nodes_per_octave: must lie in [1, 4096]")
         if self.grid_resolution is not None and self.grid_resolution < 8:
             raise ValueError("grid_resolution: must be at least 8")
         depth = -math.log(self.eps) + self.k_max * LN2
+        if depth > T_MAX:
+            raise ValueError(f"eps: the profile depth -ln(eps) + k_max ln 2 = "
+                             f"{depth:.6g} must be at most {T_MAX:g}, where "
+                             "r = e^-t is still above its underflow")
         if not 0 <= 2 * self.dyn_t0 < depth:
             raise ValueError(f"dyn_t0: 2*dyn_t0 must lie in [0, {depth:.6g}), "
                              "the profile depth -ln(eps) + k_max ln 2")

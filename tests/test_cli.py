@@ -96,6 +96,8 @@ tol = -1e-6
         # a key that the run would not read beside another
         ("classify", "[field]\nfamily = gilbarg-serrin\ng = -1/log(e^2/r)\n"
          "omega = banana\nomega_piecewise = 0.5, 0.4, 0.3\n", "[field] omega"),
+        # read as written: a '%' is not the start of an interpolation
+        ("verify", "[pde]\nn = 5%\n", "[pde] n"),
     ])
     def test_malformed_option_exits_2(self, tmp_path, capsys, subcommand,
                                       text, name):
@@ -174,6 +176,31 @@ tol = -1e-6
         ("moments", "[moments]\nkmax = 3\n", "[moments] kmax"),
         ("gs", "[gs]\nexample = exp-decay\ndecay_exponent = 0.6\n",
          "[gs] decay_exponent"),
+        # checked while loading, whichever subcommand runs
+        ("report", "[pde]\nboundary = bogus\n", "[pde] boundary"),
+        ("classify", "[integrate]\ngenerator = bogus\n",
+         "[integrate] generator"),
+        ("integrate", "[integrate]\nt0 = 5\nt1 = 1\n", "[integrate] t1"),
+        ("classify", "[gs]\nexample = bogus\n", "[gs] example"),
+        ("classify", "[field]\nfamily = weird\n", "[field] family"),
+        ("verify", "[run]\ndim = 3\n", "[run] dim"),
+        # a named generator at t1 = inf wrote K_hat = NaN
+        ("integrate", "[integrate]\ngenerator = exp-decay\nt1 = inf\n",
+         "[integrate] t1"),
+        ("integrate", "[integrate]\nt0 = nan\n", "[integrate] t0"),
+        ("integrate", "[integrate]\nt0 = inf\n", "[integrate] t0"),
+        # the effort caps: k_max = 1e8 and nodes_per_octave = 1e7 ended in
+        # a MemoryError
+        ("moments", "[moments]\nk_max = 100000000\n", "[moments] k_max"),
+        ("moments", "[moments]\nk_max = 41\n", "[moments] k_max"),
+        ("classify", "[budget]\nnodes_per_octave = 10000000\n",
+         "[budget] nodes_per_octave"),
+        ("classify", "[budget]\nnodes_per_octave = 4097\n",
+         "[budget] nodes_per_octave"),
+        # the profile reaches below the underflow of r = e^-t: every radius
+        # past the first read 0.0
+        ("classify", "[budget]\neps = 5e-324\n", "[budget] eps"),
+        ("moments", "[budget]\neps = 1e-300\nk_max = 40\n", "[budget] eps"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, subcommand,
                                         text, name):
@@ -185,12 +212,37 @@ tol = -1e-6
         assert cli.main([subcommand, cfg]) == cli.EXIT_CONFIG
         assert name in capsys.readouterr().err
 
+    def test_readme_lists_every_option_with_its_default(self):
+        # a fixed default is the first literal of its row's default cell; a
+        # default set from another key is described in words
+        with open(os.path.join(os.path.dirname(__file__), "..",
+                               "README.md")) as fh:
+            cells = {(s, k): d for s, k, d in re.findall(
+                r"^\| `\[(\w+)\] (\w+)` \| ([^|]*) \|", fh.read(), re.M)}
+        for section, key, cast, default, *_ in cli._OPTIONS:
+            literal = re.match(r"`([^`]*)`", cells[section, key])
+            if default is None:
+                assert literal is None, (section, key)
+            else:
+                assert cast(literal.group(1)) == default, (section, key)
+
     def test_budget_tolerance_at_floor_accepted(self, tmp_path):
         cfg = write_cfg(tmp_path, "[budget]\ntol = 1e-14\ndyn_tol = 1e-14\n"
                         "asi_tol = 1e-14\n")
         budget = cli.load_config(cfg, "classify").budget
         assert budget.tol == budget.dyn_tol == budget.asi_tol == (
             criteria.TOL_FLOOR)
+
+    @pytest.mark.parametrize("text, section, key, value", [
+        ("[moments]\nk_max = 40\n", "moments", "k_max", 40),
+        ("[budget]\nnodes_per_octave = 4096\n", "budget", "nodes_per_octave",
+         4096),
+        # depth -ln(eps) + ln 2 = 699.99, just under the cap of 700
+        ("[budget]\neps = 2e-304\nk_max = 1\n", "budget", "eps", 2e-304),
+    ])
+    def test_caps_accepted(self, tmp_path, text, section, key, value):
+        cfg = cli.load_config(write_cfg(tmp_path, text), "classify")
+        assert cfg.options[section][key] == value
 
     @pytest.mark.parametrize("dim, res", [(3, 241), (2, 262144)])
     def test_finest_accepted_grid_resolution(self, tmp_path, dim, res):
