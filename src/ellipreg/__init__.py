@@ -10,7 +10,9 @@ finite-volume solve of the Dirichlet problem.
 
 Submodules load on import (``from ellipreg import criteria``), not with
 the package, so a run loads only what it uses: the grid verifier,
-:mod:`ellipreg.pde_verify`, loads only for runs that solve on the grid.
+:mod:`ellipreg.pde_verify`, loads only for runs that solve on the grid,
+the scalar generators of :mod:`ellipreg.gilbarg_serrin` only for runs that
+read one, and :mod:`ellipreg.appendix_system` only for the appendix tables.
 Every submodule needs numpy alone.
 """
 

@@ -33,9 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, appendix_system, coeff, criteria, dynsys
-from . import gilbarg_serrin as gs
-from . import sphmean
+from . import __version__, coeff, criteria, dynsys, sphmean
 
 SCHEMA_VERSION = "1"
 
@@ -60,8 +58,11 @@ _GS_FIELD_KEYS = ("g", "omega", "omega_piecewise")
 _FIELD_KEYS = {"identity": (), "": (), "constant": ("diag",),
                "gilbarg-serrin": _GS_FIELD_KEYS, "gs": _GS_FIELD_KEYS,
                "radial": ("scale", "omega")}
-_CESARI = {"cesari-convergent": gs.KIND_CONVERGENT_IMPROPER,
-           "cesari-minus-infinity": gs.KIND_MINUS_INFINITY}
+# the names of gilbarg_serrin.WHITELIST, which loads only for the runs that
+# read a generator (gs, and integrate with a named one)
+_GS_EXAMPLES = ("zero", "exp-decay", "neg-exp-decay", "one-over-1pt",
+                "neg-one-over-1pt", "one-over-1pt-sq")
+_CESARI = ("cesari-convergent", "cesari-minus-infinity")
 _BOUNDARY_FUNS = {
     "x1": lambda p: p[:, 0],
     "x2": lambda p: p[:, 1],
@@ -76,6 +77,12 @@ def _floats(text: str) -> list:
 
 
 _POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and positive")
+# a solve tolerance no double-precision solve can meet would spend the whole
+# effort budget before failing: CG to its iteration cap, the flow to its
+# finest lattice
+_AT_FLOOR = (lambda v: criteria.TOL_FLOOR <= v < math.inf,
+             f"must be finite and at least the floor {criteria.TOL_FLOOR:g}, "
+             "where double precision still resolves it")
 
 # Every config key but a [field] family's own keys, one row each: (section,
 # key, cast, default, accepted, message).  ``load_config`` casts a given value
@@ -98,16 +105,16 @@ _OPTIONS = (
     ("budget", "dyn_t0", float, criteria.Budget.dyn_t0, None, None),
     ("budget", "asi_tol", float, criteria.Budget.asi_tol, None, None),
     ("integrate", "generator", str, "field",
-     lambda v: v == "field" or v in gs.WHITELIST,
-     "must be field or one of " + ", ".join(gs.WHITELIST)),
+     lambda v: v == "field" or v in _GS_EXAMPLES,
+     "must be field or one of " + ", ".join(_GS_EXAMPLES)),
     # the field is sampled at r = e^-t, which must lie in the unit ball
     ("integrate", "t0", float, 0.0, lambda v: 0 <= v < math.inf,
      "must be finite and at least 0"),
     ("integrate", "t1", float, 30.0, math.isfinite, "must be finite"),
-    ("integrate", "tol", float, 1e-9, *_POSITIVE),
+    ("integrate", "tol", float, 1e-9, *_AT_FLOOR),
     ("gs", "example", str, "exp-decay",
-     lambda v: v in gs.WHITELIST or v in _CESARI,
-     "must be one of " + ", ".join([*gs.WHITELIST, *_CESARI])),
+     lambda v: v in _GS_EXAMPLES or v in _CESARI,
+     "must be one of " + ", ".join(_GS_EXAMPLES + _CESARI)),
     # asymptotic_limit needs a trajectory spanning at least 10 time units
     ("gs", "horizon", float, None, lambda v: 10 <= v <= 1e6,
      "must lie in [10, 1e6]"),
@@ -120,7 +127,7 @@ _OPTIONS = (
     # a repeated circle would count as several in the plateau tests
     ("pde", "radii", _floats, [0.5, 0.25, 0.125, 0.0625, 0.03125],
      lambda v: len(set(v)) == len(v), "each circle must be given once"),
-    ("pde", "tol", float, 1e-12, *_POSITIVE),
+    ("pde", "tol", float, 1e-12, *_AT_FLOOR),
     ("moments", "k_max", int, None, lambda v: 1 <= v <= criteria.K_MAX_CAP,
      f"must lie in [1, {criteria.K_MAX_CAP}]"),
     ("output", "dir", str, ".", None, None),
@@ -137,7 +144,7 @@ class RunConfig:
     field_spec: dict       # [field] as written: its keys depend on the family
     budget: criteria.Budget
     output_dir: str
-    gs_generator: object   # [gs] example's; a Cesari one is built for gs only
+    gs_generator: object   # [gs] example's, built for gs only; else None
     # what the run records for the report's provenance_volatile block
     volatile: dict = dc_field(default_factory=dict)
 
@@ -224,20 +231,27 @@ def load_config(path: str, subcommand: str) -> RunConfig:
                           f"[{4 / n:g}, {1 - 4 / n:g}] at n = {n}")
     gs_opts = opts["gs"]
     example = gs_opts["example"]
-    generator = gs.WHITELIST.get(example)      # None for the Cesari examples
+    cesari = example in _CESARI
     if gs_opts["horizon"] is None:
-        gs_opts["horizon"] = 1e4 if generator is None else 100.0
-    if generator is not None and parser.has_option("gs", "decay_exponent"):
+        gs_opts["horizon"] = 1e4 if cesari else 100.0
+    if not cesari and parser.has_option("gs", "decay_exponent"):
         raise ConfigError("[gs] decay_exponent: only the Cesari examples "
                           f"read it, not {example!r}")
-    if subcommand == "gs" and generator is None:
-        # a Cesari schedule that the horizon cannot carry is a config error
-        try:
-            generator = gs.build_cesari_counterexample(
-                _CESARI[example], decay_exponent=gs_opts["decay_exponent"],
-                horizon=gs_opts["horizon"])
-        except ValueError as e:
-            raise ConfigError(f"[gs] horizon: {e}") from None
+    generator = None
+    if subcommand == "gs":
+        # loaded here, not at the top, like every module one subcommand reads
+        from . import gilbarg_serrin as gs
+        generator = gs.WHITELIST.get(example)
+        if cesari:
+            kind = (gs.KIND_CONVERGENT_IMPROPER
+                    if example == "cesari-convergent" else gs.KIND_MINUS_INFINITY)
+            # a Cesari schedule that the horizon cannot carry is a config error
+            try:
+                generator = gs.build_cesari_counterexample(
+                    kind, decay_exponent=gs_opts["decay_exponent"],
+                    horizon=gs_opts["horizon"])
+            except ValueError as e:
+                raise ConfigError(f"[gs] horizon: {e}") from None
     return RunConfig(
         subcommand=subcommand, raw_text=text, dim=dim, options=opts,
         sections=tuple(parser.sections()),
@@ -508,6 +522,7 @@ def run_integrate(cfg: RunConfig) -> dict:
         step = (len(flow.t) - 1) // 512
         ts, Phi = flow.t[::step], flow.y[::step]
     else:
+        from . import gilbarg_serrin as gs
         gen = gs.WHITELIST[source]
         ts = np.linspace(t0, t1, 513)
         phi = gs.closed_form_phi(gen, n, ts) / gs.closed_form_phi(gen, n, t0)
@@ -543,6 +558,7 @@ def run_classify(cfg: RunConfig, emit_csv: bool = False) -> dict:
 
 
 def run_appendix(cfg: RunConfig) -> dict:
+    from . import appendix_system
     field = build_field(cfg)
     n, grid = field.dim, cfg.budget.sphere_sampler(field.dim).grid
     M_inf = appendix_system.m_infinity(n)
@@ -567,6 +583,7 @@ def run_appendix(cfg: RunConfig) -> dict:
 
 
 def run_gs(cfg: RunConfig) -> dict:
+    from . import gilbarg_serrin as gs
     opts = cfg.options["gs"]
     gen, horizon = cfg.gs_generator, opts["horizon"]
     n = cfg.dim

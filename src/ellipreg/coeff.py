@@ -17,6 +17,13 @@ theta^T with g read once per radius and theta theta^T the grid's
 is read through ``eval_batch`` at the points.  A grid is anything with
 ``nodes`` (m, n) and ``node_outer`` (m, n, n), so this module does not
 import the quadrature module.
+
+A field may also report a separable form, A(r theta) = A0(r) +
+sum_j c_j(r) B_j(theta) with A0 constant on each sphere
+(:class:`SeparableParts`).  The sphere means then reduce the J angular
+parts once per grid and never sample whole spheres: A0, constant on each
+sphere, adds nothing to R.  ``make_gilbarg_serrin`` reports J = 1, c = g and
+B = theta theta^T, and its sphere sampler reads g through the same factors.
 """
 
 from __future__ import annotations
@@ -222,6 +229,20 @@ def parse_modulus_expr(expr: str) -> Modulus:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class SeparableParts:
+    """The non-constant part of A(r theta) = A0(r) + sum_j c_j(r) B_j(theta).
+
+    ``factors`` maps radii (k,) to the radial factors c, shape (k, J);
+    ``angular`` maps a grid to the angular parts B at its nodes, shape
+    (J, m, n, n), each symmetric.  A0 is left out: it is constant on each
+    sphere, so it adds nothing to a sphere mean of A - n A theta theta^T.
+    """
+
+    factors: Callable[[np.ndarray], np.ndarray]
+    angular: Callable[[object], np.ndarray]
+
+
+@dataclass(frozen=True)
 class CoefficientField:
     """Symmetric elliptic coefficient evaluator with metadata.
 
@@ -234,7 +255,10 @@ class CoefficientField:
     up when sampled.  The two are separate evaluators of one field:
     ``dataclasses.replace(field, eval_batch=...)`` keeps the old
     ``sphere_batch``, so the sphere means do not read the new evaluator.
-    Pass ``sphere_batch=None`` with it to have them read it.
+    Pass ``sphere_batch=None`` with it to have them read it.  ``separable``,
+    when given, is the field's separable form, from which the sphere means
+    take R without sampling spheres; ``dataclasses.replace(field,
+    separable=None)`` has them sample the field instead.
     """
 
     dim: int
@@ -245,6 +269,7 @@ class CoefficientField:
     normalized: bool = True
     gs_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sphere_batch: Optional[Callable[[np.ndarray, object], np.ndarray]] = None
+    separable: Optional[SeparableParts] = None
 
     def eval(self, x) -> np.ndarray:
         x = np.asarray(x, float).reshape(1, self.dim)
@@ -304,7 +329,8 @@ def make_gilbarg_serrin(n: int, g: Callable, omega_bound: Modulus) -> Coefficien
 
     The radial profile must stay inside the declared envelope,
     |g(r)| <= omega_bound(r), and keep the field elliptic, 1 + g(r) > 0;
-    both are checked at the radii _GS_CHECK_RADII.
+    both are checked at the radii _GS_CHECK_RADII.  The field is separable
+    with one part: the factor g(r), 0 at r = 0, and the grid's theta theta^T.
     """
     gv = np.vectorize(g, otypes=[float]) if not _is_vectorized(g) else g
     rr = _GS_CHECK_RADII
@@ -331,11 +357,14 @@ def make_gilbarg_serrin(n: int, g: Callable, omega_bound: Modulus) -> Coefficien
         out += gval[:, None, None] * th[:, :, None] * th[:, None, :]
         return out
 
-    def sphere(radii, grid, gv=gv, n=n):
-        # g once per radius; radius 0 takes g = 0, so A = I there
+    def factors(radii, gv=gv):
+        # g once per radius, (k, 1); radius 0 takes g = 0, so A = I there
         live = radii > 0
         gval = np.where(live, np.asarray(gv(np.where(live, radii, 1.0)), float), 0.0)
-        out = gval[:, None, None, None] * grid.node_outer
+        return gval[:, None]
+
+    def sphere(radii, grid, n=n):
+        out = factors(radii)[:, :, None, None] * grid.node_outer
         out += np.eye(n)
         return out
 
@@ -345,6 +374,7 @@ def make_gilbarg_serrin(n: int, g: Callable, omega_bound: Modulus) -> Coefficien
         dim=n, eval_batch=batch, ellipticity=(lam_min, lam_max),
         modulus=omega_bound, family_tag=FAMILY_GILBARG_SERRIN,
         normalized=True, gs_profile=gv, sphere_batch=sphere,
+        separable=SeparableParts(factors, lambda grid: grid.node_outer[None]),
     )
 
 

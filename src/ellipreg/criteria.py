@@ -39,6 +39,7 @@ and the trajectory through e_1 as the first column of the product from t0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -73,13 +74,15 @@ ROUTE_DYNSYS = "dynamical-evidence-route"
 # scalar envelope integrals
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _gauss_legendre_table(sizes):
     """Nodes on [-1, 1] and weight rows of the n-node Gauss-Legendre rules.
 
     For each n in ``sizes`` there are two rows: the rule over [-1, 1], then
     the rule over each half of it (2n nodes).  The halves put nodes next to
     the midpoint, where every symmetric rule leaves a gap, so a jump that
-    sits in that gap moves the two estimates apart.
+    sits in that gap moves the two estimates apart.  Built on first use and
+    kept: ``numpy.polynomial`` then loads only for a run that integrates.
     """
     segments = []      # (row, nodes, weights)
     for i, n in enumerate(sizes):
@@ -96,7 +99,6 @@ def _gauss_legendre_table(sizes):
 
 
 _GL_SIZES = (8, 16, 32, 64)
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre_table(_GL_SIZES)
 _QUAD_MAX_BISECTIONS = 40   # the last pieces are ln2 * 2^-40, about 6e-13, wide
 
 
@@ -112,13 +114,14 @@ def _dyadic_quad_partials(F: Callable, s0: float, k_max: int, tol: float):
     to agree, keeps a jump from passing where two rules happen to err alike.
     All live pieces share one vectorised call of F per level.
     """
+    gl_nodes, gl_weights = _gauss_legendre_table(_GL_SIZES)
     edges = s0 + LN2 * np.arange(k_max + 1)
     lo, hi, octave = edges[:-1], edges[1:], np.arange(k_max)
     pieces = np.zeros(k_max)
     for level in range(_QUAD_MAX_BISECTIONS + 1):
         half = 0.5 * (hi - lo)
-        s = (lo + half)[:, None] + half[:, None] * _GL_NODES
-        est = half[:, None] * (F(s.ravel()).reshape(s.shape) @ _GL_WEIGHTS.T)
+        s = (lo + half)[:, None] + half[:, None] * gl_nodes
+        est = half[:, None] * (F(s.ravel()).reshape(s.shape) @ gl_weights.T)
         whole, doubled = est[:, 0::2], est[:, 1::2]
         settled = (np.abs(doubled - whole)
                    <= tol / 10 * np.maximum(1.0, np.abs(doubled)))
@@ -156,8 +159,8 @@ class RadialProfile:
     dyadic shell; the classifier's criteria read R and mu from this cache,
     so their spherical quadrature runs once.  Only the (M, n, n) reductions
     are kept: the field samples behind R are swept one chunk of radii at a
-    time and dropped, so the profile's memory grows with M only through
-    these arrays.  Cumulative integrals are in the log variable s = -ln r,
+    time and dropped, or never formed for a separable field, so the
+    profile's memory grows with M only through these arrays.  Cumulative integrals are in the log variable s = -ln r,
     where d(rho)/rho = ds.
     """
 

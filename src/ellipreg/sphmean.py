@@ -19,6 +19,14 @@ time, through the field's own :meth:`~ellipreg.coeff.CoefficientField.on_spheres
 at most _SWEEP_CHUNK_DOUBLES doubles of samples (2 MB, small enough to stay
 in a core's cache while the kernel reduces them), but at least one sphere.
 
+A field that reports a separable form A0(r) + sum_j c_j(r) B_j(theta)
+(:class:`~ellipreg.coeff.SeparableParts`) is not sampled on spheres at all.
+R is linear in A, and the mean of C - n C theta theta^T is 0 for every
+constant C, so A0 adds exactly nothing and R(r) = sum_j c_j(r) R[B_j]: one
+kernel call on the J angular parts per grid, then one (k, J) @ (J, n n)
+product.  The identity part of a rank-one field then leaves no rounding
+residue in R, where the sweep leaves the grid's (up to 3e-14 in 3-D).
+
 R over many radii goes through :func:`mean_matrix_R_many` and a
 :class:`SphereSampler`.  A sampler with one rung sweeps that grid as
 given.  An adaptive sampler climbs the ladder 8, 16, ... up to the default
@@ -153,8 +161,11 @@ class SphereSampler:
     |R| > 1), or reaches the top; see the module docstring.  ``settled``
     counts the radii that kept each rung, ``max_discrepancy`` is the largest
     scaled gap of the pair that settled a radius, ``field_evals`` counts
-    field samples, ``chunks`` the sweep chunks they came in and ``sweep_s``
-    the seconds spent evaluating and reducing them.
+    the values computed from the field (whole-sphere samples, or the radial
+    factors of a separable field), ``chunks`` the sweep chunks the samples
+    came in and ``sweep_s`` the seconds spent evaluating and reducing them.
+    ``separable_parts`` is the part count J of a separable field whose R
+    came from its parts, None when the field was sampled on spheres.
     """
 
     resolutions: tuple
@@ -165,6 +176,7 @@ class SphereSampler:
     field_evals: int = 0
     chunks: int = 0
     sweep_s: float = 0.0
+    separable_parts: Optional[int] = None
 
     @property
     def grid(self) -> SphericalGrid:
@@ -180,6 +192,8 @@ class SphereSampler:
         if len(self.grids) > 1:
             out["pair_tol"] = self.tol
             out["max_pair_discrepancy"] = self.max_discrepancy
+        if self.separable_parts is not None:
+            out["separable_parts"] = self.separable_parts
         return out
 
 
@@ -263,19 +277,29 @@ def mean_matrix_R_many(field: CoefficientField, radii: np.ndarray,
                        sampler: SphereSampler) -> np.ndarray:
     """R(r) over an array of radii, shape (M, n, n), through the sampler's
     ladder: each radius at the first rung that agrees with the one below it,
-    or at the top rung.  Each rung is one :func:`sphere_sweep` reduced by
-    :func:`mean_R_kernel`, so only one chunk of field samples is held at a
-    time; the work is added to the sampler's record."""
+    or at the top rung.  On each rung a separable field's R is its radial
+    factors times its angular parts reduced by :func:`mean_R_kernel`; any
+    other field's is one :func:`sphere_sweep` reduced by the kernel, so only
+    one chunk of field samples is held at a time.  The work is added to the
+    sampler's record."""
     radii = np.asarray(radii, float)
+    n, parts = field.dim, field.separable
     top = len(sampler.grids) - 1
-    R = np.empty((len(radii), field.dim, field.dim))
+    R = np.empty((len(radii), n, n))
     live, coarse = np.arange(len(radii)), None
     for rung, grid in enumerate(sampler.grids):
         start = time.perf_counter()
-        fine = _sweep_R(field, radii[live], grid)
+        if parts is None:
+            fine = _sweep_R(field, radii[live], grid)
+            sampler.field_evals += len(live) * len(grid.weights)
+            sampler.chunks += -(-len(live) // _radii_per_chunk(grid))
+        else:
+            c = np.asarray(parts.factors(radii[live]), float)    # (k, J)
+            RB = mean_R_kernel(parts.angular(grid), grid)        # (J, n, n)
+            fine = (c @ RB.reshape(len(RB), n * n)).reshape(len(live), n, n)
+            sampler.field_evals += c.size
+            sampler.separable_parts = len(RB)
         sampler.sweep_s += time.perf_counter() - start
-        sampler.field_evals += len(live) * len(grid.weights)
-        sampler.chunks += -(-len(live) // _radii_per_chunk(grid))
         if rung == 0 and top > 0:
             coarse = fine
             continue

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,12 @@ def lab_field(spec, n):
         return gs_log_field(c, shift=K, n=n, power=p)
     _, c, a = spec
     return gs_power_field(a, c=c, n=n)
+
+
+def sampled(field):
+    """The field with its separable parts dropped: the sphere means sample
+    it on whole spheres, as they sample every field without parts."""
+    return dataclasses.replace(field, separable=None)
 
 
 def random_spd(rng, n, lo=0.5, hi=3.0):

@@ -138,6 +138,11 @@ tol = -1e-6
         ("classify", "[budget]\ndyn_t0 = -1\n", "[budget] dyn_t0"),
         ("classify", "[budget]\ndyn_t0 = nan\n", "[budget] dyn_t0"),
         ("verify", "[pde]\nn = 64\ntol = -1\n", "[pde] tol"),
+        # a solve tolerance below the floor ran CG to its iteration cap
+        ("verify", "[pde]\nn = 64\ntol = 1e-300\n",
+         "[pde] tol: must be finite and at least the floor 1e-14"),
+        ("integrate", "[integrate]\ntol = 9.99e-15\n",
+         "[integrate] tol: must be finite and at least the floor 1e-14"),
         ("verify", "[pde]\nn = 32\n", "[pde] n"),
         ("verify", "[pde]\nn = 2048\n", "[pde] n"),
         # circles must stay in [2h, 1 - 2h], h = 2/n
@@ -233,6 +238,16 @@ tol = -1e-6
         assert budget.tol == budget.dyn_tol == budget.asi_tol == (
             criteria.TOL_FLOOR)
 
+    def test_solve_tolerances_at_floor_accepted(self, tmp_path):
+        cfg = write_cfg(tmp_path, "[pde]\ntol = 1e-14\n[integrate]\ntol = 1e-14\n")
+        opts = cli.load_config(cfg, "integrate").options
+        assert opts["pde"]["tol"] == opts["integrate"]["tol"] == criteria.TOL_FLOOR
+
+    def test_generator_names_are_the_whitelist(self):
+        # the option table names the generators without loading their module
+        from ellipreg import gilbarg_serrin as gs
+        assert cli._GS_EXAMPLES == tuple(gs.WHITELIST)
+
     @pytest.mark.parametrize("text, section, key, value", [
         ("[moments]\nk_max = 40\n", "moments", "k_max", 40),
         ("[budget]\nnodes_per_octave = 4096\n", "budget", "nodes_per_octave",
@@ -306,15 +321,30 @@ class TestClassifyRuns:
             "sphere_quadrature"]
         M = 20 * 32 + 1       # the profile's radii; its flow sweeps no other
         if res is None:
-            # rank-one: every radius settles at the first pair, 8 + 16 nodes
+            # rank-one: every radius settles at the first pair, 8 + 16
+            # nodes, each rung reading g once per radius
             assert rec["radii_settled"] == {"16": M, "32": 0, "64": 0}
-            assert rec["field_evaluations"] == 24 * M
+            assert rec["field_evaluations"] == 2 * M
             assert rec["pair_tol"] == 1e-9
             assert 0 <= rec["max_pair_discrepancy"] <= 1e-14
+            assert rec["separable_parts"] == 1
         else:
             assert rec.pop("sweep_s") >= 0.0
-            assert rec == {"radii_settled": {"16": M}, "field_evaluations": 16 * M,
-                           "chunks": 1}
+            assert rec == {"radii_settled": {"16": M}, "field_evaluations": M,
+                           "chunks": 0, "separable_parts": 1}
+
+    def test_radial_family_is_swept_on_spheres(self, tmp_path):
+        # a0(r) I has no separable parts: whole spheres, 8 + 16 nodes each
+        out = tmp_path / "out"
+        text = BASE.format(out=out).replace(
+            "family = gilbarg-serrin\ng = -1/log(e^2/r)\nomega = 1/log(e^2/r)",
+            "family = radial\nscale = 0.5*r^0.5")
+        assert cli.main(["classify", write_cfg(tmp_path, text)]) == cli.EXIT_OK
+        rec = json.load(open(out / "report.json"))["provenance_volatile"][
+            "sphere_quadrature"]
+        M = 20 * 32 + 1
+        assert "separable_parts" not in rec
+        assert rec["field_evaluations"] == 24 * M and rec["chunks"] == 2
 
     def test_determinism_modulo_volatile_block(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -574,15 +604,17 @@ radii = 0.5, 0.25, 0.125
         assert "classification" in report["payload"]
         assert "pde" in report["payload"]
 
-    def test_numerical_failure_exits_1(self, tmp_path):
+    def test_numerical_failure_exits_1(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
-        # no lattice meets a tolerance below the rounding of the flow
+        # a tolerance at the floor, with the lattice not allowed below its
+        # starting spacing: the flow cannot meet it
         cfg = write_cfg(tmp_path, BASE.format(out=out) + """
 [integrate]
 t0 = 0
 t1 = 5
-tol = 1e-18
+tol = 1e-14
 """)
+        monkeypatch.setattr(dynsys, "_FLOW_MAX_NODES_PER_OCTAVE", 1)
         assert cli.main(["integrate", cfg]) == cli.EXIT_NUMERICAL
         partial = json.load(open(out / "report_partial.json"))
         error = partial["payload"]["error"]
@@ -591,19 +623,18 @@ tol = 1e-18
                          r"0\.00\d+", error), error
 
 
-    def test_solver_failure_exits_1(self, tmp_path):
+    def test_solver_failure_exits_1(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
-        # CG stalls at rounding, far above a 1e-30 target; x1 would not do,
-        # since its lifted start already solves the identity field's scheme
-        # exactly.  The default radii reach below 2h at n = 64, so the config
-        # names its own
-        cfg = write_cfg(tmp_path, IDENTITY.format(out=out) + """
+        # CG allowed one iteration, far short of the default 1e-12 on a
+        # rank-one field (on the identity the sine-transform preconditioner
+        # is the exact inverse, and one iteration solves it).  The default
+        # radii reach below 2h at n = 64, so the config names its own
+        cfg = write_cfg(tmp_path, BASE.format(out=out) + """
 [pde]
 n = 64
-boundary = harmonic-quadratic
 radii = 0.5, 0.25, 0.125
-tol = 1e-30
 """)
+        monkeypatch.setattr(pde_verify, "_MAXITER", 1)
         assert cli.main(["verify", cfg]) == cli.EXIT_NUMERICAL
         partial = json.load(open(out / "report_partial.json"))
         assert partial["payload"]["error_type"] == "SolveError"

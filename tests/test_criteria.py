@@ -12,7 +12,8 @@ from ellipreg.dyadic import (RATE_LOG, RATE_TO_MINUS_INF, VERDICT_CONVERGES,
                              VERDICT_DIVERGES, VERDICT_INCONCLUSIVE,
                              VERDICT_OSCILLATES, IntegralEvidence)
 
-from conftest import LAB_SPECS, gs_log_field, gs_power_field, lab_field, mean_R
+from conftest import (LAB_SPECS, gs_log_field, gs_power_field, lab_field, mean_R,
+                      sampled)
 from profile_reference import reference_profile
 from rk45_reference import rk45_fundamental_matrix
 from volume_form_reference import sphere_area, volume_integral_partials
@@ -352,17 +353,20 @@ class TestAMinusI:
         assert ev.converges and abs(ev.limit_as_float()) < 1e-13
 
 
+# fields without separable parts: the rank-one ones with theirs dropped
 PROFILE_FIELDS = [
-    lambda: gs_log_field(-1.0, shift=2.0),
-    lambda: gs_power_field(0.5),
+    lambda: sampled(gs_log_field(-1.0, shift=2.0)),
+    lambda: sampled(gs_power_field(0.5)),
     lambda: coeff.make_perturbed_radial(
         2, lambda r: (1.0 + r) * np.eye(2), modulus=power_modulus(1.0)),
-    lambda: gs_log_field(-1.0, shift=2.0, n=3),
+    lambda: sampled(gs_log_field(-1.0, shift=2.0, n=3)),
 ]
 
 
 class TestProfileMatchesReference:
-    """The profile and the deviation condition equal the one-sweep reference."""
+    """The profile and the deviation condition of a field swept on spheres
+    equal the one-sweep reference; ``TestSeparableR`` in test_sphmean.py
+    holds the separable path to the sweep."""
 
     @pytest.mark.parametrize("field_fn", PROFILE_FIELDS)
     def test_profile_arrays_bit_equal(self, field_fn):
@@ -405,7 +409,7 @@ class TestProfileMatchesReference:
                               ref.cum_absdev[ref.octave_idx[1:]])
 
     def test_profile_memory_does_not_grow_with_depth(self):
-        field = gs_log_field(-1.0, shift=2.0, n=3)
+        field = sampled(gs_log_field(-1.0, shift=2.0, n=3))
         peaks = {}
         for k_max in (10, 40):
             tracemalloc.start()
@@ -417,11 +421,31 @@ class TestProfileMatchesReference:
         assert peaks[40] <= 1.1 * peaks[10]
         assert peaks[40] < 64e6
 
+    def test_separable_profile_holds_no_field_samples(self):
+        # R comes from g and the reduced parts, so the depth adds only the
+        # profile's (M, n, n) arrays, about seven live at once (R on two
+        # rungs, S, the cumulative and its Simpson pieces; 6.4 measured),
+        # and the peak stays below the one chunk of samples a sweep holds
+        field = gs_log_field(-1.0, shift=2.0, n=3)
+        peaks = {}
+        for k_max in (10, 40):
+            sampler = criteria.Budget(k_max=k_max).sphere_sampler(3)
+            tracemalloc.start()
+            try:
+                criteria.build_radial_profile(field, k_max=k_max, sampler=sampler)
+                peaks[k_max] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sampler.record()["separable_parts"] == 1
+        per_radius = 8 * 3 * 3
+        assert peaks[40] - peaks[10] <= 8 * per_radius * (40 - 10) * 32
+        assert peaks[40] < 8 * sphmean._SWEEP_CHUNK_DOUBLES
+
     def test_sweep_drops_each_chunk_before_the_next(self):
         # a rank-one field evaluation peaks near three chunks of samples on
         # top of its points; a chunk kept while the next is evaluated would
         # add a fourth
-        field = gs_log_field(-1.0, shift=2.0, n=3)
+        field = sampled(gs_log_field(-1.0, shift=2.0, n=3))
         sampler = criteria.Budget(k_max=40).sphere_sampler(3)
         tracemalloc.start()
         try:
@@ -688,8 +712,10 @@ class TestAdaptiveSphereQuadrature:
 def rotated_rank_one_field(c=0.6, turn=0.6):
     """A = I + g e e^T, g = c/(2 - log r), e the radial direction turned by `turn`.
 
-    Its mean matrix R is -g cos(turn) times the rotation by `turn`, so the
-    log-time flow is a genuine 2x2 system, not a scalar one.
+    Its mean matrix R is -g/2 times the rotation by 2 `turn` (the mean of
+    g e e^T, g/2 I, less g cos(turn) times the rotation by `turn`), so the
+    log-time flow is a genuine 2x2 system, not a scalar one.  The field is
+    a ``make_custom`` one, so its R comes from whole-sphere sweeps.
     """
     def batch(pts):
         pts = np.atleast_2d(np.asarray(pts, float))
@@ -701,6 +727,16 @@ def rotated_rank_one_field(c=0.6, turn=0.6):
         out[r == 0] = np.eye(2)
         return out
     return coeff.make_custom(2, batch, inv_log_modulus(c=c, shift=2.0))
+
+
+@pytest.mark.parametrize("turn", [0.0, math.pi / 8, math.pi / 4])
+def test_rotated_rank_one_mean_is_half_the_double_turn(turn):
+    c, (cos2, sin2) = 0.6, (math.cos(2 * turn), math.sin(2 * turn))
+    want = -0.5 * np.array([[cos2, -sin2], [sin2, cos2]])
+    field = rotated_rank_one_field(c=c, turn=turn)
+    for r in (0.3, 1e-3, 1e-8):
+        g = c / (2.0 - math.log(r))
+        np.testing.assert_allclose(mean_R(field, r) / g, want, rtol=0, atol=1e-12)
 
 
 def classify_reading_nodes(field, budget, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from ellipreg import coeff, sphmean
 
 from conftest import (LAB_SPECS, gs_log_field, gs_power_field, lab_field, mean_R,
-                      one_rung, random_spd)
+                      one_rung, random_spd, sampled)
 from mean_R_reference import reference_mean_R
 
 
@@ -143,14 +143,17 @@ class TestMeanMatrixR:
     @pytest.mark.parametrize("make", ["gilbarg_serrin", "perturbed_radial"])
     def test_gs_closed_form_below_square_underflow(self, n, make):
         # |x| < 1e-154 squares to 0: the radius must not, nor map the point
-        # to I.  The identity part of A cancels in R only to the grid's
-        # rounding, about 5e-15 in 3-D, so 3-D carries that floor
+        # to I.  Swept on spheres, the identity part of A cancels in R only
+        # to the grid's rounding, about 5e-15 in 3-D, so the perturbed field
+        # carries that floor in 3-D; the rank-one field's separable parts
+        # leave the identity out of R
         f = coeff.make_gilbarg_serrin(n, coeff.parse_radial_expr("-1/log(e^2/r)"),
                                       coeff.parse_modulus_expr("1/log(e^2/r)"))
+        floor = 0.0
         if make == "perturbed_radial":
             f = coeff.make_perturbed_radial(n, lambda r: np.eye(n), f,
                                             modulus=f.modulus)
-        floor = 0.0 if n == 2 else 1e-14
+            floor = 0.0 if n == 2 else 1e-14
         for t in (360.0, 400.0, 700.0):
             want = (1.0 - n) / n * (-1.0 / (2.0 + t))
             radii = np.array([math.exp(-t)])
@@ -204,18 +207,26 @@ class TestSphereSampler:
         lambda n: gs_log_field(0.5, power=2.0, n=n),
         lambda n: gs_power_field(0.5, c=-0.5, n=n),
     ])
-    def test_rank_one_fields_settle_at_the_first_pair(self, n, field_fn):
+    @pytest.mark.parametrize("path", ["separable", "sampled"])
+    def test_rank_one_fields_settle_at_the_first_pair(self, n, field_fn, path):
         # a degree-4 integrand: every rung is exact, so every radius keeps
-        # the 16-node R
-        f = field_fn(n)
+        # the 16-node R.  The separable path reads g once per radius and
+        # rung; the sampled one a whole sphere per radius and rung
+        f = field_fn(n) if path == "separable" else sampled(field_fn(n))
         sampler = sphmean.sphere_sampler(n, tol=1e-9)
         R = sphmean.mean_matrix_R_many(f, self.RADII, sampler)
         rec = sampler.record()
         assert rec["radii_settled"] == {"16": len(self.RADII), "32": 0,
                                         **({"64": 0} if n == 2 else {})}
         assert rec["max_pair_discrepancy"] <= 1e-14
-        per_radius = 8 + 16 if n == 2 else 2 * 8 ** 2 + 2 * 16 ** 2
+        if path == "separable":
+            per_radius, parts = 2, 1
+        else:
+            per_radius = 8 + 16 if n == 2 else 2 * 8 ** 2 + 2 * 16 ** 2
+            parts = None
         assert rec["field_evaluations"] == per_radius * len(self.RADII)
+        assert rec.get("separable_parts") == parts
+        assert (rec["chunks"] == 0) == (path == "separable")
         ref = sphmean.mean_matrix_R_many(f, self.RADII,
                                          one_rung(sphmean.default_grid(n)))
         # the rules' own rounding: the 3-D default grid's second moments
@@ -299,6 +310,88 @@ class TestSphereSampler:
         np.testing.assert_array_equal(
             R, sphmean.mean_matrix_R_many(f, self.RADII,
                                           sphmean.sphere_sampler(n, tol=1e-9)))
+
+
+def two_part_field(n):
+    """I + g1(r) theta theta^T + g2(r) e e^T, e = theta turned by 0.4 in the
+    x1 x2 plane, g1 = 0.3 r^0.5 and g2 = -0.2/(2 - ln r): a custom field
+    given J = 2 separable parts by hand."""
+    c, s = math.cos(0.4), math.sin(0.4)
+    turn = np.eye(n)
+    turn[:2, :2] = [[c, -s], [s, c]]
+
+    def factors(radii):
+        r = np.maximum(radii, 1e-300)
+        return np.where(radii[:, None] > 0, np.stack(
+            [0.3 * np.sqrt(r), -0.2 / (2.0 - np.log(r))], axis=1), 0.0)
+
+    def angular(grid):
+        e = grid.nodes @ turn.T
+        return np.stack([grid.node_outer, e[:, :, None] * e[:, None, :]])
+
+    def batch(pts):
+        pts = np.atleast_2d(np.asarray(pts, float))
+        r = coeff._radii(pts)
+        th = pts / np.where(r > 0, r, 1.0)[:, None]
+        e = th @ turn.T
+        g = factors(r)
+        return (np.eye(n) + g[:, 0, None, None] * th[:, :, None] * th[:, None, :]
+                + g[:, 1, None, None] * e[:, :, None] * e[:, None, :])
+
+    f = coeff.make_custom(n, batch, coeff.power_modulus(0.5))
+    return dataclasses.replace(f, separable=coeff.SeparableParts(factors, angular))
+
+
+class TestSeparableR:
+    """R from a field's separable parts against R from its sphere sweeps."""
+
+    RADII = np.concatenate([[1.0], 2.0 ** -np.linspace(1.0, 30.0, 59),
+                            [math.exp(-700.0), 1e-140, 1e-300, 0.0]])
+    FIELDS = [lambda n, spec=spec: lab_field(spec, n) for spec in LAB_SPECS]
+    FIELDS.append(two_part_field)
+    IDS = ["-".join(map(str, spec)) for spec in LAB_SPECS] + ["two-part"]
+    SAMPLERS = {"adaptive": lambda n: sphmean.sphere_sampler(n, tol=1e-9),
+                "default": lambda n: sphmean.sphere_sampler(
+                    n, sphmean.default_resolution(n)),
+                "coarse": lambda n: sphmean.sphere_sampler(n, 24 if n == 2 else 12)}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("field_fn", FIELDS, ids=IDS)
+    @pytest.mark.parametrize("ladder", list(SAMPLERS))
+    def test_agrees_with_the_sweep(self, n, field_fn, ladder):
+        f = field_fn(n)
+        fast, slow = self.SAMPLERS[ladder](n), self.SAMPLERS[ladder](n)
+        R = sphmean.mean_matrix_R_many(f, self.RADII, fast)
+        ref = sphmean.mean_matrix_R_many(sampled(f), self.RADII, slow)
+        g = f.separable.factors(self.RADII)
+        bound = 64 * np.finfo(float).eps * (1.0 + np.max(np.abs(g)))
+        assert np.max(np.abs(R - ref)) <= bound
+        assert fast.settled == slow.settled
+        # the origin: every factor is 0, so is R, with no identity residue
+        np.testing.assert_array_equal(R[-1], np.zeros((n, n)))
+        assert fast.record()["separable_parts"] == g.shape[1]
+        assert "separable_parts" not in slow.record()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_kernel_call_per_rung_and_no_sphere_sampled(self, n, monkeypatch):
+        calls = []
+        inner = sphmean.mean_R_kernel
+
+        def spy(A, grid):
+            calls.append((A.shape, len(grid.weights)))
+            return inner(A, grid)
+
+        def no_spheres(radii, grid):
+            raise AssertionError("a separable field was sampled on spheres")
+
+        f = dataclasses.replace(two_part_field(n), sphere_batch=no_spheres)
+        sampler = sphmean.sphere_sampler(n, tol=1e-9)
+        monkeypatch.setattr(sphmean, "mean_R_kernel", spy)
+        sphmean.mean_matrix_R_many(f, self.RADII, sampler)
+        m = [len(g.weights) for g in sampler.grids]
+        # the parts agree at 8 and 16 nodes, so the ladder stops there
+        assert calls == [((2, m[0], n, n), m[0]), ((2, m[1], n, n), m[1])]
+        assert sampler.record()["field_evaluations"] == 2 * 2 * len(self.RADII)
 
 
 def assert_samples_agree(got, want):
