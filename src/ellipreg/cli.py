@@ -268,52 +268,56 @@ def _field_floats(spec: dict, key: str) -> list:
         raise ConfigError(f"[field] {key}: {e}") from None
 
 
+def _field_expr(key: str, text: str, parse):
+    """``parse(text)`` for the [field] key ``key``, its error naming it."""
+    try:
+        return parse(text)
+    except coeff.FieldError as e:
+        raise ConfigError(f"[field] {key}: {e}") from None
+
+
 def build_field(cfg: RunConfig) -> coeff.CoefficientField:
-    spec = cfg.field_spec
+    spec, n = cfg.field_spec, cfg.dim
     family = cfg.options["field"]["family"]
-    n = cfg.dim
-    if family in ("identity", ""):
-        return coeff.make_constant(n, np.eye(n))
-    if family == "constant":
-        diag = spec.get("diag")
-        if diag is None:
-            raise ConfigError("[field] constant family needs diag = a, b[, c]")
-        vals = _field_floats(spec, "diag")
-        if len(vals) != n:
-            raise ConfigError(f"[field] diag: expected {n} entries")
-        return coeff.make_constant(n, np.diag(vals))
-    if family in ("gilbarg-serrin", "gs"):
-        g_expr = spec.get("g")
-        if not g_expr:
-            raise ConfigError("[field] gilbarg-serrin family needs g = <expr>")
-        try:
-            g = coeff.parse_radial_expr(g_expr)
-            omega_expr = spec.get("omega")
-            omega_piecewise = spec.get("omega_piecewise")
-            if omega_piecewise:
-                if omega_expr:
+    # the key a constructor's refusal names; the rank-one family's
+    # messages name g or its envelope themselves
+    key = {"constant": "diag: ", "radial": "scale: "}.get(family, "")
+    try:
+        if family in ("identity", ""):
+            return coeff.make_constant(n, np.eye(n))
+        if family == "constant":
+            if spec.get("diag") is None:
+                raise ConfigError("[field] constant family needs diag = a, b[, c]")
+            vals = _field_floats(spec, "diag")
+            if len(vals) != n:
+                raise ConfigError(f"[field] diag: expected {n} entries")
+            return coeff.make_constant(n, np.diag(vals))
+        if family in ("gilbarg-serrin", "gs"):
+            g_expr = spec.get("g")
+            if not g_expr:
+                raise ConfigError("[field] gilbarg-serrin family needs g = <expr>")
+            g = _field_expr("g", g_expr, coeff.parse_radial_expr)
+            if spec.get("omega_piecewise"):
+                if spec.get("omega"):
                     raise ConfigError("[field] omega: not read beside "
                                       "omega_piecewise; set one of the two")
                 omega = coeff.piecewise_log_modulus(
                     _field_floats(spec, "omega_piecewise"))
-            elif omega_expr:
-                omega = coeff.parse_modulus_expr(omega_expr)
             else:
                 # default envelope: |g| must be a valid modulus on its own
-                omega = coeff.parse_modulus_expr(g_expr.lstrip("+-"))
+                omega = _field_expr("omega", spec.get("omega") or g_expr.lstrip("+-"),
+                                    coeff.parse_modulus_expr)
             return coeff.make_gilbarg_serrin(n, g, omega)
-        except coeff.FieldError as e:
-            raise ConfigError(f"[field] {e}") from None
-    # the radial family
-    a_expr = spec.get("scale", "r^1")
-    try:
-        sc = coeff.parse_radial_expr(a_expr)
+        # the radial family, (1 + scale(r)) I: scale read per array of radii
+        scale = spec.get("scale", "r^1")
+        sc = _field_expr("scale", scale, coeff.parse_radial_expr)
+        omega = _field_expr("omega", spec.get("omega", scale.lstrip("+-")),
+                            coeff.parse_modulus_expr)
+        return coeff.make_perturbed_radial(
+            n, lambda radii: (1.0 + sc(radii))[:, None, None] * np.eye(n),
+            modulus=omega)
     except coeff.FieldError as e:
-        raise ConfigError(f"[field] scale: {e}") from None
-    a0 = lambda r: (1.0 + float(sc(np.asarray([r]))[0])) * np.eye(n)
-    omega_expr = spec.get("omega", a_expr.lstrip("+-"))
-    return coeff.make_perturbed_radial(
-        n, a0, None, modulus=coeff.parse_modulus_expr(omega_expr))
+        raise ConfigError(f"[field] {key}{e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,17 @@ Fields are represented as evaluators plus metadata, never as sampled arrays,
 so quadrature resolution is always chosen by the consumer.  All objects here
 are immutable and all operations pure.
 
-The sphere means read a field on whole spheres, radii x grid nodes, through
-:meth:`CoefficientField.on_spheres`.  A factory that knows its field's
-radial structure supplies the sampler: a rank-one field is I + g(r) theta
-theta^T with g read once per radius and theta theta^T the grid's
-``node_outer``, a radial field calls a0 once per radius.  Any other field
+A field that knows its angular structure is defined once, as a separable
+form A(r theta) = A0(r) + sum_j c_j(r) B_j(theta) (:class:`SeparableParts`),
+with A0 constant on each sphere.  Its values on whole spheres
+(:meth:`CoefficientField.on_spheres`) and at points (``eval_batch``) are
+both read off the form; the origin takes A0(0).  The sphere means reduce
+the J angular parts once per grid: A0 adds nothing to R.
+``make_gilbarg_serrin`` has J = 1 (c = g, B = theta theta^T);
+``make_constant`` and a radial field have J = 0.  A field without a form
+(``make_custom``, or ``make_perturbed_radial`` with a bare evaluator as a1)
 is read through ``eval_batch`` at the points.  A grid is anything with
-``nodes`` (m, n) and ``node_outer`` (m, n, n), so this module does not
-import the quadrature module.
-
-A field may also report a separable form, A(r theta) = A0(r) +
-sum_j c_j(r) B_j(theta) with A0 constant on each sphere
-(:class:`SeparableParts`).  The sphere means then reduce the J angular
-parts once per grid and never sample whole spheres: A0, constant on each
-sphere, adds nothing to R.  ``make_gilbarg_serrin`` reports J = 1, c = g and
-B = theta theta^T, and its sphere sampler reads g through the same factors.
+``nodes`` (m, n), so this module does not import the quadrature module.
 """
 
 from __future__ import annotations
@@ -230,16 +226,43 @@ def parse_modulus_expr(expr: str) -> Modulus:
 
 @dataclass(frozen=True)
 class SeparableParts:
-    """The non-constant part of A(r theta) = A0(r) + sum_j c_j(r) B_j(theta).
+    """A field's separable form, A(r theta) = A0(r) + sum_j c_j(r) B_j(theta).
 
-    ``factors`` maps radii (k,) to the radial factors c, shape (k, J);
-    ``angular`` maps a grid to the angular parts B at its nodes, shape
-    (J, m, n, n), each symmetric.  A0 is left out: it is constant on each
-    sphere, so it adds nothing to a sphere mean of A - n A theta theta^T.
+    ``base`` maps radii (k,) to A0, shape (k, n, n); ``factors`` maps radii
+    to the radial factors c, shape (k, J); ``angular`` maps unit vectors
+    (m, n) to the angular parts B, shape (J, m, n, n), each symmetric.
     """
 
+    base: Callable[[np.ndarray], np.ndarray]
     factors: Callable[[np.ndarray], np.ndarray]
-    angular: Callable[[object], np.ndarray]
+    angular: Callable[[np.ndarray], np.ndarray]
+
+    def on_spheres(self, radii: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """A at radii[i] * nodes[j], shape (k, m, n, n); radius 0 takes A0(0)."""
+        c = np.where(radii[:, None] == 0, 0.0, self.factors(radii))
+        A = np.einsum("kj,jmab->kmab", c, self.angular(nodes))
+        A += self.base(radii)[:, None]
+        return A
+
+    def at_points(self, pts) -> np.ndarray:
+        """A at each row of ``pts``, shape (m, n, n); the origin takes A0(0)."""
+        pts = np.atleast_2d(np.asarray(pts, float))
+        r = _radii(pts)
+        origin = r == 0
+        theta = pts / np.where(origin, 1.0, r)[:, None]
+        # an origin row reads the parts at a unit vector, with factors 0
+        theta[origin, 0] = 1.0
+        c = np.where(origin[:, None], 0.0, self.factors(r))
+        A = np.einsum("pj,jpab->pab", c, self.angular(theta))
+        A += self.base(r)
+        return A
+
+
+def _radial_parts(base: Callable[[np.ndarray], np.ndarray]) -> SeparableParts:
+    """The form of a field constant on each sphere: the base alone, J = 0."""
+    return SeparableParts(
+        base, lambda radii: np.zeros((len(radii), 0)),
+        lambda nodes: np.zeros((0,) + nodes.shape + nodes.shape[-1:]))
 
 
 @dataclass(frozen=True)
@@ -250,15 +273,10 @@ class CoefficientField:
     symmetric matrices; ``eval`` is the single-point convenience wrapper.
     ``normalized`` records whether eval(0) = I; the classification pipeline
     only accepts normalized fields, while the moment quadratures accept any.
-    ``sphere_batch`` maps radii (k,) and a grid to the field on those
-    spheres, (k, m, n, n); None reads ``eval_batch`` at the points, looked
-    up when sampled.  The two are separate evaluators of one field:
-    ``dataclasses.replace(field, eval_batch=...)`` keeps the old
-    ``sphere_batch``, so the sphere means do not read the new evaluator.
-    Pass ``sphere_batch=None`` with it to have them read it.  ``separable``,
-    when given, is the field's separable form, from which the sphere means
-    take R without sampling spheres; ``dataclasses.replace(field,
-    separable=None)`` has them sample the field instead.
+    ``separable``, when given, is the field's form: ``on_spheres`` reads it,
+    the factory reads ``eval_batch`` off it, and the sphere means take R
+    from it without sampling spheres.  ``dataclasses.replace(field,
+    separable=None)`` has them sample the field at points instead.
     """
 
     dim: int
@@ -267,8 +285,6 @@ class CoefficientField:
     modulus: Modulus
     family_tag: str = FAMILY_CUSTOM
     normalized: bool = True
-    gs_profile: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    sphere_batch: Optional[Callable[[np.ndarray, object], np.ndarray]] = None
     separable: Optional[SeparableParts] = None
 
     def eval(self, x) -> np.ndarray:
@@ -278,9 +294,11 @@ class CoefficientField:
     def on_spheres(self, radii, grid) -> np.ndarray:
         """The field at radii[i] * grid.nodes[j], shape (k, m, n, n)."""
         radii = np.asarray(radii, float)
-        if self.sphere_batch is not None:
-            return self.sphere_batch(radii, grid)
-        return _at_points(self.eval_batch, radii, grid)
+        if self.separable is not None:
+            return self.separable.on_spheres(radii, grid.nodes)
+        m, n = grid.nodes.shape
+        pts = (radii[:, None, None] * grid.nodes[None, :, :]).reshape(-1, n)
+        return self.eval_batch(pts).reshape(len(radii), m, n, n)
 
     def __call__(self, x) -> np.ndarray:
         return self.eval(x)
@@ -300,7 +318,8 @@ def _check_spd(A0: np.ndarray, what: str = "matrix") -> tuple:
 
 
 def make_constant(n: int, A0: np.ndarray) -> CoefficientField:
-    """Constant field A(x) = A0.  Normalized only when A0 = I.
+    """Constant field A(x) = A0, a form with J = 0.  Normalized only when
+    A0 = I.
 
     Non-normalized constant fields are accepted for the moment-quadrature
     sanity tests (their mean matrix R vanishes identically) but are rejected
@@ -311,16 +330,13 @@ def make_constant(n: int, A0: np.ndarray) -> CoefficientField:
     if A0.shape[0] != n:
         raise FieldError(f"A0 has dimension {A0.shape[0]}, expected {n}")
     is_identity = np.allclose(A0, np.eye(n), atol=1e-15)
-
-    def batch(pts, A0=A0):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        return np.broadcast_to(A0, (len(pts), n, n)).copy()
-
+    parts = _radial_parts(lambda radii: np.broadcast_to(A0, (len(radii), n, n)))
     off = float(np.max(np.abs(A0 - np.eye(n))))
     mod = zero_modulus() if is_identity else constant_modulus(off)
     return CoefficientField(
-        dim=n, eval_batch=batch, ellipticity=(lam_min, lam_max),
+        dim=n, eval_batch=parts.at_points, ellipticity=(lam_min, lam_max),
         modulus=mod, family_tag=FAMILY_CONSTANT, normalized=is_identity,
+        separable=parts,
     )
 
 
@@ -329,10 +345,11 @@ def make_gilbarg_serrin(n: int, g: Callable, omega_bound: Modulus) -> Coefficien
 
     The radial profile must stay inside the declared envelope,
     |g(r)| <= omega_bound(r), and keep the field elliptic, 1 + g(r) > 0;
-    both are checked at the radii _GS_CHECK_RADII.  The field is separable
-    with one part: the factor g(r), 0 at r = 0, and the grid's theta theta^T.
+    both are checked at the radii _GS_CHECK_RADII.  The field is its form
+    with one part: the base I, the factor g(r), 0 at r = 0, and
+    theta theta^T.
     """
-    gv = np.vectorize(g, otypes=[float]) if not _is_vectorized(g) else g
+    gv = np.vectorize(g, otypes=[float]) if not _is_vectorized(g, (2,)) else g
     rr = _GS_CHECK_RADII
     gr = np.asarray(gv(rr), float)
     wr = omega_bound(rr)
@@ -346,35 +363,21 @@ def make_gilbarg_serrin(n: int, g: Callable, omega_bound: Modulus) -> Coefficien
         r_bad = rr[1.0 + gr <= 0][0]
         raise FieldError(f"ellipticity lost: 1 + g(r) <= 0 at r = {r_bad:.6g}")
 
-    def batch(pts, gv=gv, n=n):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        out = np.broadcast_to(np.eye(n), (len(pts), n, n)).copy()
-        r = _radii(pts)
-        # origin rows get theta = 0, so A = I there; g is read at r = 1
-        rs = np.where(r > 0, r, 1.0)
-        th = pts / rs[:, None]
-        gval = np.asarray(gv(rs), float)
-        out += gval[:, None, None] * th[:, :, None] * th[:, None, :]
-        return out
-
     def factors(radii, gv=gv):
         # g once per radius, (k, 1); radius 0 takes g = 0, so A = I there
         live = radii > 0
         gval = np.where(live, np.asarray(gv(np.where(live, radii, 1.0)), float), 0.0)
         return gval[:, None]
 
-    def sphere(radii, grid, n=n):
-        out = factors(radii)[:, :, None, None] * grid.node_outer
-        out += np.eye(n)
-        return out
-
+    parts = SeparableParts(
+        lambda radii: np.broadcast_to(np.eye(n), (len(radii), n, n)), factors,
+        lambda nodes: (nodes[:, :, None] * nodes[:, None, :])[None])
     lam_min = float(min(1.0, 1.0 + np.min(gr)))
     lam_max = float(max(1.0, 1.0 + np.max(gr)))
     return CoefficientField(
-        dim=n, eval_batch=batch, ellipticity=(lam_min, lam_max),
+        dim=n, eval_batch=parts.at_points, ellipticity=(lam_min, lam_max),
         modulus=omega_bound, family_tag=FAMILY_GILBARG_SERRIN,
-        normalized=True, gs_profile=gv, sphere_batch=sphere,
-        separable=SeparableParts(factors, lambda grid: grid.node_outer[None]),
+        normalized=True, separable=parts,
     )
 
 
@@ -382,45 +385,42 @@ def make_perturbed_radial(n: int, a0: Callable, a1=None, *,
                           modulus: Modulus) -> CoefficientField:
     """Field a0(|x|) + a1(x) - a1(0), with a0(0) = I and envelope ``modulus``.
 
-    ``a0`` maps a radius to an n x n symmetric matrix; ``a1`` is another
-    CoefficientField, a batch evaluator, or None.  The correction by a1(0)
-    keeps the combined field normalized.  The mean matrix R of the result is
-    determined by a1 alone (radial parts integrate to zero).
+    ``a0`` maps a radius to an n x n symmetric matrix, or radii (k,) to
+    (k, n, n); ``a1`` is another CoefficientField, a batch evaluator, or
+    None.  The correction by a1(0) keeps the combined field normalized, and
+    the origin evaluates to I by fiat.  With a1 None the field is the form
+    of a0 alone (J = 0), with a1 a field that has a form it is the sum of
+    the two forms; then R is a1's, since radial parts integrate to zero.
+    With any other a1 the field has no form and is read at points.
     """
-    A00 = np.asarray(a0(0.0), float)
-    if not np.allclose(A00, np.eye(n), atol=1e-12):
+    if not _is_vectorized(a0, (2, n, n)):
+        a0 = lambda radii, a0=a0: np.array(
+            [a0(r) for r in radii], float).reshape(-1, n, n)
+    if not np.allclose(a0(np.zeros(1))[0], np.eye(n), atol=1e-12):
         raise FieldError("a0(0) must equal the identity")
+    a1_parts = (_radial_parts(lambda radii: np.zeros((len(radii), n, n)))
+                if a1 is None else getattr(a1, "separable", None))
+    if a1_parts is not None:
+        a1_zero = a1_parts.base(np.zeros(1))[0]
 
-    if a1 is None:
-        a1_batch = a1_sphere = None
-        a1_zero = np.zeros((n, n))
-    elif isinstance(a1, CoefficientField):
-        a1_batch, a1_sphere = a1.eval_batch, a1.on_spheres
-        a1_zero = a1.eval(np.zeros(n))
+        def base(radii):
+            out = a0(radii) + a1_parts.base(radii) - a1_zero
+            out[radii == 0] = np.eye(n)
+            return out
+
+        parts = SeparableParts(base, a1_parts.factors, a1_parts.angular)
+        batch = parts.at_points
     else:
-        a1_batch = a1
-        a1_sphere = lambda radii, grid: _at_points(a1, radii, grid)
-        a1_zero = np.asarray(a1(np.zeros((1, n))), float)[0]
+        parts = None
+        a1_batch = a1.eval_batch if isinstance(a1, CoefficientField) else a1
+        a1_zero = np.asarray(a1_batch(np.zeros((1, n))), float)[0]
 
-    def batch(pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        r = _radii(pts)
-        out = np.stack([np.asarray(a0(ri), float) for ri in r])
-        if a1_batch is not None:
-            out = out + a1_batch(pts) - a1_zero
-        # points at the origin evaluate to I by fiat
-        out[r == 0] = np.eye(n)
-        return out
-
-    def sphere(radii, grid):
-        # a0 once per radius, the same matrix over its sphere
-        a0r = np.stack([np.asarray(a0(r), float) for r in radii])
-        out = np.repeat(a0r[:, None], len(grid.nodes), axis=1)
-        if a1_sphere is not None:
-            out += a1_sphere(radii, grid)
-            out -= a1_zero
-        out[radii == 0] = np.eye(n)
-        return out
+        def batch(pts):
+            pts = np.atleast_2d(np.asarray(pts, float))
+            r = _radii(pts)
+            out = a0(r) + a1_batch(pts) - a1_zero
+            out[r == 0] = np.eye(n)
+            return out
 
     # sampled ellipticity estimate on a coarse probe set
     rng = np.random.default_rng(7)
@@ -433,10 +433,10 @@ def make_perturbed_radial(n: int, a0: Callable, a1=None, *,
     if lam_min <= 0:
         raise FieldError(f"combined field loses ellipticity (eigenvalue {lam_min:.6g})")
 
-    tag = FAMILY_RADIAL if a1_batch is None else FAMILY_PERTURBED_RADIAL
+    tag = FAMILY_RADIAL if a1 is None else FAMILY_PERTURBED_RADIAL
     return CoefficientField(
         dim=n, eval_batch=batch, ellipticity=(lam_min, lam_max),
-        modulus=modulus, family_tag=tag, normalized=True, sphere_batch=sphere,
+        modulus=modulus, family_tag=tag, normalized=True, separable=parts,
     )
 
 
@@ -484,17 +484,11 @@ def _radii(pts: np.ndarray) -> np.ndarray:
     return r
 
 
-def _at_points(eval_batch: Callable, radii: np.ndarray, grid) -> np.ndarray:
-    """``eval_batch`` at the points radii x grid.nodes, shape (k, m, n, n)."""
-    m, n = grid.nodes.shape
-    pts = (radii[:, None, None] * grid.nodes[None, :, :]).reshape(-1, n)
-    return eval_batch(pts).reshape(len(radii), m, n, n)
-
-
-def _is_vectorized(g) -> bool:
+def _is_vectorized(f, shape: tuple) -> bool:
+    """Whether ``f`` maps the radii [0.25, 0.5] to an array of ``shape``."""
     try:
-        out = g(np.array([0.25, 0.5]))
-        return np.asarray(out).shape == (2,)
+        out = f(np.array([0.25, 0.5]))
+        return np.asarray(out).shape == shape
     except Exception:
         return False
 

@@ -9,23 +9,25 @@ whose log-time evolution drives the whole regularity diagnosis, together
 with its symmetrization S = -(R + R^T)/2, the top eigenvalue mu(S), and the
 degree-<=4 moment matrices used by the first-order reduction.  Every R in
 the package, at one radius or many, comes from the one kernel
-:func:`mean_R_kernel` applied to field samples on a grid.  Each grid carries
+:func:`mean_R_kernel` applied to field samples, or to the angular parts of
+a field's separable form, on a grid.  Each grid carries
 the weight tensor T_m = w_m (I - n theta_m theta_m^T), so that
 R_ik = sum over m, j of A_m,ij T_m,jk: one matrix product per radius.
 
-A sweep over many radii samples the field a chunk of whole spheres at a
-time, through the field's own :meth:`~ellipreg.coeff.CoefficientField.on_spheres`
-(a rank-one field reads g once per radius and the grid's theta theta^T):
-at most _SWEEP_CHUNK_DOUBLES doubles of samples (2 MB, small enough to stay
-in a core's cache while the kernel reduces them), but at least one sphere.
-
-A field that reports a separable form A0(r) + sum_j c_j(r) B_j(theta)
+A field with a separable form A0(r) + sum_j c_j(r) B_j(theta)
 (:class:`~ellipreg.coeff.SeparableParts`) is not sampled on spheres at all.
 R is linear in A, and the mean of C - n C theta theta^T is 0 for every
 constant C, so A0 adds exactly nothing and R(r) = sum_j c_j(r) R[B_j]: one
-kernel call on the J angular parts per grid, then one (k, J) @ (J, n n)
-product.  The identity part of a rank-one field then leaves no rounding
-residue in R, where the sweep leaves the grid's (up to 3e-14 in 3-D).
+kernel call on the J angular parts at the grid's nodes, then one
+(k, J) @ (J, n n) product.  A field with J = 0 (a constant or radial one)
+has R = 0 exactly, and the identity part of a rank-one field leaves no
+rounding residue in R, where a sweep leaves the grid's (up to 3e-14 in 3-D).
+
+A field without a form is swept a chunk of whole spheres at a time, read
+at the points through its ``eval_batch``
+(:meth:`~ellipreg.coeff.CoefficientField.on_spheres`): at most
+_SWEEP_CHUNK_DOUBLES doubles of samples (2 MB, small enough to stay in a
+core's cache while the kernel reduces them), but at least one sphere.
 
 R over many radii goes through :func:`mean_matrix_R_many` and a
 :class:`SphereSampler`.  A sampler with one rung sweeps that grid as
@@ -64,20 +66,17 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0   # the turn of a lower rung, per 2 pi / 
 
 @dataclass(frozen=True)
 class SphericalGrid:
-    """Quadrature nodes on S^{n-1} with mean-value weights (sum = 1), their
-    outer products theta_m theta_m^T, and the R kernel's weight tensor
-    T_m = w_m (I - n theta_m theta_m^T)."""
+    """Quadrature nodes on S^{n-1} with mean-value weights (sum = 1) and
+    the R kernel's weight tensor T_m = w_m (I - n theta_m theta_m^T)."""
 
     dim: int
     nodes: np.ndarray    # (m, n) unit vectors
     weights: np.ndarray  # (m,)
-    node_outer: np.ndarray = dc_field(init=False, repr=False, compare=False)
     R_weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         th, n = self.nodes, self.dim
         outer = th[:, :, None] * th[:, None, :]
-        object.__setattr__(self, "node_outer", outer)
         object.__setattr__(self, "R_weights",
                            self.weights[:, None, None] * (np.eye(n) - n * outer))
 
@@ -164,8 +163,8 @@ class SphereSampler:
     the values computed from the field (whole-sphere samples, or the radial
     factors of a separable field), ``chunks`` the sweep chunks the samples
     came in and ``sweep_s`` the seconds spent evaluating and reducing them.
-    ``separable_parts`` is the part count J of a separable field whose R
-    came from its parts, None when the field was sampled on spheres.
+    ``separable_parts`` is the part count J of a field whose R came from
+    its form, None when the field was sampled on spheres.
     """
 
     resolutions: tuple
@@ -277,10 +276,11 @@ def mean_matrix_R_many(field: CoefficientField, radii: np.ndarray,
                        sampler: SphereSampler) -> np.ndarray:
     """R(r) over an array of radii, shape (M, n, n), through the sampler's
     ladder: each radius at the first rung that agrees with the one below it,
-    or at the top rung.  On each rung a separable field's R is its radial
-    factors times its angular parts reduced by :func:`mean_R_kernel`; any
-    other field's is one :func:`sphere_sweep` reduced by the kernel, so only
-    one chunk of field samples is held at a time.  The work is added to the
+    or at the top rung.  On each rung the R of a field with a form is its
+    radial factors times its angular parts at the nodes, reduced by
+    :func:`mean_R_kernel`; any other field's is one :func:`sphere_sweep`
+    reduced by the kernel, so only one chunk of field samples is held at a
+    time.  The work is added to the
     sampler's record."""
     radii = np.asarray(radii, float)
     n, parts = field.dim, field.separable
@@ -295,7 +295,7 @@ def mean_matrix_R_many(field: CoefficientField, radii: np.ndarray,
             sampler.chunks += -(-len(live) // _radii_per_chunk(grid))
         else:
             c = np.asarray(parts.factors(radii[live]), float)    # (k, J)
-            RB = mean_R_kernel(parts.angular(grid), grid)        # (J, n, n)
+            RB = mean_R_kernel(parts.angular(grid.nodes), grid)  # (J, n, n)
             fine = (c @ RB.reshape(len(RB), n * n)).reshape(len(live), n, n)
             sampler.field_evals += c.size
             sampler.separable_parts = len(RB)

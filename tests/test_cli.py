@@ -106,6 +106,27 @@ tol = -1e-6
         assert cli.main([subcommand, cfg]) == cli.EXIT_CONFIG
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, name, message", [
+        ("family = constant\ndiag = 1, -1\n", "[field] diag",
+         "not positive definite"),
+        ("family = radial\nscale = -2*r^1\n", "[field] scale",
+         "loses ellipticity"),
+        ("family = radial\nscale = 1/log(e^2/r)\n", "[field] scale",
+         "a0(0) must equal the identity"),
+        ("family = gilbarg-serrin\ng = -2*r^1\nomega = 2*r^1\n", "[field]",
+         "ellipticity lost"),
+    ])
+    def test_field_error_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                  text, name, message):
+        # the family's constructor refuses the field: a config error, with
+        # no partial report, whichever family it is
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, f"[field]\n{text}\n[output]\ndir = {out}\n")
+        assert cli.main(["classify", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {name}" in err and message in err, err
+        assert not (out / "report_partial.json").exists()
+
     @pytest.mark.parametrize("subcommand, text, name", [
         ("classify", "[budget]\ndyn_tol = nan\n", "[budget] dyn_tol"),
         ("classify", "[budget]\ntol = nan\n", "[budget] tol"),
@@ -333,18 +354,23 @@ class TestClassifyRuns:
             assert rec == {"radii_settled": {"16": M}, "field_evaluations": M,
                            "chunks": 0, "separable_parts": 1}
 
-    def test_radial_family_is_swept_on_spheres(self, tmp_path):
-        # a0(r) I has no separable parts: whole spheres, 8 + 16 nodes each
+    @pytest.mark.parametrize("family", [
+        "family = radial\nscale = 0.5*r^0.5", "family = identity"])
+    def test_radial_family_evaluates_no_field_sample(self, tmp_path, family):
+        # (1 + scale(r)) I and I are forms with no part: R is 0 on every
+        # rung, with no sphere sampled and no factor read
         out = tmp_path / "out"
         text = BASE.format(out=out).replace(
             "family = gilbarg-serrin\ng = -1/log(e^2/r)\nomega = 1/log(e^2/r)",
-            "family = radial\nscale = 0.5*r^0.5")
+            family)
         assert cli.main(["classify", write_cfg(tmp_path, text)]) == cli.EXIT_OK
-        rec = json.load(open(out / "report.json"))["provenance_volatile"][
-            "sphere_quadrature"]
-        M = 20 * 32 + 1
-        assert "separable_parts" not in rec
-        assert rec["field_evaluations"] == 24 * M and rec["chunks"] == 2
+        report = json.load(open(out / "report.json"))
+        rec = report["provenance_volatile"]["sphere_quadrature"]
+        assert rec["separable_parts"] == 0
+        assert rec["field_evaluations"] == 0 and rec["chunks"] == 0
+        partials = report["payload"]["evidence"]["pv_12a"]["partial_values"]
+        assert len(partials) == 20
+        assert np.all(np.asarray(partials) == 0.0)
 
     def test_determinism_modulo_volatile_block(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

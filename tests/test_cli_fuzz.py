@@ -135,13 +135,16 @@ def test_load_returns_or_names_a_drawn_key(tmp_path, config):
         assert any(name in str(e) for name in names), (str(e), drawn)
 
 
-# a rank-one field at a shallow budget, so that every subcommand has a field
-# and a grid to run on
-BASE = """[field]
-family = gilbarg-serrin
-g = -1/log(e^2/r)
-omega = 1/log(e^2/r)
-[budget]
+# A base per family, each with the [field] keys its family reads, at a
+# shallow budget so that every subcommand has a field and a grid to run on
+FIELDS = {
+    "identity": "family = identity\n",
+    "constant": "family = constant\ndiag = 2, 1\n",
+    "gilbarg-serrin": "family = gilbarg-serrin\ng = -1/log(e^2/r)\n"
+                      "omega = 1/log(e^2/r)\n",
+    "radial": "family = radial\nscale = 0.5*r^0.5\n",
+}
+SHALLOW = """[budget]
 k_max = 8
 nodes_per_octave = 8
 [pde]
@@ -150,24 +153,31 @@ radii = 0.5, 0.25, 0.125
 """
 
 
-@settings(max_examples=20, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(config=_configs(cheap=True))
 def test_cheap_run_exits_0_1_or_2_in_bounded_memory(tmp_path, monkeypatch,
-                                                     capsys, config):
-    subcommand, drawn = config
+                                                     capsys):
     monkeypatch.setenv("ELLIPREG_OUTDIR", str(tmp_path / "out"))
-    path = _write(tmp_path / "run.ini", drawn, BASE)
-    try:
-        cli.load_config(path, subcommand)
-    except cli.ConfigError:
-        assume(False)    # refused while loading: the load fuzz covers it
-    tracemalloc.start()
-    try:
-        rc = cli.main([subcommand, path])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
-    assert rc in (cli.EXIT_OK, cli.EXIT_NUMERICAL, cli.EXIT_CONFIG), drawn
-    assert peak <= PEAK_BYTES, (peak, drawn)
+    reached = set()     # the families of the configs that reached cli.main
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(sorted(FIELDS)), config=_configs(cheap=True))
+    def run(family, config):
+        subcommand, drawn = config
+        path = _write(tmp_path / "run.ini", drawn,
+                      "[field]\n" + FIELDS[family] + SHALLOW)
+        try:
+            loaded = cli.load_config(path, subcommand)
+        except cli.ConfigError:
+            assume(False)    # refused while loading: the load fuzz covers it
+        reached.add(loaded.options["field"]["family"])
+        tracemalloc.start()
+        try:
+            rc = cli.main([subcommand, path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert rc in (cli.EXIT_OK, cli.EXIT_NUMERICAL, cli.EXIT_CONFIG), drawn
+        assert peak <= PEAK_BYTES, (peak, drawn)
+
+    run()
+    assert set(FIELDS) <= reached, reached

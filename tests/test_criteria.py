@@ -353,12 +353,13 @@ class TestAMinusI:
         assert ev.converges and abs(ev.limit_as_float()) < 1e-13
 
 
-# fields without separable parts: the rank-one ones with theirs dropped
+# fields without a separable form: the rank-one and radial ones with theirs
+# dropped
 PROFILE_FIELDS = [
     lambda: sampled(gs_log_field(-1.0, shift=2.0)),
     lambda: sampled(gs_power_field(0.5)),
-    lambda: coeff.make_perturbed_radial(
-        2, lambda r: (1.0 + r) * np.eye(2), modulus=power_modulus(1.0)),
+    lambda: sampled(coeff.make_perturbed_radial(
+        2, lambda r: (1.0 + r) * np.eye(2), modulus=power_modulus(1.0))),
     lambda: sampled(gs_log_field(-1.0, shift=2.0, n=3)),
 ]
 

@@ -325,9 +325,10 @@ def two_part_field(n):
         return np.where(radii[:, None] > 0, np.stack(
             [0.3 * np.sqrt(r), -0.2 / (2.0 - np.log(r))], axis=1), 0.0)
 
-    def angular(grid):
-        e = grid.nodes @ turn.T
-        return np.stack([grid.node_outer, e[:, :, None] * e[:, None, :]])
+    def angular(theta):
+        e = theta @ turn.T
+        return np.stack([theta[:, :, None] * theta[:, None, :],
+                         e[:, :, None] * e[:, None, :]])
 
     def batch(pts):
         pts = np.atleast_2d(np.asarray(pts, float))
@@ -339,7 +340,9 @@ def two_part_field(n):
                 + g[:, 1, None, None] * e[:, :, None] * e[:, None, :])
 
     f = coeff.make_custom(n, batch, coeff.power_modulus(0.5))
-    return dataclasses.replace(f, separable=coeff.SeparableParts(factors, angular))
+    base = lambda radii: np.broadcast_to(np.eye(n), (len(radii), n, n))
+    return dataclasses.replace(
+        f, separable=coeff.SeparableParts(base, factors, angular))
 
 
 class TestSeparableR:
@@ -381,10 +384,10 @@ class TestSeparableR:
             calls.append((A.shape, len(grid.weights)))
             return inner(A, grid)
 
-        def no_spheres(radii, grid):
-            raise AssertionError("a separable field was sampled on spheres")
+        def no_points(pts):
+            raise AssertionError("a separable field was sampled at points")
 
-        f = dataclasses.replace(two_part_field(n), sphere_batch=no_spheres)
+        f = dataclasses.replace(two_part_field(n), eval_batch=no_points)
         sampler = sphmean.sphere_sampler(n, tol=1e-9)
         monkeypatch.setattr(sphmean, "mean_R_kernel", spy)
         sphmean.mean_matrix_R_many(f, self.RADII, sampler)
@@ -404,25 +407,39 @@ def radial_a0(n):
     return lambda r: (1.0 + 0.5 * math.sqrt(r)) * np.eye(n)
 
 
-# every factory's sphere sampler; the perturbed radial field once with a
-# field as a1 (read on spheres) and once with a bare evaluator (at points)
+def radial_a0_arrays(n):
+    """``radial_a0`` read once per array of radii, as the CLI's radial
+    family reads its scale."""
+    return lambda radii: (1.0 + 0.5 * np.sqrt(radii))[:, None, None] * np.eye(n)
+
+
+# every factory, as (field, part count J of its form or None without one);
+# the perturbed radial field with a field that has a form as a1, and with a
+# bare evaluator (no form: read at points)
 SAMPLED_FAMILIES = {
-    "gs-log": lambda n: lab_field(LAB_SPECS[0], n),
-    "gs-power": lambda n: lab_field(LAB_SPECS[4], n),
-    "constant": lambda n: coeff.make_constant(
-        n, random_spd(np.random.default_rng(5), n)),
-    "radial": lambda n: coeff.make_perturbed_radial(
-        n, radial_a0(n), modulus=coeff.power_modulus(0.5, 0.5)),
-    "perturbed-gs": lambda n: coeff.make_perturbed_radial(
+    "gs-log": (lambda n: lab_field(LAB_SPECS[0], n), 1),
+    "gs-power": (lambda n: lab_field(LAB_SPECS[4], n), 1),
+    "identity": (lambda n: coeff.make_constant(n, np.eye(n)), 0),
+    "constant": (lambda n: coeff.make_constant(
+        n, random_spd(np.random.default_rng(5), n)), 0),
+    "radial": (lambda n: coeff.make_perturbed_radial(
+        n, radial_a0(n), modulus=coeff.power_modulus(0.5, 0.5)), 0),
+    "radial-arrays": (lambda n: coeff.make_perturbed_radial(
+        n, radial_a0_arrays(n), modulus=coeff.power_modulus(0.5, 0.5)), 0),
+    "perturbed-gs": (lambda n: coeff.make_perturbed_radial(
         n, radial_a0(n), lab_field(LAB_SPECS[1], n),
-        modulus=coeff.power_modulus(0.5)),
-    "perturbed-cos6": lambda n: angular_perturbed_field(n, 6),
-    "custom-cos20": cos20_custom_field,
+        modulus=coeff.power_modulus(0.5)), 1),
+    "perturbed-two-part": (lambda n: coeff.make_perturbed_radial(
+        n, radial_a0_arrays(n), two_part_field(n),
+        modulus=coeff.power_modulus(0.5)), 2),
+    "perturbed-cos6": (lambda n: angular_perturbed_field(n, 6), None),
+    "custom-cos20": (cos20_custom_field, None),
 }
 
 
 class TestOnSpheres:
-    """Each field's sphere sampler against eval_batch at radii x nodes."""
+    """Each field on whole spheres against eval_batch at radii x nodes: a
+    form's two layouts, or the points of a field without one."""
 
     RADII = np.concatenate([[1.0], 2.0 ** -np.arange(1.0, 31.0),
                             [1e-140, 1e-300, 0.0]])
@@ -430,7 +447,10 @@ class TestOnSpheres:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("family", list(SAMPLED_FAMILIES))
     def test_matches_eval_batch_at_the_points(self, n, family):
-        f = SAMPLED_FAMILIES[family](n)
+        make, parts = SAMPLED_FAMILIES[family]
+        f = make(n)
+        assert (None if f.separable is None else
+                f.separable.factors(self.RADII).shape[1]) == parts
         for grid in sphmean.sphere_sampler(n).grids:   # the lower ones turned
             got = f.on_spheres(self.RADII, grid)
             m = len(grid.weights)
@@ -440,19 +460,6 @@ class TestOnSpheres:
             if f.normalized:    # radius 0 is the origin: A = I
                 np.testing.assert_array_equal(
                     got[-1], np.broadcast_to(np.eye(n), (m, n, n)))
-
-    def test_replaced_eval_batch_is_read_only_without_sphere_batch(self):
-        f = lab_field(LAB_SPECS[0], 3)
-        seen = []
-        wrapped = lambda pts: seen.append(len(pts)) or f.eval_batch(pts)
-        grid = sphmean.default_grid(3)
-        kept = dataclasses.replace(f, eval_batch=wrapped)
-        kept.on_spheres(self.RADII, grid)
-        assert seen == []       # the factory's sampler, not the wrapper
-        dropped = dataclasses.replace(f, eval_batch=wrapped, sphere_batch=None)
-        A = dropped.on_spheres(self.RADII, grid)
-        assert seen == [len(self.RADII) * len(grid.weights)]
-        assert_samples_agree(A, f.on_spheres(self.RADII, grid))
 
 
 class TestSphereSweep:
