@@ -380,9 +380,18 @@ def write_csv(cfg: RunConfig, name: str, header, rows) -> str:
     return path
 
 
+_SCHEMA: Optional[dict] = None    # the shipped schema, once it is parsed
+
+
 def load_schema() -> dict:
-    with resources.files("ellipreg").joinpath("report_schema.json").open() as fh:
-        return json.load(fh)
+    """The shipped report schema, read and parsed once per process; callers
+    share the one dict and must not change it."""
+    global _SCHEMA
+    if _SCHEMA is None:
+        path = resources.files("ellipreg").joinpath("report_schema.json")
+        with path.open() as fh:
+            _SCHEMA = json.load(fh)
+    return _SCHEMA
 
 
 _SCALAR_TYPES = {"string": str, "number": (int, float), "integer": int}

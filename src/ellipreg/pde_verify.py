@@ -8,23 +8,24 @@ the walls).  The scheme is assembled from its discrete energy form, so the
 matrix is symmetric by construction and stays positive definite for the
 ellipticity range handled here; boundary faces carry half weight (they own
 half a cell).  Constant tensors reproduce linear data exactly and smooth
-problems converge at second order.  Each face family adds its couplings
-straight into the 9-point stencil, an array of couplings per neighbour
-offset, and the system is solved by conjugate gradients started from the
-Coons patch of the wall data and preconditioned with the exact solve of the
-unit 5-point Laplacian, diagonalized by the sine transform and applied by
-real FFTs in O(n^2 log n) (Makhoul, IEEE TASSP 1980).  For fields close to
+problems converge at second order.  The 9-point stencil stores each
+coupling once, in five planes on the zero-padded grid (the diagonal and the
+four upper neighbour offsets), and the system is solved by conjugate
+gradients started from the Coons patch of the wall data and preconditioned
+with the exact solve of the unit 5-point Laplacian, diagonalized by the sine
+transform and applied by real FFTs in O(n^2 log n) (Makhoul, IEEE TASSP
+1980).  For fields close to
 the identity it needs about 14 iterations at every grid size.  Circle
 samples read a not-a-knot bicubic spline through the cell values.  Nothing
 here needs more than numpy (2.0 or later, for FFTs written through
 ``out=``).
 
-Memory.  A solve holds at most about 18 N x N arrays of doubles at once:
-the stencil (9), the load, the iterate, CG's three work arrays, the padded
-copy the stencil apply reads, and the preconditioner's scale and its real
-and complex FFT buffers, all made once per solve; assembly stays below
-that (about 17).  That is 36 MB at n = 512 and 145 MB at n = 1024
-(tracemalloc peaks), and ``verify`` at n = 1024 takes about 1.5 s
+Memory.  A solve holds at most about 14 N x N arrays of doubles at once:
+the stencil's five planes, the padded copy the stencil apply reads, the
+load, the iterate, CG's three work arrays, and the preconditioner's scale
+and its real and complex FFT buffers, all made once per solve; assembly
+stays below that (about 13).  That is 29 MB at n = 512 and 113 MB at
+n = 1024 (tracemalloc peaks), and ``verify`` at n = 1024 takes about 1.8 s
 (in-report ``wall_time_s``) on a 2-CPU VM.
 
 The circle decomposition reads the spline once per circle.  It splits a
@@ -51,7 +52,8 @@ _MAXITER = 2000            # conjugate-gradient iterations at most
 PRECONDITIONER = "sine-transform Laplacian"   # what ``_SineSolver`` applies
 _CIRCLE_RESOLUTION = 256   # equispaced samples per circle
 _SATURATION_RTOL = 0.05    # last three quotients this close: bounded
-_BLOCK = 64                # grid rows per field evaluation or stencil block
+_BLOCK = 64                # grid rows per field evaluation or face block
+_RUN = 8192                # padded cells per block of the stencil apply
 
 
 class SolveError(RuntimeError):
@@ -86,6 +88,25 @@ def _cell_inverses(field: CoefficientField, xc: np.ndarray) -> np.ndarray:
     return Ainv
 
 
+_UPPER = ((0, 1), (1, -1), (1, 0), (1, 1))   # offsets of planes 1..4
+
+
+def _frame(a: np.ndarray, axis: int) -> np.ndarray:
+    """The frame of the faces normal to ``axis``: a grid array indexed
+    [normal, tangential, ...], the transpose of its first two axes for the
+    y-normal faces.  numpy lays out what it computes from such views in their
+    memory order, so the y-normal faces are computed in the grid's order."""
+    return a if axis == 0 else a.swapaxes(0, 1)
+
+
+def _points(axis: int, normal, tangential) -> np.ndarray:
+    """Grid points from their normal and tangential coordinates for the faces
+    normal to ``axis``, as an (m, 2) array."""
+    pts = np.stack(np.broadcast_arrays(normal, tangential), axis=-1)
+    pts = pts.reshape(-1, 2)
+    return pts[:, ::-1] if axis else pts
+
+
 def _normal_weights(N: int):
     """Weights of cells (p, j) and (p-1, j) in the normal difference across
     face p, as (N + 1, 1) columns: 1 and -1 inside, 2 against the wall data
@@ -95,142 +116,152 @@ def _normal_weights(N: int):
     return wp, wm
 
 
-def _face_family(field: CoefficientField, gfun: Callable, Ainv: np.ndarray,
-                 swap: bool):
-    """Face coefficients and load of one face family, in the family's own frame.
+def _face_coefficients(field: CoefficientField, Ainv: np.ndarray, axis: int):
+    """a_nn and a_nt of the faces normal to ``axis``, in their frame.
 
-    The frame puts the face normal first: frame cell (p, j) is grid cell
-    (p, j) for the x-normal faces and (j, p) for the y-normal ones (``swap``),
-    and ``Ainv`` is given in that frame.  Face (p, j), p = 0..N, lies between
-    cells (p-1, j) and (p, j).  Its energy is a_nn (Du)^2 + a_nt (Du)(TCu),
-    with Du the two-point normal difference (half-cell against the data on a
-    wall) and TCu the tangential difference of the corner values (4-cell
-    means inside, data on the walls).  Inside, the face tensor is the
-    matrix-harmonic mean 2 (Ainv_- + Ainv_+)^-1 of the two cells, of which
-    only the first row is formed; a wall face carries half the tensor at the
-    face, since it owns half a cell.
-
-    Returns a_nn and a_nt as (N + 1, N) arrays and the family's load vector
-    b, what the wall data contribute to its rows, as an (N, N) array;
-    ``_add_couplings`` turns the coefficients into stencil entries.
+    Frame face (p, j), p = 0..N, lies between frame cells (p-1, j) and
+    (p, j).  Its energy is a_nn (Du)^2 + a_nt (Du)(TCu), with Du the
+    two-point normal difference (half-cell against the data on a wall) and
+    TCu the tangential difference of the corner values (4-cell means inside,
+    data on the walls).  Inside, the face tensor is the matrix-harmonic mean
+    2 (Ainv_- + Ainv_+)^-1 of the two cells, of which only the normal row is
+    formed, _BLOCK tangential lines at a time; a wall face carries half the
+    tensor at the face, since it owns half a cell.  Returns a_nn and a_nt as
+    (N + 1, N) arrays stored in the grid's order.
     """
     N = Ainv.shape[0]
+    n, t = axis, 1 - axis
     h = 2.0 / N
     xc = -1 + (np.arange(N) + 0.5) * h
     xw = -1 + np.arange(N + 1) * h           # walls and corners
+    shape, order = (N + 1, N), "CF"[axis]      # the grid's order
+    ann, ant = np.empty(shape, order=order), np.empty(shape, order=order)
+    Af = _frame(Ainv, axis)
+    for j0 in range(0, N, _BLOCK):
+        j = slice(j0, j0 + _BLOCK)
+        B = Af[:-1, j] + Af[1:, j]
+        det = B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]
+        ann[1:N, j] = 2.0 * (B[..., t, t] / det)
+        ant[1:N, j] = 2.0 * (-B[..., n, t] / det)
+    Awall = field.eval_batch(_points(axis, xw[[0, N], None], xc))
+    Awall = Awall.reshape(2, N, 2, 2)
+    ann[[0, N]] = 0.5 * Awall[..., n, n]
+    ant[[0, N]] = 0.5 * Awall[..., n, t]
+    return ann, ant
 
-    def real(n, t):
-        pts = np.stack(np.broadcast_arrays(n, t), axis=-1).reshape(-1, 2)
-        return pts[:, ::-1] if swap else pts
 
-    ann, ant = np.empty((N + 1, N)), np.empty((N + 1, N))
-    B = Ainv[:-1] + Ainv[1:]
-    det = B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]
-    ann[1:N] = 2.0 * (B[..., 1, 1] / det)
-    ant[1:N] = 2.0 * (-B[..., 0, 1] / det)
-    del B, det
-    Awall = field.eval_batch(real(xw[[0, N], None], xc)).reshape(2, N, 2, 2)
-    if swap:
-        Awall = Awall[..., ::-1, ::-1]
-    ann[[0, N]] = 0.5 * Awall[..., 0, 0]
-    ant[[0, N]] = 0.5 * Awall[..., 0, 1]
+def _face_load(gfun: Callable, ann: np.ndarray, ant: np.ndarray, axis: int):
+    """What the wall data contribute to the rows of the faces normal to
+    ``axis``, as an (N, N) grid array: the data in the normal difference of a
+    wall face, and the wall corners in the tangential difference of every
+    face that meets a wall."""
+    N = ann.shape[1]
+    h = 2.0 / N
+    xc = -1 + (np.arange(N) + 0.5) * h
+    xw = -1 + np.arange(N + 1) * h
 
-    # wall data in the normal difference
-    wp, wm = _normal_weights(N)
-    bn = np.zeros((N + 1, N))
-    bn[0] = -2.0 * gfun(real(-1.0, xc))
-    bn[N] = 2.0 * gfun(real(1.0, xc))
-    # wall corners in the tangential difference
-    tb = np.zeros((N + 1, N))
-    tb[1:N, N - 1] = gfun(real(xw[1:N], 1.0))
-    tb[1:N, 0] -= gfun(real(xw[1:N], -1.0))
-    for p, n in ((0, -1.0), (N, 1.0)):
-        gw = gfun(real(n, xw))
+    def g(normal, tangential):
+        return gfun(_points(axis, normal, tangential))
+
+    bn, tb = np.zeros_like(ann), np.zeros_like(ann)
+    bn[0] = -2.0 * g(-1.0, xc)
+    bn[N] = 2.0 * g(1.0, xc)
+    tb[1:N, N - 1] = g(xw[1:N], 1.0)
+    tb[1:N, 0] -= g(xw[1:N], -1.0)
+    for p, normal in ((0, -1.0), (N, 1.0)):
+        gw = g(normal, xw)
         tb[p] = gw[1:] - gw[:-1]
 
     t = ann * bn + 0.5 * ant * tb
-    return ann, ant, -(wp[:N] * t[:N] + wm[1:] * t[1:])
-
-
-def _add_couplings(S: np.ndarray, ann: np.ndarray, ant: np.ndarray,
-                   swap: bool):
-    """Add one face family's D^T a_nn D + D^T a_nt T C to the stencil S.
-
-    Row cell (i, j) of the frame couples to cell (i + di, j + dj) in
-    S[1 + di, 1 + dj], or in the transpose of S[1 + dj, 1 + di] for the
-    y-normal faces (``swap``).  Each slot takes the family's whole entry in
-    one addition, so S is the sum of the two families' own stencils to the
-    last bit.  The tangential difference of the corner values weighs the cells
-    (p-1+a, j+d), a = 0, 1, with v_d for d = -1, 0, 1 (wall corners enter
-    as data), so a cell takes a_nt of its low face against the cells in
-    rows i-1 and i, and minus that of its high face against rows i and
-    i+1.  ``ant`` is zeroed on the walls, whose corners are all data.
-    """
-    N = S.shape[-1]
     wp, wm = _normal_weights(N)
+    return _frame(-(wp[:N] * t[:N] + wm[1:] * t[1:]), axis)
 
-    def at(di, dj):
-        return S[1 + dj, 1 + di].T if swap else S[1 + di, 1 + dj]
 
+def _coupling(ann: np.ndarray, ant: np.ndarray, axis: int, di: int, dj: int):
+    """One face family's share of D^T a_nn D + D^T a_nt T C in the coupling
+    of each cell (i, j) to cell (i + di, j + dj), as an (N, N) grid array.
+
+    Frame cell (i, j) couples along the normal through its low face i and
+    its high face i + 1.  The tangential difference of the corner values
+    weighs the cells (p-1+a, j+d), a = 0, 1, with v_d for d = -1, 0, 1 (wall
+    corners enter as data), so a cell takes a_nt of its low face against the
+    cells in rows i-1 and i, and minus that of its high face against rows i
+    and i+1.  ``ant`` must be zero on the walls, whose corners are all data.
+    """
+    N = ann.shape[1]
+    dn, dt = (di, dj) if axis == 0 else (dj, di)
     j = np.arange(N)
     lo, hi = 0.25 * (j >= 1), 0.25 * (j <= N - 2)
-    vt = {-1: -lo, 0: hi - lo, 1: hi}
-    ant[[0, N]] = 0.0
+    v = {-1: -lo, 0: hi - lo, 1: hi}[dt]
+    wp, wm = _normal_weights(N)
     low, high = ant[:N], ant[1:]             # each cell's low and high face
-    across = low - high
-    at(0, 0)[...] += (wp[:N] ** 2 * ann[:N] + wm[1:] ** 2 * ann[1:]
-                      + across * vt[0])
-    at(-1, 0)[...] += (wp * wm)[:N] * ann[:N] + low * vt[0]
-    at(1, 0)[...] += (wp * wm)[1:] * ann[1:] - high * vt[0]
-    for d in (-1, 1):
-        at(-1, d)[...] += low * vt[d]
-        at(0, d)[...] += across * vt[d]
-        at(1, d)[...] -= high * vt[d]
-
-
-def _shift(d: int, N: int):
-    """Slices of rows k and of rows k + d, over the k where both exist."""
-    if d >= 0:
-        return slice(0, N - d), slice(d, N)
-    return slice(-d, N), slice(0, N + d)
+    if dn == 0:
+        c = low - high
+        c *= v
+        if dt == 0:
+            a = wp[:N] ** 2 * ann[:N]
+            a += wm[1:] ** 2 * ann[1:]
+            a += c
+            c = a
+    elif dn == -1:
+        c = low * v
+        if dt == 0:
+            c += (wp * wm)[:N] * ann[:N]
+    else:
+        c = high * v
+        if dt == 0:
+            np.subtract((wp * wm)[1:] * ann[1:], c, out=c)
+        else:
+            np.negative(c, out=c)
+    return _frame(c, axis)
 
 
 def assemble(field: CoefficientField, gfun: Callable, N: int):
     """Symmetric system (S, b) for the Dirichlet problem on the N x N grid.
 
-    S is the 9-point stencil of the energy form as a (3, 3, N, N) array:
-    S[di + 1, dj + 1][i, j] couples cell (i, j) to cell (i + di, j + dj), and
-    is zero where that neighbour lies outside the grid.  Each coupling is
-    stored for both of its cells from one value, so the operator is exactly
-    symmetric.  b is the load vector, flattened row-major.
+    S is the 9-point stencil of the energy form with each coupling stored
+    once: a (5, N + 2, N + 2) array of planes in the zero-padded layout of
+    the grid.  S[0][i + 1, j + 1] is the diagonal entry of cell (i, j), and
+    S[k][i + 1, j + 1], k = 1..4, couples it to cell (i + di, j + dj) for the
+    k-th offset (di, dj) of _UPPER: (0, 1), (1, -1), (1, 0), (1, 1).  The
+    coupling to (i - di, j - dj) is the one stored at that cell,
+    S[k][i + 1 - di, j + 1 - dj], so the operator is exactly symmetric.  The
+    pad, and every entry whose neighbour lies outside the grid, is zero.  b
+    is the load vector, flattened row-major.
 
-    Both face families are reduced to their coefficients before S exists,
-    and the cell inverses are freed first, so at most about 17 N x N arrays
-    are live at once (9 of them S).
+    Both face families are reduced to their coefficients and the cell
+    inverses freed before the loads and S are formed.  An upper plane is
+    ((x_up + y_up) + (x_lo + y_lo)) / 2: the two families' shares of the
+    coupling as seen from each of its two cells.  At most about 13 N x N
+    arrays are live at once, 5 of them S.
     """
     if field.dim != 2:
         raise ValueError("the grid solver is two-dimensional")
     h = 2.0 / N
     xc = -1 + (np.arange(N) + 0.5) * h
     Ainv = _cell_inverses(field, xc)
-    ann_x, ant_x, b = _face_family(field, gfun, Ainv, swap=False)
-    ann_y, ant_y, by = _face_family(
-        field, gfun, Ainv.transpose(1, 0, 2, 3)[..., ::-1, ::-1], swap=True)
+    faces = [(*_face_coefficients(field, Ainv, axis), axis) for axis in (0, 1)]
     del Ainv
-    b += by.T
-    del by
+    b = _face_load(gfun, *faces[0])
+    b += _face_load(gfun, *faces[1])
+    for _, ant, _ in faces:
+        ant[[0, N]] = 0.0
 
-    S = np.zeros((3, 3, N, N))
-    _add_couplings(S, ann_x, ant_x, swap=False)
-    del ann_x, ant_x
-    _add_couplings(S, ann_y, ant_y, swap=True)
-    del ann_y, ant_y
-    for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
-        (ri, si), (rj, sj) = _shift(di, N), _shift(dj, N)
-        upper, lower = S[1 + di, 1 + dj][ri, rj], S[1 - di, 1 - dj][si, sj]
+    S = np.zeros((5, N + 2, N + 2))
+    cells = S[:, 1:N + 1, 1:N + 1]
+    for face in faces:
+        cells[0] += _coupling(*face, 0, 0)
+    for k, (di, dj) in enumerate(_UPPER, 1):
+        # the cells that have this neighbour, and those neighbours
+        here = slice(0, N - di), slice(max(0, -dj), N - max(0, dj))
+        there = slice(di, N), slice(max(0, dj), N + min(0, dj))
+        lower = _coupling(*faces[0], -di, -dj)[there]
+        lower += _coupling(*faces[1], -di, -dj)[there]
+        upper = cells[k][here]
+        for face in faces:
+            upper += _coupling(*face, di, dj)[here]
         upper += lower
         upper *= 0.5
-        lower[...] = upper
     return S, b.ravel(), xc
 
 
@@ -353,38 +384,55 @@ class _Spline:
 
 
 class _Stencil:
-    """K x for a stencil array S of half-width w on an n x n grid (the layout
-    of ``assemble``), by blocks of _BLOCK rows.
+    """K x for the planes S of ``assemble`` on an n x n grid.
 
-    x is copied into a zero-padded grid, so a neighbour beyond the wall
-    reads 0; the views of S and of the padded grid that each block multiplies
-    are made once, here, not on every product.
+    x is copied into a zero-padded grid of the planes' layout, so a
+    neighbour beyond the wall reads 0 and every term is one flat run over
+    the padded cells: with d the flat offset of an upper neighbour (M = n + 2
+    cells per padded row), cell k reads S_d[k] x[k + d] for that neighbour
+    and S_d[k - d] x[k - d] for the lower one, the coupling stored at it.
+    The terms are summed in the order of the 9-point stencil, the centre
+    first and then the offsets (-1, -1) .. (1, 1) row by row, in blocks of
+    whole padded rows of about _RUN cells, into a buffer whose cells are
+    then copied out; the runs and the two buffers are made once, here, not
+    on every product, so a product allocates no n x n array.
     """
 
     def __init__(self, S: np.ndarray):
-        w, n = S.shape[0] // 2, S.shape[-1]
-        self.S, self.n = S, n
-        self._xp = np.zeros((n + 2 * w, n + 2 * w))
-        self._inner = self._xp[w:n + w, w:n + w]
-        tmp = np.empty((min(_BLOCK, n), n))
+        n = S.shape[-1] - 2
+        M = n + 2
+        self._xp = np.zeros((M, M))
+        self._inner = self._xp[1:n + 1, 1:n + 1]
+        xf, Sf = self._xp.reshape(-1), S.reshape(len(S), -1)
+        # (plane, plane shift, x shift) per neighbour term: the lower
+        # neighbours (-1, -1) .. (0, -1), then the upper ones
+        shifts = [(k, di * M + dj) for k, (di, dj) in enumerate(_UPPER, 1)]
+        terms = ([(k, -d, -d) for k, d in shifts[::-1]]
+                 + [(k, 0, d) for k, d in shifts])
+        rows = min(max(1, _RUN // M), n)
+        acc, tmp = np.empty(rows * M), np.empty(rows * M)
         self._blocks = []
-        for r0 in range(0, n, _BLOCK):
-            r1 = min(r0 + _BLOCK, n)
-            terms = [(S[a, b, r0:r1], self._xp[r0 + a:r1 + a, b:b + n])
-                     for a in range(2 * w + 1) for b in range(2 * w + 1)
-                     if a != w or b != w]
-            self._blocks.append((slice(r0, r1), S[w, w, r0:r1], terms,
-                                 tmp[:r1 - r0]))
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            k0, L = (r0 + 1) * M + 1, (r1 - r0 - 1) * M + n
+
+            def run(a, shift):
+                return a[k0 + shift:k0 + shift + L]
+
+            self._blocks.append((
+                slice(r0, r1), run(Sf[0], 0), run(xf, 0),
+                [(run(Sf[k], s), run(xf, d)) for k, s, d in terms],
+                acc[:L], tmp[:L], acc[:(r1 - r0) * M].reshape(-1, M)[:, :n]))
 
     def __call__(self, x: np.ndarray, out=None) -> np.ndarray:
         """K x, written into ``out`` when given."""
         self._inner[...] = x
         y = np.empty_like(x) if out is None else out
-        for rows, centre, terms, t in self._blocks:
-            yb = y[rows]
-            np.multiply(centre, x[rows], out=yb)
+        for rows, centre, xc, terms, acc, t, cells in self._blocks:
+            np.multiply(centre, xc, out=acc)
             for s, xs in terms:
-                yb += np.multiply(s, xs, out=t)
+                acc += np.multiply(s, xs, out=t)
+            y[rows] = cells
         return y
 
 

@@ -667,6 +667,9 @@ radii = 0.5, 0.25, 0.125
 
 
 class TestSchema:
+    def test_schema_parsed_once_per_process(self):
+        assert cli.load_schema() is cli.load_schema()
+
     def test_schema_ships_and_validates(self):
         schema = cli.load_schema()
         assert schema["type"] == "object"

@@ -9,7 +9,8 @@ from ellipreg import cli, coeff, pde_verify
 
 from assembly_reference import reference_assemble
 from conftest import gs_log_field
-from sa_reference import sa_solve, stencil_to_csr
+from sa_reference import (nine_plane_apply, nine_planes, sa_solve,
+                          stencil_to_csr)
 
 
 X1 = lambda p: p[:, 0]
@@ -95,21 +96,45 @@ class TestAssemblyProperty:
         gfun = cli._BOUNDARY_FUNS[boundary]
         S, b, _ = pde_verify.assemble(field, gfun, N)
         K_ref, b_ref = reference_assemble(field, gfun, N)
-        assert abs(stencil_to_csr(S) - K_ref).max() <= (
-            1e-12 * abs(K_ref).max())
+        K = stencil_to_csr(S)
+        assert abs(K - K_ref).max() <= 1e-12 * abs(K_ref).max()
         assert np.abs(b - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
-        # the coupling of cells (i, j) and (i + di, j + dj) is one number,
-        # stored bit for bit in the rows of both cells; none leaves the grid
+        # each coupling is one number, read by the rows of both its cells
+        assert abs(K - K.T).max() == 0
+        # the pad of every plane is 0.0, and so is every coupling to a cell
+        # beyond the wall
+        assert S.shape == (5, N + 2, N + 2)
+        pad = np.ones((N + 2, N + 2), bool)
+        pad[1:N + 1, 1:N + 1] = False
+        assert not S[:, pad].any()
+        S9 = nine_planes(S)
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
-                (ri, si), (rj, sj) = (pde_verify._shift(di, N),
-                                      pde_verify._shift(dj, N))
-                here = S[1 + di, 1 + dj]
-                assert np.array_equal(here[ri, rj],
-                                      S[1 - di, 1 - dj][si, sj])
-                outside = np.ones((N, N), bool)
-                outside[ri, rj] = False
-                assert not here[outside].any()
+                inside = np.zeros((N, N), bool)
+                inside[max(0, -di):N - max(0, di),
+                       max(0, -dj):N - max(0, dj)] = True
+                assert not S9[1 + di, 1 + dj][~inside].any()
+
+
+class TestStencil:
+    @pytest.mark.parametrize("N", [8, 9, 64, 255])
+    def test_apply_matches_nine_plane_sum_bit_for_bit(self, N):
+        # the five planes summed in the nine-offset order give the very same
+        # floats as the nine-plane stencil, on random planes and on the
+        # assembled operator of the benchmark's field
+        rng = np.random.default_rng(N)
+        S_rand = np.zeros((5, N + 2, N + 2))
+        S_rand[:, 1:N + 1, 1:N + 1] = rng.standard_normal((5, N, N))
+        S_field, _, _ = pde_verify.assemble(gs_log_field(-1.0, shift=2.0),
+                                            X1, N)
+        for S in (S_rand, S_field):
+            K = pde_verify._Stencil(S)
+            for x in rng.standard_normal((2, N, N)):
+                want = nine_plane_apply(S, x)
+                assert np.array_equal(K(x), want)
+                out = np.empty_like(x)
+                assert K(x, out=out) is out
+                assert np.array_equal(out, want)
 
 
 class TestManufactured:
@@ -220,19 +245,30 @@ class TestMultigrid:
 
 
 class TestMemory:
-    def test_solve_holds_at_most_20_grids(self):
-        # the benchmark's verify field, -1/log(e^2/r), at n = 256: the
-        # stencil is 9 of the N x N arrays of doubles, CG's vectors and the
-        # preconditioner's buffers most of the rest
-        field, N = gs_log_field(-1.0, shift=2.0), 256
-        pde_verify.solve_dirichlet(field, X1, N)   # numpy's one-time set-up
+    def _peak_grids(self, run, N):
+        run()                                   # numpy's one-time set-up
         tracemalloc.start()
         try:
-            pde_verify.solve_dirichlet(field, X1, N)
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * N * N * 8
+        return peak / (N * N * 8)
+
+    def test_solve_holds_at_most_15_grids(self):
+        # the benchmark's verify field, -1/log(e^2/r), at n = 256: the
+        # stencil is 5 of the N x N arrays of doubles, CG's vectors and the
+        # preconditioner's buffers most of the rest
+        field, N = gs_log_field(-1.0, shift=2.0), 256
+        assert self._peak_grids(
+            lambda: pde_verify.solve_dirichlet(field, X1, N), N) <= 15
+
+    def test_assembly_holds_at_most_15_grids(self):
+        # the five planes, both face families' coefficients, the load and
+        # the shares of one coupling
+        field, N = gs_log_field(-1.0, shift=2.0), 256
+        assert self._peak_grids(
+            lambda: pde_verify.assemble(field, X1, N), N) <= 15
 
     def test_cg_work_is_three_grids(self):
         # r, p and q, whatever the iteration count: an iteration allocates
