@@ -4,8 +4,11 @@
 
 Every ``report.json`` under OLD_DIR is paired with the one at the same
 relative path under NEW_DIR, and their ``payload`` blocks are walked
-together (the volatile provenance block is not compared).  For each payload
-path, with list indices folded into ``[]``, the script prints how many of its
+together.  Of the volatile provenance block only the grid solver's record
+``grid_solve`` is compared (preconditioner, iterations, start, final and
+tail residuals), without its ``*_s`` timings; the timestamp and everything
+else there is not.  For each payload path, or ``:grid_solve`` path, with
+list indices folded into ``[]``, the script prints how many of its
 numbers moved and the worst absolute and relative drift among them, where
 the relative drift of a and b is |a - b| / max(|a|, |b|).  Every changed
 string is printed with its old and new value, and so is every structural
@@ -77,6 +80,14 @@ class Drift:
         entry[3] = max(entry[3], gap / max(abs(a), abs(b)))
 
 
+def _solver_record(report: dict):
+    """The grid solver's record of a report without its timings, or None."""
+    record = report.get("provenance_volatile", {}).get("grid_solve")
+    if record is None:
+        return None
+    return {k: v for k, v in record.items() if not k.endswith("_s")}
+
+
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -93,8 +104,10 @@ def compare(old_root: str, new_root: str, out=sys.stdout) -> bool:
             old = json.load(f)
         with open(os.path.join(new_root, rel)) as f:
             new = json.load(f)
-        drift.walk(f"{os.path.dirname(rel) or '.'}:payload",
-                   old.get("payload"), new.get("payload"))
+        where = os.path.dirname(rel) or "."
+        drift.walk(f"{where}:payload", old.get("payload"), new.get("payload"))
+        drift.walk(f"{where}:grid_solve", _solver_record(old),
+                   _solver_record(new))
 
     csv_differ = []
     old_csv, new_csv = (_files(r, ".csv") for r in (old_root, new_root))
@@ -135,7 +148,7 @@ def main(argv=None) -> int:
     parser.add_argument("old", help="the reference report tree")
     parser.add_argument("new", help="the report tree to compare with it")
     args = parser.parse_args(argv)
-    return 0 if compare(args.old, args.new) else 1
+    return 0 if compare(args.old, args.new, sys.stdout) else 1
 
 
 if __name__ == "__main__":

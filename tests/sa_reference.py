@@ -51,6 +51,92 @@ def nine_plane_apply(S, x):
     return y
 
 
+class WholeGridSineSolver:
+    """Exact solve with the unit 5-point Laplacian of the n x n grid.
+
+    On the cells the identity field assembles to T (x) I + I (x) T, with T
+    tridiagonal (-1, 2, -1) plus 1 on its two ends (the half-cell difference
+    against the wall).  The DST-II basis U[j, k] = sin(pi k (j + 1/2) / n),
+    k = 1 .. n, diagonalizes T with eigenvalues 4 sin^2(pi k / 2n), so the
+    solve is U^-T ((U^T r U) / (lam_i + lam_j)) U^-1: a DST-II along each
+    axis, a scale, and the inverse transform along each axis, all by real
+    FFTs in O(n^2 log n) (``_dst``, ``_idst``).  Since U's columns are
+    orthogonal, U^-1 is U^T up to the diagonal of their squared norms, and
+    that diagonal commutes with the scale; the solve is symmetric and
+    positive definite.
+
+    The scale 1 / (lam_i + lam_j) and the real and complex work arrays are
+    whole n x n arrays, made once here with the twiddles, and every
+    transform works on the whole grid.
+    """
+
+    def __init__(self, n: int):
+        k = np.arange(1, n + 1)
+        lam = 4.0 * np.sin(0.5 * np.pi / n * k) ** 2
+        self.n, self.inv = n, 1.0 / (lam[:, None] + lam)
+        h = n // 2
+        self._v = np.empty((n, n))
+        W = np.empty(n * (h + 1), complex)
+        tw = np.exp(-0.5j * np.pi / n * np.arange(h + 1))   # exp(-i pi k / 2n)
+        # per transform axis: the real FFT's output, its twiddle and the
+        # inverse twiddle, shaped to that axis
+        self._W = (W.reshape(h + 1, n), W.reshape(n, h + 1))
+        self._tw = (tw[:, None], tw)
+        self._twc = (tw.conj()[:, None], tw.conj())
+
+    def __call__(self, r: np.ndarray, out=None) -> np.ndarray:
+        """The solve of r, written into ``out`` when given."""
+        z = np.empty_like(r) if out is None else out
+        self._dst(r, 1, z)
+        self._dst(z, 0, z)
+        z *= self.inv
+        self._idst(z, 0, z)
+        self._idst(z, 1, z)
+        return z
+
+    def _dst(self, x: np.ndarray, axis: int, out: np.ndarray):
+        """DST-II along ``axis`` into ``out``, which may be x:
+        y[k-1] = sum_j x[j] sin(pi k (j + 1/2) / n), k = 1 .. n, by one real
+        FFT of length n (Makhoul, A fast cosine transform in one and two
+        dimensions, IEEE TASSP 1980).
+
+        The entries are permuted to v = [x0, x2, x4, ..., -x5, -x3, -x1], so
+        the odd ones enter reversed and negated; then, with W the real FFT of
+        v times exp(-i pi k / 2n), -Im W[k] is y_k and Re W[k] is y_(n-k),
+        k = 0 .. n/2.
+        """
+        n, c, W = self.n, self.n - self.n // 2, self._W[axis]
+        xs, vs = np.moveaxis(x, axis, 0), np.moveaxis(self._v, axis, 0)
+        vs[:c] = xs[::2]
+        np.negative(xs[n - 1 - n % 2::-2], out=vs[c:])
+        np.fft.rfft(self._v, axis=axis, out=W)
+        W *= self._tw[axis]
+        Ws, ys = np.moveaxis(W, axis, 0), np.moveaxis(out, axis, 0)
+        np.negative(Ws.imag[1:c], out=ys[:c - 1])
+        ys[c - 1:] = Ws.real[::-1]
+
+    def _idst(self, y: np.ndarray, axis: int, out: np.ndarray):
+        """The inverse of ``_dst`` along ``axis`` into ``out``, which may be
+        y, by one inverse real FFT.
+
+        It undoes each step of ``_dst``: W[k] = y_(n-k) - i y_k (y_0 = 0),
+        times exp(i pi k / 2n), then the inverse FFT and the inverse
+        permutation.  For even n the Nyquist term W[n/2] = y_(n/2) (1 - i)
+        keeps its imaginary part; the twiddle turns it real.
+        """
+        n, h, W = self.n, self.n // 2, self._W[axis]
+        c = n - h
+        Ws, ys = np.moveaxis(W, axis, 0), np.moveaxis(y, axis, 0)
+        Ws.real = ys[c - 1:][::-1]
+        Ws.imag[0] = 0.0
+        np.negative(ys[:h], out=Ws.imag[1:])
+        W *= self._twc[axis]
+        np.fft.irfft(W, n, axis=axis, out=self._v)
+        vs, xs = np.moveaxis(self._v, axis, 0), np.moveaxis(out, axis, 0)
+        xs[::2] = vs[:c]
+        np.negative(vs[c:], out=xs[n - 1 - n % 2::-2])
+
+
 def stencil_to_csr(S):
     """The planes of ``assemble`` as a sparse (n^2, n^2) matrix."""
     S9 = nine_planes(S)
