@@ -503,7 +503,7 @@ def run_moments(cfg: RunConfig) -> dict:
     field = build_field(cfg)
     k_max = cfg.options["moments"]["k_max"]
     radii = cfg.budget.eps * 2.0 ** -np.arange(0, k_max)
-    grid = cfg.budget.sphere_sampler(field.dim).grid
+    grid = sphmean.sphere_sampler(field.dim, cfg.budget.grid_resolution).grid
     rows = []
     for r in radii:
         md = sphmean.appendix_moments(field, float(r), grid)
@@ -525,7 +525,7 @@ def run_integrate(cfg: RunConfig) -> dict:
     n = cfg.dim
     if source == "field":
         field = build_field(cfg)
-        sampler = sphmean.sphere_sampler(n, cfg.budget.grid_resolution, tol / 10)
+        sampler = sphmean.sphere_sampler(n, cfg.budget.grid_resolution)
         sample = lambda t: sphmean.mean_matrix_R_many(field, np.exp(-t), sampler)
         # 1024 intervals: the 513 output rows are flow nodes, where the
         # Richardson estimate holds
@@ -573,7 +573,8 @@ def run_classify(cfg: RunConfig, emit_csv: bool = False) -> dict:
 def run_appendix(cfg: RunConfig) -> dict:
     from . import appendix_system
     field = build_field(cfg)
-    n, grid = field.dim, cfg.budget.sphere_sampler(field.dim).grid
+    n = field.dim
+    grid = sphmean.sphere_sampler(n, cfg.budget.grid_resolution).grid
     M_inf = appendix_system.m_infinity(n)
     ts = np.linspace(cfg.budget.dyn_t0,
                      -math.log(cfg.budget.eps) + cfg.budget.k_max * math.log(2.0),

@@ -27,10 +27,9 @@ cumulative Simpson, so every octave edge carries Simpson pair sums.
 
 Every R that ``classify`` reads (the profile, the flow lattice's extension
 and its halvings) comes from one :class:`~ellipreg.sphmean.SphereSampler`
-of the budget: the ``grid_resolution`` grid as given, or, when that is
-unset, the adaptive ladder 8, 16, ... up to the default grid, each radius
-checked against the rung below it to min(tol, dyn_tol)/10.  A profile holds
-its sampler, and every later sweep of the profile goes through it.
+on the budget's ``grid_resolution`` grid, the default grid when that is
+unset.  A profile holds its sampler, and every later sweep of the profile
+goes through it.
 
 The dynamics evidence reads one matrix-state flow from the profile's R, at
 its nodes only: Phi(t) Phi(t_s)^-1 from the first node t_s of each window,
@@ -51,8 +50,8 @@ from .coeff import CoefficientField, FieldError, Modulus
 from .dyadic import (IntegralEvidence, VERDICT_CONVERGES, VERDICT_DIVERGES,
                      VERDICT_INCONCLUSIVE, RATE_TO_MINUS_INF,
                      evidence_from_partials)
-from .sphmean import (SphereSampler, default_resolution, mean_matrix_R_many,
-                      sphere_sampler, sphere_sweep, symmetrized_S)
+from .sphmean import (SphereSampler, mean_matrix_R_many, sphere_sampler,
+                      sphere_sweep, symmetrized_S)
 
 LN2 = math.log(2.0)
 _STABILITY_NODES = 257   # flow nodes per stability window at most: K is quadratic
@@ -123,9 +122,9 @@ def _dyadic_quad_partials(F: Callable, s0: float, k_max: int, tol: float):
         s = (lo + half)[:, None] + half[:, None] * gl_nodes
         est = half[:, None] * (F(s.ravel()).reshape(s.shape) @ gl_weights.T)
         whole, doubled = est[:, 0::2], est[:, 1::2]
-        settled = (np.abs(doubled - whole)
-                   <= tol / 10 * np.maximum(1.0, np.abs(doubled)))
-        done = settled.all(axis=1)
+        agreed = (np.abs(doubled - whole)
+                  <= tol / 10 * np.maximum(1.0, np.abs(doubled)))
+        done = agreed.all(axis=1)
         value = doubled[:, -1]
         # a non-finite piece or the last level ends with its best estimate
         done |= ~np.isfinite(value) | (level == _QUAD_MAX_BISECTIONS)
@@ -189,9 +188,9 @@ def build_radial_profile(field: CoefficientField, eps: float = 0.5,
                          sampler: Optional[SphereSampler] = None
                          ) -> RadialProfile:
     """R and mu on the profile's nodes through ``sampler``, which later
-    sweeps of the profile reuse; None is the default grid as one rung."""
+    sweeps of the profile reuse; None is the default grid."""
     if sampler is None:
-        sampler = sphere_sampler(field.dim, default_resolution(field.dim))
+        sampler = sphere_sampler(field.dim)
     s0 = -math.log(eps)
     M = k_max * nodes_per_octave + 1
     s = s0 + np.arange(M) * (LN2 / nodes_per_octave)
@@ -364,7 +363,7 @@ def condition_A_minus_I(profile: RadialProfile,
     conditions, and its failure is typical for slow (log-type) envelopes.
     The classifier does not read it, so the field is swept here, on the
     profile's nodes, one chunk of radii at a time.  The integrand is not
-    polynomial in theta, so it takes the top rung of the profile's sampler.
+    polynomial in theta; it takes the grid of the profile's sampler.
     """
     s, grid = profile.s_nodes, profile.sampler.grid
     absdev = np.empty(len(s))
@@ -432,13 +431,6 @@ class Budget:
             raise ValueError(f"dyn_t0: 2*dyn_t0 must lie in [0, {depth:.6g}), "
                              "the profile depth -ln(eps) + k_max ln 2")
 
-    def sphere_sampler(self, n: int) -> SphereSampler:
-        """A fresh sampler of every R ``classify`` reads: the grid of
-        ``grid_resolution`` as given, or adaptive to min(tol, dyn_tol)/10,
-        below every gate downstream of R."""
-        return sphere_sampler(n, self.grid_resolution,
-                              min(self.tol, self.dyn_tol) / 10)
-
 
 @dataclass(frozen=True)
 class RegularityVerdict:
@@ -464,7 +456,7 @@ def classify(field: CoefficientField, budget: Budget = Budget()) -> RegularityVe
         raise FieldError("classification requires a normalized field "
                          "(eval(0) = I); this one is flagged non-normalized")
     n = field.dim
-    sampler = budget.sphere_sampler(n)
+    sampler = sphere_sampler(n, budget.grid_resolution)
 
     evidence: dict = {}
 

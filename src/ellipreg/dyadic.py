@@ -73,7 +73,7 @@ _LEVIN_ORDERS = (4, 6, 8)
 def _extrapolate(partials: np.ndarray):
     """Levin u limit estimate, with the spread across its orders.
 
-    A tail with an exactly zero increment has settled and has no Levin
+    A tail with an exactly zero increment stands still and has no Levin
     estimate: its last partial is the limit, and the residual is its
     largest increment from the one before it first stands still on.
     """
@@ -218,7 +218,7 @@ def evidence_from_partials(ks, partials, tol: float) -> IntegralEvidence:
     for j in range(flat.shape[1]):
         col = flat[:, j]
         if np.max(np.abs(col)) <= 1e-9 * scale:
-            # negligible entry relative to the matrix scale: treat as settled
+            # negligible entry relative to the matrix scale: treat as converged
             verdicts.append(SequenceVerdict(VERDICT_CONVERGES,
                                             limit=float(col[-1]), residual=0.0))
         else:

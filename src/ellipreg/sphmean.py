@@ -30,18 +30,9 @@ _SWEEP_CHUNK_DOUBLES doubles of samples (2 MB, small enough to stay in a
 core's cache while the kernel reduces them), but at least one sphere.
 
 R over many radii goes through :func:`mean_matrix_R_many` and a
-:class:`SphereSampler`.  A sampler with one rung sweeps that grid as
-given.  An adaptive sampler climbs the ladder 8, 16, ... up to the default
-resolution (64 in 2-D, 32 in 3-D) radius by radius: every radius is swept
-at 8 and 16, is done when the two agree to the sampler's tol (relative
-once |R| > 1) and keeps the finer value; the others double again.  The top
-rung is the default grid, so there R is the default grid's value, agreed
-or not.  Every rung below the top is turned in the x1 x2 plane by the
-golden fraction of 2 pi / resolution.  Untouched, the m-node rule would
-nest in the 2 m-node one, and both would alias the angular modes that are
-multiples of 2 m with the same phase: they would agree on a wrong value
-(a 2-D cos(14 phi) term settled at 16 nodes with R off by a quarter of its
-amplitude).  Turned by irrational fractions, no aliased mode lines up.
+:class:`SphereSampler`: one grid, ``[budget] grid_resolution`` or the
+default one (64 in 2-D, 32 in 3-D), read by every R of a run, with a
+record of the work done on it.
 """
 
 from __future__ import annotations
@@ -61,7 +52,6 @@ _SWEEP_CHUNK_DOUBLES = 1 << 18
 # field samples of the finest single sphere (8 MB): bounds max_resolution
 _SPHERE_CAP_DOUBLES = 1 << 20
 _MIN_RESOLUTION = 8
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0   # the turn of a lower rung, per 2 pi / res
 
 
 @dataclass(frozen=True)
@@ -124,14 +114,10 @@ def sphere_grid(n: int, resolution: int) -> SphericalGrid:
         x, wx = np.polynomial.legendre.leggauss(npol)   # cos(polar) in [-1, 1]
         phi = 2.0 * np.pi * np.arange(nazi) / nazi
         sin_pol = np.sqrt(1.0 - x ** 2)
-        nodes = np.empty((npol * nazi, 3))
-        weights = np.empty(npol * nazi)
-        for i in range(npol):
-            sl = slice(i * nazi, (i + 1) * nazi)
-            nodes[sl, 0] = sin_pol[i] * np.cos(phi)
-            nodes[sl, 1] = sin_pol[i] * np.sin(phi)
-            nodes[sl, 2] = x[i]
-            weights[sl] = (wx[i] / 2.0) / nazi
+        nodes = np.stack([np.outer(sin_pol, np.cos(phi)).ravel(),
+                          np.outer(sin_pol, np.sin(phi)).ravel(),
+                          np.repeat(x, nazi)], axis=1)   # latitude by latitude
+        weights = np.repeat((wx / 2.0) / nazi, nazi)
         return SphericalGrid(3, nodes, weights)
     raise ValueError(f"unsupported dimension n = {n}; only 2 and 3 are implemented")
 
@@ -153,71 +139,38 @@ def max_resolution(n: int) -> int:
 
 @dataclass
 class SphereSampler:
-    """A ladder of sphere grids for R, coarsest first, and a record of its work.
+    """The sphere grid of every R a run reads, and a record of its work.
 
-    With one rung the grid is swept as given.  With more, each radius climbs
-    until a rung agrees with the one below it to ``tol`` (relative once
-    |R| > 1), or reaches the top; see the module docstring.  ``settled``
-    counts the radii that kept each rung, ``max_discrepancy`` is the largest
-    scaled gap of the pair that settled a radius, ``field_evals`` counts
-    the values computed from the field (whole-sphere samples, or the radial
-    factors of a separable field), ``chunks`` the sweep chunks the samples
-    came in and ``sweep_s`` the seconds spent evaluating and reducing them.
-    ``separable_parts`` is the part count J of a field whose R came from
-    its form, None when the field was sampled on spheres.
+    ``field_evals`` counts the values computed from the field (whole-sphere
+    samples, or the radial factors of a separable field), ``chunks`` the
+    sweep chunks the samples came in and ``sweep_s`` the seconds spent
+    evaluating and reducing them.  ``separable_parts`` is the part count J
+    of a field whose R came from its form, None when the field was sampled
+    on spheres.
     """
 
-    resolutions: tuple
-    grids: tuple
-    tol: float
-    settled: dict = dc_field(default_factory=dict)
-    max_discrepancy: float = 0.0
+    resolution: int
+    grid: SphericalGrid
     field_evals: int = 0
     chunks: int = 0
     sweep_s: float = 0.0
     separable_parts: Optional[int] = None
 
-    @property
-    def grid(self) -> SphericalGrid:
-        """The top rung: the grid for integrands no rung is exact for."""
-        return self.grids[-1]
-
     def record(self) -> dict:
         """The sampler's work, for a report's volatile provenance block."""
-        kept = self.resolutions[1:] or self.resolutions   # rungs a radius keeps
-        out = {"radii_settled": {str(r): self.settled.get(r, 0) for r in kept},
+        out = {"resolution": self.resolution,
                "field_evaluations": self.field_evals,
                "chunks": self.chunks, "sweep_s": self.sweep_s}
-        if len(self.grids) > 1:
-            out["pair_tol"] = self.tol
-            out["max_pair_discrepancy"] = self.max_discrepancy
         if self.separable_parts is not None:
             out["separable_parts"] = self.separable_parts
         return out
 
 
-def _turned(grid: SphericalGrid, angle: float) -> SphericalGrid:
-    """The grid turned by ``angle`` in the x1 x2 plane."""
-    c, s = math.cos(angle), math.sin(angle)
-    nodes = grid.nodes.copy()
-    nodes[:, 0] = c * grid.nodes[:, 0] - s * grid.nodes[:, 1]
-    nodes[:, 1] = s * grid.nodes[:, 0] + c * grid.nodes[:, 1]
-    return SphericalGrid(grid.dim, nodes, grid.weights)
-
-
-def sphere_sampler(n: int, resolution: Optional[int] = None,
-                   tol: float = 0.0) -> SphereSampler:
-    """The grid of ``resolution`` as given, or, when it is None, the adaptive
-    ladder 8, 16, ... up to the default grid, checked to ``tol``, each rung
-    below the top turned (module docstring)."""
-    if resolution is not None:
-        return SphereSampler((resolution,), (sphere_grid(n, resolution),), tol)
-    top = default_resolution(n)
-    ladder = tuple(_MIN_RESOLUTION << k
-                   for k in range((top // _MIN_RESOLUTION).bit_length()))
-    grids = tuple(_turned(sphere_grid(n, r), 2.0 * math.pi * _GOLDEN / r)
-                  for r in ladder[:-1]) + (default_grid(n),)
-    return SphereSampler(ladder, grids, tol)
+def sphere_sampler(n: int, resolution: Optional[int] = None) -> SphereSampler:
+    """The grid of ``resolution``, or the default grid when it is None."""
+    if resolution is None:
+        resolution = default_resolution(n)
+    return SphereSampler(resolution, sphere_grid(n, resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -263,61 +216,32 @@ def sphere_sweep(field: CoefficientField, radii: np.ndarray,
         yield sl, field.on_spheres(radii[sl], grid)
 
 
-def _sweep_R(field: CoefficientField, radii: np.ndarray,
-             grid: SphericalGrid) -> np.ndarray:
-    R = np.empty((len(radii), field.dim, field.dim))
-    for sl, A in sphere_sweep(field, radii, grid):
-        R[sl] = mean_R_kernel(A, grid)
-        del A      # or the chunk outlives the sweep's next field evaluation
-    return R
-
-
 def mean_matrix_R_many(field: CoefficientField, radii: np.ndarray,
                        sampler: SphereSampler) -> np.ndarray:
-    """R(r) over an array of radii, shape (M, n, n), through the sampler's
-    ladder: each radius at the first rung that agrees with the one below it,
-    or at the top rung.  On each rung the R of a field with a form is its
-    radial factors times its angular parts at the nodes, reduced by
-    :func:`mean_R_kernel`; any other field's is one :func:`sphere_sweep`
-    reduced by the kernel, so only one chunk of field samples is held at a
-    time.  The work is added to the
-    sampler's record."""
+    """R(r) over an array of radii, shape (M, n, n), on the sampler's grid.
+
+    The R of a field with a form is its radial factors times its angular
+    parts at the nodes, reduced by :func:`mean_R_kernel`; any other field's
+    is one :func:`sphere_sweep` reduced by the kernel, so only one chunk of
+    field samples is held at a time.  The work is added to the sampler's
+    record."""
     radii = np.asarray(radii, float)
-    n, parts = field.dim, field.separable
-    top = len(sampler.grids) - 1
-    R = np.empty((len(radii), n, n))
-    live, coarse = np.arange(len(radii)), None
-    for rung, grid in enumerate(sampler.grids):
-        start = time.perf_counter()
-        if parts is None:
-            fine = _sweep_R(field, radii[live], grid)
-            sampler.field_evals += len(live) * len(grid.weights)
-            sampler.chunks += -(-len(live) // _radii_per_chunk(grid))
-        else:
-            c = np.asarray(parts.factors(radii[live]), float)    # (k, J)
-            RB = mean_R_kernel(parts.angular(grid.nodes), grid)  # (J, n, n)
-            fine = (c @ RB.reshape(len(RB), n * n)).reshape(len(live), n, n)
-            sampler.field_evals += c.size
-            sampler.separable_parts = len(RB)
-        sampler.sweep_s += time.perf_counter() - start
-        if rung == 0 and top > 0:
-            coarse = fine
-            continue
-        done = np.ones(len(live), bool)
-        if coarse is not None:
-            scale = np.maximum(1.0, np.max(np.abs(fine), axis=(1, 2)))
-            gap = np.max(np.abs(fine - coarse), axis=(1, 2)) / scale
-            if rung < top:
-                done = gap <= sampler.tol        # a NaN gap climbs to the top
-            finite = gap[done][np.isfinite(gap[done])]
-            sampler.max_discrepancy = max(sampler.max_discrepancy,
-                                          float(finite.max(initial=0.0)))
-        R[live[done]] = fine[done]
-        res = sampler.resolutions[rung]
-        sampler.settled[res] = sampler.settled.get(res, 0) + int(done.sum())
-        live, coarse = live[~done], fine[~done]
-        if not len(live):
-            break
+    n, parts, grid = field.dim, field.separable, sampler.grid
+    start = time.perf_counter()
+    if parts is None:
+        R = np.empty((len(radii), n, n))
+        for sl, A in sphere_sweep(field, radii, grid):
+            R[sl] = mean_R_kernel(A, grid)
+            del A      # or the chunk outlives the sweep's next field evaluation
+        sampler.field_evals += len(radii) * len(grid.weights)
+        sampler.chunks += -(-len(radii) // _radii_per_chunk(grid))
+    else:
+        c = np.asarray(parts.factors(radii), float)              # (k, J)
+        RB = mean_R_kernel(parts.angular(grid.nodes), grid)      # (J, n, n)
+        R = (c @ RB.reshape(len(RB), n * n)).reshape(len(radii), n, n)
+        sampler.field_evals += c.size
+        sampler.separable_parts = len(RB)
+    sampler.sweep_s += time.perf_counter() - start
     return R
 
 

@@ -70,11 +70,10 @@ def scalar_rfun(gen, n):
     return lambda t: np.array([[-nu * float(gen.gtil(np.asarray(t, float)))]])
 
 
-def one_rung(grid):
-    """The one-rung sampler that sweeps ``grid`` as given."""
+def sampler_on(grid):
+    """The sampler that sweeps ``grid``."""
     m = len(grid.weights)
-    res = m if grid.dim == 2 else math.isqrt(m // 2)
-    return sphmean.SphereSampler((res,), (grid,), 0.0)
+    return sphmean.SphereSampler(m if grid.dim == 2 else math.isqrt(m // 2), grid)
 
 
 def mean_R(field, r, grid=None):
@@ -82,7 +81,7 @@ def mean_R(field, r, grid=None):
     default grid when None)."""
     if grid is None:
         grid = sphmean.default_grid(field.dim)
-    return sphmean.mean_matrix_R_many(field, [r], one_rung(grid))[0]
+    return sphmean.mean_matrix_R_many(field, [r], sampler_on(grid))[0]
 
 
 def batched(rfun):

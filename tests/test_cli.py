@@ -341,24 +341,17 @@ class TestClassifyRuns:
         rec = json.load(open(out / "report.json"))["provenance_volatile"][
             "sphere_quadrature"]
         M = 20 * 32 + 1       # the profile's radii; its flow sweeps no other
-        if res is None:
-            # rank-one: every radius settles at the first pair, 8 + 16
-            # nodes, each rung reading g once per radius
-            assert rec["radii_settled"] == {"16": M, "32": 0, "64": 0}
-            assert rec["field_evaluations"] == 2 * M
-            assert rec["pair_tol"] == 1e-9
-            assert 0 <= rec["max_pair_discrepancy"] <= 1e-14
-            assert rec["separable_parts"] == 1
-        else:
-            assert rec.pop("sweep_s") >= 0.0
-            assert rec == {"radii_settled": {"16": M}, "field_evaluations": M,
-                           "chunks": 0, "separable_parts": 1}
+        # rank-one: g read once per radius, no sphere of samples swept
+        assert rec.pop("sweep_s") >= 0.0
+        assert rec == {"resolution": 64 if res is None else res,
+                       "field_evaluations": M, "chunks": 0,
+                       "separable_parts": 1}
 
     @pytest.mark.parametrize("family", [
         "family = radial\nscale = 0.5*r^0.5", "family = identity"])
     def test_radial_family_evaluates_no_field_sample(self, tmp_path, family):
-        # (1 + scale(r)) I and I are forms with no part: R is 0 on every
-        # rung, with no sphere sampled and no factor read
+        # (1 + scale(r)) I and I are forms with no part: R is 0, with no
+        # sphere sampled and no factor read
         out = tmp_path / "out"
         text = BASE.format(out=out).replace(
             "family = gilbarg-serrin\ng = -1/log(e^2/r)\nomega = 1/log(e^2/r)",
@@ -451,8 +444,8 @@ t1 = 700
         assert cli.main(["integrate", cfg]) == cli.EXIT_OK
         report = json.load(open(out / "report.json"))
         assert report["payload"]["verdict"] == "evidence-stable"
-        settled = report["provenance_volatile"]["sphere_quadrature"]["radii_settled"]
-        assert settled["32"] == settled["64"] == 0
+        rec = report["provenance_volatile"]["sphere_quadrature"]
+        assert rec["resolution"] == 64 and rec["separable_parts"] == 1
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9])
     @pytest.mark.filterwarnings("ignore:At least one element of `rtol`")
@@ -488,10 +481,8 @@ tol = {tol}
     def test_grid_resolution_reaches_every_sphere_mean(
             self, tmp_path, monkeypatch, subcommand, csv_name):
         # every R in the package goes through the kernel: record its grid.
-        # An explicit resolution reaches every sphere mean.  Unset, the
-        # moment tables keep the default grid, while the R sweeps of classify
-        # and integrate climb the adaptive ladder; this rank-one field
-        # settles at its first pair (8 and 16 nodes)
+        # An explicit resolution reaches every sphere mean; unset, every
+        # one reads the default grid
         sizes = []
         inner = sphmean.mean_R_kernel
 
@@ -513,9 +504,7 @@ tol = {tol}
                 grids[sub, res] = set(sizes)
             csvs[res] = (out / csv_name).read_text()
         assert csvs[16] != csvs[None]
-        assert grids["classify", None] == {8, 16}
-        assert grids[subcommand, None] == ({8, 16} if subcommand == "integrate"
-                                           else {64})
+        assert grids[subcommand, None] == grids["classify", None] == {64}
         assert grids[subcommand, 16] == grids["classify", 16] == {16}
 
     def test_appendix_dump(self, tmp_path):

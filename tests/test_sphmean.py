@@ -7,8 +7,9 @@ import pytest
 from ellipreg import coeff, sphmean
 
 from conftest import (LAB_SPECS, gs_log_field, gs_power_field, lab_field, mean_R,
-                      one_rung, random_spd, sampled)
+                      random_spd, sampled, sampler_on)
 from mean_R_reference import reference_mean_R
+from sphere_grid_reference import sphere_grid_by_latitude
 
 
 def aniso_field(gfun, n=2):
@@ -65,6 +66,14 @@ class TestGrids:
         for (p, q), want in [((2, 0), 1 / 3), ((4, 0), 1 / 5), ((2, 2), 1 / 15)]:
             val = np.sum(g.weights * g.nodes[:, 0] ** p * g.nodes[:, 1] ** q)
             assert abs(val - want) < 1e-13
+
+    @pytest.mark.parametrize("res", [8, 12, 16, 32, 40, 241])
+    def test_3d_grid_matches_the_latitude_loop_bit_for_bit(self, res):
+        got, want = sphmean.sphere_grid(3, res), sphere_grid_by_latitude(res)
+        for key in ("nodes", "weights", "R_weights"):
+            a, b = getattr(got, key), getattr(want, key)
+            assert a.shape == b.shape
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -133,7 +142,7 @@ class TestMeanMatrixR:
     def test_many_radii_path_matches(self, grid2):
         f = gs_power_field(0.5)
         radii = 2.0 ** -np.arange(1, 8, dtype=float)
-        many = sphmean.mean_matrix_R_many(f, radii, one_rung(grid2))
+        many = sphmean.mean_matrix_R_many(f, radii, sampler_on(grid2))
         for i, r in enumerate(radii):
             np.testing.assert_allclose(many[i],
                                        mean_R(f, r, grid2),
@@ -157,17 +166,13 @@ class TestMeanMatrixR:
         for t in (360.0, 400.0, 700.0):
             want = (1.0 - n) / n * (-1.0 / (2.0 + t))
             radii = np.array([math.exp(-t)])
-            for sampler in (sphmean.sphere_sampler(n, sphmean.default_resolution(n)),
-                            sphmean.sphere_sampler(n, tol=1e-9)):
-                R = sphmean.mean_matrix_R_many(f, radii, sampler)[0]
-                assert np.max(np.abs(R - want * np.eye(n))) <= 1e-12 * abs(want) + floor
+            R = sphmean.mean_matrix_R_many(f, radii, sphmean.sphere_sampler(n))[0]
+            assert np.max(np.abs(R - want * np.eye(n))) <= 1e-12 * abs(want) + floor
 
 
 def angular_perturbed_field(n, m):
     """(1 + r) I plus a1 = 0.2 r^0.5 cos(m phi) I, phi the azimuth in the
-    x1 x2 plane.  The R integrand has frequencies m - 2 .. m + 2 in phi,
-    so resolution 8 (8 azimuth nodes in 2-D, 16 in 3-D) aliases m = 6 and
-    m = 14, and in 2-D resolution 16 aliases m = 14 as well."""
+    x1 x2 plane: a field without a form."""
     def a1(pts):
         pts = np.atleast_2d(np.asarray(pts, float))
         amp = 0.2 * np.sqrt(np.linalg.norm(pts, axis=1))
@@ -193,78 +198,18 @@ def cos20_custom_field(n):
 class TestSphereSampler:
     RADII = 2.0 ** -np.linspace(1.0, 30.0, 59)
 
-    def test_ladders(self):
-        assert sphmean.sphere_sampler(2).resolutions == (8, 16, 32, 64)
-        assert sphmean.sphere_sampler(3).resolutions == (8, 16, 32)
-        assert sphmean.sphere_sampler(3, 40).resolutions == (40,)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unset_resolution_is_the_default_grid(self, n):
+        sampler, grid = sphmean.sphere_sampler(n), sphmean.default_grid(n)
+        assert sampler.resolution == sphmean.default_resolution(n)
+        np.testing.assert_array_equal(sampler.grid.nodes, grid.nodes)
+        np.testing.assert_array_equal(sampler.grid.weights, grid.weights)
+        assert sphmean.sphere_sampler(n, 40).resolution == 40
+
+    def test_max_resolution(self):
         assert sphmean.max_resolution(2) == 2 ** 18
         # 2 R^2 nodes of 9 doubles: 241 fits 2^20 doubles, 242 does not
         assert sphmean.max_resolution(3) == 241
-
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("field_fn", [
-        lambda n: gs_log_field(-1.0, shift=2.0, n=n),
-        lambda n: gs_log_field(0.5, power=2.0, n=n),
-        lambda n: gs_power_field(0.5, c=-0.5, n=n),
-    ])
-    @pytest.mark.parametrize("path", ["separable", "sampled"])
-    def test_rank_one_fields_settle_at_the_first_pair(self, n, field_fn, path):
-        # a degree-4 integrand: every rung is exact, so every radius keeps
-        # the 16-node R.  The separable path reads g once per radius and
-        # rung; the sampled one a whole sphere per radius and rung
-        f = field_fn(n) if path == "separable" else sampled(field_fn(n))
-        sampler = sphmean.sphere_sampler(n, tol=1e-9)
-        R = sphmean.mean_matrix_R_many(f, self.RADII, sampler)
-        rec = sampler.record()
-        assert rec["radii_settled"] == {"16": len(self.RADII), "32": 0,
-                                        **({"64": 0} if n == 2 else {})}
-        assert rec["max_pair_discrepancy"] <= 1e-14
-        if path == "separable":
-            per_radius, parts = 2, 1
-        else:
-            per_radius = 8 + 16 if n == 2 else 2 * 8 ** 2 + 2 * 16 ** 2
-            parts = None
-        assert rec["field_evaluations"] == per_radius * len(self.RADII)
-        assert rec.get("separable_parts") == parts
-        assert (rec["chunks"] == 0) == (path == "separable")
-        ref = sphmean.mean_matrix_R_many(f, self.RADII,
-                                         one_rung(sphmean.default_grid(n)))
-        # the rules' own rounding: the 3-D default grid's second moments
-        # are off by up to 3e-14
-        np.testing.assert_allclose(R, ref, rtol=0, atol=1e-13)
-
-    @pytest.mark.parametrize("field_fn, n", [
-        (lambda n: angular_perturbed_field(n, 6), 2),
-        # both rules of the first pair alias frequency 16: untouched grids
-        # would agree on a wrong R
-        (lambda n: angular_perturbed_field(n, 14), 2),
-        (lambda n: angular_perturbed_field(n, 14), 3),
-        (cos20_custom_field, 2), (cos20_custom_field, 3),
-    ], ids=["perturbed-cos6-2d", "perturbed-cos14-2d", "perturbed-cos14-3d",
-            "custom-cos20-2d", "custom-cos20-3d"])
-    def test_angular_fields_go_finer_and_match_the_default_grid(self, field_fn, n):
-        f = field_fn(n)
-        tol = 1e-9
-        sampler = sphmean.sphere_sampler(n, tol=tol)
-        R = sphmean.mean_matrix_R_many(f, self.RADII, sampler)
-        ref = sphmean.mean_matrix_R_many(f, self.RADII,
-                                         one_rung(sphmean.default_grid(n)))
-        settled = sampler.record()["radii_settled"]
-        assert sum(settled.values()) == len(self.RADII)
-        assert sum(c for res, c in settled.items() if int(res) > 16) > 0
-        scale = np.maximum(1.0, np.max(np.abs(ref), axis=(1, 2)))
-        assert np.all(np.max(np.abs(R - ref), axis=(1, 2)) <= tol * scale)
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_top_rung_is_the_default_grid_bit_for_bit(self, n):
-        # no pair agrees to tol 0 unless bit-equal, so radii climb to the top
-        f = cos20_custom_field(n)
-        sampler = sphmean.sphere_sampler(n, tol=0.0)
-        R = sphmean.mean_matrix_R_many(f, self.RADII, sampler)
-        top = str(sphmean.default_resolution(n))
-        assert sampler.record()["radii_settled"][top] == len(self.RADII)
-        np.testing.assert_array_equal(R, sphmean.mean_matrix_R_many(
-            f, self.RADII, one_rung(sphmean.default_grid(n))))
 
     @pytest.mark.parametrize("n, res", [(2, 24), (3, 12)])
     def test_explicit_resolution_sweeps_exactly_that_grid(self, n, res,
@@ -277,7 +222,7 @@ class TestSphereSampler:
             return inner(A, grid)
 
         f = cos20_custom_field(n)
-        sampler = sphmean.sphere_sampler(n, res, tol=1e-9)
+        sampler = sphmean.sphere_sampler(n, res)
         monkeypatch.setattr(sphmean, "mean_R_kernel", spy)
         R = sphmean.mean_matrix_R_many(f, self.RADII, sampler)
         grid = sphmean.sphere_grid(n, res)
@@ -286,15 +231,15 @@ class TestSphereSampler:
         assert rec.pop("sweep_s") >= 0.0
         # all 59 radii fit one chunk
         assert rec == {
-            "radii_settled": {str(res): len(self.RADII)},
+            "resolution": res,
             "field_evaluations": len(grid.weights) * len(self.RADII),
             "chunks": 1}
         np.testing.assert_array_equal(
-            R, sphmean.mean_matrix_R_many(f, self.RADII, one_rung(grid)))
+            R, inner(f.on_spheres(self.RADII, grid), grid))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_samples_held_at_once_fit_the_chunk(self, n, monkeypatch):
-        # three spheres of the top rung: a chunk holds at least one
+        # three spheres of the default grid: a chunk holds at least one
         top = sphmean.default_grid(n).nodes.size * n
         cap = 3 * top + 5
         monkeypatch.setattr(sphmean, "_SWEEP_CHUNK_DOUBLES", cap)
@@ -303,13 +248,12 @@ class TestSphereSampler:
         inner = f.eval_batch
         counted = dataclasses.replace(
             f, eval_batch=lambda pts: held.append(len(pts) * n * n) or inner(pts))
-        sampler = sphmean.sphere_sampler(n, tol=1e-9)
+        sampler = sphmean.sphere_sampler(n)
         R = sphmean.mean_matrix_R_many(counted, self.RADII, sampler)
         assert max(held) <= cap
         assert sum(held) == sampler.field_evals * n * n
         np.testing.assert_array_equal(
-            R, sphmean.mean_matrix_R_many(f, self.RADII,
-                                          sphmean.sphere_sampler(n, tol=1e-9)))
+            R, sphmean.mean_matrix_R_many(f, self.RADII, sphmean.sphere_sampler(n)))
 
 
 def two_part_field(n):
@@ -353,30 +297,28 @@ class TestSeparableR:
     FIELDS = [lambda n, spec=spec: lab_field(spec, n) for spec in LAB_SPECS]
     FIELDS.append(two_part_field)
     IDS = ["-".join(map(str, spec)) for spec in LAB_SPECS] + ["two-part"]
-    SAMPLERS = {"adaptive": lambda n: sphmean.sphere_sampler(n, tol=1e-9),
-                "default": lambda n: sphmean.sphere_sampler(
-                    n, sphmean.default_resolution(n)),
+    SAMPLERS = {"default": lambda n: sphmean.sphere_sampler(n),
                 "coarse": lambda n: sphmean.sphere_sampler(n, 24 if n == 2 else 12)}
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("field_fn", FIELDS, ids=IDS)
-    @pytest.mark.parametrize("ladder", list(SAMPLERS))
-    def test_agrees_with_the_sweep(self, n, field_fn, ladder):
+    @pytest.mark.parametrize("grid", list(SAMPLERS))
+    def test_agrees_with_the_sweep(self, n, field_fn, grid):
         f = field_fn(n)
-        fast, slow = self.SAMPLERS[ladder](n), self.SAMPLERS[ladder](n)
+        fast, slow = self.SAMPLERS[grid](n), self.SAMPLERS[grid](n)
         R = sphmean.mean_matrix_R_many(f, self.RADII, fast)
         ref = sphmean.mean_matrix_R_many(sampled(f), self.RADII, slow)
         g = f.separable.factors(self.RADII)
         bound = 64 * np.finfo(float).eps * (1.0 + np.max(np.abs(g)))
         assert np.max(np.abs(R - ref)) <= bound
-        assert fast.settled == slow.settled
+        assert fast.field_evals == g.size
         # the origin: every factor is 0, so is R, with no identity residue
         np.testing.assert_array_equal(R[-1], np.zeros((n, n)))
         assert fast.record()["separable_parts"] == g.shape[1]
         assert "separable_parts" not in slow.record()
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_one_kernel_call_per_rung_and_no_sphere_sampled(self, n, monkeypatch):
+    def test_one_kernel_call_and_no_sphere_sampled(self, n, monkeypatch):
         calls = []
         inner = sphmean.mean_R_kernel
 
@@ -388,13 +330,12 @@ class TestSeparableR:
             raise AssertionError("a separable field was sampled at points")
 
         f = dataclasses.replace(two_part_field(n), eval_batch=no_points)
-        sampler = sphmean.sphere_sampler(n, tol=1e-9)
+        sampler = sphmean.sphere_sampler(n)
         monkeypatch.setattr(sphmean, "mean_R_kernel", spy)
         sphmean.mean_matrix_R_many(f, self.RADII, sampler)
-        m = [len(g.weights) for g in sampler.grids]
-        # the parts agree at 8 and 16 nodes, so the ladder stops there
-        assert calls == [((2, m[0], n, n), m[0]), ((2, m[1], n, n), m[1])]
-        assert sampler.record()["field_evaluations"] == 2 * 2 * len(self.RADII)
+        m = len(sampler.grid.weights)
+        assert calls == [((2, m, n, n), m)]
+        assert sampler.record()["field_evaluations"] == 2 * len(self.RADII)
 
 
 def assert_samples_agree(got, want):
@@ -451,7 +392,8 @@ class TestOnSpheres:
         f = make(n)
         assert (None if f.separable is None else
                 f.separable.factors(self.RADII).shape[1]) == parts
-        for grid in sphmean.sphere_sampler(n).grids:   # the lower ones turned
+        for res in (8, 13, sphmean.default_resolution(n)):
+            grid = sphmean.sphere_grid(n, res)
             got = f.on_spheres(self.RADII, grid)
             m = len(grid.weights)
             assert got.shape == (len(self.RADII), m, n, n)
@@ -498,10 +440,10 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("field_fn", FIELDS, ids=IDS)
-    def test_every_rung_matches_the_reference(self, n, field_fn):
+    def test_every_grid_matches_the_reference(self, n, field_fn):
         f = field_fn(n)
-        rungs = sphmean.sphere_sampler(n).grids   # the lower ones turned
-        for grid in rungs:
+        for res in (8, 16, 13, sphmean.default_resolution(n)):
+            grid = sphmean.sphere_grid(n, res)
             m = len(grid.weights)
             pts = (self.RADII[:, None, None] * grid.nodes).reshape(-1, n)
             A = f.eval_batch(pts).reshape(len(self.RADII), m, n, n)
