@@ -211,6 +211,59 @@ class TestSphereSampler:
         # 2 R^2 nodes of 9 doubles: 241 fits 2^20 doubles, 242 does not
         assert sphmean.max_resolution(3) == 241
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("field_fn", [
+        lambda n: gs_log_field(-1.0, shift=2.0, n=n),
+        lambda n: gs_log_field(0.5, power=2.0, n=n),
+        lambda n: gs_power_field(0.5, c=-0.5, n=n),
+    ])
+    @pytest.mark.parametrize("path", ["separable", "sampled"])
+    def test_rank_one_fields_read_the_default_grid_once(self, n, field_fn, path):
+        # the separable path reads g once per radius; the sampled one the
+        # whole default sphere per radius, in chunks
+        f = field_fn(n) if path == "separable" else sampled(field_fn(n))
+        sampler = sphmean.sphere_sampler(n)
+        R = sphmean.mean_matrix_R_many(f, self.RADII, sampler)
+        rec = sampler.record()
+        grid = sphmean.default_grid(n)
+        m = len(grid.weights)
+        assert rec["resolution"] == sphmean.default_resolution(n)
+        if path == "separable":
+            assert rec["field_evaluations"] == len(self.RADII)
+            assert rec["chunks"] == 0
+            assert rec["separable_parts"] == 1
+        else:
+            per_chunk = max(1, sphmean._SWEEP_CHUNK_DOUBLES // (m * n * n))
+            assert rec["field_evaluations"] == m * len(self.RADII)
+            assert rec["chunks"] == -(-len(self.RADII) // per_chunk)
+            assert "separable_parts" not in rec
+        ref = sphmean.mean_matrix_R_many(sampled(f), self.RADII, sampler_on(grid))
+        # the rules' own rounding: the 3-D default grid's second moments
+        # are off by up to 3e-14
+        np.testing.assert_allclose(R, ref, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("field_fn, n", [
+        (lambda n: angular_perturbed_field(n, 6), 2),
+        (lambda n: angular_perturbed_field(n, 14), 2),
+        (lambda n: angular_perturbed_field(n, 14), 3),
+        (cos20_custom_field, 2), (cos20_custom_field, 3),
+    ], ids=["perturbed-cos6-2d", "perturbed-cos14-2d", "perturbed-cos14-3d",
+            "custom-cos20-2d", "custom-cos20-3d"])
+    def test_angular_fields_are_resolved_by_the_default_grid(self, field_fn, n):
+        # the R integrand of cos(m phi) has frequencies m - 2 .. m + 2, so
+        # resolution 8 aliases every one of these fields; the default grid
+        # agrees with one twice as fine
+        f = field_fn(n)
+        R = sphmean.mean_matrix_R_many(f, self.RADII, sphmean.sphere_sampler(n))
+        np.testing.assert_array_equal(R, sphmean.mean_matrix_R_many(
+            f, self.RADII, sampler_on(sphmean.default_grid(n))))
+        fine, coarse = (sphmean.mean_matrix_R_many(
+            f, self.RADII, sphmean.sphere_sampler(n, res))
+            for res in (2 * sphmean.default_resolution(n), 8))
+        scale = np.maximum(1.0, np.max(np.abs(fine), axis=(1, 2)))
+        assert np.all(np.max(np.abs(R - fine), axis=(1, 2)) <= 1e-12 * scale)
+        assert np.max(np.max(np.abs(coarse - fine), axis=(1, 2)) / scale) > 1e-6
+
     @pytest.mark.parametrize("n, res", [(2, 24), (3, 12)])
     def test_explicit_resolution_sweeps_exactly_that_grid(self, n, res,
                                                           monkeypatch):
