@@ -333,6 +333,10 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            return (obj + 0.0).tolist()       # normalize -0.0
+        if obj.dtype.kind in "biu":
+            return obj.tolist()
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
@@ -499,14 +503,22 @@ def _verdict_payload(verdict: criteria.RegularityVerdict) -> dict:
 # subcommand runners
 # ---------------------------------------------------------------------------
 
+def _moments_record(sampler: sphmean.SphereSampler, radii: int) -> dict:
+    """The volatile sphere_quadrature block of a run that reads ``radii``
+    whole spheres through ``sphmean.appendix_moments``."""
+    return {"resolution": sampler.resolution,
+            "field_evaluations": radii * len(sampler.grid.weights)}
+
+
 def run_moments(cfg: RunConfig) -> dict:
     field = build_field(cfg)
     k_max = cfg.options["moments"]["k_max"]
     radii = cfg.budget.eps * 2.0 ** -np.arange(0, k_max)
-    grid = sphmean.sphere_sampler(field.dim, cfg.budget.grid_resolution).grid
+    sampler = sphmean.sphere_sampler(field.dim, cfg.budget.grid_resolution)
+    cfg.volatile["sphere_quadrature"] = _moments_record(sampler, len(radii))
     rows = []
     for r in radii:
-        md = sphmean.appendix_moments(field, float(r), grid)
+        md = sphmean.appendix_moments(field, float(r), sampler.grid)
         rows.append([md.r, md.alpha, *md.beta, *md.gamma,
                      *md.R.ravel(), *md.S.ravel(), md.mu])
     n = field.dim
@@ -574,14 +586,15 @@ def run_appendix(cfg: RunConfig) -> dict:
     from . import appendix_system
     field = build_field(cfg)
     n = field.dim
-    grid = sphmean.sphere_sampler(n, cfg.budget.grid_resolution).grid
+    sampler = sphmean.sphere_sampler(n, cfg.budget.grid_resolution)
     M_inf = appendix_system.m_infinity(n)
     ts = np.linspace(cfg.budget.dyn_t0,
                      -math.log(cfg.budget.eps) + cfg.budget.k_max * math.log(2.0),
                      41)
+    cfg.volatile["sphere_quadrature"] = _moments_record(sampler, len(ts))
     rows = []
     for t in ts:
-        md = sphmean.appendix_moments(field, float(np.exp(-t)), grid)
+        md = sphmean.appendix_moments(field, float(np.exp(-t)), sampler.grid)
         S1 = appendix_system.s1_matrix(md)
         res = appendix_system.r1_block_residual(md)
         rows.append([t, md.r, float(np.linalg.norm(S1, 2)), res.residual,

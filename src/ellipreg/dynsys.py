@@ -16,6 +16,14 @@ holds at the nodes, so nothing is read between them.  A scalar generator
 with a known integral needs no flow: its Phi is exp of that integral
 (``gilbarg_serrin.closed_form_phi``).
 
+A flow costs a fixed number of batched array operations per lattice, not
+one Python step per node: ``expm`` takes every Magnus step of a lattice at
+once, at the lowest Pade degree whose range covers the largest step, and
+the node states, the prefix products of the steps, come from a log-depth
+doubling scan.  The pairwise K is one pass too: a row screen keeps only the
+end nodes whose largest bound can raise K, and only their pairs above the
+bound's floor get a norm.
+
 The fundamental matrix Phi is one matrix-state flow; every dynamics question
 reads from it.  K = sup ||Phi(t) Phi(s)^-1|| does not depend on where Phi
 starts, so ``stability_constant`` takes any (t, Phi) arrays, and the flow from
@@ -42,7 +50,6 @@ INCONCLUSIVE = "inconclusive"
 
 LN2 = math.log(2.0)
 _COND_LIMIT = 1e12
-_K_BLOCK = 32                # rows of the pairwise K table normed per batch
 _K_WINDOWS = 10              # dyadic windows of the K trend
 _K_SATURATION_RTOL = 0.01    # last three windows this close: saturated
 _ASYM_WINDOW_FRACTION = 0.1  # tail window of asymptotic_limit
@@ -57,8 +64,18 @@ class IntegrationError(RuntimeError):
 # matrix exponential
 # ---------------------------------------------------------------------------
 
-# Higham's [13/13] Pade approximant, exact to double precision for 1-norms
-# up to theta_13 (SIAM J. Matrix Anal. Appl. 26, 2005)
+# Higham's [m/m] Pade approximants (SIAM J. Matrix Anal. Appl. 26, 2005):
+# (m, theta_m, b_0..b_m), each exact to double precision for 1-norms up to
+# theta_m
+_PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
+                               25200.0, 1512.0, 56.0, 1.0)),
+    (9, 2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0,
+                              302702400.0, 30270240.0, 2162160.0, 110880.0,
+                              3960.0, 90.0, 1.0)),
+)
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            1187353796428800.0, 129060195264000.0, 10559470521600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
@@ -67,29 +84,43 @@ _THETA13 = 5.371920351148152
 
 
 def expm(Om: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a (k, d, d) stack, by scaling and squaring.
+    """exp of each matrix of a (k, d, d) stack, by Higham's Pade method.
 
-    Each matrix is scaled by 2^-s into the Pade range, its [13/13] approximant
-    is formed with six products and one solve, and it is squared s times;
-    1x1 stacks are np.exp.
+    The whole stack takes the lowest degree m in {3, 5, 7, 9, 13} whose
+    theta_m covers its largest 1-norm, formed with m // 2 + 1 products (six
+    for m = 13) and one solve; a Magnus step of a classify flow, 1-norm
+    near 0.02, takes m = 5.  Only on the [13/13] path is each matrix scaled
+    by 2^-s into the Pade range and squared s times.  1x1 stacks are np.exp.
     """
     Om = np.asarray(Om, float)
     if Om.shape[-1] == 1:
         return np.exp(Om)
     norm = np.max(np.sum(np.abs(Om), axis=-2), axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.ceil(np.log2(norm / _THETA13))
-    s = np.where(np.isfinite(s) & (s > 0), s, 0).astype(int)  # 0 for 0, NaN, inf
-    X = Om / np.exp2(s)[:, None, None]
-    b = _PADE13
+    top = np.max(norm, initial=0.0)
     I = np.eye(Om.shape[-1])
-    X2 = X @ X
-    X4 = X2 @ X2
-    X6 = X4 @ X2
-    U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
-             + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * I)
-    V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
-         + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * I)
+    for m, theta, b in _PADE:
+        if top <= theta:                      # False for NaN: the [13/13] path
+            X2 = Om @ Om
+            P = [I, X2]                       # even powers up to X^(m-1)
+            while 2 * len(P) <= m:
+                P.append(P[-1] @ X2)
+            U = Om @ sum(b[2 * k + 1] * Pk for k, Pk in enumerate(P))
+            V = sum(b[2 * k] * Pk for k, Pk in enumerate(P))
+            s = np.zeros(len(Om), int)
+            break
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.ceil(np.log2(norm / _THETA13))
+        s = np.where(np.isfinite(s) & (s > 0), s, 0).astype(int)  # 0 for 0, NaN, inf
+        X = Om / np.exp2(s)[:, None, None]
+        b = _PADE13
+        X2 = X @ X
+        X4 = X2 @ X2
+        X6 = X4 @ X2
+        U = X @ (X6 @ (b[13] * X6 + b[11] * X4 + b[9] * X2)
+                 + b[7] * X6 + b[5] * X4 + b[3] * X2 + b[1] * I)
+        V = (X6 @ (b[12] * X6 + b[10] * X4 + b[8] * X2)
+             + b[6] * X6 + b[4] * X4 + b[2] * X2 + b[0] * I)
     E = np.linalg.solve(V - U, V + U)
     E[norm == 0] = I                          # exactly: a flow of R = 0 stays I
     for j in range(int(s.max(initial=0))):
@@ -128,10 +159,20 @@ def _lattice_steps(t: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def _lattice_states(E: np.ndarray) -> np.ndarray:
-    Phi = np.empty((len(E) + 1,) + E.shape[1:])
+    """Prefix products Phi_p = E_(p-1) ... E_0, Phi_0 = I, by doubling.
+
+    The Hillis-Steele scan: after the round of stride k each state holds
+    the product of the up to 2k steps that end at it, so ceil(log2 m)
+    batched products form all m states.
+    """
+    m = len(E) + 1
+    Phi = np.empty((m,) + E.shape[1:])
     Phi[0] = np.eye(E.shape[-1])
-    for p, Ep in enumerate(E):
-        Phi[p + 1] = Ep @ Phi[p]
+    Phi[1:] = E
+    k = 1
+    while k < m:
+        Phi[k:] = Phi[k:] @ Phi[:m - k]
+        k *= 2
     return Phi
 
 
@@ -212,15 +253,19 @@ def refined_flow(sample: Callable, t: np.ndarray, tol: float,
 # stability evidence
 # ---------------------------------------------------------------------------
 
+def _sigma_max_2x2(mats: np.ndarray) -> np.ndarray:
+    # (|(a+d, b-c)| + |(a-d, b+c)|)/2 does not cancel when sigma_1 ~ sigma_2
+    a, b = mats[..., 0, 0], mats[..., 0, 1]
+    c, d = mats[..., 1, 0], mats[..., 1, 1]
+    return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+
+
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
     """Batched spectral norms; closed form up to 2x2, SVD otherwise."""
     if mats.shape[-1] == 1:
         return np.abs(mats[..., 0, 0])
     if mats.shape[-1] == 2:
-        # (|(a+d, b-c)| + |(a-d, b+c)|)/2 does not cancel when sigma_1 ~ sigma_2
-        a, b = mats[..., 0, 0], mats[..., 0, 1]
-        c, d = mats[..., 1, 0], mats[..., 1, 1]
-        return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+        return _sigma_max_2x2(mats)
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
@@ -246,18 +291,23 @@ def _pairwise_K(Phi: np.ndarray):
     """K(e) = max over s <= t <= t_e of ||Phi(t) Phi(s)^-1||, per end index.
 
     Scalar tracks use the exact running-min formulation; matrix tracks pair
-    every node with every earlier one.  K is a running maximum and
-    ||Phi(t) Phi(s)^-1|| is at most ||Phi(t)|| ||Phi(s)^-1||, both read off
-    the one batched SVD the conditioning check takes, so only pairs whose
-    bound exceeds a floor under the running maximum get a norm.  The bound
+    every node with every earlier one.  The conditioning check reads
+    sigma_max and sigma_min of every node: for 2x2 nodes in closed form,
+    sigma_max by the formula of ``spectral_norms`` and sigma_min as
+    |det| / sigma_max (an all-zero node, 0/0, is refused), and by one
+    batched SVD otherwise.  K is a running maximum and ||Phi(t) Phi(s)^-1||
+    is at most sigma_max(Phi(t)) ||Phi(s)^-1||, so only pairs whose bound
+    exceeds a floor under the running maximum get a norm.  The bound
     carries no rounding headroom, which would make a flow that stays I
     (R = 0) norm every pair, each bound reading 1 + headroom > K = 1; so a
     skipped pair can beat the maximum by rounding alone, and the result
     equals the all-pairs maximum to a few ulps.
     The floor is raised before any pruning by norming, for every end node,
-    the earlier node of largest bound; the remaining pairs are normed in
-    batches of _K_BLOCK end nodes.  Returns K_running, nondecreasing, at
-    every node.
+    the earlier node of largest bound.  The remaining pairs are normed in
+    one pass, which screens rows first: only the end nodes whose largest
+    bound, sigma_max(Phi(t)) times the largest ||Phi(s)^-1|| so far,
+    exceeds the floor are masked pair by pair.  Returns K_running,
+    nondecreasing, at every node.
     """
     m, d, _ = Phi.shape
     if d == 1:
@@ -265,30 +315,30 @@ def _pairwise_K(Phi: np.ndarray):
         running_min = np.minimum.accumulate(v)
         return np.maximum.accumulate(v / running_min)
 
-    sv = np.linalg.svd(Phi, compute_uv=False)
-    if np.any(sv[:, 0] > _COND_LIMIT * sv[:, -1]):
+    if d == 2:
+        s_max = _sigma_max_2x2(Phi)
+        det = Phi[:, 0, 0] * Phi[:, 1, 1] - Phi[:, 0, 1] * Phi[:, 1, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_min = np.abs(det) / s_max
+    else:
+        sv = np.linalg.svd(Phi, compute_uv=False)
+        s_max, s_min = sv[:, 0], sv[:, -1]
+    if not np.all(s_max <= _COND_LIMIT * s_min):      # NaN fails too
         raise np.linalg.LinAlgError(
             f"fundamental matrix conditioning exceeds {_COND_LIMIT:.0e}")
     Phi_inv = np.linalg.inv(Phi)
-    inv_norm = 1.0 / sv[:, -1]             # ||Phi^-1||
+    inv_norm = 1.0 / s_min                 # ||Phi^-1||
+    inv_top = np.maximum.accumulate(inv_norm)
     idx = np.arange(m)
-    top = np.maximum.accumulate(np.where(
-        inv_norm == np.maximum.accumulate(inv_norm), idx, 0))
-    floor = np.maximum.accumulate(spectral_norms(Phi @ Phi_inv[top]))
-    K_run = np.empty(m)
-    best = 1.0
-    for lo in range(0, m, _K_BLOCK):
-        rows = idx[lo:lo + _K_BLOCK]
-        T = np.maximum(best, floor[rows])
-        cols = idx[: rows[-1] + 1]
-        ii, jj = np.nonzero((sv[rows, :1] * inv_norm[cols] > T[:, None])
-                            & (cols <= rows[:, None]))
-        row_max = np.full(len(rows), -np.inf)
-        if len(ii):
-            np.maximum.at(row_max, ii, spectral_norms(Phi[rows[ii]] @ Phi_inv[jj]))
-        K_run[rows] = np.maximum(T, np.maximum.accumulate(row_max))
-        best = K_run[rows[-1]]
-    return K_run
+    top = np.maximum.accumulate(np.where(inv_norm == inv_top, idx, 0))
+    T = np.maximum(1.0, np.maximum.accumulate(spectral_norms(Phi @ Phi_inv[top])))
+    rows = np.flatnonzero(s_max * inv_top > T)
+    ii, jj = np.nonzero((s_max[rows, None] * inv_norm > T[rows, None])
+                        & (idx <= rows[:, None]))
+    row_max = np.full(m, -np.inf)
+    if len(ii):
+        np.maximum.at(row_max, rows[ii], spectral_norms(Phi[rows[ii]] @ Phi_inv[jj]))
+    return np.maximum.accumulate(np.maximum(T, row_max))
 
 
 def stability_constant(t: np.ndarray, Phi: np.ndarray) -> StabilityReport:

@@ -507,6 +507,30 @@ tol = {tol}
         assert grids[subcommand, None] == grids["classify", None] == {64}
         assert grids[subcommand, 16] == grids["classify", 16] == {16}
 
+    @pytest.mark.parametrize("res", [None, 16])
+    @pytest.mark.parametrize("subcommand, radii", [("moments", 20), ("appendix", 41)])
+    def test_moment_tables_record_the_sphere_quadrature(
+            self, tmp_path, monkeypatch, subcommand, radii, res):
+        # one whole sphere per radius: field_evaluations is radii x nodes
+        sizes = []
+        inner = sphmean.mean_R_kernel
+
+        def spy(A, grid):
+            sizes.append(len(grid.weights))
+            return inner(A, grid)
+
+        monkeypatch.setattr(sphmean, "mean_R_kernel", spy)
+        out = tmp_path / "out"
+        text = BASE.format(out=out)
+        if res is not None:
+            text = text.replace("k_max = 20", f"k_max = 20\ngrid_resolution = {res}")
+        assert cli.main([subcommand, write_cfg(tmp_path, text)]) == cli.EXIT_OK
+        rec = json.load(open(out / "report.json"))["provenance_volatile"][
+            "sphere_quadrature"]
+        nodes = 64 if res is None else res
+        assert sizes == [nodes] * radii
+        assert rec == {"resolution": nodes, "field_evaluations": radii * nodes}
+
     def test_appendix_dump(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, BASE.format(out=out))
@@ -653,6 +677,22 @@ radii = 0.5, 0.25, 0.125
         assert cli.main(["verify", cfg]) == cli.EXIT_NUMERICAL
         partial = json.load(open(out / "report_partial.json"))
         assert partial["payload"]["error_type"] == "SolveError"
+
+
+class TestJsonable:
+    @pytest.mark.parametrize("arr", [
+        np.array([[-0.0, 1.5], [np.nan, -np.inf]]),
+        np.array([0.0, -0.0, 1e-300, -2.5], dtype=np.float32),
+        np.arange(-3, 3),
+        np.array([True, False]),
+        np.zeros((0, 2)),
+    ])
+    def test_array_matches_the_scalar_path(self, arr):
+        # one tolist() per array gives the bytes of one _jsonable per item:
+        # -0.0 normalized, ints and bools kept as such (JSON tells 0, 0.0,
+        # -0.0 and false apart)
+        got = cli._jsonable(arr)
+        assert json.dumps(got) == json.dumps(cli._jsonable(arr.tolist()))
 
 
 class TestSchema:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from ellipreg import coeff, dynsys, sphmean
 from ellipreg import gilbarg_serrin as gs
 
 from conftest import batched, gs_log_field, scalar_rfun
+from lattice_states_reference import lattice_states_sequential
 from pairwise_K_reference import pairwise_K_all_pairs
 from rk45_reference import rk45_fundamental_matrix, rk45_integrate
 
@@ -250,6 +252,30 @@ class TestMagnusFlow:
             size = np.max(np.abs(want), axis=(1, 2), keepdims=True)
             assert np.max(np.abs(got - want) / size) <= 1e-11
 
+    @pytest.mark.parametrize("degree", [3, 5, 7, 9, 13])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_expm_every_pade_degree_matches_scipy(self, degree, d):
+        # the batch's largest 1-norm sits just under theta_degree, above the
+        # theta of the degree below, so that degree and no other runs
+        from scipy.linalg import expm as scipy_expm
+        thetas = {m: theta for m, theta, _ in dynsys._PADE}
+        thetas[13] = dynsys._THETA13
+        theta = thetas[degree]
+        below = max((th for m, th in thetas.items() if m < degree), default=0.0)
+        rng = np.random.default_rng(degree + 10 * d)
+        mats = rng.normal(size=(50, d, d))
+        mats /= np.max(np.sum(np.abs(mats), axis=1), axis=-1)[:, None, None]
+        mats *= rng.uniform(0.1, 1.0, (50, 1, 1)) * theta
+        mats[0] *= (1 - 1e-9) * theta / np.max(np.sum(np.abs(mats[0]), axis=0))
+        mats[1] = 0.0
+        top = np.max(np.sum(np.abs(mats), axis=1))
+        assert below < top <= theta
+        want = np.stack([scipy_expm(m) for m in mats])
+        got = dynsys.expm(mats)
+        size = np.max(np.abs(want), axis=(1, 2), keepdims=True)
+        assert np.max(np.abs(got - want) / size) <= 1e-11
+        np.testing.assert_array_equal(got[1], np.eye(d))
+
     def test_expm_of_a_rotation_generator(self):
         th = np.array([0.0, 1e-9, 0.3, 2.0, 40.0])
         mats = th[:, None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -370,6 +396,37 @@ class TestStabilityConstant:
         assert rep.verdict_uniform_stability == dynsys.INCONCLUSIVE
         assert "conditioning" in rep.diagnostics
 
+    @pytest.mark.parametrize("d, node, refused", [
+        (d, node, refused) for d in (2, 3)
+        for node, refused in (("condition 1.05e12", True),
+                              ("condition 0.95e12", False), ("singular", True))
+    ] + [(2, "zero", True)])
+    def test_conditioning_refusal(self, d, node, refused):
+        # 2x2 nodes take sigma_min = |det| / sigma_max in closed form, 3x3
+        # ones the SVD: both refuse the same nodes.  A zero 2x2 node is
+        # 0/0 there, and is refused with no NaN passed on and no warning
+        c, s = math.cos(0.3), math.sin(0.3)
+        Q = np.array([[c, -s], [s, c]])
+        bad = {"condition 1.05e12": Q @ np.diag([1.0, 1 / 1.05e12]) @ Q.T,
+               "condition 0.95e12": Q @ np.diag([1.0, 1 / 0.95e12]) @ Q.T,
+               "singular": np.array([[1.0, 2.0], [2.0, 4.0]]),
+               "zero": np.zeros((2, 2))}[node]
+        tg = np.linspace(0, 10, 21)
+        Phi = np.tile(np.eye(d), (21, 1, 1))
+        Phi[:, :2, :2] = np.stack([np.cos(tg), np.sin(tg), -np.sin(tg), np.cos(tg)],
+                                  axis=-1).reshape(21, 2, 2)
+        Phi[7, :2, :2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = dynsys.stability_constant(tg, Phi)
+        if refused:
+            assert rep.verdict_uniform_stability == dynsys.INCONCLUSIVE
+            assert rep.diagnostics == "fundamental matrix conditioning exceeds 1e+12"
+            assert rep.K_running is None and math.isnan(rep.K_hat)
+        else:
+            assert rep.diagnostics == ""
+            assert np.all(np.isfinite(rep.K_running)) and rep.K_hat > 1e11
+
 
 def turned_field(n, angle=0.7):
     """I + g(r) (Q theta)(Q theta)^T, g = 0.6/(2 - ln r), Q a fixed rotation.
@@ -427,6 +484,22 @@ class TestPairwiseKPruning:
         np.testing.assert_array_equal(dynsys._pairwise_K(Phi),
                                       pairwise_K_all_pairs(Phi))
 
+    def test_matches_all_pairs_when_most_rows_pass_the_screen(self):
+        # S rot(0.05 k) S^-1 with cond(S) ~ 100: sigma_max(Phi(t)) times the
+        # largest ||Phi(s)^-1|| so far reaches cond(S)^2 while no product
+        # norms above cond(S), so nearly every end node is masked pair by pair
+        S = np.array([[1.0, 10.0], [0.0, 1.0]])
+        th = 0.05 * np.arange(300)
+        turn = np.stack([np.cos(th), -np.sin(th), np.sin(th), np.cos(th)],
+                        axis=-1).reshape(-1, 2, 2)
+        Phi = S @ turn @ np.linalg.inv(S)
+        K = pairwise_K_all_pairs(Phi)
+        largest_bound = (dynsys.spectral_norms(Phi) * np.maximum.accumulate(
+            dynsys.spectral_norms(np.linalg.inv(Phi))))
+        # the floor is at most K, so these rows certainly pass the screen
+        assert np.mean(largest_bound > K * (1 + 1e-12)) > 0.8
+        np.testing.assert_array_equal(dynsys._pairwise_K(Phi), K)
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("field_fn", RANK_ONE)
     def test_rank_one_norms_few_pairs(self, field_fn, n, monkeypatch):
@@ -458,6 +531,41 @@ class TestPairwiseKPruning:
         K = dynsys._pairwise_K(np.broadcast_to(np.eye(n), (300, n, n)).copy())
         assert normed == [300]               # the floor's diagonal pairs only
         np.testing.assert_array_equal(K, np.ones(300))
+
+
+LATTICE_T = np.linspace(math.log(2.0), 41 * math.log(2.0), 1281)
+
+
+def lattice_R(name, d):
+    """R on LATTICE_T (640 Magnus steps) with D = diag(1, 1/2, 1/4)[:d, :d]
+    and 1/log(e^2/r) = 1/(2 + t): decaying D/(2 + t), growing -D/(2 + t),
+    and turned cos(t) D/(2 + t) + J, J the rotation generator of the first
+    plane (zero for d = 1), whose values at two times do not commute."""
+    t = LATTICE_T[:, None, None]
+    D = np.diag([1.0, 0.5, 0.25][:d])
+    if name == "decaying":
+        return D / (2 + t)
+    if name == "growing":
+        return -D / (2 + t)
+    J = np.zeros((d, d))
+    if d > 1:
+        J[0, 1], J[1, 0] = 1.0, -1.0
+    return np.cos(t) * D / (2 + t) + J
+
+
+class TestLatticeStates:
+    @pytest.mark.parametrize("steps", [1, 2, 3, 255, 256, 640])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["decaying", "growing", "turned"])
+    def test_doubling_scan_matches_the_sequential_loop(self, name, d, steps):
+        n = 2 * steps + 1
+        E = dynsys._lattice_steps(LATTICE_T[:n], lattice_R(name, d)[:n])
+        want = lattice_states_sequential(E)
+        got = dynsys._lattice_states(E)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got[:2], want[:2])
+        assert (np.max(np.abs(got - want))
+                <= 1e-13 * max(1.0, float(np.max(np.abs(want)))))
 
 
 class TestAsymptoticLimit:
