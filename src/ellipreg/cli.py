@@ -11,7 +11,9 @@ One INI config describes one run; the subcommand picks the pipeline stage:
     report     classify + verify in one document
 
 Outputs are deterministic given the config (reports are key-sorted JSON;
-the only volatile values live in one isolated provenance block).  Exit
+the only volatile values live in one isolated provenance block).
+``write_report`` converts each report once, writing a value that is not
+finite as null (strict JSON); CSVs are written from float tables.  Exit
 codes: 0 success, 1 numerical failure, 2 config error.
 """
 
@@ -34,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, coeff, criteria, dynsys, sphmean
+from .dyadic import IntegralEvidence
 
 SCHEMA_VERSION = "1"
 
@@ -325,16 +328,20 @@ def build_field(cfg: RunConfig) -> coeff.CoefficientField:
 # ---------------------------------------------------------------------------
 
 def _jsonable(obj):
+    """``obj`` as JSON values: -0.0 as 0.0, and a float that is not finite
+    as None, since strict JSON has no NaN or infinity."""
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v + 0.0 if v == 0 else v   # normalize -0.0
+        v = float(obj) + 0.0              # normalize -0.0
+        return v if math.isfinite(v) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f":
-            return (obj + 0.0).tolist()       # normalize -0.0
+            a = obj + 0.0                 # normalize -0.0
+            finite = np.isfinite(a)
+            return (a if finite.all() else np.where(finite, a, None)).tolist()
         if obj.dtype.kind in "biu":
             return obj.tolist()
         return [_jsonable(v) for v in obj.tolist()]
@@ -349,38 +356,39 @@ def _jsonable(obj):
 
 def write_report(cfg: RunConfig, payload: dict, wall_time: float,
                  name: str = "report.json") -> str:
-    report = {
+    report = _jsonable({
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "subcommand": cfg.subcommand,
         "config_hash": cfg.config_hash,
-        "payload": _jsonable(payload),
+        "payload": payload,
         "provenance_volatile": {
-            **_jsonable(cfg.volatile),
+            **cfg.volatile,
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
             "wall_time_s": round(wall_time, 3),
         },
-    }
+    })
     problems = validate_report(report)
     if problems:
         raise RuntimeError("report failed schema validation: " + "; ".join(problems))
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, name)
     with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
+        json.dump(report, fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
     return path
 
 
-def write_csv(cfg: RunConfig, name: str, header, rows) -> str:
+def write_csv(cfg: RunConfig, name: str, header, table) -> str:
+    """``header``, then each row of the 2-D float ``table`` (a list of rows
+    or stacked columns); csv writes each float as its repr."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, name)
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
-        for row in rows:
-            wr.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                         else v for v in row])
+        for row in np.asarray(table, float):
+            wr.writerow(row.tolist())
     return path
 
 
@@ -440,32 +448,31 @@ def validate_report(report: dict, schema: Optional[dict] = None):
 # ---------------------------------------------------------------------------
 
 def _evidence_dict(ev) -> dict:
-    from .dyadic import IntegralEvidence
     if isinstance(ev, IntegralEvidence):
         return {
             "kind": "integral",
             "verdict": ev.verdict,
             "rate_tag": ev.rate_tag,
-            "limit": _jsonable(ev.limit) if ev.limit is not None else None,
+            "limit": ev.limit,
             "residual": ev.residual,
-            "k_values": _jsonable(ev.k_values),
-            "partial_values": _jsonable(ev.partial_values),
+            "k_values": ev.k_values,
+            "partial_values": ev.partial_values,
         }
     if isinstance(ev, criteria.WindowBoundReport):
         return {
             "kind": "window-bound",
             "bounded": ev.bounded,
             "K_hat": ev.K_hat,
-            "k_values": _jsonable(ev.k_values),
-            "sup_values": _jsonable(ev.sup_values),
+            "k_values": ev.k_values,
+            "sup_values": ev.sup_values,
         }
     if isinstance(ev, dynsys.StabilityReport):
         return {
             "kind": "stability",
             "verdict": ev.verdict_uniform_stability,
             "K_hat": ev.K_hat,
-            "K_trend": _jsonable(ev.K_trend),
-            "window_ends": _jsonable(ev.window_ends),
+            "K_trend": ev.K_trend,
+            "window_ends": ev.window_ends,
             "growth_rate": ev.growth_rate,
             "diagnostics": ev.diagnostics,
         }
@@ -473,7 +480,7 @@ def _evidence_dict(ev) -> dict:
         return {
             "kind": "asymptotic",
             "verdict": ev.verdict,
-            "limit": _jsonable(ev.limit) if ev.limit is not None else None,
+            "limit": ev.limit,
             "residual": ev.residual,
         }
     if isinstance(ev, criteria.IteratedReport):
@@ -557,10 +564,9 @@ def run_integrate(cfg: RunConfig) -> dict:
         raise np.linalg.LinAlgError(rep.diagnostics)
     norms = np.linalg.norm(Phi.reshape(len(Phi), -1), axis=1)
     ys = Phi[:, :, 0]     # the trajectory through e_1
-    rows = [[t, *y, nrm, k]
-            for t, y, nrm, k in zip(ts, ys, norms, rep.K_running)]
     header = ["t"] + [f"phi_{i+1}" for i in range(ys.shape[1])] + ["Phi_norm", "K_running"]
-    path = write_csv(cfg, "trajectory.csv", header, rows)
+    path = write_csv(cfg, "trajectory.csv", header,
+                     np.column_stack([ts, ys, norms, rep.K_running]))
     return {"csv": os.path.basename(path), "K_hat": rep.K_hat,
             "verdict": rep.verdict_uniform_stability}
 
@@ -572,13 +578,12 @@ def run_classify(cfg: RunConfig, emit_csv: bool = False) -> dict:
     payload = _verdict_payload(verdict)
     if emit_csv:
         for key, ev in verdict.evidence.items():
-            d = _evidence_dict(ev)
-            if d.get("kind") == "integral":
-                vals = np.asarray(d["partial_values"], float)
-                flat = vals.reshape(len(vals), -1)
+            if isinstance(ev, IntegralEvidence):
+                flat = ev.partial_values.reshape(len(ev.k_values), -1)
                 header = ["k"] + [f"v{j}" for j in range(flat.shape[1])]
+                # + 0.0: the table holds the report's values, -0.0 as 0.0
                 write_csv(cfg, f"condition_{key}.csv", header,
-                          [[k, *row] for k, row in zip(d["k_values"], flat)])
+                          np.column_stack([ev.k_values, flat]) + 0.0)
     return payload
 
 
@@ -597,15 +602,15 @@ def run_appendix(cfg: RunConfig) -> dict:
         md = sphmean.appendix_moments(field, float(np.exp(-t)), sampler.grid)
         S1 = appendix_system.s1_matrix(md)
         res = appendix_system.r1_block_residual(md)
-        rows.append([t, md.r, float(np.linalg.norm(S1, 2)), res.residual,
+        rows.append([t, md.r, np.linalg.norm(S1, 2), res.residual,
                      res.quadrature_residual])
     path = write_csv(cfg, "reduction.csv",
                      ["t", "r", "S1_norm", "r1_defect", "quad_residual"], rows)
     return {
         "csv": os.path.basename(path),
-        "M_inf": _jsonable(M_inf),
-        "J": _jsonable(appendix_system.jordanizer(n)),
-        "M_inf_eigenvalues": _jsonable(np.sort(np.linalg.eigvals(M_inf).real)),
+        "M_inf": M_inf,
+        "J": appendix_system.jordanizer(n),
+        "M_inf_eigenvalues": np.sort(np.linalg.eigvals(M_inf).real),
     }
 
 
@@ -620,7 +625,7 @@ def run_gs(cfg: RunConfig) -> dict:
     cum = gen.cumulative(ts)
     phi = gs.closed_form_phi(gen, n, ts)
     write_csv(cfg, "generator.csv", ["t", "g", "running_integral", "phi"],
-              list(zip(ts, gv, cum, phi)))
+              np.column_stack([ts, gv, cum, phi]))
     payload = {
         "example": opts["example"],
         "asym_constant": _evidence_dict(rep.asym_constant),
@@ -631,8 +636,8 @@ def run_gs(cfg: RunConfig) -> dict:
     }
     blocks = getattr(gen, "blocks", None)
     if blocks is not None:
-        payload["block_integrals"] = _jsonable(blocks.block_integrals)
-        payload["boundary_values"] = _jsonable(blocks.boundary_values)
+        payload["block_integrals"] = blocks.block_integrals
+        payload["boundary_values"] = blocks.boundary_values
     return payload
 
 
@@ -659,20 +664,19 @@ def run_verify(cfg: RunConfig) -> dict:
     cfg.volatile["grid_solve"]["circles_s"] = time.perf_counter() - t
     write_csv(cfg, "circle_tables.csv",
               ["r", "u0", "v1", "v2", "Q", "w_mean", "w_moment"],
-              [[r, u0, v[0], v[1], q, wm, wmo]
-               for r, u0, v, q, wm, wmo in zip(dec.radii, dec.u0, dec.v, dec.Q,
-                                               dec.w_means, dec.w_moments)])
+              np.column_stack([dec.radii, dec.u0, dec.v, dec.Q, dec.w_means,
+                               dec.w_moments]))
     return {
         "N": N,
         "boundary": bname,
         "residual_norm": sol.residual_norm,
         "iterations": sol.iterations,
         "u_origin": dec.u_origin,
-        "Q": _jsonable(dec.Q),
+        "Q": dec.Q,
         "bounded_evidence": dec.bounded_evidence,
-        "gradient_limit": _jsonable(dec.limit),
+        "gradient_limit": dec.limit,
         "gradient_converged_evidence": dec.converged_evidence,
-        "w_orthogonality_max": float(max(dec.w_means.max(), dec.w_moments.max())),
+        "w_orthogonality_max": max(dec.w_means.max(), dec.w_moments.max()),
     }
 
 
@@ -687,16 +691,9 @@ def run_report(cfg: RunConfig) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _numerical_errors() -> tuple:
-    """Exceptions that end a run with exit 1.
-
-    ``pde_verify`` loads only inside ``run_verify``, so its SolveError can
-    only have been raised once the module is in ``sys.modules``.
-    """
-    errors = (coeff.FieldError, dynsys.IntegrationError, ValueError,
-              np.linalg.LinAlgError)
-    pde_verify = sys.modules.get(f"{__package__}.pde_verify")
-    return errors if pde_verify is None else errors + (pde_verify.SolveError,)
+# The exceptions that end a run with exit 1: coeff.FieldError,
+# np.linalg.LinAlgError and pde_verify.SolveError are ValueErrors.
+_NUMERICAL_ERRORS = (ValueError, dynsys.IntegrationError)
 
 
 def main(argv=None) -> int:
@@ -730,7 +727,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except _numerical_errors() as e:
+    except _NUMERICAL_ERRORS as e:
         partial = {"error": str(e), "error_type": type(e).__name__}
         try:
             write_report(cfg, partial, time.perf_counter() - t_start,

@@ -65,8 +65,9 @@ def _register(name, gtil, cumulative, envelope=None):
 
 
 _register("zero", lambda t: np.zeros_like(t), lambda t: np.zeros_like(t))
-_register("exp-decay", lambda t: np.exp(-t), lambda t: 1.0 - np.exp(-t), (1.0, 10.0))
-_register("neg-exp-decay", lambda t: -np.exp(-t), lambda t: np.exp(-t) - 1.0, (1.0, 10.0))
+# e^-t <= max(t, 1)^-2, since t^2 e^-t <= 4/e^2 < 1
+_register("exp-decay", lambda t: np.exp(-t), lambda t: 1.0 - np.exp(-t), (1.0, 2.0))
+_register("neg-exp-decay", lambda t: -np.exp(-t), lambda t: np.exp(-t) - 1.0, (1.0, 2.0))
 _register("one-over-1pt", lambda t: 1.0 / (1.0 + t), lambda t: np.log1p(t), (1.0, 1.0))
 _register("neg-one-over-1pt", lambda t: -1.0 / (1.0 + t), lambda t: -np.log1p(t), (1.0, 1.0))
 _register("one-over-1pt-sq", lambda t: (1.0 + t) ** -2.0,

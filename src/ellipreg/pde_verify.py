@@ -62,7 +62,7 @@ _RUN = 8192                # padded cells per block of the stencil apply
 _LINES = 32768             # cells per block of the sine-transform solve
 
 
-class SolveError(RuntimeError):
+class SolveError(np.linalg.LinAlgError):
     """Linear solver failed to reach the requested residual."""
 
 

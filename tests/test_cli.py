@@ -1,7 +1,9 @@
 import csv
+import io
 import json
 import os
 import re
+import types
 
 import pytest
 
@@ -693,6 +695,51 @@ class TestJsonable:
         # -0.0 and false apart)
         got = cli._jsonable(arr)
         assert json.dumps(got) == json.dumps(cli._jsonable(arr.tolist()))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_not_finite_is_null(self, value):
+        # strict JSON (RFC 8259) has no NaN or infinity tokens
+        assert cli._jsonable(value) is None
+        assert cli._jsonable(np.float64(value)) is None
+        assert cli._jsonable(np.array([[1.5, value], [-0.0, 2.0]])) == [
+            [1.5, None], [0.0, 2.0]]
+        assert cli._jsonable({"K_hat": value, "v": [value, 1.0]}) == {
+            "K_hat": None, "v": [None, 1.0]}
+
+    def test_report_is_strict_json(self, tmp_path):
+        cfg = cli.load_config(write_cfg(tmp_path, IDENTITY.format(out=tmp_path)),
+                              "classify")
+        path = cli.write_report(cfg, {"partials": np.array([0.5, np.nan]),
+                                      "K_hat": np.inf}, 0.0)
+
+        def refuse(token):
+            raise ValueError(f"bare {token} token")
+
+        report = json.loads(open(path).read(), parse_constant=refuse)
+        assert report["payload"] == {"partials": [0.5, None], "K_hat": None}
+
+
+class TestWriteCsv:
+    VALUES = [-0.0, 0.1, 1e-300, 1e16, 3.0, np.nan, np.inf, -np.inf]
+
+    def reference(self, header, rows):
+        """The bytes of csv rows with each cell written as repr(float(v))."""
+        out = io.StringIO(newline="")
+        wr = csv.writer(out)
+        wr.writerow(header)
+        for row in rows:
+            wr.writerow([repr(float(v)) for v in row])
+        return out.getvalue().encode()
+
+    @pytest.mark.parametrize("form", ["rows", "columns"])
+    def test_bytes_are_repr_of_each_float(self, tmp_path, form):
+        rows = [self.VALUES[:4], self.VALUES[4:]]
+        table = rows if form == "rows" else np.column_stack(
+            [np.array([r[j] for r in rows]) for j in range(4)])
+        cfg = types.SimpleNamespace(output_dir=str(tmp_path))
+        header = ["a", "b", "c", "d"]
+        path = cli.write_csv(cfg, "table.csv", header, table)
+        assert open(path, "rb").read() == self.reference(header, rows)
 
 
 class TestSchema:

@@ -23,6 +23,16 @@ class TestClosedForm:
         val = gs.closed_form_phi(gen, 2, 50.0)
         assert val == pytest.approx(np.exp(0.5), rel=1e-14)
 
+    @pytest.mark.parametrize("name", [name for name, gen in gs.WHITELIST.items()
+                                      if gen.envelope is not None])
+    def test_envelope_certifies_the_generator(self, name):
+        # |gtil(t)| <= C max(t, 1)^-a on a dense grid of [0, 1e3], which
+        # holds the peak of t^a e^-t at t = a for every a up to 1e3
+        gen = gs.WHITELIST[name]
+        C, a = gen.envelope
+        t = np.linspace(0.0, 1e3, 100_001)
+        assert np.all(np.abs(gen(t)) <= C * np.maximum(t, 1.0) ** -a)
+
     def test_unbounded_growth(self):
         gen = gs.WHITELIST["one-over-1pt"]
         t = np.array([3.0, 8.0, 99.0])
