@@ -63,8 +63,6 @@ def s1_matrix(m: MomentData) -> np.ndarray:
 
 @dataclass(frozen=True)
 class R1Residual:
-    R1: np.ndarray
-    C_minus_nB: np.ndarray
     residual: float          # ||R1 - (C - nB)||, spectral
     quadrature_residual: float  # ||(C - nB) - R|| across the two accumulations
 
@@ -87,4 +85,4 @@ def r1_block_residual(m: MomentData) -> R1Residual:
     CnB = m.Cmat - n * m.Bmat
     res = float(np.linalg.norm(R1 - CnB, 2))
     qres = float(np.max(np.abs(CnB - m.R)))
-    return R1Residual(R1, CnB, res, qres)
+    return R1Residual(res, qres)

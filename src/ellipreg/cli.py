@@ -373,9 +373,9 @@ def write_report(cfg: RunConfig, payload: dict, wall_time: float,
         raise RuntimeError("report failed schema validation: " + "; ".join(problems))
     os.makedirs(cfg.output_dir, exist_ok=True)
     path = os.path.join(cfg.output_dir, name)
+    # compact: json.dumps without indent runs the C encoder
     with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(report, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 

@@ -3,7 +3,9 @@
 A field is an evaluator ``x -> A(x)`` (symmetric, uniformly elliptic, with
 A(0) = I for normalized fields) together with a nondecreasing envelope
 ``omega`` bounding the entrywise oscillation on spheres:
-``sup_{|x|=r} |a_ij(x) - delta_ij| <= omega(r)``.
+``sup_{|x|=r} |a_ij(x) - delta_ij| <= omega(r)``.  An envelope is written
+once, in log time, as omega(e^-s) (:class:`Modulus`): the square-Dini gate
+integrates that form, and a field's envelope check reads it at s = -ln r.
 
 Fields are represented as evaluators plus metadata, never as sampled arrays,
 so quadrature resolution is always chosen by the consumer.  All objects here
@@ -20,6 +22,10 @@ the J angular parts once per grid: A0 adds nothing to R.
 (``make_custom``, or ``make_perturbed_radial`` with a bare evaluator as a1)
 is read through ``eval_batch`` at the points.  A grid is anything with
 ``nodes`` (m, n), so this module does not import the quadrature module.
+
+Every radial callable a factory takes reads an array of radii (k,): g
+returns (k,), a0 returns (k, n, n).  A callable written for one radius at
+a time is refused with a FieldError naming the shape it must return.
 """
 
 from __future__ import annotations
@@ -52,18 +58,16 @@ class FieldError(ValueError):
 class Modulus:
     """Oscillation envelope omega(r) on (0, 1], nondecreasing, omega(0+) = 0.
 
-    ``omega_log(s)`` is omega(e^-s) in closed form.  ``analytic_tag`` names
-    the closed form when there is one, e.g. "1/log(e/r)" or "r^0.5".
+    It is written once, in log time: ``omega_log(s)`` is omega(e^-s) in
+    closed form, the function the square-Dini gate integrates.  A modulus
+    called at radii reads that form at s = -ln r, with r = 0 at s = +inf.
     """
 
-    omega: Callable[[np.ndarray], np.ndarray]
     omega_log: Callable[[np.ndarray], np.ndarray]
-    analytic_tag: Optional[str] = None
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.asarray(self.omega(r), dtype=float)
-        return out
+        with np.errstate(divide="ignore"):
+            return self.log_form(-np.log(np.asarray(r, dtype=float)))
 
     def log_form(self, s):
         """omega(e^-s); exact for built-ins even where e^-s underflows."""
@@ -71,44 +75,26 @@ class Modulus:
 
 
 def zero_modulus() -> Modulus:
-    return Modulus(lambda r: np.zeros_like(np.asarray(r, float)), analytic_tag="0",
-                   omega_log=lambda s: np.zeros_like(np.asarray(s, float)))
+    return Modulus(lambda s: np.zeros_like(np.asarray(s, float)))
 
 
 def power_modulus(a: float, c: float = 1.0) -> Modulus:
     """omega(r) = c * r**a with a > 0."""
     if a <= 0 or c < 0:
         raise FieldError("power modulus requires a > 0 and c >= 0")
-    return Modulus(lambda r, a=a, c=c: c * np.asarray(r, float) ** a,
-                   analytic_tag=f"{c:g}*r^{a:g}",
-                   omega_log=lambda s, a=a, c=c: c * np.exp(-a * np.asarray(s, float)))
+    return Modulus(lambda s, a=a, c=c: c * np.exp(-a * np.asarray(s, float)))
 
 
 def inv_log_modulus(c: float = 1.0, power: float = 1.0, shift: float = 1.0) -> Modulus:
     """omega(r) = c / (shift - ln r)**power, i.e. c / log(e^shift / r)**power."""
     if c < 0 or power <= 0 or shift < 1.0:
         raise FieldError("inv-log modulus requires c >= 0, power > 0, shift >= 1")
-
-    def om(r, c=c, p=power, s=shift):
-        r = np.asarray(r, float)
-        with np.errstate(divide="ignore"):
-            val = c / (s - np.log(np.maximum(r, 1e-320))) ** p
-        return np.where(r > 0, val, 0.0)
-
-    tag = f"{c:g}/log(e^{shift:g}/r)^{power:g}"
-
-    def om_log(s, c=c, p=power, sh=shift):
-        s = np.asarray(s, float)
-        return c / (sh + s) ** p
-
-    return Modulus(om, analytic_tag=tag, omega_log=om_log)
+    return Modulus(lambda s, c=c, p=power, sh=shift: c / (sh + np.asarray(s, float)) ** p)
 
 
 def constant_modulus(c: float) -> Modulus:
     """Constant envelope; only valid for non-normalized constant fields."""
-    return Modulus(lambda r, c=c: np.full_like(np.asarray(r, float), c),
-                   analytic_tag=f"{c:g}",
-                   omega_log=lambda s, c=c: np.full_like(np.asarray(s, float), c))
+    return Modulus(lambda s, c=c: np.full_like(np.asarray(s, float), c))
 
 
 def piecewise_log_modulus(values: Sequence[float]) -> Modulus:
@@ -121,17 +107,12 @@ def piecewise_log_modulus(values: Sequence[float]) -> Modulus:
     if np.any(np.diff(vals) > 0):
         raise FieldError("piecewise-in-log table must be nonincreasing with depth")
 
-    def om(r, vals=vals):
-        r = np.asarray(r, float)
-        k = np.clip(np.floor(-np.log2(np.maximum(r, 1e-320))), 0, len(vals) - 1)
-        return np.where(r > 0, vals[k.astype(int)], 0.0)
-
     def om_log(s, vals=vals):
         s = np.asarray(s, float)
         k = np.clip(np.floor(s / np.log(2.0)), 0, len(vals) - 1)
         return np.where(s >= 0, vals[k.astype(int)], vals[0])
 
-    return Modulus(om, analytic_tag="piecewise-log", omega_log=om_log)
+    return Modulus(om_log)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +181,8 @@ def parse_radial_expr(expr: str) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def parse_modulus_expr(expr: str) -> Modulus:
-    """Whitelisted envelope expression as a Modulus with an exact log channel."""
+    """Whitelisted envelope expression as a Modulus, in log time."""
     terms = _parse_terms(expr)
-    f = parse_radial_expr(expr)
 
     def om_log(s, terms=terms):
         s = np.asarray(s, float)
@@ -217,7 +197,7 @@ def parse_modulus_expr(expr: str) -> Modulus:
                 out = out + coef / (shift + s) ** lp
         return out
 
-    return Modulus(f, analytic_tag=expr.replace(" ", ""), omega_log=om_log)
+    return Modulus(om_log)
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +325,12 @@ def make_gilbarg_serrin(n: int, g: Callable, omega_bound: Modulus) -> Coefficien
 
     The radial profile must stay inside the declared envelope,
     |g(r)| <= omega_bound(r), and keep the field elliptic, 1 + g(r) > 0;
-    both are checked at the radii _GS_CHECK_RADII.  The field is its form
-    with one part: the base I, the factor g(r), 0 at r = 0, and
-    theta theta^T.
+    both are checked at the radii _GS_CHECK_RADII.  ``g`` maps an array of
+    radii (k,) to an array of shape (k,).  The field is its form with one
+    part: the base I, the factor g(r), 0 at r = 0, and theta theta^T.
     """
-    gv = np.vectorize(g, otypes=[float]) if not _is_vectorized(g, (2,)) else g
     rr = _GS_CHECK_RADII
-    gr = np.asarray(gv(rr), float)
+    gr = _on_radii(g, rr, "g", "(k,)", ())
     wr = omega_bound(rr)
     bad = np.abs(gr) > wr * (1 + 1e-12) + 1e-15
     if np.any(bad):
@@ -363,10 +342,10 @@ def make_gilbarg_serrin(n: int, g: Callable, omega_bound: Modulus) -> Coefficien
         r_bad = rr[1.0 + gr <= 0][0]
         raise FieldError(f"ellipticity lost: 1 + g(r) <= 0 at r = {r_bad:.6g}")
 
-    def factors(radii, gv=gv):
+    def factors(radii):
         # g once per radius, (k, 1); radius 0 takes g = 0, so A = I there
         live = radii > 0
-        gval = np.where(live, np.asarray(gv(np.where(live, radii, 1.0)), float), 0.0)
+        gval = np.where(live, np.asarray(g(np.where(live, radii, 1.0)), float), 0.0)
         return gval[:, None]
 
     parts = SeparableParts(
@@ -385,7 +364,7 @@ def make_perturbed_radial(n: int, a0: Callable, a1=None, *,
                           modulus: Modulus) -> CoefficientField:
     """Field a0(|x|) + a1(x) - a1(0), with a0(0) = I and envelope ``modulus``.
 
-    ``a0`` maps a radius to an n x n symmetric matrix, or radii (k,) to
+    ``a0`` maps an array of radii (k,) to symmetric matrices, shape
     (k, n, n); ``a1`` is another CoefficientField, a batch evaluator, or
     None.  The correction by a1(0) keeps the combined field normalized, and
     the origin evaluates to I by fiat.  With a1 None the field is the form
@@ -393,10 +372,8 @@ def make_perturbed_radial(n: int, a0: Callable, a1=None, *,
     the two forms; then R is a1's, since radial parts integrate to zero.
     With any other a1 the field has no form and is read at points.
     """
-    if not _is_vectorized(a0, (2, n, n)):
-        a0 = lambda radii, a0=a0: np.array(
-            [a0(r) for r in radii], float).reshape(-1, n, n)
-    if not np.allclose(a0(np.zeros(1))[0], np.eye(n), atol=1e-12):
+    if not np.allclose(_on_radii(a0, np.zeros(1), "a0", "(k, n, n)", (n, n))[0],
+                       np.eye(n), atol=1e-12):
         raise FieldError("a0(0) must equal the identity")
     a1_parts = (_radial_parts(lambda radii: np.zeros((len(radii), n, n)))
                 if a1 is None else getattr(a1, "separable", None))
@@ -484,13 +461,19 @@ def _radii(pts: np.ndarray) -> np.ndarray:
     return r
 
 
-def _is_vectorized(f, shape: tuple) -> bool:
-    """Whether ``f`` maps the radii [0.25, 0.5] to an array of ``shape``."""
+def _on_radii(f, radii: np.ndarray, name: str, form: str, tail: tuple) -> np.ndarray:
+    """``f`` at the array ``radii``, refused unless it maps them to an array
+    of shape ``(len(radii),) + tail``, written ``form`` in the message."""
+    want = radii.shape + tail
     try:
-        out = f(np.array([0.25, 0.5]))
-        return np.asarray(out).shape == shape
-    except Exception:
-        return False
+        out = np.asarray(f(radii), float)
+    except TypeError as e:   # a scalar-only callable handed an array
+        raise FieldError(f"{name} must map an array of radii (k,) to an array "
+                         f"of shape {form}; it failed on an array: {e}") from e
+    if out.shape != want:
+        raise FieldError(f"{name} must map an array of radii (k,) to an array "
+                         f"of shape {form}, here {want}; got {out.shape}")
+    return out
 
 
 def _assert_symmetric(A: np.ndarray) -> None:

@@ -11,6 +11,10 @@ convergence or divergence decides one implication route:
   mu-integral sinking to -infinity on top
   of bounded windows                        -> differentiable, gradient zero
 
+The blunt entrywise integrability of A - I implies the refined conditions
+but decides no route, so the classifier does not compute it; the
+acceptance gate holds the hierarchy to tests/a_minus_i_reference.py.
+
 All integrals are evaluated as ordered dyadic truncations (conditional
 convergence demands ordered partial sums, not absolute-value quadrature)
 and classified by the sequence machinery in :mod:`ellipreg.dyadic`, whose
@@ -51,7 +55,7 @@ from .dyadic import (IntegralEvidence, VERDICT_CONVERGES, VERDICT_DIVERGES,
                      VERDICT_INCONCLUSIVE, RATE_TO_MINUS_INF,
                      evidence_from_partials)
 from .sphmean import (SphereSampler, mean_matrix_R_many, sphere_sampler,
-                      sphere_sweep, symmetrized_S)
+                      symmetrized_S)
 
 LN2 = math.log(2.0)
 _STABILITY_NODES = 257   # flow nodes per stability window at most: K is quadratic
@@ -152,7 +156,7 @@ def square_dini_integral(omega: Modulus, tol: float = 1e-8,
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Log-radius samples of R and mu, with their cumulatives.
+    """Log-radius samples of R, with the cumulatives of R and mu.
 
     Built once per (field, eps, k_max) at ``nodes_per_octave`` samples per
     dyadic shell; the classifier's criteria read R and mu from this cache,
@@ -169,7 +173,6 @@ class RadialProfile:
     k_max: int
     s_nodes: np.ndarray          # (M,)
     R_nodes: np.ndarray          # (M, n, n)
-    mu_nodes: np.ndarray         # (M,)
     cum_R: np.ndarray            # (M, n, n) int_{s0}^{s} R ds
     cum_mu: np.ndarray           # (M,)
     octave_idx: np.ndarray       # (k_max + 1,) node index of each octave edge
@@ -197,7 +200,7 @@ def build_radial_profile(field: CoefficientField, eps: float = 0.5,
     R = mean_matrix_R_many(field, np.exp(-s), sampler)
     mu = np.linalg.eigvalsh(symmetrized_S(R))[:, -1]
     octs = np.arange(0, k_max + 1) * nodes_per_octave
-    return RadialProfile(field, sampler, eps, k_max, s, R, mu,
+    return RadialProfile(field, sampler, eps, k_max, s, R,
                          _cumulative(R, s), _cumulative(mu, s), octs)
 
 
@@ -235,7 +238,6 @@ class WindowBoundReport:
     k_values: np.ndarray
     bounded: bool
     K_hat: float
-    verdict_detail: str
 
 
 def check_condition_11(profile: RadialProfile, tol: float = 1e-6) -> WindowBoundReport:
@@ -252,7 +254,7 @@ def check_condition_11(profile: RadialProfile, tol: float = 1e-6) -> WindowBound
     # the sup sequence is nonnegative and nondecreasing by construction
     analysis = evidence_from_partials(ks, sups, tol)
     bounded = analysis.verdict == VERDICT_CONVERGES
-    return WindowBoundReport(sups, ks, bounded, float(sups[-1]), analysis.verdict)
+    return WindowBoundReport(sups, ks, bounded, float(sups[-1]))
 
 
 def divergence_condition_15(profile: RadialProfile,
@@ -348,31 +350,6 @@ def iterated_condition_13(profile: RadialProfile, pv: IntegralEvidence,
         return IteratedReport(pv, l12b, lvl2, None)
     return IteratedReport(pv, l12b, lvl2,
                           _tail_product_l1(profile, lvl2, cum_G, tol))
-
-
-# ---------------------------------------------------------------------------
-# entrywise integrability
-# ---------------------------------------------------------------------------
-
-def condition_A_minus_I(profile: RadialProfile,
-                        tol: float = 1e-6) -> IntegralEvidence:
-    """Integrability of the mean deviation: int (mean ||A - I||) d(rho)/rho.
-
-    Finiteness is the blunt sufficient condition: it forces the ordered
-    integral of R to converge absolutely, hence implies both refined
-    conditions, and its failure is typical for slow (log-type) envelopes.
-    The classifier does not read it, so the field is swept here, on the
-    profile's nodes, one chunk of radii at a time.  The integrand is not
-    polynomial in theta; it takes the grid of the profile's sampler.
-    """
-    s, grid = profile.s_nodes, profile.sampler.grid
-    absdev = np.empty(len(s))
-    for sl, A in sphere_sweep(profile.field, np.exp(-s), grid):
-        dev = np.linalg.eigvalsh(A - np.eye(profile.dim))
-        absdev[sl] = np.einsum("m,rm->r", grid.weights, np.max(np.abs(dev), axis=2))
-        del A, dev   # or the chunk outlives the sweep's next field evaluation
-    ks, partials = profile.octave_partials(_cumulative(absdev, s))
-    return evidence_from_partials(ks, partials, tol)
 
 
 # ---------------------------------------------------------------------------

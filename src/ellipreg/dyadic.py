@@ -193,14 +193,6 @@ class IntegralEvidence:
     def converges(self) -> bool:
         return self.verdict == VERDICT_CONVERGES
 
-    def limit_as_float(self) -> float:
-        if self.limit is None:
-            raise ValueError(f"no limit available: verdict is {self.verdict}")
-        arr = np.asarray(self.limit, float)
-        if arr.shape == ():
-            return float(arr)
-        raise ValueError("matrix-valued limit; use .limit")
-
 
 def evidence_from_partials(ks, partials, tol: float) -> IntegralEvidence:
     """Build IntegralEvidence from scalar or matrix partial values."""

@@ -3,9 +3,10 @@
 This is the profile as one sweep that holds the field samples ``A`` on all
 spheres at once, read through the field's own sphere sampler
 ``field.on_spheres`` as the program reads them, and reduces them to R, mu
-and the spherical mean of ||A - I||_2.  The classifier reads only R and mu, so
-``criteria.build_radial_profile`` keeps those and ``condition_A_minus_I``
-computes the deviation itself; the tests hold both to this construction.
+and the spherical mean of ||A - I||_2.  The classifier reads only R and the
+cumulative of mu, so ``criteria.build_radial_profile`` keeps those, and
+``condition_A_minus_I`` (a_minus_i_reference.py) sweeps the deviation
+itself; the tests hold both to this construction.
 The cumulatives use the program's own Simpson rule, so the arrays compare
 bit for bit; ``TestCumulativeSimpson`` holds that rule to scipy's.
 """

