@@ -28,7 +28,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields, is_dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from typing import Optional
@@ -448,52 +448,14 @@ def validate_report(report: dict, schema: Optional[dict] = None):
 # ---------------------------------------------------------------------------
 
 def _evidence_dict(ev) -> dict:
-    if isinstance(ev, IntegralEvidence):
-        return {
-            "kind": "integral",
-            "verdict": ev.verdict,
-            "rate_tag": ev.rate_tag,
-            "limit": ev.limit,
-            "residual": ev.residual,
-            "k_values": ev.k_values,
-            "partial_values": ev.partial_values,
-        }
-    if isinstance(ev, criteria.WindowBoundReport):
-        return {
-            "kind": "window-bound",
-            "bounded": ev.bounded,
-            "K_hat": ev.K_hat,
-            "k_values": ev.k_values,
-            "sup_values": ev.sup_values,
-        }
-    if isinstance(ev, dynsys.StabilityReport):
-        return {
-            "kind": "stability",
-            "verdict": ev.verdict_uniform_stability,
-            "K_hat": ev.K_hat,
-            "K_trend": ev.K_trend,
-            "window_ends": ev.window_ends,
-            "growth_rate": ev.growth_rate,
-            "diagnostics": ev.diagnostics,
-        }
-    if isinstance(ev, dynsys.AsymptoticReport):
-        return {
-            "kind": "asymptotic",
-            "verdict": ev.verdict,
-            "limit": ev.limit,
-            "residual": ev.residual,
-        }
-    if isinstance(ev, criteria.IteratedReport):
-        return {
-            "kind": "iterated",
-            "level1_ordered": _evidence_dict(ev.level1_ordered),
-            "level1_l1": _evidence_dict(ev.level1_l1),
-            "level2_ordered": (_evidence_dict(ev.level2_ordered)
-                               if ev.level2_ordered is not None else None),
-            "level2_l1": (_evidence_dict(ev.level2_l1)
-                          if ev.level2_l1 is not None else None),
-        }
-    return {"kind": "opaque", "repr": repr(ev)}
+    """An evidence record as its payload: ``kind`` plus every field the
+    record shows, a nested record serialized the same way."""
+    out = {"kind": ev.kind}
+    for f in fields(ev):
+        if f.repr:
+            v = getattr(ev, f.name)
+            out[f.name] = _evidence_dict(v) if is_dataclass(v) else v
+    return out
 
 
 def _verdict_payload(verdict: criteria.RegularityVerdict) -> dict:
@@ -568,7 +530,7 @@ def run_integrate(cfg: RunConfig) -> dict:
     path = write_csv(cfg, "trajectory.csv", header,
                      np.column_stack([ts, ys, norms, rep.K_running]))
     return {"csv": os.path.basename(path), "K_hat": rep.K_hat,
-            "verdict": rep.verdict_uniform_stability}
+            "verdict": rep.verdict}
 
 
 def run_classify(cfg: RunConfig, emit_csv: bool = False) -> dict:
@@ -578,7 +540,7 @@ def run_classify(cfg: RunConfig, emit_csv: bool = False) -> dict:
     payload = _verdict_payload(verdict)
     if emit_csv:
         for key, ev in verdict.evidence.items():
-            if isinstance(ev, IntegralEvidence):
+            if ev.kind == IntegralEvidence.kind:
                 flat = ev.partial_values.reshape(len(ev.k_values), -1)
                 header = ["k"] + [f"v{j}" for j in range(flat.shape[1])]
                 # + 0.0: the table holds the report's values, -0.0 as 0.0

@@ -36,12 +36,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-FAMILY_CONSTANT = "Constant"
-FAMILY_RADIAL = "Radial"
-FAMILY_GILBARG_SERRIN = "GilbargSerrin"
-FAMILY_PERTURBED_RADIAL = "PerturbedRadial"
-FAMILY_CUSTOM = "Custom"
-
 # the radii at which make_gilbarg_serrin checks g against its envelope
 _GS_CHECK_RADII = 2.0 ** -np.arange(0, 31, dtype=float)
 
@@ -263,7 +257,6 @@ class CoefficientField:
     eval_batch: Callable[[np.ndarray], np.ndarray]
     ellipticity: tuple
     modulus: Modulus
-    family_tag: str = FAMILY_CUSTOM
     normalized: bool = True
     separable: Optional[SeparableParts] = None
 
@@ -315,8 +308,7 @@ def make_constant(n: int, A0: np.ndarray) -> CoefficientField:
     mod = zero_modulus() if is_identity else constant_modulus(off)
     return CoefficientField(
         dim=n, eval_batch=parts.at_points, ellipticity=(lam_min, lam_max),
-        modulus=mod, family_tag=FAMILY_CONSTANT, normalized=is_identity,
-        separable=parts,
+        modulus=mod, normalized=is_identity, separable=parts,
     )
 
 
@@ -355,8 +347,7 @@ def make_gilbarg_serrin(n: int, g: Callable, omega_bound: Modulus) -> Coefficien
     lam_max = float(max(1.0, 1.0 + np.max(gr)))
     return CoefficientField(
         dim=n, eval_batch=parts.at_points, ellipticity=(lam_min, lam_max),
-        modulus=omega_bound, family_tag=FAMILY_GILBARG_SERRIN,
-        normalized=True, separable=parts,
+        modulus=omega_bound, normalized=True, separable=parts,
     )
 
 
@@ -410,10 +401,9 @@ def make_perturbed_radial(n: int, a0: Callable, a1=None, *,
     if lam_min <= 0:
         raise FieldError(f"combined field loses ellipticity (eigenvalue {lam_min:.6g})")
 
-    tag = FAMILY_RADIAL if a1 is None else FAMILY_PERTURBED_RADIAL
     return CoefficientField(
         dim=n, eval_batch=batch, ellipticity=(lam_min, lam_max),
-        modulus=modulus, family_tag=tag, normalized=True, separable=parts,
+        modulus=modulus, normalized=True, separable=parts,
     )
 
 
@@ -436,8 +426,7 @@ def make_custom(n: int, eval_batch: Callable, modulus: Modulus,
         if ellipticity[0] <= 0:
             raise FieldError(f"custom field loses ellipticity (eigenvalue {ellipticity[0]:.6g})")
     return CoefficientField(dim=n, eval_batch=eval_batch, ellipticity=ellipticity,
-                            modulus=modulus, family_tag=FAMILY_CUSTOM,
-                            normalized=normalized)
+                            modulus=modulus, normalized=normalized)
 
 
 # below this |x| the squares of a point's coordinates may underflow

@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -234,6 +234,7 @@ def _cumulative(vals: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WindowBoundReport:
+    kind: ClassVar[str] = "window-bound"
     sup_values: np.ndarray    # running sup over dyadic windows, per depth k
     k_values: np.ndarray
     bounded: bool
@@ -295,9 +296,7 @@ def l1_condition_12b(profile: RadialProfile, tol: float = 1e-6,
         pv = pv_integral_R(profile, tol)
     if not pv.converges:
         ks = pv.k_values
-        return IntegralEvidence(ks, np.full(len(ks), np.nan),
-                                VERDICT_INCONCLUSIVE,
-                                detail={"reason": f"inner integral {pv.verdict}"})
+        return IntegralEvidence(ks, np.full(len(ks), np.nan), VERDICT_INCONCLUSIVE)
     return _tail_product_l1(profile, pv, profile.cum_R, tol)
 
 
@@ -318,6 +317,7 @@ def _tail_product_l1(profile: RadialProfile, ordered: IntegralEvidence,
 
 @dataclass(frozen=True)
 class IteratedReport:
+    kind: ClassVar[str] = "iterated"
     level1_ordered: IntegralEvidence      # inner ordered integral of R
     level1_l1: IntegralEvidence           # the product L1 test
     level2_ordered: Optional[IntegralEvidence]
@@ -479,7 +479,7 @@ def classify(field: CoefficientField, budget: Budget = Budget()) -> RegularityVe
     if cond11.bounded:
         return verdict(CLASS_LIPSCHITZ, ROUTE_COR1)
 
-    if dyn_stab.verdict_uniform_stability == dynsys.EVIDENCE_STABLE:
+    if dyn_stab.verdict == dynsys.EVIDENCE_STABLE:
         if dyn_asym.verdict == dynsys.EVIDENCE_YES:
             return verdict(CLASS_DIFFERENTIABLE, ROUTE_DYNSYS)
         return verdict(CLASS_LIPSCHITZ, ROUTE_DYNSYS)

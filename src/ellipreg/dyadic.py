@@ -18,9 +18,9 @@ The gap (1, 1.25] is reported as inconclusive rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class SequenceVerdict:
     limit: Optional[float] = None
     residual: Optional[float] = None
     rate_tag: Optional[str] = None
-    sigma: Optional[float] = None
 
 
 def levin_u(partials: np.ndarray, order: int) -> Optional[float]:
@@ -156,9 +155,8 @@ def analyze_scalar_sequence(ks, partials, tol: float) -> SequenceVerdict:
     if sigma >= _SIGMA_CONVERGENT:
         limit, spread = _extrapolate(P)
         if spread <= 10 * tol + 1e-12 * scale:
-            return SequenceVerdict(VERDICT_CONVERGES, limit, max(spread, 1e-16),
-                                   sigma=sigma)
-        return SequenceVerdict(VERDICT_INCONCLUSIVE, limit, spread, sigma=sigma)
+            return SequenceVerdict(VERDICT_CONVERGES, limit, max(spread, 1e-16))
+        return SequenceVerdict(VERDICT_INCONCLUSIVE, limit, spread)
 
     if sigma <= _SIGMA_DIVERGENT:
         if increasing:
@@ -166,9 +164,9 @@ def analyze_scalar_sequence(ks, partials, tol: float) -> SequenceVerdict:
         else:
             below_floor = P[-1] < np.min(P[:-1]) + 1e-14 * scale
             tag = RATE_TO_MINUS_INF if below_floor else RATE_LOG
-        return SequenceVerdict(VERDICT_DIVERGES, rate_tag=tag, sigma=sigma)
+        return SequenceVerdict(VERDICT_DIVERGES, rate_tag=tag)
 
-    return SequenceVerdict(VERDICT_INCONCLUSIVE, sigma=sigma)
+    return SequenceVerdict(VERDICT_INCONCLUSIVE)
 
 
 @dataclass(frozen=True)
@@ -179,15 +177,16 @@ class IntegralEvidence:
     ``eps * 2**-k_values[i]``; matrix-valued integrands carry matrix partials
     and a per-entry analysis combined conservatively (any divergent entry
     makes the whole integral divergent, any oscillating entry oscillates).
+    The record is its own payload: ``kind`` plus every field.
     """
 
+    kind: ClassVar[str] = "integral"
     k_values: np.ndarray
     partial_values: np.ndarray
     verdict: str
     limit: Optional[np.ndarray] = None
     residual: Optional[float] = None
     rate_tag: Optional[str] = None
-    detail: dict = field(default_factory=dict)
 
     @property
     def converges(self) -> bool:
@@ -201,8 +200,7 @@ def evidence_from_partials(ks, partials, tol: float) -> IntegralEvidence:
     if P.ndim == 1:
         v = analyze_scalar_sequence(ks, P, tol)
         lim = None if v.limit is None else np.float64(v.limit)
-        return IntegralEvidence(ks, P, v.verdict, lim, v.residual, v.rate_tag,
-                                detail={"sigma": v.sigma})
+        return IntegralEvidence(ks, P, v.verdict, lim, v.residual, v.rate_tag)
 
     flat = P.reshape(len(P), -1)
     scale = float(np.max(np.abs(flat))) or 1.0

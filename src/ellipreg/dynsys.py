@@ -38,8 +38,8 @@ here claims an asymptotic proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -272,17 +272,20 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    kind: ClassVar[str] = "stability"
     K_hat: float
     K_trend: np.ndarray
     window_ends: np.ndarray
-    verdict_uniform_stability: str
+    verdict: str                   # of uniform stability
     growth_rate: Optional[float] = None
     diagnostics: str = ""
-    K_running: Optional[np.ndarray] = None    # running K at every node
+    # running K at every node: a table, not shown in the record
+    K_running: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
 class AsymptoticReport:
+    kind: ClassVar[str] = "asymptotic"
     verdict: str
     limit: Optional[np.ndarray] = None
     residual: Optional[float] = None
@@ -354,7 +357,8 @@ def stability_constant(t: np.ndarray, Phi: np.ndarray) -> StabilityReport:
     linearly across the last four windows is instability evidence; anything
     else is inconclusive.  A fundamental matrix with conditioning beyond
     1e12 yields inconclusive with a diagnostic.  The report carries the
-    running K at every grid time.
+    running K at every grid time, ``K_running``, a table the record does
+    not show.
     """
     t = np.asarray(t, float)
     span = t[-1] - t[0]

@@ -4,7 +4,9 @@ For fields A(x) = I + g(|x|) theta theta^T every diagnostic in this package
 collapses to the scalar flow d(phi)/dt = ((n-1)/n) gtil(t) phi with
 gtil(t) = g(e^-t), which makes the family the laboratory for sharpness
 questions: the flow is exp(((n-1)/n) int gtil) in closed form, and plateau
-constructions separate uniform stability from asymptotic constancy.
+constructions separate uniform stability from asymptotic constancy.  Every
+generator carries an envelope C * max(t, 1)^-a, which decides whether gtil
+is square-integrable.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import dynsys
+from .dyadic import VERDICT_CONVERGES, VERDICT_INCONCLUSIVE
 
 KIND_CONVERGENT_IMPROPER = "convergent-improper"
 KIND_MINUS_INFINITY = "minus-infinity"
@@ -36,17 +39,17 @@ _WINDOW_UNIFORM = 257         # window grid points spread over the horizon
 class ScalarGenerator:
     """Scalar log-time generator gtil(t) with its exact integral.
 
-    ``cumulative`` is the antiderivative int_0^t gtil.  ``breakpoints`` are
-    the discontinuity times (plateau edges); the window grid puts nodes on
-    them, since K peaks there.  ``envelope`` is an optional (C, a) pair
-    certifying |gtil(t)| <= C * max(t, 1)^-a.
+    ``cumulative`` is the antiderivative int_0^t gtil.  ``envelope`` is a
+    (C, a) pair certifying |gtil(t)| <= C * max(t, 1)^-a.  ``breakpoints``
+    are the discontinuity times (plateau edges); the window grid puts nodes
+    on them, since K peaks there.
     """
 
     name: str
     gtil: Callable[[np.ndarray], np.ndarray]
     cumulative: Callable[[np.ndarray], np.ndarray]
+    envelope: tuple
     breakpoints: tuple = ()
-    envelope: Optional[tuple] = None
 
     def __call__(self, t):
         return self.gtil(np.asarray(t, float))
@@ -59,12 +62,12 @@ def _vec(f):
 WHITELIST: dict = {}
 
 
-def _register(name, gtil, cumulative, envelope=None):
+def _register(name, gtil, cumulative, envelope):
     WHITELIST[name] = ScalarGenerator(name, _vec(gtil), _vec(cumulative),
-                                      envelope=envelope)
+                                      envelope)
 
 
-_register("zero", lambda t: np.zeros_like(t), lambda t: np.zeros_like(t))
+_register("zero", lambda t: np.zeros_like(t), lambda t: np.zeros_like(t), (0.0, 1.0))
 # e^-t <= max(t, 1)^-2, since t^2 e^-t <= 4/e^2 < 1
 _register("exp-decay", lambda t: np.exp(-t), lambda t: 1.0 - np.exp(-t), (1.0, 2.0))
 _register("neg-exp-decay", lambda t: -np.exp(-t), lambda t: np.exp(-t) - 1.0, (1.0, 2.0))
@@ -101,7 +104,6 @@ class BlockData:
     boundary_values: np.ndarray   # (2J + 1,) running integral at the edges
     window_sup: float
     final_integral: float
-    sq_partials: np.ndarray       # running int gtil^2 dt at block-pair ends
 
 
 @dataclass(frozen=True)
@@ -173,9 +175,8 @@ def build_cesari_counterexample(kind: str, decay_exponent: float = 2.0 / 3.0,
     boundary_values = np.concatenate([[0.0], np.cumsum(heights * widths)])
     run_min = np.minimum.accumulate(boundary_values)
     window_sup = float(np.max(boundary_values - run_min))
-    sq = np.cumsum((heights ** 2 * widths).reshape(-1, 2).sum(axis=1))
     blocks = BlockData(kind, bi, edges, heights, boundary_values,
-                       window_sup, float(boundary_values[-1]), sq)
+                       window_sup, float(boundary_values[-1]))
 
     def gtil(t, edges=edges, heights=heights):
         t = np.asarray(t, float)
@@ -245,7 +246,6 @@ class IndependenceReport:
     asym_constant: dynsys.AsymptoticReport
     uniformly_stable: dynsys.StabilityReport
     square_integrable_verdict: str
-    square_partials: np.ndarray
     running_integral_final: float
     window_sup: float
 
@@ -261,35 +261,27 @@ def verify_independence(gen: ScalarGenerator, n: int = 2,
     positive; that triple is what makes the two asymptotic notions
     independent of each other.  The flow is ``closed_form_phi``, read on a
     window grid with a node on every plateau edge; both the stability
-    constant and the tail windows read it there.
+    constant and the tail windows read it there.  Square-integrability is
+    read off the envelope (C, a): int gtil^2 <= C^2 (1 + 1/(2a - 1)), so it
+    converges when a > 1/2, and the envelope decides nothing otherwise.
     """
-    from .dyadic import analyze_scalar_sequence
-
     if horizon is None:
         horizon = getattr(gen, "horizon", 0.0) or 100.0
     grid = _window_grid(0.0, horizon, gen.breakpoints)
     phi = closed_form_phi(gen, n, grid)
     stab = dynsys.stability_constant(grid, phi[:, None, None])
     asym = dynsys.asymptotic_limit(grid, phi[:, None], tol=tol)
+    sq_verdict = (VERDICT_CONVERGES if gen.envelope[1] > 0.5
+                  else VERDICT_INCONCLUSIVE)
 
     blocks = getattr(gen, "blocks", None)
     if blocks is not None:
-        sq_partials = blocks.sq_partials
         final = blocks.final_integral
         wsup = blocks.window_sup
     else:
-        ts = np.linspace(0, horizon, 4097)
-        g2 = np.asarray(gen.gtil(ts), float) ** 2
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (g2[1:] + g2[:-1]) * np.diff(ts))])
-        ends = horizon * 2.0 ** np.arange(-12, 1, 1.0)
-        sq_partials = np.interp(ends, ts, cum)
         final = float(gen.cumulative(np.asarray([horizon]))[0])
         wsup = float("nan")
-    sq_verdict = analyze_scalar_sequence(
-        np.arange(1, len(sq_partials) + 1), sq_partials, tol=1e-6).verdict
-
-    return IndependenceReport(asym, stab, sq_verdict, np.asarray(sq_partials),
-                              final, wsup)
+    return IndependenceReport(asym, stab, sq_verdict, final, wsup)
 
 
 def _window_grid(t0: float, t1: float, breakpoints: Sequence[float]) -> np.ndarray:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import pytest
 
 import numpy as np
 
-from ellipreg import cli, criteria, dynsys, pde_verify, sphmean
+from ellipreg import cli, criteria, dyadic, dynsys, pde_verify, sphmean
 
 from conftest import mean_R
 from rk45_reference import rk45_fundamental_matrix
@@ -556,6 +557,16 @@ horizon = 1e4
         assert pl["square_integrable"] == "converges"
         assert pl["window_sup"] >= 5
 
+    @pytest.mark.parametrize("example", cli._GS_EXAMPLES + cli._CESARI)
+    def test_gs_square_integrable_from_the_envelope(self, tmp_path, example):
+        # every named and Cesari envelope decays faster than t^-1/2
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, f"[gs]\nexample = {example}\n\n"
+                                  f"[output]\ndir = {out}\n")
+        assert cli.main(["gs", cfg]) == cli.EXIT_OK
+        report = json.load(open(out / "report.json"))
+        assert report["payload"]["square_integrable"] == "converges"
+
     def test_verify_small_grid(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, IDENTITY.format(out=out) + """
@@ -679,6 +690,39 @@ radii = 0.5, 0.25, 0.125
         assert cli.main(["verify", cfg]) == cli.EXIT_NUMERICAL
         partial = json.load(open(out / "report_partial.json"))
         assert partial["payload"]["error_type"] == "SolveError"
+
+
+def _records():
+    """One record of each evidence type, as the pipeline builds them."""
+    ks = np.arange(1.0, 9.0)
+    integral = dyadic.evidence_from_partials(ks, 1.0 - 2.0 ** -ks, 1e-6)
+    t = np.linspace(0.0, 20.0, 201)
+    Phi = np.exp(-np.exp(-t))[:, None, None] * np.eye(2)
+    return [
+        integral,
+        criteria.WindowBoundReport(ks, ks, True, 8.0),
+        criteria.IteratedReport(integral, integral, integral, None),
+        dynsys.stability_constant(t, Phi),
+        dynsys.asymptotic_limit(t, Phi[:, :, 0]),
+    ]
+
+
+class TestEvidenceRecords:
+    @pytest.mark.parametrize("rec", _records(), ids=lambda r: r.kind)
+    def test_payload_is_kind_plus_shown_fields(self, rec):
+        d = cli._evidence_dict(rec)
+        shown = {f.name for f in dataclasses.fields(rec) if f.repr}
+        assert set(d) == {"kind"} | shown
+        assert d["kind"] == type(rec).kind
+        assert "K_running" not in d
+
+    def test_nested_records_serialize_alike(self):
+        rec = _records()[2]
+        d = cli._evidence_dict(rec)
+        for name in ("level1_ordered", "level1_l1", "level2_ordered"):
+            assert d[name] == cli._evidence_dict(getattr(rec, name))
+            assert d[name]["kind"] == "integral"
+        assert d["level2_l1"] is None
 
 
 class TestJsonable:

@@ -255,7 +255,8 @@ class TestCondition12b:
         prof = criteria.build_radial_profile(field)
         ev = criteria.l1_condition_12b(prof)
         assert ev.verdict == VERDICT_INCONCLUSIVE
-        assert "inner" in ev.detail.get("reason", "")
+        # the inner integral diverges, so no product is formed
+        assert np.all(np.isnan(ev.partial_values))
 
 
 def iterated(prof):
@@ -536,7 +537,7 @@ class TestClassify:
         v = criteria.classify(field)
         assert v.classification == criteria.CLASS_INCONCLUSIVE
         stab = v.evidence["dynsys_stability"]
-        assert stab.verdict_uniform_stability == dynsys.EVIDENCE_UNSTABLE
+        assert stab.verdict == dynsys.EVIDENCE_UNSTABLE
 
     def test_log_squared_differentiable_via_ordered_route(self):
         field = gs_log_field(1.0, power=2.0)
@@ -590,7 +591,7 @@ class TestClassify:
     def test_start_time_sensitivity_attached(self, identity_field):
         v = criteria.classify(identity_field)
         assert "dynsys_stability_2t0" in v.evidence
-        assert (v.evidence["dynsys_stability_2t0"].verdict_uniform_stability
+        assert (v.evidence["dynsys_stability_2t0"].verdict
                 == dynsys.EVIDENCE_STABLE)
 
 
@@ -653,6 +654,16 @@ class TestClosedFormOracle:
             assert ev["pv_12a"].converges
             np.testing.assert_allclose(ev["pv_12a"].limit, pv, rtol=0,
                                        atol=10 * budget.tol)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "at k_max 15 pv_12a and l1_12b read 'converges' with residuals of "
+        "4.5e3 and 1.2e6, from the ungated geometric branch"))
+    def test_short_budget_log_field_is_not_differentiable(self):
+        # g = 1/log(e^2/r) has p = 1 and c > 0: no Lipschitz bound holds, so
+        # the honest class is inconclusive, as k_max 16 to 19 say (3-D too)
+        v = criteria.classify(gs_log_field(1.0, shift=2.0),
+                              criteria.Budget(k_max=15))
+        assert v.classification == criteria.CLASS_INCONCLUSIVE
 
     @pytest.mark.parametrize("eps", [0.5, 0.25])
     def test_square_dini_reads_eps(self, eps):
@@ -833,7 +844,7 @@ class TestDynamicsSolves:
         assert stab.K_hat > 1.1
         for key, want in (("dynsys_stability", stab), ("dynsys_stability_2t0", stab2)):
             got = ev[key]
-            assert got.verdict_uniform_stability == want.verdict_uniform_stability
+            assert got.verdict == want.verdict
             assert got.K_hat == pytest.approx(want.K_hat, rel=1e-7)
         assert ev["dynsys_asymptotic"].verdict == asym.verdict
 
@@ -916,5 +927,5 @@ class TestDynamicsSolves:
         fresh = dynsys.stability_constant(
             tg, rk45_fundamental_matrix(rfun, tg, budget.dyn_tol))
         assert fresh.K_hat > 1.1
-        assert stab2.verdict_uniform_stability == fresh.verdict_uniform_stability
+        assert stab2.verdict == fresh.verdict
         assert stab2.K_hat == pytest.approx(fresh.K_hat, rel=1e-7)

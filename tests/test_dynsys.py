@@ -341,7 +341,7 @@ class TestStabilityConstant:
         Phi = lattice_phi(lambda t: np.zeros((1, 1)), tg, 1e-10)
         rep = dynsys.stability_constant(tg, Phi)
         assert rep.K_hat == pytest.approx(1.0, abs=1e-9)
-        assert rep.verdict_uniform_stability == dynsys.EVIDENCE_STABLE
+        assert rep.verdict == dynsys.EVIDENCE_STABLE
 
     def test_decaying_scalar_K_is_one(self):
         gen = gs.WHITELIST["neg-one-over-1pt"]
@@ -349,20 +349,20 @@ class TestStabilityConstant:
         Phi = lattice_phi(scalar_rfun(gen, 2), tg, 1e-10)
         rep = dynsys.stability_constant(tg, Phi)
         assert rep.K_hat == pytest.approx(1.0, abs=1e-8)
-        assert rep.verdict_uniform_stability == dynsys.EVIDENCE_STABLE
+        assert rep.verdict == dynsys.EVIDENCE_STABLE
 
     def test_growing_scalar_unstable(self):
         gen = gs.WHITELIST["one-over-1pt"]
         tg = np.linspace(0, 2000, 2001)
         Phi = lattice_phi(scalar_rfun(gen, 2), tg, 1e-9)
         rep = dynsys.stability_constant(tg, Phi)
-        assert rep.verdict_uniform_stability == dynsys.EVIDENCE_UNSTABLE
+        assert rep.verdict == dynsys.EVIDENCE_UNSTABLE
         assert rep.growth_rate > 0
 
     def test_cesari_unstable(self):
         gen = gs.build_cesari_counterexample(gs.KIND_CONVERGENT_IMPROPER)
         rep = gs.verify_independence(gen, 2).uniformly_stable
-        assert rep.verdict_uniform_stability == dynsys.EVIDENCE_UNSTABLE
+        assert rep.verdict == dynsys.EVIDENCE_UNSTABLE
         incs = np.diff(np.log(np.maximum(rep.K_trend, 1.0))) > 1e-9
         run = best = 0
         for v in incs:
@@ -394,7 +394,7 @@ class TestStabilityConstant:
         Phi = np.tile(np.eye(2), (11, 1, 1))
         Phi[5] = np.array([[1.0, 0.0], [0.0, 1e-14]])
         rep = dynsys.stability_constant(tg, Phi)
-        assert rep.verdict_uniform_stability == dynsys.INCONCLUSIVE
+        assert rep.verdict == dynsys.INCONCLUSIVE
         assert "conditioning" in rep.diagnostics
 
     @pytest.mark.parametrize("d, node, refused", [
@@ -421,7 +421,7 @@ class TestStabilityConstant:
             warnings.simplefilter("error")
             rep = dynsys.stability_constant(tg, Phi)
         if refused:
-            assert rep.verdict_uniform_stability == dynsys.INCONCLUSIVE
+            assert rep.verdict == dynsys.INCONCLUSIVE
             assert rep.diagnostics == "fundamental matrix conditioning exceeds 1e+12"
             assert rep.K_running is None and math.isnan(rep.K_hat)
         else:

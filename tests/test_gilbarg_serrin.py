@@ -23,8 +23,7 @@ class TestClosedForm:
         val = gs.closed_form_phi(gen, 2, 50.0)
         assert val == pytest.approx(np.exp(0.5), rel=1e-14)
 
-    @pytest.mark.parametrize("name", [name for name, gen in gs.WHITELIST.items()
-                                      if gen.envelope is not None])
+    @pytest.mark.parametrize("name", list(gs.WHITELIST))
     def test_envelope_certifies_the_generator(self, name):
         # |gtil(t)| <= C max(t, 1)^-a on a dense grid of [0, 1e3], which
         # holds the peak of t^a e^-t at t = a for every a up to 1e3
@@ -123,16 +122,6 @@ class TestCesariConstruction:
                 gs.build_cesari_counterexample(gs.KIND_CONVERGENT_IMPROPER,
                                                decay_exponent=bad)
 
-    def test_square_integrability_from_blocks(self):
-        gen = gs.build_cesari_counterexample(gs.KIND_CONVERGENT_IMPROPER)
-        sq = gen.blocks.sq_partials
-        incs = np.diff(sq)
-        assert np.all(incs > 0) and np.all(np.diff(incs)[2:] < 0)
-        # increments shrink fast enough for a convergent verdict
-        from ellipreg.dyadic import analyze_scalar_sequence
-        v = analyze_scalar_sequence(np.arange(1, len(sq) + 1), sq, tol=1e-6)
-        assert v.verdict == "converges"
-
     def test_cumulative_is_exact_piecewise_linear(self):
         gen = gs.build_cesari_counterexample(gs.KIND_MINUS_INFINITY)
         b = gen.blocks
@@ -156,28 +145,32 @@ class TestVerifyIndependence:
         rep = gs.verify_independence(gs.WHITELIST["exp-decay"], 2, tol=1e-6,
                                      horizon=60.0)
         assert rep.asym_constant.verdict == dynsys.EVIDENCE_YES
-        assert rep.uniformly_stable.verdict_uniform_stability == dynsys.EVIDENCE_STABLE
-
-    def test_settled_square_partials_converge(self):
-        # int g^2 of e^-t reaches its limit to rounding well before t = 100,
-        # so the last square partials are equal and no Levin order applies
-        rep = gs.verify_independence(gs.WHITELIST["exp-decay"], 2, horizon=100.0)
-        assert np.diff(rep.square_partials)[-1] == 0.0
-        assert rep.square_integrable_verdict == "converges"
+        assert rep.uniformly_stable.verdict == dynsys.EVIDENCE_STABLE
 
     def test_convergent_improper_triple(self):
         gen = gs.build_cesari_counterexample(gs.KIND_CONVERGENT_IMPROPER)
         rep = gs.verify_independence(gen, 2, tol=1e-4)
         assert rep.asym_constant.verdict == dynsys.EVIDENCE_YES
         assert rep.asym_constant.residual <= 1e-4
-        assert rep.uniformly_stable.verdict_uniform_stability == dynsys.EVIDENCE_UNSTABLE
+        assert rep.uniformly_stable.verdict == dynsys.EVIDENCE_UNSTABLE
         assert rep.square_integrable_verdict == "converges"
 
     def test_minus_infinity_unstable_while_sinking(self):
         gen = gs.build_cesari_counterexample(gs.KIND_MINUS_INFINITY)
         rep = gs.verify_independence(gen, 2, tol=1e-4)
         assert rep.running_integral_final < -10.0
-        assert rep.uniformly_stable.verdict_uniform_stability == dynsys.EVIDENCE_UNSTABLE
+        assert rep.uniformly_stable.verdict == dynsys.EVIDENCE_UNSTABLE
+
+    @pytest.mark.parametrize("a, want", [(0.6, "converges"),
+                                         (0.5, "inconclusive")])
+    def test_square_integrable_reads_the_envelope(self, a, want):
+        # gtil = (1 + t)^-a has the envelope (1, a); its square integral is
+        # below 1 + 1/(2a - 1) for a > 1/2 and infinite at a = 1/2
+        g = gs.ScalarGenerator(
+            "inv-power", lambda t: (1.0 + t) ** -a,
+            lambda t: ((1.0 + t) ** (1.0 - a) - 1.0) / (1.0 - a), (1.0, a))
+        rep = gs.verify_independence(g, 2, horizon=100.0)
+        assert rep.square_integrable_verdict == want
 
 
 class TestModeODE:
